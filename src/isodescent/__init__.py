@@ -28,16 +28,12 @@ from .errors import (
     NotStable,
     PreconditionViolated,
     SearchSpaceTooLarge,
-    Singular,
     SingularMatrix,
 )
 from .exactfield import (
     FieldDescriptor,
     FieldElement,
-    apply_involution,
     make_descriptor,
-    reduce,
-    valuation,
     with_uniformizer,
 )
 from .lattice import (
@@ -68,10 +64,10 @@ from .descent import (
     DescentResult,
     GroupRep,
     balance,
-    charpoly,
     descend,
     rigidity_check,
 )
+from .linalg import charpoly
 from .counterexamples import (
     NonexistenceCertificate,
     build_prop5_bundle,
@@ -110,9 +106,7 @@ __all__ = [
     "PreconditionViolated",
     "ResidueForm",
     "SearchSpaceTooLarge",
-    "Singular",
     "SingularMatrix",
-    "apply_involution",
     "assemble_f0",
     "balance",
     "build_prop5_bundle",
@@ -129,7 +123,6 @@ __all__ = [
     "normalize_scale",
     "quotient_invariants",
     "quotient_length",
-    "reduce",
     "reduce_bar",
     "reduce_tilde",
     "rigidity_check",
@@ -137,7 +130,6 @@ __all__ = [
     "snf",
     "stabilize",
     "standard_lattice",
-    "valuation",
     "verify_prop5",
     "verify_prop6",
     "with_uniformizer",

@@ -22,7 +22,8 @@ import time
 
 from . import __version__ as TOOL_VERSION
 from . import linalg as la
-from .counterexamples import no_invariant_symmetric_form, verify_prop5, verify_prop6
+from .counterexamples import (DEFAULT_ENUM_CAP, no_invariant_symmetric_form,
+                              verify_prop5, verify_prop6)
 from .descent import (
     DEFAULT_GROUP_CAP,
     GroupRep,
@@ -31,13 +32,11 @@ from .descent import (
 )
 from .errors import BundleFormatError, IsodescentError, NegativeValuation
 from .exactfield import make_descriptor
-from .forms import GramForm
+from .forms import KINDS, GramForm
 from .lattice import stabilize, standard_lattice
 
 DEFAULT_PRECISION_START = 32
-DEFAULT_ENUM_CAP = 1000000
 
-FORM_KINDS = ("symmetric", "alternating", "hermitian")
 VERIFY_TAGS = ("lemma", "prop5", "prop6")
 
 
@@ -124,7 +123,6 @@ def load_bundle(path: str, max_group_order=None, precision_start=None):
     options = {
         "max_group_order": opts.get("max_group_order", DEFAULT_GROUP_CAP),
         "precision_start": opts.get("precision_start", DEFAULT_PRECISION_START),
-        "enumeration_cap": opts.get("enumeration_cap", DEFAULT_ENUM_CAP),
     }
     for key, val in options.items():
         _expect(isinstance(val, int) and val > 0, f"options.{key}",
@@ -142,7 +140,7 @@ def load_bundle(path: str, max_group_order=None, precision_start=None):
     frm = raw.get("form")
     _expect(isinstance(frm, dict), "form", "must be an object")
     kind = frm.get("kind")
-    _expect(kind in FORM_KINDS, "form.kind", f"must be one of {FORM_KINDS}")
+    _expect(kind in KINDS, "form.kind", f"must be one of {KINDS}")
     gram = _parse_matrix(field, frm.get("gram"), "form.gram")
     twist = frm.get("twist", 0)
     _expect(isinstance(twist, int), "form.twist", "must be an integer")
@@ -349,6 +347,11 @@ def cmd_verify(tag: str, ell: int, out_path=None, enum_cap=None) -> int:
     if tag not in VERIFY_TAGS:
         raise BundleFormatError(f"verify: unknown tag {tag!r}, expected "
                                 f"one of {VERIFY_TAGS}")
+    if enum_cap is None:
+        enum_cap = DEFAULT_ENUM_CAP
+    if enum_cap < 1:
+        raise BundleFormatError(
+            f"verify: --enum-cap must be a positive integer, got {enum_cap}")
     digest = hashlib.sha256(
         json.dumps({"ell": ell, "tag": tag}, sort_keys=True).encode()).hexdigest()
     if tag == "lemma":
@@ -356,7 +359,7 @@ def cmd_verify(tag: str, ell: int, out_path=None, enum_cap=None) -> int:
     elif tag == "prop5":
         cert = verify_prop5(ell)
     else:
-        cert = verify_prop6(ell, enum_cap=enum_cap or DEFAULT_ENUM_CAP)
+        cert = verify_prop6(ell, enum_cap=enum_cap)
     result = cert.to_dict()
     result["certificates"] = {"verdict": cert.verdict}
     report = _make_report("verify", digest, result, started)

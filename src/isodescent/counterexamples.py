@@ -28,7 +28,7 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 from .exactfield import make_descriptor
-from .finitefield import fp_kernel
+from .finitefield import fp_det, fp_kernel, fp_mat_mul, fp_mat_pow
 from .forms import GramForm, classify_gram
 
 DEFAULT_ENUM_CAP = 1000000
@@ -67,98 +67,7 @@ def _require_odd_prime(ell: int):
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra over F_ell on plain int matrices
-
-
-def _mmul(a, b, ell):
-    n, m, k = len(a), len(b[0]), len(b)
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) % ell for j in range(m)]
-            for i in range(n)]
-
-
-def _meye(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _mpow(m, e, ell):
-    out = _meye(len(m))
-    base = [row[:] for row in m]
-    while e:
-        if e & 1:
-            out = _mmul(out, base, ell)
-        base = _mmul(base, base, ell)
-        e >>= 1
-    return out
-
-
-def _mdet(m, ell):
-    a = [[v % ell for v in row] for row in m]
-    n = len(a)
-    det = 1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if a[i][c]), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            det = -det
-        det = (det * a[c][c]) % ell
-        inv = pow(a[c][c], -1, ell)
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = (a[i][c] * inv) % ell
-                a[i] = [(v - f * w) % ell for v, w in zip(a[i], a[c])]
-    return det % ell
-
-
-def _msub(a, b, ell):
-    return [[(x - y) % ell for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _is_zero(m):
-    return all(v == 0 for row in m for v in row)
-
-
-def _charpoly_int(m, ell):
-    """Characteristic polynomial over F_ell by cofactor expansion of tI - M.
-
-    Polynomials are coefficient lists, low degree first.  Fine for n <= 4.
-    """
-    n = len(m)
-
-    def pmul(p, q):
-        out = [0] * (len(p) + len(q) - 1)
-        for i, a in enumerate(p):
-            for j, b in enumerate(q):
-                out[i + j] = (out[i + j] + a * b) % ell
-        return out
-
-    def padd(p, q):
-        size = max(len(p), len(q))
-        return [((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)) % ell
-                for i in range(size)]
-
-    def pscale(p, c):
-        return [(c * a) % ell for a in p]
-
-    entries = [[[(-m[i][j]) % ell] if i != j else [(-m[i][j]) % ell, 1]
-                for j in range(n)] for i in range(n)]
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return entries[rows[0]][cols[0]]
-        acc = [0]
-        sign = 1
-        r0 = rows[0]
-        for idx, c in enumerate(cols):
-            minor = det(rows[1:], cols[:idx] + cols[idx + 1:])
-            term = pmul(entries[r0][c], minor)
-            acc = padd(acc, pscale(term, sign))
-            sign = -sign
-        return acc
-
-    p = det(list(range(n)), list(range(n)))
-    return [c % ell for c in p] + [0] * (n + 1 - len(p))
+# invariant-form and commutant systems over F_ell
 
 
 def _solve_form_constraints(gens, ell, n, alternating=False):
@@ -231,13 +140,13 @@ def no_invariant_symmetric_form(ell: int) -> NonexistenceCertificate:
             for r in range(ell):
                 examined += 1
                 b = [[p, q], [q, r]]
-                gtbg = _mmul(_mmul([[1, 0], [1, 1]], b, ell), g, ell)
+                gtbg = fp_mat_mul(fp_mat_mul([[1, 0], [1, 1]], b, ell), g, ell)
                 if gtbg != [[v % ell for v in row] for row in b]:
                     continue
                 invariant += 1
                 if b[0][0] % ell != 0 or b[0][1] % ell != 0:
                     identities = False
-                if _mdet(b, ell) != 0:
+                if fp_det(b, ell) != 0:
                     nondeg_invariant += 1
     verdict = nondeg_invariant == 0 and identities
     return NonexistenceCertificate(
@@ -258,7 +167,7 @@ def no_invariant_symmetric_form(ell: int) -> NonexistenceCertificate:
 def _order_ell_unipotent_fact(ell: int) -> dict:
     """Check every order-ell element of GL_2(F_ell) is a nonidentity
     unipotent conjugate to [[1,1],[0,1]], by enumerating the whole group."""
-    ident = _meye(2)
+    ident = [[1, 0], [0, 1]]
     count = 0
     all_square_zero = True
     all_conjugate = True
@@ -269,11 +178,11 @@ def _order_ell_unipotent_fact(ell: int) -> dict:
                     m = [[a, b], [c, d]]
                     if (a * d - b * c) % ell == 0:
                         continue
-                    if m == ident or _mpow(m, ell, ell) != ident:
+                    if m == ident or fp_mat_pow(m, ell, ell) != ident:
                         continue
                     count += 1
-                    nil = _msub(m, ident, ell)
-                    if not _is_zero(_mmul(nil, nil, ell)):
+                    nil = [[(a - 1) % ell, b], [c, (d - 1) % ell]]
+                    if fp_mat_mul(nil, nil, ell) != [[0, 0], [0, 0]]:
                         all_square_zero = False
                         continue
                     # basis {(M-1)v, v} for v outside the kernel of M-1
@@ -287,13 +196,13 @@ def _order_ell_unipotent_fact(ell: int) -> dict:
                     img = [(nil[0][0] * v[0] + nil[0][1] * v[1]) % ell,
                            (nil[1][0] * v[0] + nil[1][1] * v[1]) % ell]
                     pmat = [[img[0], v[0]], [img[1], v[1]]]
-                    pdet = _mdet(pmat, ell)
+                    pdet = fp_det(pmat, ell)
                     pinv_scale = pow(pdet, -1, ell)
                     pinv = [[(pmat[1][1] * pinv_scale) % ell,
                              (-pmat[0][1] * pinv_scale) % ell],
                             [(-pmat[1][0] * pinv_scale) % ell,
                              (pmat[0][0] * pinv_scale) % ell]]
-                    if _mmul(_mmul(pinv, m, ell), pmat, ell) != [[1, 1], [0, 1]]:
+                    if fp_mat_mul(fp_mat_mul(pinv, m, ell), pmat, ell) != [[1, 1], [0, 1]]:
                         all_conjugate = False
     return {
         "order_ell_count": count,
@@ -476,10 +385,11 @@ def verify_prop6(ell: int, enum_cap: int = DEFAULT_ENUM_CAP) -> NonexistenceCert
     abar, bbar = _quaternion_pair_mod(ell)
 
     # sanity: the pair anticommutes and squares to -1
-    if _mpow(abar, 4, ell) != _meye(2) or _mpow(bbar, 4, ell) != _meye(2):
+    ident = [[1, 0], [0, 1]]
+    if fp_mat_pow(abar, 4, ell) != ident or fp_mat_pow(bbar, 4, ell) != ident:
         raise InternalInconsistency("quaternion generators must have order 4")
-    if _mmul(abar, bbar, ell) != [[(-v) % ell for v in row]
-                                  for row in _mmul(bbar, abar, ell)]:
+    if fp_mat_mul(abar, bbar, ell) != [[(-v) % ell for v in row]
+                                       for row in fp_mat_mul(bbar, abar, ell)]:
         raise InternalInconsistency("quaternion generators must anticommute")
 
     # (a) invariant bilinear forms on W
@@ -530,7 +440,7 @@ def verify_prop6(ell: int, enum_cap: int = DEFAULT_ENUM_CAP) -> NonexistenceCert
                         for j in range(4):
                             b[i][j] = (b[i][j] + cf * sol[t][i][j]) % ell
             enumerated += 1
-            if _mdet(b, ell) == 0:
+            if fp_det(b, ell) == 0:
                 degenerate += 1
             pos = 0
             while pos < sol_dim and coeffs[pos] == ell - 1:

@@ -171,10 +171,6 @@ class CycloRing:
     def neg(self, u):
         return tuple(-a for a in u)
 
-    def scale(self, u, c):
-        c = Fraction(c)
-        return tuple(a * c for a in u)
-
     def mul(self, u, v):
         phi = self.phi
         if phi == 1:
@@ -214,9 +210,6 @@ class CycloRing:
 
     def is_zero(self, u) -> bool:
         return all(c == 0 for c in u)
-
-    def is_rational(self, u) -> bool:
-        return all(c == 0 for c in u[1:])
 
     def integerize(self, u) -> tuple[tuple[int, ...], int]:
         """Write u = (1/d) * w with w an integer vector, d a positive integer."""

@@ -57,7 +57,6 @@ from .lattice import (
     stabilize,
     standard_lattice,
 )
-from .linalg import charpoly  # re-exported: callers compute charpolys through here
 
 DEFAULT_GROUP_CAP = 100000
 DEFAULT_ORDER_CAP = 4096
@@ -322,16 +321,9 @@ def descend(rep: GroupRep, start: Lattice | None = None) -> DescentResult:
     except (KindMismatch, DegenerateForm, NoInvolution):
         kind_correct = False
 
-    def conj_t(m):
-        if conj_residue is None:
-            return la.transpose(m)
-        return la.conj_transpose(m, conj_residue)
-
     rho_bar = [reduced_action(m) for m in rep.elements]
-
-    for p in rho_bar:
-        if not la.mat_eq(la.mat_mul(conj_t(p), la.mat_mul(f0_gram, p)), f0_gram):
-            kind_correct = False
+    if f0 is None or not all(f0.is_isometry(p) for p in rho_bar):
+        kind_correct = False
 
     ident_k = la.identity(kfield, n)
     kernel = [i for i, p in enumerate(rho_bar) if la.mat_eq(p, ident_k)]
@@ -343,9 +335,9 @@ def descend(rep: GroupRep, start: Lattice | None = None) -> DescentResult:
     charpoly_table_K = []
     charpoly_table_k = []
     for m, p in zip(rep.elements, rho_bar):
-        cp_K = charpoly(m, field)
+        cp_K = la.charpoly(m, field)
         cp_red = [c.reduce() for c in cp_K]
-        cp_psi = charpoly(p, kfield)
+        cp_psi = la.charpoly(p, kfield)
         charpoly_table_K.append(cp_K)
         charpoly_table_k.append(cp_psi)
         if len(cp_red) != len(cp_psi) or any(a != b for a, b in zip(cp_red, cp_psi)):

@@ -26,10 +26,6 @@ class SingularMatrix(IsodescentError):
     """Matrix inversion or basis extraction hit a singular matrix."""
 
 
-class Singular(SingularMatrix):
-    """Smith normal form input does not have full rank."""
-
-
 class DimensionMismatch(IsodescentError):
     """Operands live in different ambient dimensions or fields."""
 

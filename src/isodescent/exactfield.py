@@ -350,20 +350,11 @@ class FieldDescriptor:
         """Convert completion-residue coordinates into the abstract residue field."""
         if self._embed_identity:
             return self.residue_field.element(list(rcoords))
-        sol = fp_solve([list(r) for r in self._embed_rows], list(rcoords), self.ell)
+        sol = fp_solve(self._embed_rows, rcoords, self.ell)
         if sol is None:
             raise InternalInconsistency(
                 "residue of a field element fell outside the residue field")
         return self.residue_field.element(sol)
-
-    def embed_residue(self, x):
-        """Embedding of the abstract residue field into the completion residue field."""
-        acc = self.residue_field_big.zero
-        p = self.residue_field_big.one
-        for c in x.coeffs:
-            acc = acc + p * int(c)
-            p = p * self.theta
-        return acc
 
     def residue_involution(self, x):
         """Involution induced on the residue field (identity in the ramified case)."""
@@ -466,10 +457,8 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
         if m == 1:
             frob_lift = 1 % n if n > 1 else 1
         else:
-            g_, x_, y_ = LambdaEngine._ext_gcd(m, la)
-            assert g_ == 1
             # t = ell mod m, 1 mod ell^a
-            frob_lift = (ell * (y_ % m) * la + 1 * (x_ % la) * m) % n
+            frob_lift = (ell * pow(la, -1, m) * la + pow(m, -1, la) * m) % n
             assert frob_lift % m == ell % m and frob_lift % la == 1
     else:
         frob_lift = ell % n if n > 1 else 1
@@ -571,7 +560,6 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
     desc.residue_field_big = ResidueField(ell, chosen_factor)
     if f == f_full:
         desc.residue_field = desc.residue_field_big
-        desc.theta = desc.residue_field_big.gen
         desc._embed_identity = True
         desc._embed_rows = None
     else:
@@ -601,7 +589,6 @@ def _build_residue_subfield(desc: FieldDescriptor):
             "fixed space of the residue Frobenius has the wrong dimension")
     kern_elts = [big.element(v) for v in kern]
 
-    found = None
     for counter in range(1, ell**f):
         digits = []
         cc = counter
@@ -618,23 +605,18 @@ def _build_residue_subfield(desc: FieldDescriptor):
             powers.append([int(p.coeffs[i]) if i < len(p.coeffs) else 0
                            for i in range(f_full)])
             p = p * theta
-        rank_rows = powers[:f]
-        rank = f_full - len(fp_kernel(rank_rows, ell))
-        if rank == f:
-            found = (theta, powers)
+        if f_full - len(fp_kernel(powers[:f], ell)) == f:
             break
-    if found is None:
+    else:
         raise InternalInconsistency("no generator found for the residue subfield")
-    theta, powers = found
     emb_rows = [[powers[i][r] for i in range(f)] for r in range(f_full)]
-    sol = fp_solve([row[:] for row in emb_rows], powers[f], ell)
+    sol = fp_solve(emb_rows, powers[f], ell)
     if sol is None:
         raise InternalInconsistency("residue subfield minimal polynomial solve failed")
     h_min = tuple((-sol[i]) % ell for i in range(f)) + (1,)
     if not fp_is_irreducible(h_min, ell):
         raise InternalInconsistency("residue subfield minimal polynomial is reducible")
     desc.residue_field = ResidueField(ell, h_min)
-    desc.theta = theta
     desc._embed_rows = emb_rows
 
 
@@ -746,21 +728,3 @@ def with_uniformizer(desc: FieldDescriptor, pi_new: FieldElement) -> FieldDescri
     clone._zero = None
     return clone
 
-
-# ----------------------------------------------------------------------
-# module-level operation names
-
-
-def valuation(x: FieldElement):
-    """Certified valuation of x at the descriptor's prime; math.inf for zero."""
-    return x.valuation()
-
-
-def reduce(x: FieldElement):
-    """Residue-field image of an integral element."""
-    return x.reduce()
-
-
-def apply_involution(x: FieldElement) -> FieldElement:
-    """The descriptor's involution applied to x."""
-    return x.conjugate()

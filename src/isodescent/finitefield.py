@@ -22,11 +22,6 @@ def fp_trim(a):
     return tuple(a)
 
 
-def fp_add(a, b, p):
-    n = max(len(a), len(b))
-    return fp_trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)])
-
-
 def fp_sub(a, b, p):
     n = max(len(a), len(b))
     return fp_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)])
@@ -82,11 +77,21 @@ def fp_powmod(base, e, modulus, p):
     return result
 
 
-def fp_eval(a, x, p):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
+def fp_ext_gcd(a: tuple, b: tuple, p: int):
+    """Return (g, s, t) with g the monic gcd of a and b and s*a + t*b = g in F_p[x]."""
+    r0, r1 = fp_trim(tuple(c % p for c in a)), fp_trim(tuple(c % p for c in b))
+    s0, s1 = (1,), ()
+    t0, t1 = (), (1,)
+    while r1:
+        q, r = fp_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, fp_sub(s0, fp_mul(q, s1, p), p)
+        t0, t1 = t1, fp_sub(t0, fp_mul(q, t1, p), p)
+    inv = pow(r0[-1], -1, p)
+    g = tuple((c * inv) % p for c in r0)
+    s = tuple((c * inv) % p for c in s0)
+    t = tuple((c * inv) % p for c in t0)
+    return g, s, t
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -249,17 +254,9 @@ class ResidueElement:
         a = fp_trim(self.coeffs)
         if not a:
             raise ZeroDivisionError("inverse of zero residue")
-        # extended Euclid in F_p[y]
-        r0, r1 = F.modulus, a
-        s0, s1 = (), (1,)
-        while r1:
-            q, r = fp_divmod(r0, r1, F.p)
-            s_next = fp_sub(s0, fp_mul(q, s1, F.p), F.p)
-            r0, r1 = r1, r
-            s0, s1 = s1, s_next
-        assert len(r0) == 1
-        c = pow(r0[0], -1, F.p)
-        return F.element(fp_mul(s0, (c,), F.p))
+        # the modulus is irreducible, so the gcd is 1 and t*a = 1 mod it
+        _, _, t = fp_ext_gcd(F.modulus, a, F.p)
+        return F.element(t)
 
     def __truediv__(self, other):
         o = self._like(other)
@@ -385,16 +382,57 @@ def cyclotomic_factors_mod(ell: int, m: int):
 
 # ---------------------------------------------------------------------------
 # small dense linear algebra over F_p with plain ints (used for residue-field
-# bookkeeping inside descriptors; generic object-level linear algebra for
-# matrices over ResidueField lives in linalg)
+# bookkeeping inside descriptors and for the counterexample certificates;
+# generic object-level linear algebra for matrices over ResidueField lives in
+# linalg)
 
-def fp_kernel(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the right kernel of the matrix over F_p."""
-    nr, nc = len(rows), len(rows[0]) if rows else 0
-    a = [[v % p for v in r] for r in rows]
+def fp_mat_mul(a, b, p):
+    n, m, k = len(a), len(b[0]), len(b)
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(m)]
+            for i in range(n)]
+
+
+def fp_mat_pow(m, e, p):
+    out = [[1 if i == j else 0 for j in range(len(m))] for i in range(len(m))]
+    base = [row[:] for row in m]
+    while e:
+        if e & 1:
+            out = fp_mat_mul(out, base, p)
+        base = fp_mat_mul(base, base, p)
+        e >>= 1
+    return out
+
+
+def fp_det(m, p):
+    """Determinant over F_p by forward elimination only (no back substitution)."""
+    a = [[v % p for v in row] for row in m]
+    n = len(a)
+    det = 1
+    for c in range(n):
+        pr = next((i for i in range(c, n) if a[i][c]), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            a[c], a[pr] = a[pr], a[c]
+            det = -det
+        det = (det * a[c][c]) % p
+        inv = pow(a[c][c], -1, p)
+        for i in range(c + 1, n):
+            if a[i][c]:
+                f = (a[i][c] * inv) % p
+                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[c])]
+    return det % p
+
+
+def _fp_rref(a, p: int, ncols: int) -> list[int]:
+    """Gauss-Jordan reduction over F_p of the reduced int matrix a, in place,
+    over its first ncols columns; returns the pivot columns in order."""
+    nr = len(a)
     pivots = []
     r = 0
-    for c in range(nc):
+    for c in range(ncols):
+        if r == nr:
+            break
         pr = next((i for i in range(r, nr) if a[i][c]), None)
         if pr is None:
             continue
@@ -407,8 +445,14 @@ def fp_kernel(rows: list[list[int]], p: int) -> list[list[int]]:
                 a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
-        if r == nr:
-            break
+    return pivots
+
+
+def fp_kernel(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of the right kernel of the matrix over F_p."""
+    nc = len(rows[0]) if rows else 0
+    a = [[v % p for v in r] for r in rows]
+    pivots = _fp_rref(a, p, nc)
     free = [c for c in range(nc) if c not in pivots]
     basis = []
     for fc in free:
@@ -422,28 +466,11 @@ def fp_kernel(rows: list[list[int]], p: int) -> list[list[int]]:
 
 def fp_solve(rows: list[list[int]], rhs: list[int], p: int):
     """One solution of rows*x = rhs over F_p, or None if inconsistent."""
-    nr, nc = len(rows), len(rows[0]) if rows else 0
-    aug = [list(r) + [b % p] for r, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if aug[i][c] % p), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [(v * inv) % p for v in aug[r]]
-        for i in range(nr):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(v - f * w) % p for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if aug[i][nc] % p:
-            return None
+    nc = len(rows[0]) if rows else 0
+    aug = [[v % p for v in r] + [b % p] for r, b in zip(rows, rhs)]
+    pivots = _fp_rref(aug, p, nc)
+    if any(row[nc] for row in aug[len(pivots):]):
+        return None
     x = [0] * nc
     for i, c in enumerate(pivots):
         x[c] = aug[i][nc]

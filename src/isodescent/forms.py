@@ -40,7 +40,44 @@ def _check_shape(gram):
     return n
 
 
-class GramForm:
+class _Form:
+    """Conventions shared by every form class: f(x, y) = conj(x)^T A y.
+
+    Subclasses set `gram` (A), `dim`, and `conj`, the entrywise map applied
+    to the first slot (None for bilinear kinds).
+    """
+
+    def _conj_t(self, m):
+        if self.conj is None:
+            return la.transpose(m)
+        return la.conj_transpose(m, self.conj)
+
+    def _check_kind(self, kind: str, twist: int = 0):
+        """Raise KindMismatch unless conj(A)^T equals A, or -A for the
+        alternating kind and odd-twist hermitian forms.  Forms live in odd
+        or zero characteristic, where skew symmetry forces a zero diagonal."""
+        a = self.gram
+        if kind == "alternating" or twist:
+            expect = [[-x for x in row] for row in a]
+        else:
+            expect = a
+        if not la.mat_eq(self._conj_t(a), expect):
+            raise KindMismatch(
+                f"gram matrix does not satisfy the {kind} axiom (twist {twist})")
+
+    def evaluate(self, x, y):
+        xcol, ycol = [[v] for v in x], [[v] for v in y]
+        return la.mat_mul(self._conj_t(xcol), la.mat_mul(self.gram, ycol))[0][0]
+
+    def gram_in_basis(self, b):
+        """Gram matrix of the form restricted to the columns of b."""
+        return la.mat_mul(self._conj_t(b), la.mat_mul(self.gram, b))
+
+    def is_isometry(self, m) -> bool:
+        return la.mat_eq(self.gram_in_basis(m), self.gram)
+
+
+class GramForm(_Form):
     """A nondegenerate form over K with an explicit kind tag."""
 
     def __init__(self, field, gram, kind: str, twist: int = 0):
@@ -56,11 +93,9 @@ class GramForm:
             self.twist = twist % 2 if field.involution_type == "ramified" else 0
         else:
             self.twist = 0
-        self._validate()
+        self._check_kind(kind, self.twist)
         if la.det(self.gram, field) == field.zero:
             raise DegenerateForm("gram matrix is singular")
-
-    # -- structure -------------------------------------------------------
 
     @property
     def conj(self):
@@ -68,49 +103,6 @@ class GramForm:
         if self.kind == "hermitian":
             return lambda x: x.conjugate()
         return None
-
-    def _conj_t(self, m):
-        c = self.conj
-        if c is None:
-            return la.transpose(m)
-        return la.conj_transpose(m, c)
-
-    def _validate(self):
-        a = self.gram
-        at = self._conj_t(a)
-        if self.kind == "symmetric":
-            if not la.mat_eq(at, a):
-                raise KindMismatch("gram matrix is not symmetric")
-        elif self.kind == "alternating":
-            neg = la.scalar_mul(-self.field.one, a)
-            if not la.mat_eq(at, neg):
-                raise KindMismatch("gram matrix is not skew-symmetric")
-            if any(a[i][i] != self.field.zero for i in range(self.dim)):
-                raise KindMismatch("alternating gram matrix must have zero diagonal")
-        else:
-            expect = a if self.twist == 0 else la.scalar_mul(-self.field.one, a)
-            if not la.mat_eq(at, expect):
-                raise KindMismatch(
-                    "gram matrix does not satisfy the (possibly twisted) hermitian axiom")
-
-    # -- evaluation -------------------------------------------------------
-
-    def evaluate(self, x, y):
-        c = self.conj
-        xs = [c(v) for v in x] if c else list(x)
-        acc = self.field.zero
-        for i, xi in enumerate(xs):
-            row = self.gram[i]
-            for j, yj in enumerate(y):
-                acc = acc + xi * row[j] * yj
-        return acc
-
-    def gram_in_basis(self, b):
-        """Gram matrix of the form restricted to the columns of b."""
-        return la.mat_mul(self._conj_t(b), la.mat_mul(self.gram, b))
-
-    def is_isometry(self, m) -> bool:
-        return la.mat_eq(self.gram_in_basis(m), self.gram)
 
     def dual(self, lat: Lattice) -> Lattice:
         return dual_lattice(lat, self.gram, self.conj)
@@ -184,7 +176,7 @@ def reduce_gram(field, gram):
     return out
 
 
-class ResidueForm:
+class ResidueForm(_Form):
     """A form over a residue field, with the same conventions as GramForm."""
 
     def __init__(self, rfield, gram, kind: str, conj=None):
@@ -199,46 +191,10 @@ class ResidueForm:
         if kind == "hermitian" and conj is None:
             raise NoInvolution("hermitian residue forms need a conjugation map")
         self.dim = _check_shape(gram)
-        self._validate()
-
-    def _conj_t(self, m):
-        if self.conj is None:
-            return la.transpose(m)
-        return la.conj_transpose(m, self.conj)
-
-    def _validate(self):
-        a = self.gram
-        at = self._conj_t(a)
-        if self.kind == "symmetric":
-            if not la.mat_eq(at, a):
-                raise KindMismatch("residue gram matrix is not symmetric")
-        elif self.kind == "alternating":
-            neg = la.scalar_mul(-self.rfield.one, a)
-            if not la.mat_eq(at, neg):
-                raise KindMismatch("residue gram matrix is not skew-symmetric")
-            if any(a[i][i] != self.rfield.zero for i in range(self.dim)):
-                raise KindMismatch("alternating residue gram matrix needs zero diagonal")
-        else:
-            if not la.mat_eq(at, a):
-                raise KindMismatch("residue gram matrix is not hermitian")
+        self._check_kind(kind)
 
     def is_nondegenerate(self) -> bool:
         return la.det(self.gram, self.rfield) != self.rfield.zero
-
-    def evaluate(self, x, y):
-        xs = [self.conj(v) for v in x] if self.conj else list(x)
-        acc = self.rfield.zero
-        for i, xi in enumerate(xs):
-            row = self.gram[i]
-            for j, yj in enumerate(y):
-                acc = acc + xi * row[j] * yj
-        return acc
-
-    def gram_in_basis(self, b):
-        return la.mat_mul(self._conj_t(b), la.mat_mul(self.gram, b))
-
-    def is_isometry(self, m) -> bool:
-        return la.mat_eq(self.gram_in_basis(m), self.gram)
 
 
 def _balanced_pair(lat: Lattice, form: GramForm, dual):
@@ -321,7 +277,7 @@ def reduce_tilde(lat: Lattice, form: GramForm, dual=None):
     return rform, kernel
 
 
-class AssembledForm:
+class AssembledForm(_Form):
     """Block-diagonal residue form built from the two nondegenerate parts.
 
     The kind is the common kind when the blocks agree, and the tag
@@ -355,19 +311,8 @@ class AssembledForm:
         self.conj = next((b.conj for b in parts if b.conj is not None), None)
         self.gram = la.block_diag(rfield, [b.gram for b in parts])
 
-    def _conj_t(self, m):
-        if self.conj is None:
-            return la.transpose(m)
-        return la.conj_transpose(m, self.conj)
-
     def is_nondegenerate(self) -> bool:
         return all(b.is_nondegenerate() for b in self.blocks)
-
-    def gram_in_basis(self, b):
-        return la.mat_mul(self._conj_t(b), la.mat_mul(self.gram, b))
-
-    def is_isometry(self, m) -> bool:
-        return la.mat_eq(self.gram_in_basis(m), self.gram)
 
 
 def assemble_f0(bar_part: ResidueForm, tilde_part: ResidueForm) -> AssembledForm:

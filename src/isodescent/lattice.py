@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import linalg as la
-from .errors import NotContained, Singular, SingularMatrix
+from .errors import NotContained, SingularMatrix
 
 
 @dataclass
@@ -98,7 +98,7 @@ def snf(m, field) -> SNFResult:
                 if best_v is None or vv < best_v:
                     best, best_v = (i, j), vv
         if best is None:
-            raise Singular("matrix is rank-deficient")
+            raise SingularMatrix("matrix is rank-deficient")
         bi, bj = best
         if bi != k:
             row_swap(k, bi)

@@ -29,12 +29,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def mat_add(a, b):
-    if len(a) != len(b) or len(a[0]) != len(b[0]):
-        raise DimensionMismatch("matrix addition shape mismatch")
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a, b):
     if len(a) != len(b) or len(a[0]) != len(b[0]):
         raise DimensionMismatch("matrix subtraction shape mismatch")
@@ -72,23 +66,6 @@ def mat_eq(a, b) -> bool:
         for ra, rb in zip(a, b))
 
 
-def is_zero_matrix(a, field) -> bool:
-    z = field.zero
-    return all(x == z for row in a for x in row)
-
-
-def mat_pow(a, k: int, field):
-    n = len(a)
-    out = identity(field, n)
-    cur = mat_copy(a)
-    while k:
-        if k & 1:
-            out = mat_mul(out, cur)
-        cur = mat_mul(cur, cur)
-        k >>= 1
-    return out
-
-
 def kron(a, b):
     out = []
     for ra in a:
@@ -113,26 +90,43 @@ def conj_transpose(a, conj):
     return [[conj(x) for x in col] for col in zip(*a)]
 
 
+def _rref(m, field, ncols: int) -> list[int]:
+    """Gauss-Jordan reduction of m in place over its first ncols columns.
+
+    Each pivot row is scaled to a leading one and cleared from every other
+    row; returns the pivot columns in order.
+    """
+    z = field.zero
+    nr = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if m[i][c] != z), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = field.one / m[r][c]
+        m[r] = [inv * x for x in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != z:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 def solve(a, b, field):
     """X with a @ X = b (a square); raises SingularMatrix when singular."""
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise DimensionMismatch("solve needs a square system")
-    z = field.zero
     m = [ra[:] + rb[:] for ra, rb in zip(a, b)]
-    w = len(m[0])
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != z), None)
-        if piv is None:
-            raise SingularMatrix("coefficient matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv = field.one / m[col][col]
-        m[col] = [inv * x for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != z:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:w] for row in m]
+    if _rref(m, field, n) != list(range(n)):
+        raise SingularMatrix("coefficient matrix is singular")
+    return [row[n:] for row in m]
 
 
 def mat_inv(a, field):
@@ -169,25 +163,9 @@ def kernel_basis(a, field):
     if not a:
         return []
     z = field.zero
-    nr, nc = len(a), len(a[0])
+    nc = len(a[0])
     m = mat_copy(a)
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] != z), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = field.one / m[r][c]
-        m[r] = [inv * x for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != z:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
+    pivots = _rref(m, field, nc)
     free = [c for c in range(nc) if c not in pivots]
     basis = []
     for fc in free:
@@ -197,12 +175,6 @@ def kernel_basis(a, field):
             vec[pc] = -m[i][fc]
         basis.append(vec)
     return basis
-
-
-def rank(a, field) -> int:
-    if not a:
-        return 0
-    return len(a[0]) - len(kernel_basis(a, field))
 
 
 # ----------------------------------------------------------------------

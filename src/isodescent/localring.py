@@ -18,11 +18,9 @@ first).
 
 from __future__ import annotations
 
-import math
-
 from .cyclotomic import cyclotomic_poly, euler_phi
 from .errors import InternalInconsistency
-from .finitefield import fp_divmod, fp_mod, fp_mul, fp_sub, fp_trim
+from .finitefield import fp_divmod, fp_ext_gcd, fp_mod, fp_mul, fp_sub, fp_trim
 
 # vectors of length f_full holding t-polynomial coefficients
 _TPoly = list[int]
@@ -30,22 +28,18 @@ _TPoly = list[int]
 _Elt = list[list[int]]
 
 
-def _fp_ext_gcd(a: tuple, b: tuple, p: int):
-    """Return (s, t) with s*a + t*b = 1 in F_p[x]; requires gcd(a, b) = 1."""
-    r0, r1 = fp_trim(tuple(c % p for c in a)), fp_trim(tuple(c % p for c in b))
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = fp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, fp_sub(s0, fp_mul(q, s1, p), p)
-        t0, t1 = t1, fp_sub(t0, fp_mul(q, t1, p), p)
-    if len(r0) != 1:
-        raise InternalInconsistency("factors of the cyclotomic polynomial are not coprime")
-    inv = pow(r0[0], -1, p)
-    s = tuple((c * inv) % p for c in s0)
-    t = tuple((c * inv) % p for c in t0)
-    return s, t
+def _var_powers(count: int, monic, modulus: int) -> list[list[int]]:
+    """x^k reduced modulo a monic polynomial (coefficients low first), for
+    k < count, as coefficient vectors of length deg(monic) mod modulus."""
+    d = len(monic) - 1
+    cur = [1] + [0] * (d - 1) if d > 0 else []
+    out = []
+    for _ in range(count):
+        out.append(cur)
+        if d:
+            top = cur[-1] % modulus
+            cur = [(v - top * g) % modulus for v, g in zip([0] + cur[:-1], monic)]
+    return out
 
 
 def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -82,28 +76,14 @@ class LambdaEngine:
         if a >= 1:
             # alpha*ell^a + beta*m = 1 splits zeta_n into the two cyclotomic parts
             la = ell**a
-            g, x, y = self._ext_gcd(la, m)
-            assert g == 1
-            self.alpha = x % m
-            self.beta = y % la
+            self.alpha = pow(la, -1, m)
+            self.beta = pow(m, -1, la)
         else:
             self.alpha = 1 % max(m, 1)
             self.beta = 0
         self._lift_cache: dict[int, tuple[int, ...]] = {}
         self._img_cache: dict[int, list[_Elt]] = {}
         self._q_cache: dict[int, _Elt] = {}
-
-    @staticmethod
-    def _ext_gcd(a: int, b: int):
-        old_r, r = a, b
-        old_s, s = 1, 0
-        old_t, t = 0, 1
-        while r:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, s = s, old_s - q * s
-            old_t, t = t, old_t - q * t
-        return old_r, old_s, old_t
 
     # ------------------------------------------------------------------
     # Hensel lifting of the chosen factor
@@ -124,7 +104,10 @@ class LambdaEngine:
         r0, rem = fp_divmod(phi_bar, g0, ell)
         if fp_trim(rem):
             raise InternalInconsistency("chosen factor does not divide the cyclotomic polynomial mod ell")
-        s_pol, t_pol = _fp_ext_gcd(g0, r0, ell)
+        gcd, _, t_pol = fp_ext_gcd(g0, r0, ell)
+        if gcd != (1,):
+            raise InternalInconsistency(
+                "factors of the cyclotomic polynomial are not coprime")
         g_cur = [int(c) for c in g0]
         r_cur = [int(c) for c in r0]
         for k in range(1, prec):
@@ -217,11 +200,6 @@ class LambdaEngine:
             for r1, r2 in zip(z1, z2)
         ]
 
-    def scale(self, c: int, z: _Elt, prec: int) -> _Elt:
-        modulus = self.ell**prec
-        c %= modulus
-        return [[(c * v) % modulus for v in row] for row in z]
-
     # ------------------------------------------------------------------
     # images of powers of zeta_n
 
@@ -232,36 +210,8 @@ class LambdaEngine:
         modulus = self.ell**prec
         g_int = self.lift(prec)
         la = self.ell**self.a
-        # t^k mod G for k < m
-        t_pows: list[_TPoly] = []
-        cur = [0] * self.f_full
-        if self.f_full > 0:
-            cur[0] = 1
-        for _ in range(max(self.m, 1)):
-            t_pows.append(list(cur))
-            shifted = [0] + cur
-            for k in range(len(shifted) - 1, self.f_full - 1, -1):
-                c = shifted[k] % modulus
-                if c:
-                    for j in range(self.f_full):
-                        shifted[k - self.f_full + j] -= c * g_int[j]
-                shifted[k] = 0
-            cur = [shifted[i] % modulus for i in range(self.f_full)]
-        # u^k mod Psi for k < ell^a
-        u_pows: list[list[int]] = []
-        if self.a >= 1:
-            cu = [0] * self.e_full
-            cu[0] = 1
-            for _ in range(la):
-                u_pows.append(list(cu))
-                sh = [0] + cu
-                for k in range(len(sh) - 1, self.e_full - 1, -1):
-                    c = sh[k] % modulus
-                    if c:
-                        for j in range(self.e_full):
-                            sh[k - self.e_full + j] -= c * self._psi[j]
-                    sh[k] = 0
-                cu = [sh[i] % modulus for i in range(self.e_full)]
+        t_pows = _var_powers(max(self.m, 1), g_int, modulus)
+        u_pows = _var_powers(la, self._psi, modulus) if self.a >= 1 else []
         phi_n = euler_phi(self.n)
         imgs: list[_Elt] = []
         for j in range(phi_n):
@@ -301,6 +251,7 @@ class LambdaEngine:
             return self._q_cache[prec]
         la = self.ell**self.a
         modulus = self.ell**prec
+        u_pows = _var_powers(la, self._psi, modulus)
         q = self.zero_elt()
         q[0][0] = 1
         for c in range(2, la):
@@ -308,15 +259,14 @@ class LambdaEngine:
                 continue
             term = self.zero_elt()
             term[0][0] = 1
-            # subtract u^c: reuse the power table via images? build directly
-            uc = self._u_power(c, prec)
+            uc = u_pows[c]
             for i in range(self.e_full):
                 term[i][0] = (term[i][0] - uc[i]) % modulus
             q = self.mul(q, term, prec)
         # certify the divisor identity (1 - u) * Q = ell in S_prec
         one_minus_u = self.zero_elt()
         one_minus_u[0][0] = 1
-        u1 = self._u_power(1, prec)
+        u1 = u_pows[1]
         for i in range(self.e_full):
             one_minus_u[i][0] = (one_minus_u[i][0] - u1[i]) % modulus
         prod = self.mul(one_minus_u, q, prec)
@@ -326,22 +276,6 @@ class LambdaEngine:
             raise InternalInconsistency("uniformizer digit divisor identity failed")
         self._q_cache[prec] = q
         return q
-
-    def _u_power(self, k: int, prec: int) -> list[int]:
-        """Coefficient vector of u^k mod Psi (ints mod ell^prec)."""
-        modulus = self.ell**prec
-        cu = [0] * self.e_full
-        cu[0] = 1
-        for _ in range(k):
-            sh = [0] + cu
-            for kk in range(len(sh) - 1, self.e_full - 1, -1):
-                c = sh[kk] % modulus
-                if c:
-                    for j in range(self.e_full):
-                        sh[kk - self.e_full + j] -= c * self._psi[j]
-                sh[kk] = 0
-            cu = [sh[i] % modulus for i in range(self.e_full)]
-        return cu
 
     def residue_of(self, z: _Elt) -> tuple[int, ...]:
         """Image in the residue field F_ell[t]/(factor): set u -> 1, reduce mod ell."""

@@ -64,6 +64,20 @@ class TestExitCodes:
         assert out == ""
         assert "error:" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_enum_cap_must_be_positive(self, capsys, cap):
+        code, out, err = run(capsys, "verify", "prop6", "--ell", "5", "--enum-cap", cap)
+        assert code == 1
+        assert out == ""
+        assert "--enum-cap" in err
+
+    def test_enum_cap_one_skips_enumeration(self, capsys):
+        code, out, _ = run(capsys, "verify", "prop6", "--ell", "5", "--enum-cap", "1")
+        assert code == 0
+        result = parse_report(out)["result"]
+        assert result["details"]["routes"] == ["identity"]
+        assert result["counts"]["enumerated"] == 0
+
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "descend", "/nonexistent/bundle.json")
         assert code == 1

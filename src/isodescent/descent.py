@@ -48,6 +48,7 @@ from .forms import (
 )
 from .lattice import (
     Lattice,
+    apply_matrix,
     is_stable,
     lattice_intersect,
     lattice_sum,
@@ -182,8 +183,7 @@ def rigidity_check(mat, lat: Lattice, desc=None, max_order: int = DEFAULT_ORDER_
         raise PreconditionViolated("descriptor does not match the lattice's field")
     n = len(mat)
     ident = la.identity(field, n)
-    conj_to_lat = lambda m: la.mat_mul(lat._basis_inv, la.mat_mul(m, lat.basis))
-    on_lat = conj_to_lat(mat)
+    on_lat = lat.transition_from(apply_matrix(mat, lat))
     if any(x.valuation() < 0 for row in on_lat for x in row):
         raise NotStable("matrix does not stabilize the lattice")
     power = mat
@@ -196,8 +196,9 @@ def rigidity_check(mat, lat: Lattice, desc=None, max_order: int = DEFAULT_ORDER_
     if not field.two_e_ok:
         raise HypothesisViolated(
             "2e >= ell - 1: the forced-identity statement does not apply")
-    am1 = la.mat_sub(mat, ident)
-    sq_on_lat = conj_to_lat(la.mat_mul(am1, am1))
+    # B^-1 (M - 1)^2 B = (B^-1 M B - 1)^2
+    am1 = la.mat_sub(on_lat, ident)
+    sq_on_lat = la.mat_mul(am1, am1)
     square_condition = all(x.valuation() >= 1 for row in sq_on_lat for x in row)
     is_id = la.mat_eq(mat, ident)
     if square_condition and not is_id:
@@ -265,9 +266,10 @@ def descend(rep: GroupRep, start: Lattice | None = None) -> DescentResult:
     w = sum(exps)
     s = n - w
 
+    # adapted bases D u_inv and B v, with inverses u D^-1 and v_inv B^-1
     basis_star = la.mat_mul(dual.basis, res.u_inv)
     basis_lat = la.mat_mul(lat.basis, res.v)
-    star_inv = la.mat_inv(basis_star, field)
+    star_inv = la.mat_mul(res.u, dual.inverse)
     kfield = field.residue_field
 
     def reduced_action(m):
@@ -285,8 +287,8 @@ def descend(rep: GroupRep, start: Lattice | None = None) -> DescentResult:
 
     # reduced form: first block from the lattice quotient, second (carrying
     # one extra uniformizer factor) from the dual quotient
-    adapted_lat = Lattice(field, basis_lat)
-    adapted_dual = Lattice(field, basis_star)
+    adapted_lat = Lattice(field, basis_lat, _inverse=la.mat_mul(res.v_inv, lat.inverse))
+    adapted_dual = Lattice(field, basis_star, _inverse=star_inv)
     bar_full, bar_kernel = reduce_bar(adapted_lat, f2, dual=adapted_dual)
     tilde_full, tilde_kernel = reduce_tilde(adapted_lat, f2, dual=adapted_dual)
     if len(bar_kernel) != w or len(tilde_kernel) != s:

@@ -88,7 +88,8 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            # identity first: == builds two key tuples; clones stay equal
+            if other.field is not self.field and other.field != self.field:
                 raise InvalidDescriptor("cannot mix elements of different field descriptors")
             return other
         if isinstance(other, (int, Fraction)):
@@ -162,7 +163,8 @@ class FieldElement:
             other = self._coerce(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return ((self.field is other.field or self.field == other.field)
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash((self.field.key, self.coeffs))

@@ -28,7 +28,7 @@ from .errors import (
     NoInvolution,
     PreconditionViolated,
 )
-from .lattice import Lattice, dual_lattice, quotient_length, scale_lattice
+from .lattice import Lattice, quotient_length, scale_lattice
 
 KINDS = ("symmetric", "alternating", "hermitian")
 
@@ -96,6 +96,7 @@ class GramForm(_Form):
         self._check_kind(kind, self.twist)
         if la.det(self.gram, field) == field.zero:
             raise DegenerateForm("gram matrix is singular")
+        self._gram_inv = None
 
     @property
     def conj(self):
@@ -105,7 +106,13 @@ class GramForm(_Form):
         return None
 
     def dual(self, lat: Lattice) -> Lattice:
-        return dual_lattice(lat, self.gram, self.conj)
+        """dual_lattice(lat, gram, conj) without inverting gram L: the dual
+        basis is conj(B^-1 A^-1)^T and its inverse conj(A B)^T."""
+        if self._gram_inv is None:
+            self._gram_inv = la.mat_inv(self.gram, self.field)
+        basis = self._conj_t(la.mat_mul(lat.inverse, self._gram_inv))
+        inv = self._conj_t(la.mat_mul(self.gram, lat.basis))
+        return Lattice(self.field, basis, _inverse=inv)
 
     # -- scaling ----------------------------------------------------------
 

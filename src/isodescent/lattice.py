@@ -135,26 +135,49 @@ def snf(m, field) -> SNFResult:
     return SNFResult(u, u_inv, v, v_inv, exps)
 
 
+# Passed as Lattice(..., _inverse=_ON_READ) by an operation that cannot
+# supply the inverse of the basis it builds: it is then computed on first read.
+_ON_READ = object()
+
+
 class Lattice:
-    """O-span of the columns of a nonsingular matrix over K."""
+    """O-span of the columns of a nonsingular matrix over K.
+
+    The inverse of the basis matrix, which every containment and transition
+    test reads, comes from one of three places: the operation that built the
+    lattice supplies it (sums, intersections, duals and scalings know it in
+    closed form), the constructor computes it while checking that a caller's
+    basis is nonsingular, or it is computed on the first read and kept (a
+    moved lattice from apply_matrix).  No basis is inverted twice.
+    """
 
     __hash__ = None
 
-    def __init__(self, field, basis):
+    def __init__(self, field, basis, *, _inverse=None):
         self.field = field
         self.basis = la.mat_copy(basis)
         self.dim = len(basis)
         if any(len(row) != self.dim for row in basis):
             raise SingularMatrix("lattice basis must be square")
-        # nonsingularity check, cached for reuse
-        self._basis_inv = la.mat_inv(self.basis, field)
+        if _inverse is None:
+            # a caller's basis: check nonsingularity now, keep the inverse
+            _inverse = la.mat_inv(self.basis, field)
+        self._inv = None if _inverse is _ON_READ else _inverse
+
+    @property
+    def inverse(self):
+        """Inverse of the basis matrix (raises SingularMatrix on first read
+        if a moved lattice's matrix was singular)."""
+        if self._inv is None:
+            self._inv = la.mat_inv(self.basis, self.field)
+        return self._inv
 
     def transition_from(self, other: "Lattice"):
         """Matrix expressing the other basis in this one."""
-        return la.mat_mul(self._basis_inv, other.basis)
+        return la.mat_mul(self.inverse, other.basis)
 
     def contains_vector(self, vec) -> bool:
-        coords = la.mat_mul(self._basis_inv, [[x] for x in vec])
+        coords = la.mat_mul(self.inverse, [[x] for x in vec])
         return all(c[0].valuation() >= 0 for c in coords)
 
     def contains_lattice(self, other: "Lattice") -> bool:
@@ -171,15 +194,20 @@ class Lattice:
 
 
 def standard_lattice(field, n: int) -> Lattice:
-    return Lattice(field, la.identity(field, n))
+    return Lattice(field, la.identity(field, n), _inverse=la.identity(field, n))
 
 
 def apply_matrix(m, lat: Lattice) -> Lattice:
-    return Lattice(lat.field, la.mat_mul(m, lat.basis))
+    """The lattice m L; its inverse is computed only if something reads it."""
+    return Lattice(lat.field, la.mat_mul(m, lat.basis), _inverse=_ON_READ)
 
 
 def scale_lattice(x, lat: Lattice) -> Lattice:
-    return Lattice(lat.field, la.scalar_mul(x, lat.basis))
+    field = lat.field
+    if x == field.zero:
+        raise SingularMatrix("cannot scale a lattice by zero")
+    inv = _ON_READ if lat._inv is None else la.scalar_mul(field.one / x, lat._inv)
+    return Lattice(field, la.scalar_mul(x, lat.basis), _inverse=inv)
 
 
 def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
@@ -192,14 +220,22 @@ def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
     res = snf(joint, field)
     if res.rank != n:
         raise SingularMatrix("lattice sum lost rank")
+    # basis u_inv diag(pi^e), so its inverse is diag(pi^-e) u
     basis = [[res.u_inv[i][j] * field.pi_power(res.exps[j]) for j in range(n)]
              for i in range(n)]
-    return Lattice(field, basis)
+    inv = [[field.pi_power(-res.exps[i]) * x for x in res.u[i]] for i in range(n)]
+    return Lattice(field, basis, _inverse=inv)
 
 
-def _dot_dual(lat: Lattice) -> Lattice:
-    """Dual with respect to the standard pairing sum(x_i y_i)."""
-    return Lattice(lat.field, la.mat_inv(la.transpose(lat.basis), lat.field))
+def _dot_dual(lat: Lattice, conj=None) -> Lattice:
+    """Dual with respect to the standard pairing sum(conj(x_i) y_i): the
+    basis is conj(B^-1)^T, whose inverse is conj(B)^T."""
+    if conj is None:
+        basis, inv = la.transpose(lat.inverse), la.transpose(lat.basis)
+    else:
+        basis = la.conj_transpose(lat.inverse, conj)
+        inv = la.conj_transpose(lat.basis, conj)
+    return Lattice(lat.field, basis, _inverse=inv)
 
 
 def lattice_intersect(l1: Lattice, l2: Lattice) -> Lattice:
@@ -212,14 +248,9 @@ def dual_lattice(lat: Lattice, gram, conj=None) -> Lattice:
 
     The dual consists of the vectors pairing integrally with the lattice in
     the *first* slot of f; conj is applied entrywise (None for bilinear
-    pairings).
+    pairings).  It is the standard dual of gram L.
     """
-    field = lat.field
-    prod = la.mat_mul(gram, lat.basis)
-    binv = la.mat_inv(la.transpose(prod), field)
-    if conj is not None:
-        binv = la.mat_apply(conj, binv)
-    return Lattice(field, binv)
+    return _dot_dual(apply_matrix(gram, lat), conj)
 
 
 def quotient_length(sub: Lattice, sup: Lattice) -> int:
@@ -250,24 +281,39 @@ def stabilize(lat: Lattice, mats) -> Lattice:
     """Smallest lattice containing lat stable under all the matrices.
 
     The matrices must generate a finite group (otherwise this never
-    terminates; callers bound group order before getting here).
+    terminates; callers bound group order before getting here).  The sum
+    with a moved lattice is formed only when it is strictly larger.
     """
+    field = lat.field
+    if any(la.det(m, field) == field.zero for m in mats):
+        raise SingularMatrix("cannot stabilize under a singular matrix")
     cur = lat
     changed = True
     while changed:
         changed = False
         for m in mats:
             moved = apply_matrix(m, cur)
-            s = lattice_sum(cur, moved)
-            if quotient_length(cur, s) != 0:
-                cur = s
+            if not cur.contains_lattice(moved):
+                cur = lattice_sum(cur, moved)
                 changed = True
     return cur
 
 
 def is_stable(lat: Lattice, mats) -> bool:
+    """Whether m L = L for every matrix m.
+
+    With T = B^-1 m B, m L <= L iff T is integral, and then L <= m L iff
+    v(det T) = 0.  det T = det m, so one determinant per matrix also rules
+    out singular matrices.
+    """
+    field = lat.field
     for m in mats:
-        if not (lat.contains_lattice(apply_matrix(m, lat))
-                and apply_matrix(m, lat).contains_lattice(lat)):
+        d = la.det(m, field)
+        if d == field.zero:
+            raise SingularMatrix("a singular matrix moves no lattice onto itself")
+        if d.valuation() != 0:
+            return False
+        t = lat.transition_from(apply_matrix(m, lat))
+        if any(x.valuation() < 0 for row in t for x in row):
             return False
     return True

@@ -36,9 +36,12 @@ def mat_sub(a, b):
 
 
 def mat_mul(a, b):
+    if not a:
+        return []
     if len(a[0]) != len(b):
         raise DimensionMismatch(
-            f"matrix product shape mismatch: {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
+            f"matrix product shape mismatch: {len(a)}x{len(a[0])} by "
+            f"{len(b)}x{len(b[0]) if b else 0}")
     bt = transpose(b)
     out = []
     for row in a:

@@ -4,7 +4,6 @@ import pytest
 
 from isodescent import linalg as la
 from isodescent.counterexamples import (
-    NonexistenceCertificate,
     build_prop5_bundle,
     build_prop6_bundle,
     no_invariant_symmetric_form,

@@ -27,9 +27,7 @@ from isodescent.lattice import (
 from conftest import (
     assert_matrix_equal,
     quaternion_rep,
-    ramified_pair_rep,
     random_invertible,
-    rotation4_rep,
 )
 
 

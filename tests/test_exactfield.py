@@ -218,6 +218,16 @@ class TestUniformizerChoice:
             if x.valuation() >= 0:
                 assert x.reduce() == y.reduce()
 
+    def test_clone_elements_interoperate(self, gauss5):
+        alt = with_uniformizer(gauss5, gauss5.pi * gauss5.rational(2))
+        x, y = gauss5.rational(3), alt.rational(3)
+        assert x == y and y == x
+        assert (x + y) == gauss5.rational(6) and (y * x) == alt.rational(9)
+        other = make_descriptor(4, 13)
+        assert x != other.rational(3)
+        with pytest.raises(InvalidDescriptor):
+            x + other.rational(3)
+
     def test_non_uniformizer_rejected(self, gauss5):
         with pytest.raises(InvalidDescriptor):
             with_uniformizer(gauss5, gauss5.rational(2))

@@ -7,13 +7,13 @@ from isodescent.descent import balance
 from isodescent.errors import (
     CharTwo,
     DegenerateForm,
+    DimensionMismatch,
     KindMismatch,
     NoInvolution,
     PreconditionViolated,
 )
 from isodescent.finitefield import ResidueField
 from isodescent.forms import (
-    AssembledForm,
     GramForm,
     ResidueForm,
     assemble_f0,
@@ -437,3 +437,24 @@ class TestAssemble:
               [k.one, k.one, k.zero],
               [k.zero, k.zero, k.one]]
         assert not f0.is_isometry(g2)
+
+
+class TestDimensionZero:
+    def test_empty_product(self, gauss5):
+        o = gauss5.one
+        assert la.mat_mul([], []) == []
+        assert la.mat_mul([], [[o, o]]) == []
+        with pytest.raises(DimensionMismatch):
+            la.mat_mul([[o]], [])
+        with pytest.raises(DimensionMismatch):
+            la.mat_mul([[o, o]], [[o]])
+
+    def test_gram_form(self, rat5):
+        f = GramForm(rat5, [], "symmetric")
+        assert f.gram_in_basis([]) == []
+        assert f.is_isometry([])
+
+    def test_residue_form(self, rat5):
+        f = ResidueForm(rat5.residue_field, [], "alternating")
+        assert f.gram_in_basis([]) == []
+        assert f.is_isometry([])

@@ -1,12 +1,13 @@
-import math
 import random
 
 import pytest
 
 from isodescent import linalg as la
 from isodescent.errors import NotContained, SingularMatrix
+from isodescent.forms import GramForm
 from isodescent.lattice import (
     Lattice,
+    apply_matrix,
     dual_lattice,
     is_stable,
     lattice_intersect,
@@ -19,7 +20,7 @@ from isodescent.lattice import (
     standard_lattice,
 )
 
-from conftest import quaternion_rep, random_field_element, random_invertible
+from conftest import quaternion_rep, random_invertible
 
 
 def random_lattice(rng, desc, n):
@@ -185,3 +186,197 @@ class TestStabilize:
         rep = quaternion_rep(gauss5)
         lat = standard_lattice(gauss5, 2)
         assert stabilize(lat, rep.generators) == lat
+
+
+def signed_swaps(desc, n):
+    """Generators of the signed permutation group of degree n."""
+    z, o = desc.zero, desc.one
+    swap = [[o if j == (i + 1) % n else z for j in range(n)] for i in range(n)]
+    sign = [[(-o if i == 0 else o) if i == j else z for j in range(n)] for i in range(n)]
+    return [swap, sign]
+
+
+def reference_stabilize(lat, mats):
+    """The sum-then-measure algorithm: every moved lattice is added, and the
+    sum is adopted when it has positive length over the current lattice."""
+    cur = lat
+    changed = True
+    while changed:
+        changed = False
+        for m in mats:
+            moved = Lattice(cur.field, la.mat_mul(m, cur.basis))
+            s = lattice_sum(cur, moved)
+            if quotient_length(cur, s) != 0:
+                cur = s
+                changed = True
+    return cur
+
+
+def reference_dot_dual(lat):
+    return Lattice(lat.field, la.mat_inv(la.transpose(lat.basis), lat.field))
+
+
+def assert_inverse(lat):
+    assert la.mat_eq(la.mat_mul(lat.basis, lat.inverse), la.identity(lat.field, lat.dim))
+    assert la.mat_eq(la.mat_mul(lat.inverse, lat.basis), la.identity(lat.field, lat.dim))
+
+
+@pytest.fixture
+def count_solves(monkeypatch):
+    """List that records every linalg.solve call (mat_inv goes through it)."""
+    calls = []
+    real = la.solve
+
+    def counted(a, b, field):
+        calls.append(len(a))
+        return real(a, b, field)
+
+    monkeypatch.setattr(la, "solve", counted)
+    return calls
+
+
+class TestCarriedInverses:
+    @pytest.mark.parametrize("descname", ["gauss5", "quad7"])
+    def test_every_operation_carries_a_true_inverse(self, descname, request):
+        desc = request.getfixturevalue(descname)
+        rng = random.Random(f"inverse-{descname}")
+        conj = lambda x: x.conjugate()
+        for _ in range(4):
+            n = rng.randint(1, 3)
+            a = random_lattice(rng, desc, n)
+            b = random_lattice(rng, desc, n)
+            m = random_invertible(rng, desc, n)
+            sym = la.mat_mul(la.transpose(m), m)
+            made = [
+                standard_lattice(desc, n),
+                scale_lattice(desc.pi_power(rng.randint(-2, 2)), a),
+                lattice_sum(a, b),
+                lattice_intersect(a, b),
+                dual_lattice(a, sym),
+                GramForm(desc, sym, "symmetric").dual(a),
+                apply_matrix(m, a),
+            ]
+            if desc.involution is not None:
+                herm = la.mat_mul(la.conj_transpose(m, conj), m)
+                made += [dual_lattice(a, herm, conj=conj),
+                         GramForm(desc, herm, "hermitian").dual(a)]
+            for lat in made:
+                assert_inverse(lat)
+
+    @pytest.mark.parametrize("descname", ["gauss5", "quad7"])
+    def test_bases_match_inverting_definitions(self, descname, request):
+        desc = request.getfixturevalue(descname)
+        rng = random.Random(f"defn-{descname}")
+        conj = lambda x: x.conjugate()
+        for _ in range(4):
+            n = rng.randint(1, 3)
+            a = random_lattice(rng, desc, n)
+            b = random_lattice(rng, desc, n)
+            ref = reference_dot_dual(lattice_sum(reference_dot_dual(a), reference_dot_dual(b)))
+            assert la.mat_eq(lattice_intersect(a, b).basis, ref.basis)
+            m = random_invertible(rng, desc, n)
+            pairs = [(la.mat_mul(la.transpose(m), m), None, "symmetric")]
+            if desc.involution is not None:
+                pairs.append((la.mat_mul(la.conj_transpose(m, conj), m), conj, "hermitian"))
+            for gram, cj, kind in pairs:
+                want = la.mat_inv(la.transpose(la.mat_mul(gram, a.basis)), desc)
+                if cj is not None:
+                    want = la.mat_apply(cj, want)
+                assert la.mat_eq(dual_lattice(a, gram, conj=cj).basis, want)
+                assert la.mat_eq(GramForm(desc, gram, kind).dual(a).basis, want)
+
+    def test_chain_operations_invert_nothing(self, gauss5, count_solves):
+        rng = random.Random("no-solves")
+        a = random_lattice(rng, gauss5, 3)
+        b = random_lattice(rng, gauss5, 3)
+        m = random_invertible(rng, gauss5, 3)
+        form = GramForm(gauss5, la.mat_mul(la.transpose(m), m), "symmetric")
+        assert len(count_solves) == 2  # the checked bases of a and b
+        del count_solves[:]
+        form.dual(a)
+        assert len(count_solves) == 1  # the gram inverse, kept on the form
+        del count_solves[:]
+        d = form.dual(lattice_intersect(scale_lattice(gauss5.pi_power(-1), a), b))
+        s = lattice_sum(standard_lattice(gauss5, 3), d)
+        d.contains_lattice(s)
+        is_stable(s, signed_swaps(gauss5, 3))
+        stabilize(s, signed_swaps(gauss5, 3))
+        assert count_solves == []
+
+    def test_moved_lattice_inverts_only_when_read(self, gauss5, count_solves):
+        rng = random.Random("lazy")
+        a = standard_lattice(gauss5, 2)
+        moved = apply_matrix(random_invertible(rng, gauss5, 2), a)
+        a.contains_lattice(moved)
+        assert count_solves == []
+        moved.inverse
+        moved.inverse
+        assert count_solves == [2]
+
+
+class TestStabilityPredicates:
+    @pytest.mark.parametrize("descname", ["gauss5", "quad7"])
+    def test_is_stable_matches_two_containments(self, descname, request):
+        desc = request.getfixturevalue(descname)
+        rng = random.Random(f"stable-{descname}")
+        z, o, pi = desc.zero, desc.one, desc.pi
+        for _ in range(4):
+            n = rng.randint(2, 3)
+            lat = stabilize(random_lattice(rng, desc, n), signed_swaps(desc, n))
+            shrink = [[pi if i == j == 0 else (o if i == j else z) for j in range(n)]
+                      for i in range(n)]
+            mats = signed_swaps(desc, n) + [
+                shrink,                                   # M L strictly inside L
+                la.scalar_mul(desc.pi_power(-1), la.identity(desc, n)),
+                random_invertible(rng, desc, n),
+            ]
+            for m in mats:
+                moved = apply_matrix(m, lat)
+                want = lat.contains_lattice(moved) and moved.contains_lattice(lat)
+                assert is_stable(lat, [m]) == want
+            assert is_stable(lat, signed_swaps(desc, n))
+            assert lat.contains_lattice(apply_matrix(shrink, lat))
+            assert not is_stable(lat, [shrink])
+
+    @pytest.mark.parametrize("descname", ["gauss5", "quad7"])
+    def test_stabilize_matches_reference_basis(self, descname, request):
+        desc = request.getfixturevalue(descname)
+        rng = random.Random(f"stab-ref-{descname}")
+        for _ in range(4):
+            n = rng.randint(2, 3)
+            start = random_lattice(rng, desc, n)
+            gens = signed_swaps(desc, n)
+            assert la.mat_eq(stabilize(start, gens).basis,
+                             reference_stabilize(start, gens).basis)
+
+    def test_stabilize_matches_reference_on_quaternions(self, gauss5):
+        rep = quaternion_rep(gauss5)
+        rng = random.Random("stab-ref-q8")
+        for _ in range(6):
+            start = random_lattice(rng, gauss5, 2)
+            assert la.mat_eq(stabilize(start, rep.generators).basis,
+                             reference_stabilize(start, rep.generators).basis)
+
+
+class TestSingularInputs:
+    def test_singular_basis_rejected(self, gauss5):
+        o = gauss5.one
+        with pytest.raises(SingularMatrix):
+            Lattice(gauss5, [[o, o], [o, o]])
+
+    def test_singular_matrix_rejected_by_stability(self, gauss5):
+        o, z = gauss5.one, gauss5.zero
+        lat = standard_lattice(gauss5, 2)
+        singular = [[o, o], [o, o]]
+        for mats in ([singular], [[[z, o], [o, z]], singular]):
+            with pytest.raises(SingularMatrix):
+                stabilize(lat, mats)
+            with pytest.raises(SingularMatrix):
+                is_stable(lat, mats)
+
+    def test_scaling_by_zero_rejected(self, gauss5):
+        lat = standard_lattice(gauss5, 2)
+        with pytest.raises(SingularMatrix):
+            scale_lattice(gauss5.zero, lat)
+        with pytest.raises(SingularMatrix):
+            scale_lattice(0, lat)

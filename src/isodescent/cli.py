@@ -30,7 +30,8 @@ from .descent import (
     balance,
     descend,
 )
-from .errors import BundleFormatError, IsodescentError, NegativeValuation
+from .errors import (BundleFormatError, IsodescentError, NegativeValuation,
+                     SearchSpaceTooLarge)
 from .exactfield import make_descriptor
 from .forms import KINDS, GramForm
 from .lattice import stabilize, standard_lattice
@@ -352,6 +353,12 @@ def cmd_verify(tag: str, ell: int, out_path=None, enum_cap=None) -> int:
     if enum_cap < 1:
         raise BundleFormatError(
             f"verify: --enum-cap must be a positive integer, got {enum_cap}")
+    # lemma and prop5 have no route but exhaustive search: refuse it up front
+    candidates = {"lemma": ell ** 3, "prop5": ell ** 4 + ell ** 3}.get(tag, 0)
+    if candidates > enum_cap:
+        raise SearchSpaceTooLarge(
+            f"verify {tag}: {candidates} candidates at ell={ell} exceed "
+            f"--enum-cap {enum_cap}")
     digest = hashlib.sha256(
         json.dumps({"ell": ell, "tag": tag}, sort_keys=True).encode()).hexdigest()
     if tag == "lemma":
@@ -404,8 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    "characteristic")
     v.add_argument("--out", help="write the JSON report here instead of stdout")
     v.add_argument("--enum-cap", type=int, default=None,
-                   help=f"largest solution space to enumerate exhaustively "
-                        f"(default {DEFAULT_ENUM_CAP})")
+                   help=f"largest search space to enumerate exhaustively; lemma "
+                        f"and prop5 exit 1 above it (default {DEFAULT_ENUM_CAP})")
     return parser
 
 

@@ -117,6 +117,25 @@ def _q_ext_inverse(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]
     return [v * c for v in s0]
 
 
+def _integer_vectors(vectors):
+    """(d, us): d the least common denominator of every coordinate, and each
+    vector as the list of its nonzero (index, d * coordinate) pairs."""
+    fracs = [[(i, c.numerator, c.denominator) for i, c in enumerate(v) if c]
+             for v in vectors]
+    d = math.lcm(*{q for u in fracs for _, _, q in u})
+    return d, [[(i, m * (d // q)) for i, m, q in u] for u in fracs]
+
+
+_ZERO = Fraction(0)
+
+
+def _over(nums, d):
+    """The coordinates nums[i] / d; no gcd where d is 1 or nums[i] is 0."""
+    if d == 1:
+        return tuple(Fraction(c) if c else _ZERO for c in nums)
+    return tuple(Fraction(c, d) if c else _ZERO for c in nums)
+
+
 class CycloRing:
     """Tables and coefficient arithmetic for Q(zeta_n)."""
 
@@ -189,6 +208,39 @@ class CycloRing:
                     if z:
                         out[i] += c * z
         return tuple(out)
+
+    def mat_mul(self, a, b):
+        """Product of two matrices whose entries are coordinate vectors.
+
+        Each row of a and each column of b is brought to integer coordinates
+        over one common denominator, each output entry is the sum of integer
+        convolutions reduced once modulo Phi_n, and only its final
+        coordinates become Fractions.  Shapes are the caller's to check.
+        """
+        rows = [_integer_vectors(row) for row in a]
+        cols = [_integer_vectors(col) for col in zip(*b)]
+        phi, n, zeta_pow = self.phi, self.n, self.zeta_pow
+        # zeta^k on the power basis for phi <= k <= 2 phi - 2, nonzero pairs
+        fold = [[(i, z) for i, z in enumerate(zeta_pow[k % n]) if z]
+                for k in range(phi, 2 * phi - 1)]
+        out = []
+        for rd, ru in rows:
+            out_row = []
+            for cd, cu in cols:
+                conv = [0] * (2 * phi - 1)
+                for x, y in zip(ru, cu):
+                    if x and y:
+                        for i, s in x:
+                            for j, t in y:
+                                conv[i + j] += s * t
+                acc = conv[:phi]
+                for c, zs in zip(conv[phi:], fold):
+                    if c:
+                        for i, z in zs:
+                            acc[i] += c * z
+                out_row.append(_over(acc, rd * cd))
+            out.append(out_row)
+        return out
 
     def inv(self, u):
         if self.is_zero(u):

@@ -338,6 +338,24 @@ class FieldDescriptor:
             self._zero = self.rational(0)
         return self._zero
 
+    def mat_mul(self, a, b):
+        """Product of two matrices over K by the integer kernel of the ring.
+
+        Raises InvalidDescriptor unless every entry is an element of this
+        descriptor (or of a clone of it)."""
+        prod = self.ring.mat_mul(self._coords(a), self._coords(b))
+        return [[FieldElement(self, v) for v in row] for row in prod]
+
+    def _coords(self, m):
+        for row in m:
+            for x in row:
+                # identity first: == builds two key tuples; clones stay equal
+                if not (isinstance(x, FieldElement)
+                        and (x.field is self or x.field == self)):
+                    raise InvalidDescriptor(
+                        "matrix entries must be elements of one field descriptor")
+        return [[x.coeffs for x in row] for row in m]
+
     def pi_power(self, j: int) -> FieldElement:
         """pi^j with a cache (negative powers allowed)."""
         if j in self._pi_powers:
@@ -406,6 +424,10 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
         raise InvalidDescriptor("residue characteristic must be an odd prime")
     if not isinstance(precision_start, int) or precision_start < 2:
         raise InvalidDescriptor("starting precision must be an integer >= 2")
+    if precision_start > MAX_PRECISION_EXP:
+        raise InvalidDescriptor(
+            f"starting precision must be at most {MAX_PRECISION_EXP}, "
+            f"got {precision_start}")
 
     if n == 1:
         units = {1}

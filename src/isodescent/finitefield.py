@@ -174,6 +174,48 @@ class ResidueField:
     def gen(self):
         return self.element((0, 1))
 
+    def mat_mul(self, a, b):
+        """Product of two matrices over this field on integer coefficients.
+
+        Each output entry accumulates the integer convolutions of its terms
+        and is reduced modulo the monic modulus and p once.  Raises
+        TypeError unless every entry is an element of this field.
+        """
+        p, f = self.p, self.degree
+        rows, cols = self._coeffs(a), list(zip(*self._coeffs(b)))
+        if f == 1:
+            return [[ResidueElement(self, (sum(x[0] * y[0] for x, y in zip(row, col)) % p,))
+                     for col in cols] for row in rows]
+        # y^k mod the modulus for f <= k <= 2f - 2
+        fold = [[(i, z) for i, z in enumerate(self.element((0,) * k + (1,)).coeffs) if z]
+                for k in range(f, 2 * f - 1)]
+        out = []
+        for row in rows:
+            out_row = []
+            for col in cols:
+                conv = [0] * (2 * f - 1)
+                for x, y in zip(row, col):
+                    for i, s in enumerate(x):
+                        if s:
+                            for j, t in enumerate(y):
+                                conv[i + j] += s * t
+                acc = conv[:f]
+                for c, zs in zip(conv[f:], fold):
+                    if c:
+                        for i, z in zs:
+                            acc[i] += c * z
+                out_row.append(ResidueElement(self, tuple(c % p for c in acc)))
+            out.append(out_row)
+        return out
+
+    def _coeffs(self, m):
+        for row in m:
+            for x in row:
+                if not (isinstance(x, ResidueElement)
+                        and (x.field is self or x.field == self)):
+                    raise TypeError("matrix entries must be elements of one residue field")
+        return [[x.coeffs for x in row] for row in m]
+
     def elements(self):
         """All field elements in lexicographic coefficient order."""
         for idx in range(self.order):

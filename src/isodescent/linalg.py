@@ -4,6 +4,10 @@ Matrices are plain lists of lists.  The `field` argument is any object with
 `.zero` and `.one` attributes producing elements that support +, -, *, /, ==
 (both number-field elements and residue-field elements qualify).  Nothing
 here is numerical: pivots are exact equality tests against field.zero.
+
+Matrix products go through the `mat_mul` of the entries' field
+(FieldDescriptor or ResidueField), which works on integer coordinates and
+normalizes each output entry once instead of after every scalar step.
 """
 
 from __future__ import annotations
@@ -36,23 +40,16 @@ def mat_sub(a, b):
 
 
 def mat_mul(a, b):
+    """a @ b by the integer kernel of the entries' field."""
     if not a:
         return []
     if len(a[0]) != len(b):
         raise DimensionMismatch(
             f"matrix product shape mismatch: {len(a)}x{len(a[0])} by "
             f"{len(b)}x{len(b[0]) if b else 0}")
-    bt = transpose(b)
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = row[0] * col[0]
-            for x, y in zip(row[1:], col[1:]):
-                acc = acc + x * y
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    if not b:
+        return [[] for _ in a]
+    return a[0][0].field.mat_mul(a, b)
 
 
 def scalar_mul(c, a):

@@ -78,6 +78,39 @@ class TestExitCodes:
         assert result["details"]["routes"] == ["identity"]
         assert result["counts"]["enumerated"] == 0
 
+    @pytest.mark.parametrize("tag, ell, cap", [("lemma", "5", "124"), ("prop5", "5", "749"),
+                                               ("lemma", "101", None), ("prop5", "37", None)])
+    def test_exhaustive_search_over_the_cap_exits_one(self, capsys, tag, ell, cap):
+        # lemma enumerates ell^3 grams, prop5 ell^4 + ell^3 candidates
+        argv = ["verify", tag, "--ell", ell] + (["--enum-cap", cap] if cap else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "--enum-cap" in err
+
+    @pytest.mark.parametrize("tag, cap", [("lemma", "125"), ("prop5", "750")])
+    def test_exhaustive_search_at_the_cap_runs(self, capsys, tag, cap):
+        code, out, _ = run(capsys, "verify", tag, "--ell", "5", "--enum-cap", cap)
+        assert code == 0
+        assert parse_report(out)["result"]["verdict"]
+
+    def test_precision_start_over_the_ceiling_exits_one(self, capsys, tmp_path):
+        bundle = minimal_bundle()
+        bundle["options"] = {"precision_start": 200000}
+        p = tmp_path / "precision.json"
+        p.write_text(json.dumps(bundle))
+        code, out, err = run(capsys, "descend", str(p))
+        assert code == 1
+        assert out == ""
+        assert "precision" in err
+
+    def test_precision_start_flag_over_the_ceiling_exits_one(self, capsys):
+        code, out, err = run(capsys, "descend", str(bundle_path("q8_split_ell5")),
+                             "--precision-start", "4097")
+        assert code == 1
+        assert out == ""
+        assert "4096" in err
+
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "descend", "/nonexistent/bundle.json")
         assert code == 1

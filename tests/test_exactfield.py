@@ -8,7 +8,7 @@ from isodescent.errors import (
     NegativeValuation,
     NoInvolution,
 )
-from isodescent.exactfield import make_descriptor, with_uniformizer
+from isodescent.exactfield import MAX_PRECISION_EXP, make_descriptor, with_uniformizer
 
 from conftest import random_field_element
 
@@ -206,6 +206,10 @@ class TestUniformizerChoice:
             x = random_field_element(rng, a)
             y = b.element(list(x.coeffs))
             assert x.valuation() == y.valuation()
+
+    def test_precision_start_above_the_ceiling_is_rejected(self):
+        with pytest.raises(InvalidDescriptor):
+            make_descriptor(4, 5, precision_start=MAX_PRECISION_EXP + 1)
 
     def test_unit_multiple_is_accepted(self, gauss5):
         alt = with_uniformizer(gauss5, gauss5.pi * gauss5.rational(2))

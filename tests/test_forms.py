@@ -458,3 +458,8 @@ class TestDimensionZero:
         f = ResidueForm(rat5.residue_field, [], "alternating")
         assert f.gram_in_basis([]) == []
         assert f.is_isometry([])
+
+    def test_evaluate_is_zero(self, rat5):
+        assert GramForm(rat5, [], "symmetric").evaluate([], []) == rat5.zero
+        k = rat5.residue_field
+        assert ResidueForm(k, [], "alternating").evaluate([], []) == k.zero

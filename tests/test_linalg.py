@@ -1,0 +1,156 @@
+"""Matrix products by the field kernels, against schoolbook scalar sums.
+
+linalg.mat_mul hands every product to the field of its entries: K products
+run on integer coordinates over a common denominator (CycloRing.mat_mul),
+residue-field products on integer coefficients reduced once per entry
+(ResidueField.mat_mul).  The reference here sums scalar * and + directly and
+never goes through either kernel.
+"""
+
+import random
+
+import pytest
+
+from isodescent import linalg as la
+from isodescent.cyclotomic import CycloRing
+from isodescent.errors import InvalidDescriptor
+from isodescent.exactfield import make_descriptor, with_uniformizer
+from isodescent.finitefield import ResidueField, find_irreducible
+
+from conftest import random_field_element
+
+SHAPES = [(1, 1, 1), (2, 3, 4), (3, 1, 2), (4, 4, 4)]
+
+K_FIELDS = {
+    "Q": lambda: make_descriptor(1, 5),
+    "gauss5": lambda: make_descriptor(4, 5),
+    "remark4": lambda: make_descriptor(7, 7, subgroup=(1, 2, 4), involution=3),
+    "prop6": lambda: make_descriptor(28, 7, subgroup=(1, 13)),
+}
+
+RESIDUE_FIELDS = {
+    "F5": lambda: ResidueField(5, (0, 1)),
+    "F49": lambda: ResidueField(7, find_irreducible(7, 2)),
+    "F125": lambda: ResidueField(5, find_irreducible(5, 3)),
+}
+
+
+def schoolbook(a, b):
+    out = []
+    for row in a:
+        out_row = []
+        for col in zip(*b):
+            acc = row[0] * col[0]
+            for x, y in zip(row[1:], col[1:]):
+                acc = acc + x * y
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def k_entry(rng, desc):
+    """A random element with mixed denominators, or zero one time in three."""
+    return desc.zero if rng.random() < 1 / 3 else random_field_element(rng, desc)
+
+
+def residue_entry(rng, field):
+    if rng.random() < 1 / 3:
+        return field.zero
+    return field.element([rng.randrange(field.p) for _ in range(field.degree)])
+
+
+def random_matrix(entry, r, c):
+    return [[entry() for _ in range(c)] for _ in range(r)]
+
+
+@pytest.fixture(scope="module", params=sorted(K_FIELDS))
+def kfield(request):
+    return K_FIELDS[request.param]()
+
+
+@pytest.fixture(scope="module", params=sorted(RESIDUE_FIELDS))
+def rfield(request):
+    return RESIDUE_FIELDS[request.param]()
+
+
+class TestKernels:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_number_field_matches_schoolbook(self, kfield, shape):
+        rng = random.Random(f"K{kfield.n}-{shape}")
+        n, k, m = shape
+        for _ in range(3):
+            a = random_matrix(lambda: k_entry(rng, kfield), n, k)
+            b = random_matrix(lambda: k_entry(rng, kfield), k, m)
+            got = la.mat_mul(a, b)
+            want = schoolbook(a, b)
+            assert got == want
+            assert all(x.field is kfield for row in got for x in row)
+            # canonical coordinates, so reports print the same digits
+            assert [[x.serialize() for x in row] for row in got] == \
+                [[x.serialize() for x in row] for row in want]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_residue_field_matches_schoolbook(self, rfield, shape):
+        rng = random.Random(f"F{rfield.order}-{shape}")
+        n, k, m = shape
+        for _ in range(3):
+            a = random_matrix(lambda: residue_entry(rng, rfield), n, k)
+            b = random_matrix(lambda: residue_entry(rng, rfield), k, m)
+            got = la.mat_mul(a, b)
+            assert got == schoolbook(a, b)
+            assert all(len(x.coeffs) == rfield.degree
+                       and all(0 <= c < rfield.p for c in x.coeffs)
+                       for row in got for x in row)
+
+    def test_number_field_product_makes_no_scalar_multiplication(self, monkeypatch):
+        desc = K_FIELDS["prop6"]()
+        rng = random.Random("no scalar mul")
+        a = random_matrix(lambda: k_entry(rng, desc), 4, 4)
+        b = random_matrix(lambda: k_entry(rng, desc), 4, 4)
+        calls = []
+        orig = CycloRing.mul
+
+        def counting(self, u, v):
+            calls.append(1)
+            return orig(self, u, v)
+
+        monkeypatch.setattr(CycloRing, "mul", counting)
+        la.mat_mul(a, b)
+        assert calls == []
+
+
+class TestMixedEntries:
+    def test_mixed_descriptors_raise(self):
+        g5, g13 = make_descriptor(4, 5), make_descriptor(4, 13)
+        with pytest.raises(InvalidDescriptor):
+            la.mat_mul([[g5.one]], [[g13.one]])
+        with pytest.raises(InvalidDescriptor):
+            la.mat_mul([[g5.one, g13.one]], [[g5.one], [g5.one]])
+
+    def test_non_elements_raise(self):
+        g5 = make_descriptor(4, 5)
+        with pytest.raises(InvalidDescriptor):
+            la.mat_mul([[g5.one]], [[1]])
+        with pytest.raises(InvalidDescriptor):
+            la.mat_mul([[g5.one]], [[g5.residue_field.one]])
+
+    def test_clone_descriptor_entries_multiply(self):
+        desc = make_descriptor(4, 5)
+        clone = with_uniformizer(desc, desc.pi * desc.rational(2))
+        x = clone.zeta_power(1)
+        assert la.mat_mul([[desc.one]], [[x]]) == [[x]]
+
+    def test_mixed_residue_fields_raise(self):
+        f5, f7 = ResidueField(5, (0, 1)), ResidueField(7, (0, 1))
+        with pytest.raises(TypeError):
+            la.mat_mul([[f5.one]], [[f7.one]])
+        f49 = ResidueField(7, find_irreducible(7, 2))
+        with pytest.raises(TypeError):
+            la.mat_mul([[f7.one, f7.one]], [[f7.one], [f49.one]])
+
+
+class TestShapes:
+    def test_no_entries(self):
+        o = make_descriptor(4, 5).one
+        assert la.mat_mul([[], []], []) == [[], []]
+        assert la.mat_mul([[o], [o]], [[]]) == [[], []]

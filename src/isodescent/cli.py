@@ -22,16 +22,17 @@ import time
 
 from . import __version__ as TOOL_VERSION
 from . import linalg as la
-from .counterexamples import (DEFAULT_ENUM_CAP, no_invariant_symmetric_form,
-                              verify_prop5, verify_prop6)
+from .counterexamples import (DEFAULT_ENUM_CAP, MAX_VERIFY_ELL,
+                              no_invariant_symmetric_form, verify_prop5,
+                              verify_prop6)
 from .descent import (
     DEFAULT_GROUP_CAP,
     GroupRep,
     balance,
     descend,
 )
-from .errors import (BundleFormatError, IsodescentError, NegativeValuation,
-                     SearchSpaceTooLarge)
+from .errors import (BundleFormatError, InvalidDescriptor, IsodescentError,
+                     NegativeValuation, SearchSpaceTooLarge)
 from .exactfield import make_descriptor
 from .forms import KINDS, GramForm
 from .lattice import stabilize, standard_lattice
@@ -353,6 +354,9 @@ def cmd_verify(tag: str, ell: int, out_path=None, enum_cap=None) -> int:
     if enum_cap < 1:
         raise BundleFormatError(
             f"verify: --enum-cap must be a positive integer, got {enum_cap}")
+    if ell > MAX_VERIFY_ELL:
+        raise InvalidDescriptor(
+            f"verify: --ell must be at most {MAX_VERIFY_ELL}")
     # lemma and prop5 have no route but exhaustive search: refuse it up front
     candidates = {"lemma": ell ** 3, "prop5": ell ** 4 + ell ** 3}.get(tag, 0)
     if candidates > enum_cap:
@@ -408,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="check a packaged nonexistence certificate")
     v.add_argument("tag", choices=VERIFY_TAGS)
     v.add_argument("--ell", type=int, required=True, help="odd prime residue "
-                   "characteristic")
+                   f"characteristic, at most {MAX_VERIFY_ELL}")
     v.add_argument("--out", help="write the JSON report here instead of stdout")
     v.add_argument("--enum-cap", type=int, default=None,
                    help=f"largest search space to enumerate exhaustively; lemma "

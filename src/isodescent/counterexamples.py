@@ -27,11 +27,14 @@ from .errors import (
     InvalidDescriptor,
     SearchSpaceTooLarge,
 )
-from .exactfield import make_descriptor
-from .finitefield import fp_det, fp_kernel, fp_mat_mul, fp_mat_pow
+from .exactfield import _is_prime, make_descriptor
+from .finitefield import fp_det, fp_kernel, fp_mat_mul, fp_mat_pow, fp_powmod
 from .forms import GramForm, classify_gram
 
 DEFAULT_ENUM_CAP = 1000000
+# largest ell that `isodescent verify` accepts; prop6 has no enumeration
+# bound, and its quaternion-pair search grows linearly in ell
+MAX_VERIFY_ELL = 10 ** 6
 
 
 @dataclass
@@ -62,7 +65,7 @@ class NonexistenceCertificate:
 def _require_odd_prime(ell: int):
     if ell == 2:
         raise CharTwo("residue characteristic 2 is excluded")
-    if ell < 2 or any(ell % d == 0 for d in range(2, int(ell ** 0.5) + 1)):
+    if not _is_prime(ell):
         raise InvalidDescriptor(f"{ell} is not an odd prime")
 
 
@@ -123,31 +126,59 @@ def _solve_commutant(gens, ell, n):
 # the unipotent lemma
 
 
+def _invariant_symmetric_grams(g, ell: int):
+    """Scan all ell^3 symmetric 2x2 Gram matrices for invariance under g.
+
+    Returns (examined, invariant) with invariant the list of (p, q, r) whose
+    Gram [[p, q], [q, r]] satisfies g^T B g = B, in lexicographic order.
+    B -> g^T B g - B is F_ell-linear, so its values R_p, R_q, R_r on the
+    three symmetric basis matrices are computed once, flattened row-major.
+    Each candidate's residual is p R_p + q R_q + r R_r: it starts at
+    p R_p + q R_q for each (p, q) and advances by R_r (four additions mod
+    ell) at each step of r; the candidate is invariant iff it is zero.
+    """
+    gt = [[g[0][0], g[1][0]], [g[0][1], g[1][1]]]
+    residuals = []
+    for basis in ([[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [0, 1]]):
+        moved = fp_mat_mul(fp_mat_mul(gt, basis, ell), g, ell)
+        residuals.append([(moved[i][j] - basis[i][j]) % ell
+                          for i in range(2) for j in range(2)])
+    rp, rq, (r0, r1, r2, r3) = residuals
+    examined = 0
+    invariant = []
+    for p in range(ell):
+        for q in range(ell):
+            s0, s1, s2, s3 = ((p * x + q * y) % ell for x, y in zip(rp, rq))
+            for r in range(ell):
+                examined += 1
+                if not (s0 or s1 or s2 or s3):
+                    invariant.append((p, q, r))
+                s0, s1 = (s0 + r0) % ell, (s1 + r1) % ell
+                s2, s3 = (s2 + r2) % ell, (s3 + r3) % ell
+    return examined, invariant
+
+
 def no_invariant_symmetric_form(ell: int) -> NonexistenceCertificate:
     """Exhaustively confirm the standard unipotent kills symmetric forms.
 
     Enumerates all ell^3 symmetric 2x2 Gram matrices over F_ell and checks
-    that none is both nondegenerate and invariant under [[1,1],[0,1]].  For
-    the invariant ones the two vanishing identities f(u,u) = 0 and
-    f(u,v) = 0 (u the fixed vector, v its partner) are verified as well.
+    that none is both nondegenerate and invariant under [[1,1],[0,1]].  Each
+    candidate's invariance is decided by its own residual g^T B g - B, kept
+    as a sum of the residuals of the three symmetric basis matrices and
+    advanced by four additions mod ell per candidate (see
+    _invariant_symmetric_grams).  For the invariant ones the two vanishing
+    identities f(u,u) = 0 and f(u,v) = 0 (u the fixed vector, v its partner)
+    are verified, and fp_det decides nondegeneracy.
     """
     _require_odd_prime(ell)
-    g = [[1, 1], [0, 1]]
-    examined = invariant = nondeg_invariant = 0
+    examined, invariant_grams = _invariant_symmetric_grams([[1, 1], [0, 1]], ell)
+    nondeg_invariant = 0
     identities = True
-    for p in range(ell):
-        for q in range(ell):
-            for r in range(ell):
-                examined += 1
-                b = [[p, q], [q, r]]
-                gtbg = fp_mat_mul(fp_mat_mul([[1, 0], [1, 1]], b, ell), g, ell)
-                if gtbg != [[v % ell for v in row] for row in b]:
-                    continue
-                invariant += 1
-                if b[0][0] % ell != 0 or b[0][1] % ell != 0:
-                    identities = False
-                if fp_det(b, ell) != 0:
-                    nondeg_invariant += 1
+    for p, q, r in invariant_grams:
+        if p != 0 or q != 0:
+            identities = False
+        if fp_det([[p, q], [q, r]], ell) != 0:
+            nondeg_invariant += 1
     verdict = nondeg_invariant == 0 and identities
     return NonexistenceCertificate(
         tag="lemma",
@@ -157,17 +188,43 @@ def no_invariant_symmetric_form(ell: int) -> NonexistenceCertificate:
         verdict=verdict,
         counts={
             "candidates": examined,
-            "invariant": invariant,
+            "invariant": len(invariant_grams),
             "nondegenerate_invariant": nondeg_invariant,
         },
         details={"vanishing_identities_verified": identities},
     )
 
 
+def _ell_power_table(ell: int) -> list:
+    """Coefficients of M^ell for every invertible 2x2 matrix M over F_ell.
+
+    By Cayley-Hamilton M^ell = alpha M + beta I, where alpha x + beta is
+    x^ell reduced modulo the characteristic polynomial x^2 - t x + d, t the
+    trace and d the determinant of M.  table[t][d] = (alpha, beta) for
+    every t and every d != 0 (table[t][0] is None): ell (ell - 1) entries,
+    each from one fp_powmod.
+    """
+    table = []
+    for t in range(ell):
+        row = [None]
+        for d in range(1, ell):
+            # the remainder is trimmed, so pad it to (beta, alpha)
+            beta, alpha = (fp_powmod((0, 1), ell, (d, (-t) % ell, 1), ell) + (0, 0))[:2]
+            row.append((alpha, beta))
+        table.append(row)
+    return table
+
+
 def _order_ell_unipotent_fact(ell: int) -> dict:
     """Check every order-ell element of GL_2(F_ell) is a nonidentity
-    unipotent conjugate to [[1,1],[0,1]], by enumerating the whole group."""
+    unipotent conjugate to [[1,1],[0,1]], by enumerating the whole group.
+
+    Each invertible M has its ell-th power computed as alpha M + beta I,
+    with (alpha, beta) looked up by trace and determinant in
+    _ell_power_table, and M has order ell iff M != I and that power is I.
+    """
     ident = [[1, 0], [0, 1]]
+    powers = _ell_power_table(ell)
     count = 0
     all_square_zero = True
     all_conjugate = True
@@ -175,10 +232,15 @@ def _order_ell_unipotent_fact(ell: int) -> dict:
         for b in range(ell):
             for c in range(ell):
                 for d in range(ell):
-                    m = [[a, b], [c, d]]
-                    if (a * d - b * c) % ell == 0:
+                    det = (a * d - b * c) % ell
+                    if det == 0:
                         continue
-                    if m == ident or fp_mat_pow(m, ell, ell) != ident:
+                    alpha, beta = powers[(a + d) % ell][det]
+                    if ((alpha * a + beta) % ell != 1 or (alpha * b) % ell
+                            or (alpha * c) % ell or (alpha * d + beta) % ell != 1):
+                        continue
+                    m = [[a, b], [c, d]]
+                    if m == ident:
                         continue
                     count += 1
                     nil = [[(a - 1) % ell, b], [c, (d - 1) % ell]]

@@ -94,6 +94,22 @@ class TestExitCodes:
         assert code == 0
         assert parse_report(out)["result"]["verdict"]
 
+    # a 401-digit odd number, and the first prime over the ceiling
+    @pytest.mark.parametrize("ell", ["1" * 400 + "3", "1000003"])
+    def test_ell_over_the_ceiling_exits_one(self, capsys, ell):
+        code, out, err = run(capsys, "verify", "prop6", "--ell", ell)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and "--ell" in err
+
+    def test_ell_under_the_ceiling_runs(self, capsys):
+        # the largest prime below MAX_VERIFY_ELL = 10^6; the cap keeps the
+        # run to the identity route instead of enumerating ell forms
+        code, out, _ = run(capsys, "verify", "prop6", "--ell", "999983",
+                           "--enum-cap", "1")
+        assert code == 0
+        assert parse_report(out)["result"]["verdict"]
+
     def test_precision_start_over_the_ceiling_exits_one(self, capsys, tmp_path):
         bundle = minimal_bundle()
         bundle["options"] = {"precision_start": 200000}

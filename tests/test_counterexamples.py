@@ -4,6 +4,10 @@ import pytest
 
 from isodescent import linalg as la
 from isodescent.counterexamples import (
+    NonexistenceCertificate,
+    _ell_power_table,
+    _invariant_symmetric_grams,
+    _order_ell_unipotent_fact,
     build_prop5_bundle,
     build_prop6_bundle,
     no_invariant_symmetric_form,
@@ -11,6 +15,7 @@ from isodescent.counterexamples import (
     verify_prop6,
 )
 from isodescent.errors import CharTwo, InvalidDescriptor
+from isodescent.finitefield import fp_det, fp_mat_mul, fp_mat_pow
 
 
 class TestLemma:
@@ -140,3 +145,148 @@ class TestProp6Bundle:
         assert cp == [desc.rational(c) for c in (1, 4, 6, 4, 1)]
         k = desc.residue_field
         assert [c.reduce() for c in cp] == [k.element(c) for c in (1, 4, 1, 4, 1)]
+
+
+# ---------------------------------------------------------------------------
+# schoolbook references: every candidate checked with full matrix products
+
+
+def schoolbook_lemma(ell):
+    g = [[1, 1], [0, 1]]
+    examined = invariant = nondeg_invariant = 0
+    identities = True
+    for p in range(ell):
+        for q in range(ell):
+            for r in range(ell):
+                examined += 1
+                b = [[p, q], [q, r]]
+                gtbg = fp_mat_mul(fp_mat_mul([[1, 0], [1, 1]], b, ell), g, ell)
+                if gtbg != [[v % ell for v in row] for row in b]:
+                    continue
+                invariant += 1
+                if b[0][0] % ell != 0 or b[0][1] % ell != 0:
+                    identities = False
+                if fp_det(b, ell) != 0:
+                    nondeg_invariant += 1
+    return NonexistenceCertificate(
+        tag="lemma",
+        ell=ell,
+        search_space=f"all {ell ** 3} symmetric 2x2 Gram matrices over F_{ell}",
+        examined=examined,
+        verdict=nondeg_invariant == 0 and identities,
+        counts={
+            "candidates": examined,
+            "invariant": invariant,
+            "nondegenerate_invariant": nondeg_invariant,
+        },
+        details={"vanishing_identities_verified": identities},
+    )
+
+
+def schoolbook_order_ell_fact(ell):
+    ident = [[1, 0], [0, 1]]
+    count = 0
+    all_square_zero = True
+    all_conjugate = True
+    for a in range(ell):
+        for b in range(ell):
+            for c in range(ell):
+                for d in range(ell):
+                    m = [[a, b], [c, d]]
+                    if (a * d - b * c) % ell == 0:
+                        continue
+                    if m == ident or fp_mat_pow(m, ell, ell) != ident:
+                        continue
+                    count += 1
+                    nil = [[(a - 1) % ell, b], [c, (d - 1) % ell]]
+                    if fp_mat_mul(nil, nil, ell) != [[0, 0], [0, 0]]:
+                        all_square_zero = False
+                        continue
+                    v = None
+                    for cand in ([1, 0], [0, 1]):
+                        img = [(nil[0][0] * cand[0] + nil[0][1] * cand[1]) % ell,
+                               (nil[1][0] * cand[0] + nil[1][1] * cand[1]) % ell]
+                        if img != [0, 0]:
+                            v = cand
+                            break
+                    img = [(nil[0][0] * v[0] + nil[0][1] * v[1]) % ell,
+                           (nil[1][0] * v[0] + nil[1][1] * v[1]) % ell]
+                    pmat = [[img[0], v[0]], [img[1], v[1]]]
+                    pinv_scale = pow(fp_det(pmat, ell), -1, ell)
+                    pinv = [[(pmat[1][1] * pinv_scale) % ell,
+                             (-pmat[0][1] * pinv_scale) % ell],
+                            [(-pmat[1][0] * pinv_scale) % ell,
+                             (pmat[0][0] * pinv_scale) % ell]]
+                    if fp_mat_mul(fp_mat_mul(pinv, m, ell), pmat, ell) != [[1, 1], [0, 1]]:
+                        all_conjugate = False
+    return {
+        "order_ell_count": count,
+        "expected_count": ell * ell - 1,
+        "all_square_zero": all_square_zero,
+        "all_conjugate_to_standard": all_conjugate,
+    }
+
+
+def gl2(ell):
+    for a in range(ell):
+        for b in range(ell):
+            for c in range(ell):
+                for d in range(ell):
+                    if (a * d - b * c) % ell:
+                        yield [[a, b], [c, d]]
+
+
+class TestPerCandidateChecks:
+    @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
+    def test_lemma_matches_schoolbook(self, ell):
+        assert no_invariant_symmetric_form(ell).to_dict() == schoolbook_lemma(ell).to_dict()
+
+    @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
+    def test_order_ell_fact_matches_schoolbook(self, ell):
+        assert _order_ell_unipotent_fact(ell) == schoolbook_order_ell_fact(ell)
+
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_residual_scan_matches_schoolbook_for_every_g(self, ell):
+        # every g in GL_2, so each of R_p, R_q, R_r is nonzero for some g
+        for g in gl2(ell):
+            gt = [[g[0][0], g[1][0]], [g[0][1], g[1][1]]]
+            expected = [(p, q, r) for p in range(ell) for q in range(ell)
+                        for r in range(ell)
+                        if fp_mat_mul(fp_mat_mul(gt, [[p, q], [q, r]], ell), g, ell)
+                        == [[p, q], [q, r]]]
+            assert _invariant_symmetric_grams(g, ell) == (ell ** 3, expected), g
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_power_table_gives_the_ell_th_power(self, ell):
+        table = _ell_power_table(ell)
+        assert len(table) == ell
+        assert all(len(row) == ell and row[0] is None for row in table)
+        for m in gl2(ell):
+            t = (m[0][0] + m[1][1]) % ell
+            det = (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % ell
+            alpha, beta = table[t][det]
+            power = [[(alpha * m[i][j] + (beta if i == j else 0)) % ell
+                      for j in range(2)] for i in range(2)]
+            assert power == fp_mat_pow(m, ell, ell), m
+
+
+class TestLargerEll:
+    def test_prop5_ell23(self):
+        cert = verify_prop5(23)
+        assert cert.verdict
+        assert cert.counts["order_ell_elements"] == 528
+        assert cert.counts["nondegenerate_invariant"] == 0
+
+    def test_lemma_ell47(self):
+        cert = no_invariant_symmetric_form(47)
+        assert cert.verdict
+        assert cert.examined == 47 ** 3
+        assert cert.counts["candidates"] == 47 ** 3
+        assert cert.counts["invariant"] == 47
+        assert cert.counts["nondegenerate_invariant"] == 0
+        assert cert.details["vanishing_identities_verified"]
+
+    def test_huge_composite_ell_rejected(self):
+        # 10^400 + 1 has the factor 353; no float square root is taken
+        with pytest.raises(InvalidDescriptor):
+            no_invariant_symmetric_form(10 ** 400 + 1)

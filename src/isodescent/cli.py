@@ -37,8 +37,6 @@ from .exactfield import make_descriptor
 from .forms import KINDS, GramForm
 from .lattice import stabilize, standard_lattice
 
-DEFAULT_PRECISION_START = 32
-
 VERIFY_TAGS = ("lemma", "prop5", "prop6")
 
 
@@ -82,7 +80,7 @@ def _parse_matrix(field, raw, where: str):
     return out
 
 
-def load_bundle(path: str, max_group_order=None, precision_start=None):
+def load_bundle(path: str, max_group_order=None):
     """Read and validate a bundle file; returns (GroupRep, options dict).
 
     All GroupRep invariants (closure under the cap, every element an
@@ -122,22 +120,15 @@ def load_bundle(path: str, max_group_order=None, precision_start=None):
 
     opts = raw.get("options", {})
     _expect(isinstance(opts, dict), "options", "must be an object")
-    options = {
-        "max_group_order": opts.get("max_group_order", DEFAULT_GROUP_CAP),
-        "precision_start": opts.get("precision_start", DEFAULT_PRECISION_START),
-    }
-    for key, val in options.items():
-        _expect(isinstance(val, int) and val > 0, f"options.{key}",
-                "must be a positive integer")
-    if max_group_order is not None:
-        options["max_group_order"] = max_group_order
-    if precision_start is not None:
-        options["precision_start"] = precision_start
+    # option keys not read here are ignored
+    cap = opts.get("max_group_order", DEFAULT_GROUP_CAP)
+    _expect(isinstance(cap, int) and cap > 0, "options.max_group_order",
+            "must be a positive integer")
+    options = {"max_group_order": cap if max_group_order is None else max_group_order}
 
     field = make_descriptor(
         fld["n"], fld["ell"], subgroup=tuple(subgroup),
-        prime_choice=prime_choice, involution=involution,
-        precision_start=options["precision_start"])
+        prime_choice=prime_choice, involution=involution)
 
     frm = raw.get("form")
     _expect(isinstance(frm, dict), "form", "must be an object")
@@ -265,11 +256,10 @@ def _exit_code(certificates: dict) -> int:
 # subcommands
 
 
-def cmd_descend(bundle_path: str, out_path=None, max_group_order=None,
-                precision_start=None) -> int:
+def cmd_descend(bundle_path: str, out_path=None, max_group_order=None) -> int:
     started = time.monotonic()
     digest = _file_digest(bundle_path)
-    rep, _ = load_bundle(bundle_path, max_group_order, precision_start)
+    rep, _ = load_bundle(bundle_path, max_group_order)
     res = descend(rep)
     report = _make_report("descend", digest, _descent_result_dict(res), started)
     _emit(report, out_path)
@@ -282,11 +272,10 @@ def cmd_descend(bundle_path: str, out_path=None, max_group_order=None,
     return _exit_code(certs)
 
 
-def cmd_balance(bundle_path: str, out_path=None, max_group_order=None,
-                precision_start=None) -> int:
+def cmd_balance(bundle_path: str, out_path=None, max_group_order=None) -> int:
     started = time.monotonic()
     digest = _file_digest(bundle_path)
-    rep, _ = load_bundle(bundle_path, max_group_order, precision_start)
+    rep, _ = load_bundle(bundle_path, max_group_order)
     lat = stabilize(standard_lattice(rep.field, rep.form.dim), rep.generators)
     bal = balance(lat, rep.form, generators=rep.generators)
     certs = {
@@ -310,12 +299,11 @@ def cmd_balance(bundle_path: str, out_path=None, max_group_order=None,
     return _exit_code(certs)
 
 
-def cmd_charpoly(bundle_path: str, out_path=None, max_group_order=None,
-                 precision_start=None) -> int:
+def cmd_charpoly(bundle_path: str, out_path=None, max_group_order=None) -> int:
     """Characteristic-polynomial census of the whole group, no balance run."""
     started = time.monotonic()
     digest = _file_digest(bundle_path)
-    rep, _ = load_bundle(bundle_path, max_group_order, precision_start)
+    rep, _ = load_bundle(bundle_path, max_group_order)
     rows = []
     classes = {}
     for i, m in enumerate(rep.elements):
@@ -400,9 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         p.add_argument("--max-group-order", type=int, default=None,
                        help=f"closure cap (default {DEFAULT_GROUP_CAP})")
-        p.add_argument("--precision-start", type=int, default=None,
-                       help=f"initial lambda-adic working precision "
-                            f"(default {DEFAULT_PRECISION_START})")
         return p
 
     add_bundle_cmd("descend", "run the full descent and report certificates")
@@ -424,14 +409,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "descend":
-            return cmd_descend(args.bundle, args.out, args.max_group_order,
-                               args.precision_start)
+            return cmd_descend(args.bundle, args.out, args.max_group_order)
         if args.command == "balance":
-            return cmd_balance(args.bundle, args.out, args.max_group_order,
-                               args.precision_start)
+            return cmd_balance(args.bundle, args.out, args.max_group_order)
         if args.command == "charpoly":
-            return cmd_charpoly(args.bundle, args.out, args.max_group_order,
-                                args.precision_start)
+            return cmd_charpoly(args.bundle, args.out, args.max_group_order)
         if args.command == "verify":
             return cmd_verify(args.tag, args.ell, args.out, args.enum_cap)
     except IsodescentError as exc:

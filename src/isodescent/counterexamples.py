@@ -16,6 +16,7 @@ over F_ell; no step assumes the statement it certifies.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg as la
@@ -428,6 +429,47 @@ def _quaternion_pair_mod(ell: int):
     raise InternalInconsistency("no quaternion pair mod ell; ell is not prime?")
 
 
+def _count_degenerate_alternating(sol, ell: int) -> tuple[int, int]:
+    """(enumerated, degenerate) over every F_ell-combination of the
+    alternating 4x4 forms in sol.
+
+    A form B is degenerate iff its Pfaffian Pf(B) = B01 B23 - B02 B13 +
+    B03 B12 vanishes, since det B = Pf(B)^2.  On B = sum_t c_t S_t the
+    Pfaffian is a quadratic form in c, worked out once from the basis.  For
+    each choice of c_1 ... c_{d-1} it is a quadratic in c_0, walked by its
+    first and second differences: two additions mod ell per candidate.
+    """
+    for b in sol:
+        if any(b[i][i] % ell or (b[i][j] + b[j][i]) % ell
+               for i in range(4) for j in range(4)):
+            raise InternalInconsistency("Pfaffian applied to a non-alternating form")
+    if not sol:
+        return 1, 1  # the zero form alone
+
+    def polar(x, y):  # Pf(X) = polar(X, X)
+        return x[0][1] * y[2][3] - x[0][2] * y[1][3] + x[0][3] * y[1][2]
+
+    d = len(sol)
+    # Pf(sum_t c_t S_t) = sum_{s <= t} q[s][t] c_s c_t
+    q = [[(polar(sol[s], sol[t]) + polar(sol[t], sol[s]) * (s != t)) % ell
+          for t in range(d)] for s in range(d)]
+    enumerated = degenerate = 0
+    for rest in itertools.product(range(ell), repeat=d - 1):
+        c = (0,) + rest
+        val = sum(q[s][t] * c[s] * c[t]
+                  for s in range(1, d) for t in range(s, d)) % ell
+        # val(c_0 + 1) - val(c_0) = q00 (2 c_0 + 1) + sum_t q0t c_t
+        diff = (q[0][0] + sum(q[0][t] * c[t] for t in range(1, d))) % ell
+        step = 2 * q[0][0] % ell
+        for _ in range(ell):
+            if not val:
+                degenerate += 1
+            val = (val + diff) % ell
+            diff = (diff + step) % ell
+        enumerated += ell
+    return enumerated, degenerate
+
+
 def verify_prop6(ell: int, enum_cap: int = DEFAULT_ENUM_CAP) -> NonexistenceCertificate:
     """Certify the doubled quaternion module admits no nondegenerate
     invariant alternating form over F_ell.
@@ -439,7 +481,8 @@ def verify_prop6(ell: int, enum_cap: int = DEFAULT_ENUM_CAP) -> NonexistenceCert
     dimension 4; (c) every invariant alternating form on V0 vanishes on the
     first copy of W, hence is degenerate.  (c) is certified twice: by the
     vanishing identities on the solution-space basis, and by enumerating the
-    whole solution space whenever it fits under the cap.
+    whole solution space whenever it fits under the cap, each form decided
+    by its Pfaffian (see _count_degenerate_alternating).
     """
     _require_odd_prime(ell)
     if 8 % ell == 0:
@@ -491,26 +534,7 @@ def verify_prop6(ell: int, enum_cap: int = DEFAULT_ENUM_CAP) -> NonexistenceCert
     enumerated = None
     degenerate = None
     if ell ** sol_dim <= enum_cap:
-        enumerated = 0
-        degenerate = 0
-        coeffs = [0] * sol_dim
-        while True:
-            b = [[0] * 4 for _ in range(4)]
-            for t, cf in enumerate(coeffs):
-                if cf:
-                    for i in range(4):
-                        for j in range(4):
-                            b[i][j] = (b[i][j] + cf * sol[t][i][j]) % ell
-            enumerated += 1
-            if fp_det(b, ell) == 0:
-                degenerate += 1
-            pos = 0
-            while pos < sol_dim and coeffs[pos] == ell - 1:
-                coeffs[pos] = 0
-                pos += 1
-            if pos == sol_dim:
-                break
-            coeffs[pos] += 1
+        enumerated, degenerate = _count_degenerate_alternating(sol, ell)
         all_degenerate = enumerated == degenerate
     else:
         if not kills_first_copy:

@@ -5,10 +5,12 @@ a subgroup H of the units mod n.  A descriptor fixes one prime above an odd
 prime ell (chosen among the Galois-orbit classes of irreducible factors of
 the prime-to-ell cyclotomic part), certifies a uniformizer for it, and
 carries the residue-field data needed to reduce integral elements.  Elements
-are exact (Fraction coefficients on the power basis of zeta_n); valuations
-and residues are certified through a finite-precision completion model that
-retries at doubled precision until a digit certificate appears, so no answer
-depends on floating point or on unproven precision heuristics.
+are exact (Fraction coefficients on the power basis of zeta_n).  Valuations
+and residues are read off the lambda-adic digits of the numerator in the
+completion (see localring): the valuation is the least e * v_ell(d_k) + k over
+the digits, certified at a working precision that doubles up to a ceiling
+computed from the element's norm, so no answer depends on floating point or
+on unproven precision heuristics.
 
 An optional involution is the restriction of zeta -> zeta^s for a unit s
 with s^2 in H and s not in H; its fixed field L has index 2 in K.  The
@@ -37,7 +39,11 @@ from .finitefield import (
 )
 from .localring import LambdaEngine
 
-MAX_PRECISION_EXP = 4096
+# make_descriptor refuses larger inputs before building any table: the
+# residue field search grows with the conductor (through the residue degree)
+# and with ell, and the primality test of ell is trial division
+MAX_CONDUCTOR = 64
+MAX_ELL = 1000
 
 
 def _is_prime(p: int) -> bool:
@@ -75,14 +81,13 @@ class FieldElement:
     for arithmetic, where closure under the field operations guarantees it.
     """
 
-    __slots__ = ("field", "coeffs", "_val", "_res", "_img")
+    __slots__ = ("field", "coeffs", "_val", "_res")
 
     def __init__(self, field: "FieldDescriptor", coeffs):
         self.field = field
         self.coeffs = tuple(coeffs)
         self._val = None
         self._res = None
-        self._img = None
 
     # -- coercion ------------------------------------------------------
 
@@ -178,6 +183,15 @@ class FieldElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
+    def _numerator(self):
+        """(w, t, d) with self = w / (ell^t d), w an integer vector, d prime to ell."""
+        ints, den = self.field.ring.integerize(self.coeffs)
+        t = 0
+        while den % self.field.ell == 0:
+            den //= self.field.ell
+            t += 1
+        return ints, t, den
+
     def valuation(self):
         """Certified valuation at the chosen prime (math.inf for zero)."""
         if self._val is not None:
@@ -186,23 +200,8 @@ class FieldElement:
             self._val = math.inf
             return self._val
         field = self.field
-        ints, den = field.ring.integerize(self.coeffs)
-        t = 0
-        d = den
-        while d % field.ell == 0:
-            d //= field.ell
-            t += 1
-        prec = field.precision_start
-        while True:
-            out = field.engine.analyze(ints, prec)
-            if out is not None:
-                break
-            prec *= 2
-            if prec > MAX_PRECISION_EXP:
-                raise InternalInconsistency(
-                    "valuation did not certify below the precision ceiling")
-        self._img = (prec, field.engine.image_of(ints, prec))
-        vlam, _res = out
+        ints, t, _ = self._numerator()
+        vlam = field.engine.valuation(ints)
         if vlam % field.e_rel:
             raise InternalInconsistency(
                 "completion valuation of a field element is not a multiple "
@@ -222,17 +221,10 @@ class FieldElement:
         if v < 0:
             raise NegativeValuation(
                 f"element has valuation {v}; only integral elements reduce")
-        ints, den = field.ring.integerize(self.coeffs)
-        t = 0
-        d2 = den
-        while d2 % field.ell == 0:
-            d2 //= field.ell
-            t += 1
-        prec = max(field.precision_start, t + 2)
-        rc = field.engine.residue_after_ell_divisions(ints, t, prec)
-        x = field._residue_from_big(rc)
-        if d2 % field.ell != 1:
-            x = x * pow(d2 % field.ell, -1, field.ell)
+        ints, t, d = self._numerator()
+        x = field._residue_from_big(field.engine.residue(ints, t))
+        if d % field.ell != 1:
+            x = x * pow(d % field.ell, -1, field.ell)
         self._res = x
         return self._res
 
@@ -409,7 +401,7 @@ class FieldDescriptor:
 
 
 def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
-                    involution=None, precision_start: int = 32) -> FieldDescriptor:
+                    involution=None) -> FieldDescriptor:
     """Build and fully certify a field descriptor.
 
     subgroup lists units mod n generating K as their fixed field (it must
@@ -417,17 +409,17 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
     above ell in K, ordered by the smallest index of an irreducible factor
     in their orbit class (factors sorted by coefficient tuple); involution
     is a unit s mod n with s not in the subgroup and s^2 in it, or None.
+    The conductor is at most MAX_CONDUCTOR and ell at most MAX_ELL.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidDescriptor("conductor must be a positive integer")
-    if not isinstance(ell, int) or ell < 3 or ell % 2 == 0 or not _is_prime(ell):
-        raise InvalidDescriptor("residue characteristic must be an odd prime")
-    if not isinstance(precision_start, int) or precision_start < 2:
-        raise InvalidDescriptor("starting precision must be an integer >= 2")
-    if precision_start > MAX_PRECISION_EXP:
+    if n > MAX_CONDUCTOR:
+        raise InvalidDescriptor(f"conductor must be at most {MAX_CONDUCTOR}, got {n}")
+    if not isinstance(ell, int) or ell > MAX_ELL:
         raise InvalidDescriptor(
-            f"starting precision must be at most {MAX_PRECISION_EXP}, "
-            f"got {precision_start}")
+            f"residue characteristic must be an integer at most {MAX_ELL}")
+    if ell < 3 or ell % 2 == 0 or not _is_prime(ell):
+        raise InvalidDescriptor("residue characteristic must be an odd prime")
 
     if n == 1:
         units = {1}
@@ -559,7 +551,6 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
     desc.subgroup = H
     desc.prime_choice = prime_choice
     desc.involution = s_norm
-    desc.precision_start = precision_start
     desc.a = a
     desc.m = m
     desc.e_full = e_full

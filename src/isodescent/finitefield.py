@@ -331,16 +331,6 @@ class ResidueElement:
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
 
-    def multiplicative_order(self):
-        if self.is_zero():
-            raise ZeroDivisionError("order of zero")
-        n = self.field.order - 1
-        order = n
-        for q in _prime_factors(n):
-            while order % q == 0 and (self ** (order // q)) == self.field.one:
-                order //= q
-        return order
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.field.element(other)
@@ -382,14 +372,15 @@ def cyclotomic_factors_mod(ell: int, m: int):
         return [(((ell - 1) % ell, 1), frozenset({0}))]
     d = multiplicative_order_mod(ell, m)
     Fq = ResidueField(ell, find_irreducible(ell, d))
-    # deterministic primitive m-th root of unity in Fq
+    # deterministic primitive m-th root of unity in Fq: eta^m = 1, so eta has
+    # order m iff no eta^(m/q) is 1 (q prime); this never factors |Fq*|
     cofactor = (Fq.order - 1) // m
     xi = None
     for c in Fq.elements():
         if c.is_zero():
             continue
         eta = c ** cofactor
-        if not eta.is_zero() and eta.multiplicative_order() == m:
+        if all(eta ** (m // q) != Fq.one for q in _prime_factors(m)):
             xi = eta
             break
     assert xi is not None, "no primitive root found"

@@ -1,31 +1,38 @@
 """Finite-precision model of the completion of Z[zeta_n] at a prime above ell.
 
-Elements are carried in S_P = (Z/ell^P)[t]/(G(t)) [u]/(Psi(u)) where G is a
-Hensel lift of one irreducible factor of the prime-to-ell cyclotomic part and
-Psi is the cyclotomic polynomial of the ell-power part.  The t-variable images
-zeta_m and carries the unramified (residue) direction; the u-variable images
-zeta_{ell^a} and carries all the ramification.  Valuations are certified by
-stripping uniformizer digits: a nonzero residue at (u -> 1, mod ell) pins the
-valuation exactly, a division by ell consumes e_full digits, and the partial
-norm Q(u) = prod_{c != 1} (1 - u^c) converts a single (1 - u)-digit into an
-ell-division because (1 - u) * Q(u) = ell holds in Z[u]/Psi(u).
+The completion is W[lambda]: W = Z_ell[t]/(G(t)) is unramified, with G a
+Hensel lift of one irreducible factor of the prime-to-ell cyclotomic part,
+and lambda = 1 - u, where u images zeta_{ell^a} and Psi(u) is the cyclotomic
+polynomial of the ell-power part, so lambda is a root of the Eisenstein
+polynomial Psi(1 - lambda) of degree e_full.  Every element is
+sum_k d_k lambda^k over k < e_full with digits d_k in W, and its valuation is
+min_k (e_full * v_ell(d_k) + k), the terms being distinct mod e_full
+(Serre, Local Fields, I section 6).
 
-All answers are conditional on the working precision P; `analyze` returns
-None when P digits were exhausted and the caller is expected to retry with a
-larger P (zero elements never certify, so call sites must test exact zero
-first).
+The engine keeps the digits modulo ell^P, as t-polynomials of degree below
+f_full.  The images of the powers of zeta_n are held in the lambda-basis
+already: u^i = (1 - lambda)^i expands by binomial coefficients, and i < e_full
+means no reduction by Psi is needed.  A digit that is nonzero mod ell^P has
+its exact ell-valuation, below P, so the smallest term is certified as soon
+as one digit survives; `analyze` returns None when every digit vanishes, and
+`valuation` retries at doubled precision up to a ceiling at which a nonzero
+element must certify.  Zero elements never certify, so call sites must test
+exact zero first.
 """
 
 from __future__ import annotations
+
+import math
 
 from .cyclotomic import cyclotomic_poly, euler_phi
 from .errors import InternalInconsistency
 from .finitefield import fp_divmod, fp_ext_gcd, fp_mod, fp_mul, fp_sub, fp_trim
 
-# vectors of length f_full holding t-polynomial coefficients
-_TPoly = list[int]
-# lists of e_full t-polynomials, indexed by power of u
+# lists of e_full lambda-digits, each a t-polynomial of length f_full
 _Elt = list[list[int]]
+
+# the first working precision; most elements certify at it
+PRECISION_START = 32
 
 
 def _var_powers(count: int, monic, modulus: int) -> list[list[int]]:
@@ -54,7 +61,7 @@ def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
 
 
 class LambdaEngine:
-    """Arithmetic and digit-stripping for one chosen prime above ell."""
+    """Lambda-digits and valuations for one chosen prime above ell."""
 
     def __init__(self, n: int, ell: int, factor: tuple[int, ...]):
         self.n = n
@@ -78,12 +85,11 @@ class LambdaEngine:
             la = ell**a
             self.alpha = pow(la, -1, m)
             self.beta = pow(m, -1, la)
-        else:
-            self.alpha = 1 % max(m, 1)
-            self.beta = 0
+        # u^i = sum_k C(i, k) (-lambda)^k, row i, column k
+        self._to_lambda = [[(-1) ** k * math.comb(i, k) for k in range(self.e_full)]
+                           for i in range(self.e_full)]
         self._lift_cache: dict[int, tuple[int, ...]] = {}
-        self._img_cache: dict[int, list[_Elt]] = {}
-        self._q_cache: dict[int, _Elt] = {}
+        self._image_cache: dict[int, list[_Elt]] = {}
 
     # ------------------------------------------------------------------
     # Hensel lifting of the chosen factor
@@ -148,89 +154,34 @@ class LambdaEngine:
         return g_int
 
     # ------------------------------------------------------------------
-    # S_P arithmetic (plain lists, coefficients already reduced mod ell^prec)
-
-    def zero_elt(self) -> _Elt:
-        return [[0] * self.f_full for _ in range(self.e_full)]
-
-    def _tmul(self, a: _TPoly, b: _TPoly, g_int, modulus: int) -> _TPoly:
-        conv = [0] * (2 * self.f_full - 1) if self.f_full > 0 else []
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        # monic reduction mod G
-        for k in range(len(conv) - 1, self.f_full - 1, -1):
-            c = conv[k] % modulus
-            if c:
-                for j in range(self.f_full):
-                    conv[k - self.f_full + j] -= c * g_int[j]
-            conv[k] = 0
-        return [conv[i] % modulus for i in range(self.f_full)]
-
-    def mul(self, z1: _Elt, z2: _Elt, prec: int) -> _Elt:
-        modulus = self.ell**prec
-        g_int = self.lift(prec)
-        e = self.e_full
-        rows: list[_TPoly] = [[0] * self.f_full for _ in range(2 * e - 1)]
-        for i in range(e):
-            if any(z1[i]):
-                for j in range(e):
-                    if any(z2[j]):
-                        prod = self._tmul(z1[i], z2[j], g_int, modulus)
-                        tgt = rows[i + j]
-                        for idx in range(self.f_full):
-                            tgt[idx] = (tgt[idx] + prod[idx]) % modulus
-        if self._psi is not None:
-            for k in range(2 * e - 2, e - 1, -1):
-                row = rows[k]
-                if any(row):
-                    for j in range(e):
-                        cj = self._psi[j]
-                        if cj:
-                            tgt = rows[k - e + j]
-                            for idx in range(self.f_full):
-                                tgt[idx] = (tgt[idx] - cj * row[idx]) % modulus
-        return [[v % modulus for v in rows[i]] for i in range(e)]
-
-    def add(self, z1: _Elt, z2: _Elt, prec: int) -> _Elt:
-        modulus = self.ell**prec
-        return [
-            [(x + y) % modulus for x, y in zip(r1, r2)]
-            for r1, r2 in zip(z1, z2)
-        ]
-
-    # ------------------------------------------------------------------
-    # images of powers of zeta_n
+    # images of powers of zeta_n, in the lambda-basis
 
     def images(self, prec: int) -> list[_Elt]:
-        """Images of zeta_n^j, j < phi(n), in S_prec."""
-        if prec in self._img_cache:
-            return self._img_cache[prec]
+        """Lambda-digits of zeta_n^j, j < phi(n), modulo ell^prec."""
+        if prec in self._image_cache:
+            return self._image_cache[prec]
         modulus = self.ell**prec
-        g_int = self.lift(prec)
-        la = self.ell**self.a
-        t_pows = _var_powers(max(self.m, 1), g_int, modulus)
-        u_pows = _var_powers(la, self._psi, modulus) if self.a >= 1 else []
+        t_pows = _var_powers(max(self.m, 1), self.lift(prec), modulus)
         phi_n = euler_phi(self.n)
-        imgs: list[_Elt] = []
-        for j in range(phi_n):
-            if self.a == 0:
-                row = t_pows[j % self.m]
-                elt = [[v % modulus for v in row]]
-            else:
-                te = t_pows[(self.alpha * j) % self.m]
-                ue = u_pows[(self.beta * j) % la]
-                elt = [[(uc * tv) % modulus for tv in te] for uc in ue]
-            imgs.append(elt)
-        self._img_cache[prec] = imgs
+        if self.a == 0:
+            imgs = [[t_pows[j % self.m]] for j in range(phi_n)]
+        else:
+            la = self.ell**self.a
+            lam_pows = [[sum(c * row[k] for c, row in zip(ue, self._to_lambda)) % modulus
+                         for k in range(self.e_full)]
+                        for ue in _var_powers(la, self._psi, modulus)]
+            imgs = [[[(d * tv) % modulus for tv in t_pows[(self.alpha * j) % self.m]]
+                     for d in lam_pows[(self.beta * j) % la]]
+                    for j in range(phi_n)]
+        self._image_cache[prec] = imgs
         return imgs
 
     def image_of(self, vec, prec: int) -> _Elt:
-        """Image in S_prec of an integer coefficient vector on the power basis."""
+        """Lambda-digits d_0 ... d_{e-1}, mod ell^prec, of an integer vector on
+        the power basis."""
         imgs = self.images(prec)
         modulus = self.ell**prec
-        acc = self.zero_elt()
+        acc = [[0] * self.f_full for _ in range(self.e_full)]
         for j, c in enumerate(vec):
             c %= modulus
             if c:
@@ -243,91 +194,62 @@ class LambdaEngine:
         return acc
 
     # ------------------------------------------------------------------
-    # digit stripping
-
-    def _q_elt(self, prec: int) -> _Elt:
-        """Q(u) = prod over units c != 1 of (1 - u^c), with (1 - u) Q = ell."""
-        if prec in self._q_cache:
-            return self._q_cache[prec]
-        la = self.ell**self.a
-        modulus = self.ell**prec
-        u_pows = _var_powers(la, self._psi, modulus)
-        q = self.zero_elt()
-        q[0][0] = 1
-        for c in range(2, la):
-            if c % self.ell == 0:
-                continue
-            term = self.zero_elt()
-            term[0][0] = 1
-            uc = u_pows[c]
-            for i in range(self.e_full):
-                term[i][0] = (term[i][0] - uc[i]) % modulus
-            q = self.mul(q, term, prec)
-        # certify the divisor identity (1 - u) * Q = ell in S_prec
-        one_minus_u = self.zero_elt()
-        one_minus_u[0][0] = 1
-        u1 = u_pows[1]
-        for i in range(self.e_full):
-            one_minus_u[i][0] = (one_minus_u[i][0] - u1[i]) % modulus
-        prod = self.mul(one_minus_u, q, prec)
-        expect = self.zero_elt()
-        expect[0][0] = self.ell % modulus
-        if prod != expect:
-            raise InternalInconsistency("uniformizer digit divisor identity failed")
-        self._q_cache[prec] = q
-        return q
-
-    def residue_of(self, z: _Elt) -> tuple[int, ...]:
-        """Image in the residue field F_ell[t]/(factor): set u -> 1, reduce mod ell."""
-        total = [0] * self.f_full
-        for row in z:
-            for i, v in enumerate(row):
-                total[i] += v
-        return tuple(v % self.ell for v in total)
+    # valuations and residues
 
     def analyze(self, vec, prec: int):
-        """Certified (valuation, residue-of-unit-part) of a nonzero integer vector.
+        """Certified valuation, in powers of lambda, of a nonzero integer
+        vector, or None when every lambda-digit vanishes mod ell^prec."""
+        ell, e = self.ell, self.e_full
+        best = None
+        for k, digit in enumerate(self.image_of(vec, prec)):
+            g = math.gcd(*digit)
+            if g:
+                v = 0
+                while g % ell == 0:
+                    g //= ell
+                    v += 1
+                if best is None or e * v + k < best:
+                    best = e * v + k
+        return best
 
-        Returns None when prec digits were not enough to certify; the residue
-        returned is that of z / pi^v, nonzero by construction.  Must not be
-        called on the zero vector (it would burn precision and return None).
+    def precision_ceiling(self, vec) -> int:
+        """Smallest precision at which a nonzero integer vector must certify.
+
+        If every digit vanishes mod ell^p, the element lies in lambda^(e p)
+        and the chosen prime has norm ell^f, so ell^(f e p) divides the
+        element's norm, which is at most ||vec||_1^phi(n) in absolute value.
         """
-        z = self.image_of(vec, prec)
-        v = 0
-        cur_prec = prec
-        while True:
-            res = self.residue_of(z)
-            if any(res):
-                return v, res
-            if cur_prec < 2:
-                return None
-            modulus = self.ell**cur_prec
-            if all(val % self.ell == 0 for row in z for val in row):
-                z = [[(val // self.ell) % (modulus // self.ell) for val in row] for row in z]
-                cur_prec -= 1
-                v += self.e_full
-                continue
-            if self.a == 0:
-                raise InternalInconsistency(
-                    "zero residue without ell-divisibility in an unramified engine")
-            q = self._q_elt(cur_prec)
-            z = self.mul(z, q, cur_prec)
-            if any(val % self.ell for row in z for val in row):
-                raise InternalInconsistency("digit strip product not divisible by ell")
-            z = [[(val // self.ell) % (modulus // self.ell) for val in row] for row in z]
-            cur_prec -= 1
-            v += 1
+        bound = sum(abs(c) for c in vec) ** euler_phi(self.n)
+        step = self.ell ** (self.f_full * self.e_full)
+        prec, power = 1, step
+        while power <= bound:
+            prec += 1
+            power *= step
+        return prec
 
-    def residue_after_ell_divisions(self, vec, k: int, prec: int) -> tuple[int, ...]:
-        """Residue of (vector / ell^k); requires the division to be exact lambda-adically."""
-        if prec < k + 1:
-            raise InternalInconsistency("insufficient precision for the requested divisions")
-        z = self.image_of(vec, prec)
-        modulus = self.ell**prec
-        for _ in range(k):
-            if any(val % self.ell for row in z for val in row):
+    def valuation(self, vec) -> int:
+        """Valuation, in powers of lambda, of a nonzero integer vector.
+
+        Starts at PRECISION_START and doubles up to `precision_ceiling`."""
+        prec = PRECISION_START
+        ceiling = None
+        while True:
+            v = self.analyze(vec, prec)
+            if v is not None:
+                return v
+            if ceiling is None:
+                ceiling = self.precision_ceiling(vec)
+            if prec >= ceiling:
                 raise InternalInconsistency(
-                    "ell-division requested on a vector that is not divisible")
-            modulus //= self.ell
-            z = [[(val // self.ell) % modulus for val in row] for row in z]
-        return self.residue_of(z)
+                    "valuation did not certify at the precision ceiling")
+            prec = min(2 * prec, ceiling)
+
+    def residue(self, vec, t: int) -> tuple[int, ...]:
+        """Residue of vec / ell^t: (d_0 / ell^t) mod ell.  Every digit must be
+        divisible by ell^t, that is the quotient must be integral."""
+        den = self.ell**t
+        digits = self.image_of(vec, max(PRECISION_START, t + 1))
+        if any(c % den for digit in digits for c in digit):
+            raise InternalInconsistency(
+                "ell-division requested on a vector that is not divisible")
+        return tuple((c // den) % self.ell for c in digits[0])

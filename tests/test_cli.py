@@ -1,10 +1,12 @@
 import hashlib
 import json
+import time
 
 import pytest
 
 from isodescent.cli import load_bundle, main
 from isodescent.errors import BundleFormatError
+from isodescent.exactfield import MAX_CONDUCTOR, MAX_ELL
 
 from conftest import bundle_path
 
@@ -110,22 +112,29 @@ class TestExitCodes:
         assert code == 0
         assert parse_report(out)["result"]["verdict"]
 
-    def test_precision_start_over_the_ceiling_exits_one(self, capsys, tmp_path):
-        bundle = minimal_bundle()
-        bundle["options"] = {"precision_start": 200000}
-        p = tmp_path / "precision.json"
-        p.write_text(json.dumps(bundle))
-        code, out, err = run(capsys, "descend", str(p))
-        assert code == 1
-        assert out == ""
-        assert "precision" in err
+    def test_ell_under_the_ceiling_enumerates(self, capsys):
+        # the default cap enumerates all 999983 forms, one Pfaffian step each
+        code, out, _ = run(capsys, "verify", "prop6", "--ell", "999983")
+        assert code == 0
+        result = parse_report(out)["result"]
+        assert result["verdict"]
+        assert result["counts"]["enumerated"] == result["counts"]["degenerate"] == 999983
 
-    def test_precision_start_flag_over_the_ceiling_exits_one(self, capsys):
-        code, out, err = run(capsys, "descend", str(bundle_path("q8_split_ell5")),
-                             "--precision-start", "4097")
+    @pytest.mark.parametrize("key, value, cap", [("n", MAX_CONDUCTOR + 1, MAX_CONDUCTOR),
+                                                 ("ell", 1009, MAX_ELL),
+                                                 ("ell", 10 ** 18 + 9, MAX_ELL)])
+    def test_field_over_its_cap_exits_one_fast(self, capsys, tmp_path, key, value, cap):
+        # 1009 is the least prime over MAX_ELL; 10^18 + 9 is prime too
+        bundle = minimal_bundle()
+        bundle["field"][key] = value
+        p = tmp_path / "capped.json"
+        p.write_text(json.dumps(bundle))
+        started = time.perf_counter()
+        code, out, err = run(capsys, "descend", str(p))
+        assert time.perf_counter() - started < 1.0
         assert code == 1
         assert out == ""
-        assert "4096" in err
+        assert f"at most {cap}" in err
 
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "descend", "/nonexistent/bundle.json")
@@ -251,6 +260,16 @@ class TestLoader:
         rep, opts = load_bundle(str(bundle_path("q8_split_ell5")))
         assert rep.order == 8
         assert opts["max_group_order"] == 100000
+
+    def test_former_precision_start_option_is_ignored(self, capsys, tmp_path):
+        # the committed bundles still carry it; unread option keys are ignored
+        bundle = minimal_bundle()
+        bundle["options"] = {"precision_start": 200000}
+        p = tmp_path / "precision.json"
+        p.write_text(json.dumps(bundle))
+        rep, opts = load_bundle(str(p))
+        assert opts == {"max_group_order": 100000}
+        assert run(capsys, "descend", str(p))[0] == 0
 
     def test_flag_overrides(self):
         from isodescent.errors import GroupTooLarge

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -5,16 +6,19 @@ import pytest
 from isodescent import linalg as la
 from isodescent.counterexamples import (
     NonexistenceCertificate,
+    _count_degenerate_alternating,
     _ell_power_table,
     _invariant_symmetric_grams,
     _order_ell_unipotent_fact,
+    _quaternion_pair_mod,
+    _solve_form_constraints,
     build_prop5_bundle,
     build_prop6_bundle,
     no_invariant_symmetric_form,
     verify_prop5,
     verify_prop6,
 )
-from isodescent.errors import CharTwo, InvalidDescriptor
+from isodescent.errors import CharTwo, InternalInconsistency, InvalidDescriptor
 from isodescent.finitefield import fp_det, fp_mat_mul, fp_mat_pow
 
 
@@ -290,3 +294,80 @@ class TestLargerEll:
         # 10^400 + 1 has the factor 353; no float square root is taken
         with pytest.raises(InvalidDescriptor):
             no_invariant_symmetric_form(10 ** 400 + 1)
+
+
+def schoolbook_degenerate_count(sol, ell):
+    """The former prop6 enumeration: one fp_det per form of the span."""
+    sol_dim = len(sol)
+    enumerated = 0
+    degenerate = 0
+    coeffs = [0] * sol_dim
+    while True:
+        b = [[0] * 4 for _ in range(4)]
+        for t, cf in enumerate(coeffs):
+            if cf:
+                for i in range(4):
+                    for j in range(4):
+                        b[i][j] = (b[i][j] + cf * sol[t][i][j]) % ell
+        enumerated += 1
+        if fp_det(b, ell) == 0:
+            degenerate += 1
+        pos = 0
+        while pos < sol_dim and coeffs[pos] == ell - 1:
+            coeffs[pos] = 0
+            pos += 1
+        if pos == sol_dim:
+            break
+        coeffs[pos] += 1
+    return enumerated, degenerate
+
+
+def prop6_solution_space(ell):
+    abar, bbar = _quaternion_pair_mod(ell)
+    gens = [[[m[0][0], m[0][1], 0, 0], [m[1][0], m[1][1], 0, 0],
+             [0, 0, m[0][0], m[0][1]], [0, 0, m[1][0], m[1][1]]] for m in (abar, bbar)]
+    glue = [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]]
+    return _solve_form_constraints(gens + [glue], ell, 4, alternating=True)
+
+
+def random_alternating(rng, ell):
+    b = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            b[i][j] = rng.randrange(ell)
+            b[j][i] = (-b[i][j]) % ell
+    return b
+
+
+class TestProp6Pfaffian:
+    @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
+    def test_prop6_space_matches_the_determinant_loop(self, ell):
+        sol = prop6_solution_space(ell)
+        assert _count_degenerate_alternating(sol, ell) == schoolbook_degenerate_count(sol, ell)
+        cert = verify_prop6(ell)
+        assert (cert.counts["enumerated"], cert.counts["degenerate"]) == \
+            schoolbook_degenerate_count(sol, ell)
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_random_spans_match_the_determinant_loop(self, ell):
+        # spans with nondegenerate members and cross terms in the Pfaffian
+        rng = random.Random(f"pfaffian-{ell}")
+        nondegenerate_seen = False
+        for dim in (0, 1, 2, 3):
+            for _ in range(4):
+                sol = [random_alternating(rng, ell) for _ in range(dim)]
+                got = _count_degenerate_alternating(sol, ell)
+                assert got == schoolbook_degenerate_count(sol, ell), sol
+                nondegenerate_seen |= got[0] != got[1]
+        assert nondegenerate_seen
+
+    def test_non_alternating_form_rejected(self):
+        sol = [random_alternating(random.Random("sym"), 5)]
+        sol[0][0][0] = 1
+        with pytest.raises(InternalInconsistency):
+            _count_degenerate_alternating(sol, 5)
+
+    def test_prop6_enumerates_just_under_the_verify_ceiling(self):
+        cert = verify_prop6(999983)
+        assert cert.verdict
+        assert cert.counts["enumerated"] == cert.counts["degenerate"] == 999983

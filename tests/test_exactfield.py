@@ -8,7 +8,7 @@ from isodescent.errors import (
     NegativeValuation,
     NoInvolution,
 )
-from isodescent.exactfield import MAX_PRECISION_EXP, make_descriptor, with_uniformizer
+from isodescent.exactfield import MAX_CONDUCTOR, MAX_ELL, make_descriptor, with_uniformizer
 
 from conftest import random_field_element
 
@@ -25,6 +25,15 @@ class TestDescriptorConstruction:
     def test_rejects_bad_conductor(self):
         with pytest.raises(InvalidDescriptor):
             make_descriptor(0, 5)
+
+    def test_conductor_and_ell_caps(self):
+        assert make_descriptor(MAX_CONDUCTOR, 3).degree == 32
+        assert make_descriptor(1, 997).ell == 997    # the largest prime <= MAX_ELL
+        with pytest.raises(InvalidDescriptor, match=f"at most {MAX_CONDUCTOR}"):
+            make_descriptor(MAX_CONDUCTOR + 1, 3)
+        for ell in (1009, 10 ** 18 + 9):
+            with pytest.raises(InvalidDescriptor, match=f"at most {MAX_ELL}"):
+                make_descriptor(4, ell)
 
     def test_rejects_unclosed_subgroup(self):
         with pytest.raises(InvalidDescriptor):
@@ -198,19 +207,6 @@ class TestInvolution:
 
 
 class TestUniformizerChoice:
-    def test_precision_start_does_not_change_answers(self):
-        a = make_descriptor(4, 5, precision_start=8)
-        b = make_descriptor(4, 5, precision_start=64)
-        rng = random.Random("precision")
-        for _ in range(30):
-            x = random_field_element(rng, a)
-            y = b.element(list(x.coeffs))
-            assert x.valuation() == y.valuation()
-
-    def test_precision_start_above_the_ceiling_is_rejected(self):
-        with pytest.raises(InvalidDescriptor):
-            make_descriptor(4, 5, precision_start=MAX_PRECISION_EXP + 1)
-
     def test_unit_multiple_is_accepted(self, gauss5):
         alt = with_uniformizer(gauss5, gauss5.pi * gauss5.rational(2))
         assert alt.pi.valuation() == 1

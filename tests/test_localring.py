@@ -1,0 +1,312 @@
+"""The lambda-adic valuation against the digit strip it replaced.
+
+`DigitStripEngine` is the former `LambdaEngine` valuation, copied verbatim:
+elements in the u-basis of S_P, a nonzero residue at u -> 1 pins the
+valuation, an ell-division consumes e digits, and multiplying by
+Q(u) = prod_{c != 1} (1 - u^c) turns one (1 - u)-digit into an ell-division.
+It shares only the Hensel lift and `_var_powers` with the engine under test.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from isodescent.cyclotomic import euler_phi
+from isodescent.errors import InternalInconsistency
+from isodescent.exactfield import make_descriptor
+from isodescent.localring import PRECISION_START, LambdaEngine, _var_powers
+
+_TPoly = list[int]
+_Elt = list[list[int]]
+
+
+class DigitStripEngine(LambdaEngine):
+    def __init__(self, n: int, ell: int, factor: tuple[int, ...]):
+        super().__init__(n, ell, factor)
+        self._img_cache = {}
+        self._q_cache = {}
+
+    def zero_elt(self) -> _Elt:
+        return [[0] * self.f_full for _ in range(self.e_full)]
+
+    def _tmul(self, a: _TPoly, b: _TPoly, g_int, modulus: int) -> _TPoly:
+        conv = [0] * (2 * self.f_full - 1) if self.f_full > 0 else []
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    conv[i + j] += x * y
+        # monic reduction mod G
+        for k in range(len(conv) - 1, self.f_full - 1, -1):
+            c = conv[k] % modulus
+            if c:
+                for j in range(self.f_full):
+                    conv[k - self.f_full + j] -= c * g_int[j]
+            conv[k] = 0
+        return [conv[i] % modulus for i in range(self.f_full)]
+
+    def mul(self, z1: _Elt, z2: _Elt, prec: int) -> _Elt:
+        modulus = self.ell**prec
+        g_int = self.lift(prec)
+        e = self.e_full
+        rows: list[_TPoly] = [[0] * self.f_full for _ in range(2 * e - 1)]
+        for i in range(e):
+            if any(z1[i]):
+                for j in range(e):
+                    if any(z2[j]):
+                        prod = self._tmul(z1[i], z2[j], g_int, modulus)
+                        tgt = rows[i + j]
+                        for idx in range(self.f_full):
+                            tgt[idx] = (tgt[idx] + prod[idx]) % modulus
+        if self._psi is not None:
+            for k in range(2 * e - 2, e - 1, -1):
+                row = rows[k]
+                if any(row):
+                    for j in range(e):
+                        cj = self._psi[j]
+                        if cj:
+                            tgt = rows[k - e + j]
+                            for idx in range(self.f_full):
+                                tgt[idx] = (tgt[idx] - cj * row[idx]) % modulus
+        return [[v % modulus for v in rows[i]] for i in range(e)]
+
+    def images(self, prec: int) -> list[_Elt]:
+        """Images of zeta_n^j, j < phi(n), in S_prec."""
+        if prec in self._img_cache:
+            return self._img_cache[prec]
+        modulus = self.ell**prec
+        g_int = self.lift(prec)
+        la = self.ell**self.a
+        t_pows = _var_powers(max(self.m, 1), g_int, modulus)
+        u_pows = _var_powers(la, self._psi, modulus) if self.a >= 1 else []
+        phi_n = euler_phi(self.n)
+        imgs: list[_Elt] = []
+        for j in range(phi_n):
+            if self.a == 0:
+                row = t_pows[j % self.m]
+                elt = [[v % modulus for v in row]]
+            else:
+                te = t_pows[(self.alpha * j) % self.m]
+                ue = u_pows[(self.beta * j) % la]
+                elt = [[(uc * tv) % modulus for tv in te] for uc in ue]
+            imgs.append(elt)
+        self._img_cache[prec] = imgs
+        return imgs
+
+    def image_of(self, vec, prec: int) -> _Elt:
+        """Image in S_prec of an integer coefficient vector on the power basis."""
+        imgs = self.images(prec)
+        modulus = self.ell**prec
+        acc = self.zero_elt()
+        for j, c in enumerate(vec):
+            c %= modulus
+            if c:
+                img = imgs[j]
+                for i in range(self.e_full):
+                    row = img[i]
+                    tgt = acc[i]
+                    for idx in range(self.f_full):
+                        tgt[idx] = (tgt[idx] + c * row[idx]) % modulus
+        return acc
+
+    def _q_elt(self, prec: int) -> _Elt:
+        """Q(u) = prod over units c != 1 of (1 - u^c), with (1 - u) Q = ell."""
+        if prec in self._q_cache:
+            return self._q_cache[prec]
+        la = self.ell**self.a
+        modulus = self.ell**prec
+        u_pows = _var_powers(la, self._psi, modulus)
+        q = self.zero_elt()
+        q[0][0] = 1
+        for c in range(2, la):
+            if c % self.ell == 0:
+                continue
+            term = self.zero_elt()
+            term[0][0] = 1
+            uc = u_pows[c]
+            for i in range(self.e_full):
+                term[i][0] = (term[i][0] - uc[i]) % modulus
+            q = self.mul(q, term, prec)
+        # certify the divisor identity (1 - u) * Q = ell in S_prec
+        one_minus_u = self.zero_elt()
+        one_minus_u[0][0] = 1
+        u1 = u_pows[1]
+        for i in range(self.e_full):
+            one_minus_u[i][0] = (one_minus_u[i][0] - u1[i]) % modulus
+        prod = self.mul(one_minus_u, q, prec)
+        expect = self.zero_elt()
+        expect[0][0] = self.ell % modulus
+        if prod != expect:
+            raise InternalInconsistency("uniformizer digit divisor identity failed")
+        self._q_cache[prec] = q
+        return q
+
+    def residue_of(self, z: _Elt) -> tuple[int, ...]:
+        """Image in the residue field F_ell[t]/(factor): set u -> 1, reduce mod ell."""
+        total = [0] * self.f_full
+        for row in z:
+            for i, v in enumerate(row):
+                total[i] += v
+        return tuple(v % self.ell for v in total)
+
+    def analyze(self, vec, prec: int):
+        """Certified (valuation, residue-of-unit-part) of a nonzero integer vector.
+
+        Returns None when prec digits were not enough to certify; the residue
+        returned is that of z / pi^v, nonzero by construction.  Must not be
+        called on the zero vector (it would burn precision and return None).
+        """
+        z = self.image_of(vec, prec)
+        v = 0
+        cur_prec = prec
+        while True:
+            res = self.residue_of(z)
+            if any(res):
+                return v, res
+            if cur_prec < 2:
+                return None
+            modulus = self.ell**cur_prec
+            if all(val % self.ell == 0 for row in z for val in row):
+                z = [[(val // self.ell) % (modulus // self.ell) for val in row] for row in z]
+                cur_prec -= 1
+                v += self.e_full
+                continue
+            if self.a == 0:
+                raise InternalInconsistency(
+                    "zero residue without ell-divisibility in an unramified engine")
+            q = self._q_elt(cur_prec)
+            z = self.mul(z, q, cur_prec)
+            if any(val % self.ell for row in z for val in row):
+                raise InternalInconsistency("digit strip product not divisible by ell")
+            z = [[(val // self.ell) % (modulus // self.ell) for val in row] for row in z]
+            cur_prec -= 1
+            v += 1
+
+    def residue_after_ell_divisions(self, vec, k: int, prec: int) -> tuple[int, ...]:
+        """Residue of (vector / ell^k); requires the division to be exact lambda-adically."""
+        if prec < k + 1:
+            raise InternalInconsistency("insufficient precision for the requested divisions")
+        z = self.image_of(vec, prec)
+        modulus = self.ell**prec
+        for _ in range(k):
+            if any(val % self.ell for row in z for val in row):
+                raise InternalInconsistency(
+                    "ell-division requested on a vector that is not divisible")
+            modulus //= self.ell
+            z = [[(val // self.ell) % modulus for val in row] for row in z]
+        return self.residue_of(z)
+
+
+# (n, ell, subgroup): unramified, split, inert, tamely and wildly ramified,
+# with and without a subgroup
+GRID = [
+    (1, 5, (1,)), (4, 3, (1,)), (4, 5, (1,)), (5, 5, (1,)), (5, 5, (1, 4)),
+    (7, 7, (1, 2, 4)), (9, 3, (1,)), (12, 3, (1,)), (15, 5, (1,)),
+    (20, 5, (1,)), (21, 7, (1,)), (25, 5, (1,)), (28, 7, (1, 13)),
+    (63, 3, (1,)),
+]
+PRECISIONS = (2, 3, 8, 32)
+
+
+def _descriptor(n, ell, sub):
+    desc = make_descriptor(n, ell, subgroup=sub)
+    return desc, DigitStripEngine(n, ell, desc.factor)
+
+
+def _vectors(rng, desc, count):
+    """Nonzero integer vectors of Z[zeta_n], with valuations spread from 0
+    past e * 8: small vectors times powers of ell and of lambda = 1 - zeta_{ell^a}
+    (of ell itself when ell does not divide n)."""
+    ring = desc.ring
+    lam = ring.sub(ring.from_rational(1), ring.zeta_power(desc.m % desc.n))
+    if desc.a == 0:
+        lam = ring.from_rational(desc.ell)
+    out = []
+    while len(out) < count:
+        vec = ring.vector([rng.randint(-9, 9) for _ in range(desc.degree_full)])
+        if not any(vec):
+            continue
+        for _ in range(rng.choice([0, 0, 1, 2, 3, 6, 10])):
+            vec = ring.mul(vec, lam)
+        vec = ring.mul(vec, ring.from_rational(desc.ell ** rng.choice([0, 0, 1, 2, 5])))
+        out.append(tuple(int(c) for c in vec))
+    return out
+
+
+@pytest.mark.parametrize("n, ell, sub", GRID)
+def test_valuation_agrees_with_the_digit_strip(n, ell, sub):
+    desc, ref = _descriptor(n, ell, sub)
+    eng = desc.engine
+    rng = random.Random(f"oracle-{n}-{ell}-{sub}")
+    compared = 0
+    for vec in _vectors(rng, desc, 100):
+        for prec in PRECISIONS:
+            new = eng.analyze(vec, prec)
+            old = ref.analyze(vec, prec)
+            if old is not None:
+                assert new == old[0], (vec, prec)
+                compared += 1
+            elif new is not None:
+                assert new == ref.analyze(vec, 256)[0], (vec, prec)
+                compared += 1
+        assert eng.valuation(vec) == ref.analyze(vec, 256)[0]
+    assert compared >= 100
+
+
+@pytest.mark.parametrize("n, ell, sub", GRID)
+def test_residue_agrees_with_the_digit_strip(n, ell, sub):
+    desc, ref = _descriptor(n, ell, sub)
+    rng = random.Random(f"residue-{n}-{ell}-{sub}")
+    for _ in range(25):
+        x = desc.zero
+        for _ in range(rng.randrange(1, 4)):
+            x = x + desc.rational(rng.randint(-9, 9)) * desc.orbit_sum(rng.randrange(n))
+        # integral with an ell-power denominator: pi^(e k) / ell^k is a unit
+        k = rng.choice([0, 0, 1, 2])
+        x = x * desc.pi_power(desc.e * k + rng.choice([0, 1])) / desc.rational(
+            ell ** k * rng.choice([1, 2, 4]))
+        if x.is_zero:
+            continue
+        ints, t, d = x._numerator()
+        rc = ref.residue_after_ell_divisions(ints, t, max(PRECISION_START, t + 2))
+        expect = desc._residue_from_big(rc) * pow(d % ell, -1, ell)
+        assert x.reduce() == expect
+
+
+@pytest.mark.parametrize("n, ell, sub", [(4, 5, (1,)), (5, 5, (1,)), (7, 7, (1, 2, 4)),
+                                         (9, 3, (1,)), (28, 7, (1, 13))])
+def test_valuations_above_the_start_precision_certify(n, ell, sub):
+    desc = make_descriptor(n, ell, subgroup=sub)
+    unit = desc.one + desc.orbit_sum(1) * desc.rational(ell)
+    assert unit.valuation() == 0
+    big = unit * desc.rational(ell ** 40)
+    assert big.valuation() == 40 * desc.e
+    deep = desc.pi ** (40 * desc.e + 1)
+    assert deep.valuation() == 40 * desc.e + 1
+    assert (deep * unit).valuation() == 40 * desc.e + 1
+    # both need more than PRECISION_START lambda-adic digits
+    ints, _, _ = deep._numerator()
+    assert desc.engine.analyze(ints, PRECISION_START) is None
+    assert desc.engine.precision_ceiling(ints) > PRECISION_START
+
+
+def test_precision_ceiling_bounds_every_nonzero_element():
+    desc = make_descriptor(5, 5)
+    eng = desc.engine
+    rng = random.Random("ceiling")
+    for vec in _vectors(rng, desc, 60):
+        assert eng.analyze(vec, eng.precision_ceiling(vec)) is not None
+
+
+def test_uncertified_at_the_ceiling_is_an_inconsistency(monkeypatch):
+    desc = make_descriptor(4, 5)
+    monkeypatch.setattr(LambdaEngine, "analyze", lambda self, vec, prec: None)
+    with pytest.raises(InternalInconsistency):
+        desc.engine.valuation((1, 1))
+
+
+def test_residue_needs_divisible_digits():
+    desc = make_descriptor(5, 5)
+    with pytest.raises(InternalInconsistency):
+        desc.engine.residue((1, 0, 0, 0), 1)

@@ -84,8 +84,12 @@ def load_bundle(path: str, max_group_order=None):
     """Read and validate a bundle file; returns (GroupRep, options dict).
 
     All GroupRep invariants (closure under the cap, every element an
-    isometry) are re-checked during construction.
+    isometry) are re-checked during construction.  max_group_order, when
+    given, overrides the bundle's cap and must be a positive integer.
     """
+    _expect(max_group_order is None or
+            (isinstance(max_group_order, int) and max_group_order > 0),
+            "--max-group-order", f"must be a positive integer, got {max_group_order}")
     try:
         with open(path, "rb") as fh:
             text = fh.read()

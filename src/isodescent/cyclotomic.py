@@ -1,7 +1,9 @@
 """Exact arithmetic in Q(zeta_n) on the power basis 1, zeta, ..., zeta^(phi(n)-1).
 
 This is the coefficient-level substrate: vectors are plain tuples of Fraction,
-with no subfield constraint attached.  Ambient-field elements proper (vectors
+with no subfield constraint attached.  Matrix products, Galois maps and
+integer-coordinate work (int_mat_mul, int_galois) run on integer vectors in
+Z[zeta_n] and make Fractions only at the end.  Ambient-field elements proper (vectors
 fixed by the chosen Galois subgroup, with a designated prime above ell) are
 built on top of this in exactfield.
 
@@ -11,6 +13,7 @@ All functions are pure; CycloRing instances only hold precomputed tables.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -148,6 +151,10 @@ class CycloRing:
         one = [Fraction(0)] * self.phi
         one[0] = Fraction(1)
         self.one = tuple(one)
+        # zeta^k on the power basis for phi <= k <= 2 phi - 2, nonzero pairs:
+        # where a product of two coordinate vectors folds back modulo Phi_n
+        self._fold = [[(i, z) for i, z in enumerate(self.zeta_pow[k % n]) if z]
+                      for k in range(self.phi, 2 * self.phi - 1)]
 
     def _power_table(self) -> list[tuple[int, ...]]:
         # zeta^j on the power basis for 0 <= j < n, integer coordinates.
@@ -209,24 +216,16 @@ class CycloRing:
                         out[i] += c * z
         return tuple(out)
 
-    def mat_mul(self, a, b):
-        """Product of two matrices whose entries are coordinate vectors.
-
-        Each row of a and each column of b is brought to integer coordinates
-        over one common denominator, each output entry is the sum of integer
-        convolutions reduced once modulo Phi_n, and only its final
-        coordinates become Fractions.  Shapes are the caller's to check.
-        """
-        rows = [_integer_vectors(row) for row in a]
-        cols = [_integer_vectors(col) for col in zip(*b)]
-        phi, n, zeta_pow = self.phi, self.n, self.zeta_pow
-        # zeta^k on the power basis for phi <= k <= 2 phi - 2, nonzero pairs
-        fold = [[(i, z) for i, z in enumerate(zeta_pow[k % n]) if z]
-                for k in range(phi, 2 * phi - 1)]
+    def _dot_products(self, rows, cols):
+        """The integer coordinates of sum_k x_k y_k modulo Phi_n for every row
+        x of rows and column y of cols, each a list of sparse integer vectors
+        (lists of nonzero (index, coordinate) pairs): integer convolutions
+        summed, then reduced once modulo Phi_n."""
+        phi, fold = self.phi, self._fold
         out = []
-        for rd, ru in rows:
+        for ru in rows:
             out_row = []
-            for cd, cu in cols:
+            for cu in cols:
                 conv = [0] * (2 * phi - 1)
                 for x, y in zip(ru, cu):
                     if x and y:
@@ -238,9 +237,39 @@ class CycloRing:
                     if c:
                         for i, z in zs:
                             acc[i] += c * z
-                out_row.append(_over(acc, rd * cd))
+                out_row.append(acc)
             out.append(out_row)
         return out
+
+    def mat_mul(self, a, b):
+        """Product of two matrices whose entries are coordinate vectors.
+
+        Each row of a and each column of b is brought to integer coordinates
+        over one common denominator, each output entry is the sum of integer
+        convolutions reduced once modulo Phi_n, and only its final
+        coordinates become Fractions.  Shapes are the caller's to check.
+        """
+        rows = [_integer_vectors(row) for row in a]
+        cols = [_integer_vectors(col) for col in zip(*b)]
+        prods = self._dot_products([u for _, u in rows], [u for _, u in cols])
+        return [[_over(acc, rd * cd) for acc, (cd, _) in zip(prow, cols)]
+                for prow, (rd, _) in zip(prods, rows)]
+
+    def int_mat_mul(self, a, b):
+        """a @ b for matrices of integer coordinate vectors, exactly in
+        Z[zeta_n]; the entries of the product are tuples of ints."""
+        if self.phi == 1:
+            cols = [[y[0] for y in col] for col in zip(*b)]
+            return [[(sum(map(operator.mul, r, c)),) for c in cols]
+                    for r in ([x[0] for x in row] for row in a)]
+        sparse = lambda v: [(i, c) for i, c in enumerate(v) if c]
+        rows = [[sparse(x) for x in row] for row in a]
+        cols = [[sparse(y) for y in col] for col in zip(*b)]
+        return [[tuple(acc) for acc in prow] for prow in self._dot_products(rows, cols)]
+
+    def from_integer(self, w, d: int):
+        """The coordinate vector w / d of an integer vector w."""
+        return _over(w, d)
 
     def inv(self, u):
         if self.is_zero(u):
@@ -250,10 +279,16 @@ class CycloRing:
 
     def galois(self, u, t: int):
         """Apply zeta -> zeta^t (t must be prime to n)."""
+        w, d = self.integerize(u)
+        return _over(self.int_galois(w, t), d)
+
+    def int_galois(self, w, t: int):
+        """galois on an integer coordinate vector; the image has integer
+        coordinates too, since every zeta^j does."""
         if math.gcd(t, self.n) != 1:
             raise ValueError("galois exponent not prime to n")
-        out = [Fraction(0)] * self.phi
-        for j, c in enumerate(u):
+        out = [0] * self.phi
+        for j, c in enumerate(w):
             if c:
                 for i, z in enumerate(self.zeta_pow[(j * t) % self.n]):
                     if z:
@@ -265,7 +300,5 @@ class CycloRing:
 
     def integerize(self, u) -> tuple[tuple[int, ...], int]:
         """Write u = (1/d) * w with w an integer vector, d a positive integer."""
-        d = 1
-        for c in u:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        return tuple(int(c * d) for c in u), d
+        d = math.lcm(*(c.denominator for c in u))
+        return tuple(c.numerator * (d // c.denominator) for c in u), d

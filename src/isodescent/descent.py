@@ -22,6 +22,7 @@ internal inconsistency.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from dataclasses import dataclass
 
@@ -72,8 +73,16 @@ class GroupRep:
 
     The closure is enumerated breadth first over products with the
     generators (identity first, generator order fixed), so the element list
-    is deterministic.  Every element is checked against the isometry
-    equation; exceeding the cap raises GroupTooLarge.
+    is deterministic.  It runs on integer matrices: an element M is held as
+    (d, W) with M = W / d, W on integer coordinates in Z[zeta_n] and
+    gcd(d, W) = 1, and that pair is the key of the seen set.  links[i] is
+    (parent index, generator index) with elements[i] = elements[parent] *
+    generators[generator], and None for the identity, so per-element work
+    can be carried along the closure tree.  Every element, the generators
+    first, is checked against the isometry equation on the same integer
+    form, conj(W)^T G W = d^2 G for the gram matrix G / d_G; exceeding the
+    cap raises GroupTooLarge.  The FieldElement matrices are built once per
+    element, after the closure.
     """
 
     def __init__(self, field, generators, form: GramForm, cap: int = DEFAULT_GROUP_CAP):
@@ -86,30 +95,66 @@ class GroupRep:
         for g in self.generators:
             if len(g) != self.dim or any(len(r) != self.dim for r in g):
                 raise DimensionMismatch("generator does not match the form dimension")
-            # checking generators first keeps a bad input from blowing up the
-            # closure enumeration below (non-isometries need not have finite order)
-            if not form.is_isometry(g):
-                raise PreconditionViolated("a generator does not preserve the form")
-        ident = la.identity(field, self.dim)
-        out = [ident]
-        seen = {_mat_key(ident)}
-        queue = deque([ident])
+        mul = field.int_mat_mul
+        _, gram = field.integer_matrix(form.gram)
+        if form.conj is None:
+            conj_t = la.transpose
+        else:
+            s = field.involution
+            conj_t = lambda w: [[field.ring.int_galois(x, s) for x in col]
+                                for col in zip(*w)]
+
+        def preserves(d, w):
+            dd = d * d
+            return mul(conj_t(w), mul(gram, w)) == [
+                [tuple(dd * c for c in x) for x in row] for row in gram]
+
+        gens = [field.integer_matrix(g) for g in self.generators]
+        one, zero = field.integer_one, (0,) * field.degree_full
+        ident = [[one if i == j else zero for j in range(self.dim)] for i in range(self.dim)]
+        out = [(1, ident)]
+        links = [None]
+        seen = {(1, _mat_key(ident))}
+        queue = deque([0])
         while queue:
-            m = queue.popleft()
-            for g in self.generators:
-                p = la.mat_mul(m, g)
-                k = _mat_key(p)
-                if k not in seen:
+            idx = queue.popleft()
+            d, w = out[idx]
+            for gi, (gd, gw) in enumerate(gens):
+                pw, pd = mul(w, gw), d * gd
+                common = math.gcd(pd, *(c for row in pw for x in row for c in x))
+                if common > 1:
+                    pd //= common
+                    pw = [[tuple(c // common for c in x) for x in row] for row in pw]
+                key = (pd, _mat_key(pw))
+                if key not in seen:
+                    # the identity's products are the generators, so each is
+                    # checked before any longer product is formed: a bad input
+                    # cannot blow up the enumeration (non-isometries need not
+                    # have finite order)
+                    if not preserves(pd, pw):
+                        raise PreconditionViolated(
+                            "a generator does not preserve the form" if idx == 0
+                            else "a group element does not preserve the form")
                     if len(out) >= cap:
                         raise GroupTooLarge(
                             f"group closure exceeded the cap of {cap} elements")
-                    seen.add(k)
-                    out.append(p)
-                    queue.append(p)
-        self.elements = out
-        for m in self.elements:
-            if not form.is_isometry(m):
-                raise PreconditionViolated("a group element does not preserve the form")
+                    seen.add(key)
+                    queue.append(len(out))
+                    out.append((pd, pw))
+                    links.append((idx, gi))
+        self.links = links
+        # one FieldElement per distinct entry, so equal entries share their
+        # memoized valuation and residue
+        entries = {}
+
+        def entry(x, d):
+            key = (x, d)
+            el = entries.get(key)
+            if el is None:
+                el = entries[key] = field.from_integer(x, d)
+            return el
+
+        self.elements = [[[entry(x, d) for x in row] for row in w] for d, w in out]
 
     @property
     def order(self) -> int:
@@ -323,7 +368,14 @@ def descend(rep: GroupRep, start: Lattice | None = None) -> DescentResult:
     except (KindMismatch, DegenerateForm, NoInvolution):
         kind_correct = False
 
-    rho_bar = [reduced_action(m) for m in rep.elements]
+    # reduction mod pi is a ring homomorphism on integral matrices, and block
+    # lower triangular matrices multiply on their diagonal blocks: once each
+    # generator's action is integral and block lower triangular (checked by
+    # reduced_action), rho_bar(m g) = rho_bar(m) rho_bar(g) along the tree
+    gen_bar = [reduced_action(g) for g in rep.generators]
+    rho_bar = [la.identity(kfield, n)]
+    for parent, gen in rep.links[1:]:
+        rho_bar.append(la.mat_mul(rho_bar[parent], gen_bar[gen]))
     if f0 is None or not all(f0.is_isometry(p) for p in rho_bar):
         kind_correct = False
 

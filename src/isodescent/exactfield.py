@@ -36,6 +36,7 @@ from .finitefield import (
     fp_is_irreducible,
     fp_kernel,
     fp_solve,
+    multiplicative_order_mod,
 )
 from .localring import LambdaEngine
 
@@ -44,6 +45,12 @@ from .localring import LambdaEngine
 # and with ell, and the primality test of ell is trial division
 MAX_CONDUCTOR = 64
 MAX_ELL = 1000
+# the residue degree of ell in Q(zeta_n), the multiplicative order of ell
+# modulo the prime-to-ell part of n: the irreducible search, the root search
+# and the residue tables all grow with it.  16 admits Q(zeta_64) at ell = 3;
+# the slowest admitted descriptor timed, n = 31 at ell = 971 (f = 15), takes
+# about 3 s.
+MAX_RESIDUE_DEGREE = 16
 
 
 def _is_prime(p: int) -> bool:
@@ -348,6 +355,29 @@ class FieldDescriptor:
                         "matrix entries must be elements of one field descriptor")
         return [[x.coeffs for x in row] for row in m]
 
+    # integer coordinates (see linalg.charpoly): one common denominator per
+    # matrix, power-basis coordinates in Z[zeta_n]
+
+    def integer_matrix(self, m):
+        """(d, w) with m = w / d: d the least common denominator of every
+        coordinate of m, so gcd(d, w) = 1, and w the integer coordinate
+        tuples of the entries.  Raises InvalidDescriptor like mat_mul."""
+        coords = self._coords(m)
+        d = math.lcm(*{c.denominator for row in coords for v in row for c in v})
+        return d, [[tuple(c.numerator * (d // c.denominator) for c in v) for v in row]
+                   for row in coords]
+
+    def int_mat_mul(self, a, b):
+        return self.ring.int_mat_mul(a, b)
+
+    def from_integer(self, w, d: int) -> FieldElement:
+        """The element w / d for an integer coordinate tuple w."""
+        return FieldElement(self, self.ring.from_integer(w, d))
+
+    @property
+    def integer_one(self):
+        return (1,) + (0,) * (self.degree_full - 1)
+
     def pi_power(self, j: int) -> FieldElement:
         """pi^j with a cache (negative powers allowed)."""
         if j in self._pi_powers:
@@ -409,7 +439,8 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
     above ell in K, ordered by the smallest index of an irreducible factor
     in their orbit class (factors sorted by coefficient tuple); involution
     is a unit s mod n with s not in the subgroup and s^2 in it, or None.
-    The conductor is at most MAX_CONDUCTOR and ell at most MAX_ELL.
+    The conductor is at most MAX_CONDUCTOR, ell at most MAX_ELL and the
+    residue degree of ell in Q(zeta_n) at most MAX_RESIDUE_DEGREE.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidDescriptor("conductor must be a positive integer")
@@ -460,6 +491,11 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
     e_full = euler_phi(ell**a)
     phi_n = euler_phi(n)
 
+    f_cyclo = multiplicative_order_mod(ell, m)
+    if f_cyclo > MAX_RESIDUE_DEGREE:
+        raise InvalidDescriptor(
+            f"the residue degree of {ell} in Q(zeta_{n}) is {f_cyclo}; it must be "
+            f"at most {MAX_RESIDUE_DEGREE}")
     factors = cyclotomic_factors_mod(ell, m)
     f_full = len(factors[0][0]) - 1
     if any(len(p) - 1 != f_full for p, _ in factors):

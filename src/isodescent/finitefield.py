@@ -9,6 +9,7 @@ for bit.
 from __future__ import annotations
 
 import math
+import operator
 
 
 # ---------------------------------------------------------------------------
@@ -108,16 +109,21 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def fp_is_irreducible(h, p) -> bool:
-    """Rabin's test for a monic polynomial over F_p."""
+    """Ben-Or's test for a monic polynomial h of degree d over F_p.
+
+    h is irreducible iff gcd(h, x^(p^i) - x) = 1 for every i <= d/2, since
+    x^(p^i) - x is the product of the monic irreducibles of degree dividing
+    i.  A reducible h is rejected at the degree of its least factor, so a
+    candidate with a small factor costs a few p-th powers, not d of them.
+    """
     d = len(h) - 1
     if d < 1:
         return False
-    x = (0, 1)
-    if fp_powmod(x, p ** d, h, p) != fp_mod(x, h, p):
-        return False
-    for r in _prime_factors(d):
-        g = fp_sub(fp_powmod(x, p ** (d // r), h, p), x, p)
-        if len(fp_gcd(g, h, p)) != 1:
+    x = fp_mod((0, 1), h, p)
+    power = x
+    for _ in range(d // 2):
+        power = fp_powmod(power, p, h, p)
+        if len(fp_gcd(fp_sub(power, x, p), h, p)) != 1:
             return False
     return True
 
@@ -149,6 +155,10 @@ class ResidueField:
         assert self.modulus[-1] == 1, "modulus must be monic"
         self.degree = len(self.modulus) - 1
         self.order = p ** self.degree
+        # y^k mod the modulus for f <= k <= 2f - 2, nonzero pairs: where a
+        # product of two coefficient tuples folds back
+        self._fold = [[(i, z) for i, z in enumerate(self.element((0,) * k + (1,)).coeffs) if z]
+                      for k in range(self.degree, 2 * self.degree - 1)]
 
     def element(self, coeffs) -> "ResidueElement":
         if isinstance(coeffs, ResidueElement):
@@ -174,23 +184,18 @@ class ResidueField:
     def gen(self):
         return self.element((0, 1))
 
-    def mat_mul(self, a, b):
-        """Product of two matrices over this field on integer coefficients.
-
-        Each output entry accumulates the integer convolutions of its terms
-        and is reduced modulo the monic modulus and p once.  Raises
-        TypeError unless every entry is an element of this field.
-        """
+    def int_mat_mul(self, a, b):
+        """a @ b for matrices of coefficient tuples (ints, any representative
+        mod p): each output entry accumulates the integer convolutions of its
+        terms and is reduced modulo the monic modulus and p once."""
         p, f = self.p, self.degree
-        rows, cols = self._coeffs(a), list(zip(*self._coeffs(b)))
         if f == 1:
-            return [[ResidueElement(self, (sum(x[0] * y[0] for x, y in zip(row, col)) % p,))
-                     for col in cols] for row in rows]
-        # y^k mod the modulus for f <= k <= 2f - 2
-        fold = [[(i, z) for i, z in enumerate(self.element((0,) * k + (1,)).coeffs) if z]
-                for k in range(f, 2 * f - 1)]
+            cols = [[y[0] for y in col] for col in zip(*b)]
+            return [[(sum(map(operator.mul, r, c)) % p,) for c in cols]
+                    for r in ([x[0] for x in row] for row in a)]
+        fold, cols = self._fold, list(zip(*b))
         out = []
-        for row in rows:
+        for row in a:
             out_row = []
             for col in cols:
                 conv = [0] * (2 * f - 1)
@@ -204,17 +209,37 @@ class ResidueField:
                     if c:
                         for i, z in zs:
                             acc[i] += c * z
-                out_row.append(ResidueElement(self, tuple(c % p for c in acc)))
+                out_row.append(tuple(c % p for c in acc))
             out.append(out_row)
         return out
 
-    def _coeffs(self, m):
+    def mat_mul(self, a, b):
+        """Product of two matrices over this field by int_mat_mul on their
+        coefficients.  Raises TypeError unless every entry is an element of
+        this field."""
+        prod = self.int_mat_mul(self.integer_matrix(a)[1], self.integer_matrix(b)[1])
+        return [[ResidueElement(self, v) for v in row] for row in prod]
+
+    # integer coordinates (see linalg.charpoly): coefficient tuples over d = 1
+
+    def integer_matrix(self, m):
+        """(1, the coefficient tuples of the entries of m)."""
         for row in m:
             for x in row:
                 if not (isinstance(x, ResidueElement)
                         and (x.field is self or x.field == self)):
                     raise TypeError("matrix entries must be elements of one residue field")
-        return [[x.coeffs for x in row] for row in m]
+        return 1, [[x.coeffs for x in row] for row in m]
+
+    def from_integer(self, w, d: int):
+        """The element w / d for a coefficient tuple w and d prime to p."""
+        p = self.p
+        inv = pow(d, -1, p)
+        return ResidueElement(self, tuple(c * inv % p for c in w))
+
+    @property
+    def integer_one(self):
+        return (1,) + (0,) * (self.degree - 1)
 
     def elements(self):
         """All field elements in lexicographic coefficient order."""

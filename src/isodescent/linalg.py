@@ -8,6 +8,8 @@ here is numerical: pivots are exact equality tests against field.zero.
 Matrix products go through the `mat_mul` of the entries' field
 (FieldDescriptor or ResidueField), which works on integer coordinates and
 normalizes each output entry once instead of after every scalar step.
+charpoly works on those integer coordinates throughout, through the
+fields' `integer_matrix`, `int_mat_mul`, `integer_one` and `from_integer`.
 """
 
 from __future__ import annotations
@@ -178,67 +180,45 @@ def kernel_basis(a, field):
 
 
 # ----------------------------------------------------------------------
-# characteristic polynomial, division-light (only by nonzero field elements)
-
-
-def _hessenberg(a, field):
-    z = field.zero
-    h = mat_copy(a)
-    n = len(h)
-    for j in range(n - 2):
-        piv = next((i for i in range(j + 1, n) if h[i][j] != z), None)
-        if piv is None:
-            continue
-        if piv != j + 1:
-            h[piv], h[j + 1] = h[j + 1], h[piv]
-            for row in h:
-                row[piv], row[j + 1] = row[j + 1], row[piv]
-        inv = field.one / h[j + 1][j]
-        for i in range(j + 2, n):
-            if h[i][j] != z:
-                f = h[i][j] * inv
-                h[i] = [x - f * y for x, y in zip(h[i], h[j + 1])]
-                for row in h:
-                    row[j + 1] = row[j + 1] + f * row[i]
-    return h
+# characteristic polynomial, division free on integer coordinates
 
 
 def charpoly(a, field):
-    """Coefficients of det(x*I - a), low degree first, monic.
+    """Coefficients of det(x*I - a), low degree first, monic; length len(a) + 1.
 
-    Works over any exact field (similarity reduction to Hessenberg form, then
-    the leading-minor recurrence); length is len(a) + 1.
+    Berkowitz's division-free algorithm (Inform. Process. Lett. 18, 1984) on
+    the field's integer coordinates: over K on a = w / d, with w in
+    Z[zeta_n] and d one common denominator, and over a residue field on
+    coefficients mod p.  With c_k the coefficients of det(y*I - w), the
+    answer's coefficient k is c_k / d^(n-k).  Every product is one call of
+    the field's int_mat_mul, the convolve-and-fold kernel of its mat_mul;
+    nothing is inverted.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise DimensionMismatch("characteristic polynomial needs a square matrix")
-    z, o = field.zero, field.one
     if n == 0:
-        return [o]
-    h = _hessenberg(a, field)
-
-    def pmul_x_minus(poly, c):
-        # poly * (x - c)
-        out = [z] + poly[:]
-        for i, p in enumerate(poly):
-            out[i] = out[i] - c * p
-        return out
-
-    def psub_scaled(poly, other, c):
-        out = poly[:]
-        for i, p in enumerate(other):
-            out[i] = out[i] - c * p
-        return out
-
-    minors = [[o]]
-    for k in range(1, n + 1):
-        cur = pmul_x_minus(minors[k - 1], h[k - 1][k - 1])
-        prod = o
-        for i in range(k - 1, 0, -1):
-            # product of subdiagonal entries h[i][i-1] ... h[k-1][k-2]
-            prod = prod * h[i][i - 1]
-            coeff = h[i - 1][k - 1] * prod
-            if coeff != z:
-                cur = psub_scaled(cur, minors[i - 1], coeff)
-        minors.append(cur)
-    return minors[n]
+        return [field.one]
+    d, w = field.integer_matrix(a)
+    mul = field.int_mat_mul
+    one = field.integer_one
+    zero = (0,) * len(one)
+    neg = lambda v: tuple(-c for c in v)
+    # coefficients of the leading t x t minor, leading coefficient first, as
+    # a column; each step multiplies it by a lower triangular Toeplitz matrix
+    poly = [[one]]
+    for t in range(n):
+        # w's leading (t+1) x (t+1) block is [[sub, col], [row, w[t][t]]]
+        row = [w[t][:t]]
+        col = [[r[t]] for r in w[:t]]
+        sub = [r[:t] for r in w[:t]]
+        # first Toeplitz column: 1, -w[t][t], -row col, -row sub col, ...
+        first = [one, neg(w[t][t])]
+        for j in range(t):
+            if j:
+                row = mul(row, sub)
+            first.append(neg(mul(row, col)[0][0]))
+        toeplitz = [[first[i - j] if i >= j else zero for j in range(t + 1)]
+                    for i in range(t + 2)]
+        poly = mul(toeplitz, poly)
+    return [field.from_integer(c[0], d ** k) for k, c in enumerate(poly)][::-1]

@@ -4,9 +4,10 @@ import time
 
 import pytest
 
+from isodescent import cli
 from isodescent.cli import load_bundle, main
 from isodescent.errors import BundleFormatError
-from isodescent.exactfield import MAX_CONDUCTOR, MAX_ELL
+from isodescent.exactfield import MAX_CONDUCTOR, MAX_ELL, MAX_RESIDUE_DEGREE
 
 from conftest import bundle_path
 
@@ -136,6 +137,36 @@ class TestExitCodes:
         assert out == ""
         assert f"at most {cap}" in err
 
+    def test_residue_degree_over_its_cap_exits_one_fast(self, capsys, tmp_path):
+        # 3 has order 18 mod 19, the least residue degree over 16 that a
+        # conductor <= 64 attains; 61 has order 58 mod 59
+        assert MAX_RESIDUE_DEGREE == 16
+        for n, ell, f in ((19, 3, 18), (59, 61, 58)):
+            bundle = minimal_bundle()
+            bundle["field"].update(n=n, ell=ell)
+            p = tmp_path / "capped.json"
+            p.write_text(json.dumps(bundle))
+            started = time.perf_counter()
+            code, out, err = run(capsys, "descend", str(p))
+            assert time.perf_counter() - started < 1.0
+            assert code == 1
+            assert out == ""
+            assert f"is {f}; it must be at most {MAX_RESIDUE_DEGREE}" in err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_group_cap_flag_must_be_positive(self, capsys, monkeypatch, value):
+        # refused before the bundle is read, so before any field or closure work
+        def no_field(*args, **kwargs):
+            raise AssertionError("the field was built before the flag was checked")
+
+        monkeypatch.setattr(cli, "make_descriptor", no_field)
+        for command in ("descend", "balance", "charpoly"):
+            code, out, err = run(capsys, command, str(bundle_path("q8_split_ell5")),
+                                 "--max-group-order", value)
+            assert code == 1
+            assert out == ""
+            assert f"--max-group-order: must be a positive integer, got {value}" in err
+
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "descend", "/nonexistent/bundle.json")
         assert code == 1
@@ -241,6 +272,22 @@ class TestReports:
         assert len(result["classes"]) == 1
         # charpoly of the identity on a line is t - 1
         assert result["classes"][0]["charpoly"] == [["-1"], ["1"]]
+
+    def test_large_block_bundle_result(self, capsys, tmp_path):
+        # B_3 x B_2 over Q at ell = 5, order 384, dimension 5: written by
+        # perfbench.workloads.write_bundle from block_group(make_descriptor(1, 5),
+        # 3, 2, 3, _rngs("descend_groups", 0, "block-Q5-B3xB2-k3")).  The
+        # digest pins the result block byte for byte.
+        dest = tmp_path / "b3xb2.json"
+        code, _, _ = run(capsys, "descend", str(bundle_path("block_b3xb2_q5")),
+                         "--out", str(dest))
+        assert code == 0
+        result = json.loads(dest.read_text())["result"]
+        assert (result["group_order"], result["block_dims"], result["chain_steps"]) == \
+            (384, [3, 2], 2)
+        blob = json.dumps(result, sort_keys=True, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == \
+            "5c28df7c51e7a9706ba198b05c605eaca5b91bd57f997b98ffbdb54e6f872a42"
 
     def test_descend_result_fields(self, capsys):
         _, out, _ = run(capsys, "descend", str(bundle_path("z4_hermitian_inert_ell7")))

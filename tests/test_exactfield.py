@@ -8,7 +8,8 @@ from isodescent.errors import (
     NegativeValuation,
     NoInvolution,
 )
-from isodescent.exactfield import MAX_CONDUCTOR, MAX_ELL, make_descriptor, with_uniformizer
+from isodescent.exactfield import (MAX_CONDUCTOR, MAX_ELL, MAX_RESIDUE_DEGREE, make_descriptor,
+                                   with_uniformizer)
 
 from conftest import random_field_element
 
@@ -34,6 +35,17 @@ class TestDescriptorConstruction:
         for ell in (1009, 10 ** 18 + 9):
             with pytest.raises(InvalidDescriptor, match=f"at most {MAX_ELL}"):
                 make_descriptor(4, ell)
+
+    def test_residue_degree_cap(self):
+        # Q(zeta_64) at ell = 3, the field of the conductor cap, has the
+        # largest admitted residue degree; 3 has order 18 mod 19
+        assert make_descriptor(MAX_CONDUCTOR, 3).f == MAX_RESIDUE_DEGREE
+        with pytest.raises(InvalidDescriptor, match=f"at most {MAX_RESIDUE_DEGREE}"):
+            make_descriptor(19, 3)
+        # the cap is on Q(zeta_n): a subfield with a smaller residue degree
+        # needs the same tables
+        with pytest.raises(InvalidDescriptor, match=f"at most {MAX_RESIDUE_DEGREE}"):
+            make_descriptor(19, 3, subgroup=(1, 18))
 
     def test_rejects_unclosed_subgroup(self):
         with pytest.raises(InvalidDescriptor):

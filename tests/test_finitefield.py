@@ -13,12 +13,18 @@ from isodescent import linalg as la
 from isodescent.errors import SingularMatrix
 from isodescent.finitefield import (
     ResidueField,
+    _prime_factors,
     find_irreducible,
     fp_det,
+    fp_gcd,
+    fp_is_irreducible,
     fp_kernel,
     fp_mat_mul,
     fp_mat_pow,
+    fp_mod,
+    fp_powmod,
     fp_solve,
+    fp_sub,
 )
 
 PRIMES = (3, 5, 7)
@@ -111,3 +117,59 @@ def test_every_nonzero_element_has_an_inverse(p, degree):
         assert x * x.inverse() == F.one
         count += 1
     assert count == F.order - 1
+
+
+def rabin_is_irreducible(h, p):
+    """Rabin's test, the former fp_is_irreducible: x^(p^d) = x mod h, and
+    gcd(h, x^(p^(d/r)) - x) = 1 for every prime r dividing d."""
+    d = len(h) - 1
+    if d < 1:
+        return False
+    x = (0, 1)
+    if fp_powmod(x, p ** d, h, p) != fp_mod(x, h, p):
+        return False
+    for r in _prime_factors(d):
+        g = fp_sub(fp_powmod(x, p ** (d // r), h, p), x, p)
+        if len(fp_gcd(g, h, p)) != 1:
+            return False
+    return True
+
+
+def monic_polynomials(p, d):
+    for idx in range(p ** d):
+        coeffs = []
+        for _ in range(d):
+            coeffs.append(idx % p)
+            idx //= p
+        yield tuple(coeffs) + (1,)
+
+
+@pytest.mark.parametrize("p, max_degree", [(3, 6), (5, 4), (7, 3)])
+def test_irreducibility_matches_rabin_exhaustively(p, max_degree):
+    for d in range(1, max_degree + 1):
+        count = 0
+        for h in monic_polynomials(p, d):
+            got = fp_is_irreducible(h, p)
+            assert got == rabin_is_irreducible(h, p), h
+            count += got
+        # Gauss: the number of monic irreducibles of degree d over F_p
+        assert d * count == sum(_mobius(d // k) * p ** k for k in range(1, d + 1) if d % k == 0)
+
+
+def _mobius(n):
+    out, k = 1, 2
+    while k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            out = -out
+        k += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p, d", [(3, 7), (3, 8), (5, 6), (7, 5), (11, 4), (31, 3)])
+def test_find_irreducible_is_the_first_in_lexicographic_order(p, d):
+    h = find_irreducible(p, d)
+    first = next(g for g in monic_polynomials(p, d) if rabin_is_irreducible(g, p))
+    assert h == first

@@ -154,3 +154,116 @@ class TestShapes:
         o = make_descriptor(4, 5).one
         assert la.mat_mul([[], []], []) == [[], []]
         assert la.mat_mul([[o], [o]], [[]]) == [[], []]
+
+
+# ----------------------------------------------------------------------
+# characteristic polynomial: Berkowitz on integer coordinates against the
+# former Hessenberg reduction, which divided by a pivot in every column
+
+
+def _hessenberg(a, field):
+    z = field.zero
+    h = la.mat_copy(a)
+    n = len(h)
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j] != z), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv = field.one / h[j + 1][j]
+        for i in range(j + 2, n):
+            if h[i][j] != z:
+                f = h[i][j] * inv
+                h[i] = [x - f * y for x, y in zip(h[i], h[j + 1])]
+                for row in h:
+                    row[j + 1] = row[j + 1] + f * row[i]
+    return h
+
+
+def hessenberg_charpoly(a, field):
+    n = len(a)
+    z, o = field.zero, field.one
+    if n == 0:
+        return [o]
+    h = _hessenberg(a, field)
+
+    def pmul_x_minus(poly, c):
+        # poly * (x - c)
+        out = [z] + poly[:]
+        for i, p in enumerate(poly):
+            out[i] = out[i] - c * p
+        return out
+
+    def psub_scaled(poly, other, c):
+        out = poly[:]
+        for i, p in enumerate(other):
+            out[i] = out[i] - c * p
+        return out
+
+    minors = [[o]]
+    for k in range(1, n + 1):
+        cur = pmul_x_minus(minors[k - 1], h[k - 1][k - 1])
+        prod = o
+        for i in range(k - 1, 0, -1):
+            # product of subdiagonal entries h[i][i-1] ... h[k-1][k-2]
+            prod = prod * h[i][i - 1]
+            coeff = h[i - 1][k - 1] * prod
+            if coeff != z:
+                cur = psub_scaled(cur, minors[i - 1], coeff)
+        minors.append(cur)
+    return minors[n]
+
+
+# (n, ell, subgroup): Q, split, ramified with a subgroup, and three subfields
+# with 4-12 power-basis coordinates
+CHARPOLY_K_FIELDS = [(1, 5, (1,)), (4, 5, (1,)), (7, 7, (1, 2, 4)),
+                     (12, 5, (1, 11)), (20, 3, (1, 19)), (28, 7, (1, 13))]
+# (p, f)
+CHARPOLY_RESIDUE_FIELDS = [(5, 1), (7, 2), (3, 4), (5, 6)]
+
+
+class TestCharpoly:
+    @pytest.mark.parametrize("n, ell, sub", CHARPOLY_K_FIELDS)
+    def test_number_field_matches_hessenberg(self, n, ell, sub):
+        desc = make_descriptor(n, ell, subgroup=sub)
+        rng = random.Random(f"charpoly-K{n}-{ell}")
+        ell_denominators = 0
+        for dim in range(7):
+            for _ in range(3):
+                # pi^-1 and pi^-2 put ell into the denominators
+                a = random_matrix(lambda: k_entry(rng, desc), dim, dim)
+                ell_denominators += any(
+                    c.denominator % ell == 0 for row in a for x in row for c in x.coeffs)
+                got = la.charpoly(a, desc)
+                want = hessenberg_charpoly(a, desc)
+                assert len(got) == dim + 1 and got[-1] == desc.one
+                assert got == want
+                assert [x.serialize() for x in got] == [x.serialize() for x in want]
+        assert ell_denominators > 0
+
+    @pytest.mark.parametrize("p, f", CHARPOLY_RESIDUE_FIELDS)
+    def test_residue_field_matches_hessenberg(self, p, f):
+        field = ResidueField(p, find_irreducible(p, f))
+        rng = random.Random(f"charpoly-F{p}^{f}")
+        for dim in range(7):
+            for _ in range(5):
+                a = random_matrix(lambda: residue_entry(rng, field), dim, dim)
+                got = la.charpoly(a, field)
+                assert got == hessenberg_charpoly(a, field)
+                assert all(len(x.coeffs) == f and all(0 <= c < p for c in x.coeffs)
+                           for x in got)
+
+    def test_inverts_nothing(self, monkeypatch):
+        desc = make_descriptor(28, 7, subgroup=(1, 13))
+        rng = random.Random("charpoly without inverses")
+        a = random_matrix(lambda: k_entry(rng, desc), 5, 5)
+        want = hessenberg_charpoly(a, desc)
+
+        def refuse(self, u):
+            raise AssertionError("charpoly inverted a field element")
+
+        monkeypatch.setattr(CycloRing, "inv", refuse)
+        assert la.charpoly(a, desc) == want

@@ -309,7 +309,7 @@ def _irreducibility_witness(ell: int) -> bool:
     ring = CycloRing(ell)
     w = ring.sub(ring.zeta_power(1), ring.zeta_power(ell - 1))
     c = ring.add(ring.zeta_power(1), ring.zeta_power(ell - 1))
-    disc = ring.sub(ring.mul(c, c), ring.from_rational(4))
+    disc = ring.sub(ring.mul(c, c), tuple(4 * x for x in ring.one))
     if ring.mul(w, w) != disc:
         raise InternalInconsistency("discriminant witness failed to square")
     moved = ring.galois(w, ell - 1)

@@ -101,7 +101,7 @@ class GroupRep:
             conj_t = la.transpose
         else:
             s = field.involution
-            conj_t = lambda w: [[field.ring.int_galois(x, s) for x in col]
+            conj_t = lambda w: [[field.ring.galois(x, s) for x in col]
                                 for col in zip(*w)]
 
         def preserves(d, w):

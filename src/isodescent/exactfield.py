@@ -5,12 +5,14 @@ a subgroup H of the units mod n.  A descriptor fixes one prime above an odd
 prime ell (chosen among the Galois-orbit classes of irreducible factors of
 the prime-to-ell cyclotomic part), certifies a uniformizer for it, and
 carries the residue-field data needed to reduce integral elements.  Elements
-are exact (Fraction coefficients on the power basis of zeta_n).  Valuations
-and residues are read off the lambda-adic digits of the numerator in the
-completion (see localring): the valuation is the least e * v_ell(d_k) + k over
-the digits, certified at a working precision that doubles up to a ceiling
-computed from the element's norm, so no answer depends on floating point or
-on unproven precision heuristics.
+are exact: integer power-basis coordinates in Z[zeta_n] over one positive
+denominator, in lowest terms, and inverted through their norm to Q.
+Fractions appear only at the boundary (parsing, coeffs, serialize).
+Valuations and residues are read off the lambda-adic digits of the
+numerator in the completion (see localring): the valuation is the least
+e * v_ell(d_k) + k over the digits, certified at a working precision that
+doubles up to a ceiling computed from the element's norm, so no answer
+depends on floating point or on unproven precision heuristics.
 
 An optional involution is the restriction of zeta -> zeta^s for a unit s
 with s^2 in H and s not in H; its fixed field L has index 2 in K.  The
@@ -49,7 +51,7 @@ MAX_ELL = 1000
 # modulo the prime-to-ell part of n: the irreducible search, the root search
 # and the residue tables all grow with it.  16 admits Q(zeta_64) at ell = 3;
 # the slowest admitted descriptor timed, n = 31 at ell = 971 (f = 15), takes
-# about 3 s.
+# about 0.6 s, most of it in the irreducible search.
 MAX_RESIDUE_DEGREE = 16
 
 
@@ -80,21 +82,76 @@ def _cyclic_closure(seed, extra, n):
     return out
 
 
+_new = object.__new__
+
+
+def _make(field, num, den):
+    """The element num / den, already in lowest terms with den > 0."""
+    x = _new(FieldElement)
+    x.field, x.num, x.den, x._val, x._res = field, num, den, None, None
+    return x
+
+
+def _lowest(field, num, den):
+    """num / den for den > 0, brought to lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num, den = tuple(c // g for c in num), den // g
+    return _make(field, num, den)
+
+
+def _add(field, a, da, b, db):
+    """a / da + b / db.  With g = gcd(da, db), any common factor of the sum
+    a * (db / g) + b * (da / g) and da * db / g divides g (Knuth, TAOCP
+    4.5.1), so only g is tested."""
+    if da == db:
+        return _lowest(field, field.ring.add(a, b), da)
+    g = math.gcd(da, db)
+    sa, sb = db // g, da // g
+    num = tuple(x * sa + y * sb for x, y in zip(a, b))
+    den = sa * da
+    if g != 1:
+        h = math.gcd(g, *num)
+        if h != 1:
+            num, den = tuple(c // h for c in num), den // h
+    return _make(field, num, den)
+
+
 class FieldElement:
     """One element of K, exact, with memoized certification results.
 
-    Construct through FieldDescriptor.element (which checks membership in the
-    H-fixed subfield); direct construction skips that check and is reserved
-    for arithmetic, where closure under the field operations guarantees it.
+    An element is num / den: num its power-basis coordinates in Z[zeta_n],
+    a tuple of ints, and den a positive int with gcd(den, *num) = 1, so
+    equal elements have equal pairs.  Arithmetic builds results straight
+    from such pairs.  FieldElement(field, coeffs) takes rational power-basis
+    coordinates, and coeffs gives them back as Fractions; both are for the
+    boundary (parsing, serialize, tests).
+
+    Construct through FieldDescriptor.element, which checks membership in the
+    H-fixed subfield; FieldElement(field, coeffs) skips that check.
     """
 
-    __slots__ = ("field", "coeffs", "_val", "_res")
+    __slots__ = ("field", "num", "den", "_val", "_res")
 
     def __init__(self, field: "FieldDescriptor", coeffs):
+        # den is the least common denominator, so gcd(den, *num) = 1
+        qs = [Fraction(c) for c in coeffs]
+        if len(qs) > field.degree_full:
+            raise InvalidDescriptor(
+                f"expected at most {field.degree_full} coefficients, got {len(qs)}")
+        qs += [Fraction(0)] * (field.degree_full - len(qs))
+        den = math.lcm(*(q.denominator for q in qs))
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.num = tuple(q.numerator * (den // q.denominator) for q in qs)
+        self.den = den
         self._val = None
         self._res = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- coercion ------------------------------------------------------
 
@@ -105,7 +162,7 @@ class FieldElement:
                 raise InvalidDescriptor("cannot mix elements of different field descriptors")
             return other
         if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, self.field.ring.from_rational(Fraction(other)))
+            return self.field.rational(other)
         return None
 
     # -- arithmetic ----------------------------------------------------
@@ -114,7 +171,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, self.field.ring.add(self.coeffs, o.coeffs))
+        return _add(self.field, self.num, self.den, o.num, o.den)
 
     __radd__ = __add__
 
@@ -122,19 +179,19 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, self.field.ring.sub(self.coeffs, o.coeffs))
+        return _add(self.field, self.num, self.den, self.field.ring.neg(o.num), o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, self.field.ring.sub(o.coeffs, self.coeffs))
+        return _add(self.field, o.num, o.den, self.field.ring.neg(self.num), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, self.field.ring.mul(self.coeffs, o.coeffs))
+        return _lowest(self.field, self.field.ring.mul(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -151,7 +208,7 @@ class FieldElement:
         return o * self.inverse()
 
     def __neg__(self):
-        return FieldElement(self.field, self.field.ring.neg(self.coeffs))
+        return _make(self.field, self.field.ring.neg(self.num), self.den)
 
     def __pow__(self, exp: int):
         if not isinstance(exp, int):
@@ -168,7 +225,19 @@ class FieldElement:
         return out
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.ring.inv(self.coeffs))
+        """(num / den)^-1 = den * y / N with y = ring.inv(num) and
+        N = num * y the norm of num from K to Q, a nonzero integer."""
+        field = self.field
+        ring = field.ring
+        y = ring.inv(self.num, field.conjugates)
+        prod = ring.mul(self.num, y)
+        norm = prod[0]
+        if any(prod[1:]):
+            raise InternalInconsistency("the norm of a field element is not rational")
+        if norm < 0:
+            norm, y = -norm, ring.neg(y)
+        den = self.den
+        return _lowest(field, y if den == 1 else tuple(den * c for c in y), norm)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -176,10 +245,15 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             return NotImplemented
         return ((self.field is other.field or self.field == other.field)
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.field.key, self.coeffs))
+        # a rational element equals the int or Fraction of its value, so it
+        # hashes like one; the field is left out, since clones compare equal
+        num = self.num
+        if any(num[1:]):
+            return hash((num, self.den))
+        return hash(num[0]) if self.den == 1 else hash(Fraction(num[0], self.den))
 
     def __repr__(self):
         return f"FieldElement({list(self.coeffs)!r})"
@@ -188,16 +262,16 @@ class FieldElement:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def _numerator(self):
         """(w, t, d) with self = w / (ell^t d), w an integer vector, d prime to ell."""
-        ints, den = self.field.ring.integerize(self.coeffs)
-        t = 0
-        while den % self.field.ell == 0:
-            den //= self.field.ell
+        ell = self.field.ell
+        den, t = self.den, 0
+        while den % ell == 0:
+            den //= ell
             t += 1
-        return ints, t, den
+        return self.num, t, den
 
     def valuation(self):
         """Certified valuation at the chosen prime (math.inf for zero)."""
@@ -240,10 +314,21 @@ class FieldElement:
         field = self.field
         if field.involution is None:
             raise NoInvolution("field descriptor carries no involution")
-        return FieldElement(field, field.ring.galois(self.coeffs, field.involution))
+        # a Galois map is a ring automorphism of Z[zeta_n], so the content
+        # of num, and with it the lowest terms, is unchanged
+        return _make(field, field.ring.galois(self.num, field.involution), self.den)
 
     def serialize(self) -> list[str]:
         return [str(c) for c in self.coeffs]
+
+
+def _over_common(xs, d=None):
+    """(d, nums): d a common multiple of the denominators of the elements xs,
+    by default the least, and nums their numerators over it."""
+    if d is None:
+        d = math.lcm(*(x.den for x in xs))
+    return d, [x.num if x.den == d else tuple(c * (d // x.den) for c in x.num)
+               for x in xs]
 
 
 class FieldDescriptor:
@@ -281,11 +366,11 @@ class FieldDescriptor:
 
     # -- element constructors -------------------------------------------
 
-    def _is_fixed(self, coeffs) -> bool:
+    def _is_fixed(self, num) -> bool:
         for h in self.subgroup:
             if h % self.n == 1 % self.n:
                 continue
-            if self.ring.galois(coeffs, h) != tuple(coeffs):
+            if self.ring.galois(num, h) != num:
                 return False
         return True
 
@@ -300,30 +385,28 @@ class FieldDescriptor:
             if coeffs.field != self:
                 raise InvalidDescriptor("element belongs to a different field descriptor")
             return coeffs
-        vals = [Fraction(c) for c in coeffs]
-        if len(vals) > self.degree_full:
-            raise InvalidDescriptor(
-                f"expected at most {self.degree_full} coefficients, got {len(vals)}")
-        vals += [Fraction(0)] * (self.degree_full - len(vals))
-        vec = self.ring.vector(vals)
-        if not self._is_fixed(vec):
+        x = FieldElement(self, coeffs)
+        if not self._is_fixed(x.num):
             raise InvalidDescriptor(
                 "coefficient vector is not fixed by the subgroup; not an element of K")
-        return FieldElement(self, vec)
+        return x
 
     def rational(self, q) -> FieldElement:
-        return FieldElement(self, self.ring.from_rational(Fraction(q)))
+        if not isinstance(q, int):
+            q = Fraction(q)
+            return _make(self, (q.numerator,) + self.ring.zero[1:], q.denominator)
+        return _make(self, (q,) + self.ring.zero[1:], 1)
 
     def zeta_power(self, j: int) -> FieldElement:
         """zeta_n^j when it lies in K (validated)."""
-        return self.element(list(self.ring.zeta_power(j % self.n)))
+        return self.element(self.ring.zeta_power(j))
 
     def orbit_sum(self, j: int) -> FieldElement:
         """Sum of zeta_n^(j*h) over the subgroup; always lies in K."""
         acc = self.ring.zero
         for h in self.subgroup:
-            acc = self.ring.add(acc, self.ring.zeta_power((j * h) % self.n))
-        return FieldElement(self, acc)
+            acc = self.ring.add(acc, self.ring.zeta_power(j * h))
+        return _make(self, acc, 1)
 
     @property
     def one(self) -> FieldElement:
@@ -337,15 +420,10 @@ class FieldDescriptor:
             self._zero = self.rational(0)
         return self._zero
 
-    def mat_mul(self, a, b):
-        """Product of two matrices over K by the integer kernel of the ring.
+    # integer coordinates (see linalg.charpoly): one common denominator per
+    # matrix, row or column, power-basis coordinates in Z[zeta_n]
 
-        Raises InvalidDescriptor unless every entry is an element of this
-        descriptor (or of a clone of it)."""
-        prod = self.ring.mat_mul(self._coords(a), self._coords(b))
-        return [[FieldElement(self, v) for v in row] for row in prod]
-
-    def _coords(self, m):
+    def _check(self, m):
         for row in m:
             for x in row:
                 # identity first: == builds two key tuples; clones stay equal
@@ -353,30 +431,40 @@ class FieldDescriptor:
                         and (x.field is self or x.field == self)):
                     raise InvalidDescriptor(
                         "matrix entries must be elements of one field descriptor")
-        return [[x.coeffs for x in row] for row in m]
 
-    # integer coordinates (see linalg.charpoly): one common denominator per
-    # matrix, power-basis coordinates in Z[zeta_n]
+    def mat_mul(self, a, b):
+        """Product of two matrices over K by the integer kernel of the ring:
+        each row of a and each column of b is put over one common
+        denominator, and each output entry is brought to lowest terms once.
+
+        Raises InvalidDescriptor unless every entry is an element of this
+        descriptor (or of a clone of it)."""
+        self._check(a)
+        self._check(b)
+        rows = [_over_common(row) for row in a]
+        cols = [_over_common(col) for col in zip(*b)]
+        prod = self.ring.int_mat_mul([w for _, w in rows], list(zip(*(w for _, w in cols))))
+        return [[_lowest(self, v, rd * cd) for v, (cd, _) in zip(prow, cols)]
+                for prow, (rd, _) in zip(prod, rows)]
 
     def integer_matrix(self, m):
         """(d, w) with m = w / d: d the least common denominator of every
-        coordinate of m, so gcd(d, w) = 1, and w the integer coordinate
-        tuples of the entries.  Raises InvalidDescriptor like mat_mul."""
-        coords = self._coords(m)
-        d = math.lcm(*{c.denominator for row in coords for v in row for c in v})
-        return d, [[tuple(c.numerator * (d // c.denominator) for c in v) for v in row]
-                   for row in coords]
+        entry of m, so gcd(d, w) = 1, and w the integer coordinate tuples
+        of the entries.  Raises InvalidDescriptor like mat_mul."""
+        self._check(m)
+        d = math.lcm(*(x.den for row in m for x in row))
+        return d, [_over_common(row, d)[1] for row in m]
 
     def int_mat_mul(self, a, b):
         return self.ring.int_mat_mul(a, b)
 
     def from_integer(self, w, d: int) -> FieldElement:
-        """The element w / d for an integer coordinate tuple w."""
-        return FieldElement(self, self.ring.from_integer(w, d))
+        """The element w / d for an integer coordinate tuple w and d > 0."""
+        return _lowest(self, tuple(w), d)
 
     @property
     def integer_one(self):
-        return (1,) + (0,) * (self.degree_full - 1)
+        return self.ring.one
 
     def pi_power(self, j: int) -> FieldElement:
         """pi^j with a cache (negative powers allowed)."""
@@ -604,6 +692,10 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
     desc.subgroup_L = HL
     desc.two_e_ok = 2 * e < ell - 1
     desc.ring = CycloRing(n)
+    # one exponent from each nontrivial coset of the units modulo H: the
+    # product of these conjugates of an element of K with it is its norm
+    desc.conjugates = tuple(sorted({min((t * h) % n for h in H) for t in units} - {1})) \
+        if n > 1 else ()
     desc.engine = LambdaEngine(n, ell, chosen_factor)
     assert desc.engine.e_full == e_full and desc.engine.f_full == f_full
 
@@ -683,9 +775,9 @@ def _uniformizer_candidates(desc: FieldDescriptor, trace_group):
         yield desc.rational(desc.ell)
         return
     # all remaining candidates need actual ramification
-    base = ring.sub(ring.from_rational(Fraction(1)), ring.zeta_power(m % n))
+    base = ring.sub(ring.one, ring.zeta_power(m))
     if all((h * m) % n == m % n for h in trace_group):
-        yield FieldElement(desc, base)
+        yield desc.from_integer(base, 1)
     power = base
     for s_exp in (1, 2, 3):
         if s_exp > 1:
@@ -695,7 +787,7 @@ def _uniformizer_candidates(desc: FieldDescriptor, trace_group):
             acc = ring.zero
             for h in trace_group:
                 acc = ring.add(acc, ring.galois(y, h))
-            yield FieldElement(desc, acc)
+            yield desc.from_integer(acc, 1)
 
 
 def _first_valuation_one(desc: FieldDescriptor, candidates):
@@ -703,7 +795,7 @@ def _first_valuation_one(desc: FieldDescriptor, candidates):
     for x in candidates:
         if x.is_zero:
             continue
-        if not desc._is_fixed(x.coeffs):
+        if not desc._is_fixed(x.num):
             raise InternalInconsistency("uniformizer candidate left the field")
         v = x.valuation()
         if v == 1:
@@ -773,7 +865,7 @@ def with_uniformizer(desc: FieldDescriptor, pi_new: FieldElement) -> FieldDescri
                 "unramified descriptors need a conjugation-fixed uniformizer")
     clone = FieldDescriptor()
     clone.__dict__.update(desc.__dict__)
-    clone.pi = FieldElement(clone, pi_new.coeffs)
+    clone.pi = _make(clone, pi_new.num, pi_new.den)
     clone._pi_powers = {0: clone.one, 1: clone.pi}
     clone._one = None
     clone._zero = None

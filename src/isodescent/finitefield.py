@@ -68,8 +68,11 @@ def fp_gcd(a, b, p):
 
 
 def fp_powmod(base, e, modulus, p):
-    result = (1,)
     base = fp_mod(base, modulus, p)
+    if len(base) <= 1:
+        # a constant stays in F_p: one integer power
+        return fp_trim((pow(base[0] if base else 0, e, p),))
+    result = (1,)
     while e:
         if e & 1:
             result = fp_mod(fp_mul(result, base, p), modulus, p)
@@ -400,15 +403,20 @@ def cyclotomic_factors_mod(ell: int, m: int):
     # deterministic primitive m-th root of unity in Fq: eta^m = 1, so eta has
     # order m iff no eta^(m/q) is 1 (q prime); this never factors |Fq*|
     cofactor = (Fq.order - 1) // m
+    h, primes = Fq.modulus, _prime_factors(m)
     xi = None
     for c in Fq.elements():
         if c.is_zero():
             continue
-        eta = c ** cofactor
-        if all(eta ** (m // q) != Fq.one for q in _prime_factors(m)):
-            xi = eta
+        eta = fp_powmod(fp_trim(c.coeffs), cofactor, h, ell)
+        if all(fp_powmod(eta, m // q, h, ell) != (1,) for q in primes):
+            xi = Fq.element(eta)
             break
     assert xi is not None, "no primitive root found"
+    # xi^0, ..., xi^(m-1), one multiplication each
+    powers = [Fq.one]
+    for _ in range(m - 1):
+        powers.append(powers[-1] * xi)
     units = [j for j in range(1, m) if math.gcd(j, m) == 1]
     seen, factors = set(), []
     for j in units:
@@ -423,7 +431,7 @@ def cyclotomic_factors_mod(ell: int, m: int):
         # minimal polynomial of xi^j: prod over the orbit of (x - xi^i)
         poly = [Fq.one]
         for i in orbit:
-            root = xi ** i
+            root = powers[i]
             nxt = [Fq.zero] * (len(poly) + 1)
             for k, c in enumerate(poly):
                 nxt[k + 1] = nxt[k + 1] + c

@@ -5,6 +5,7 @@ on ResidueElement objects over F_p = ResidueField(p, y).  The two share no
 code, so agreement on random matrices is an independent check of each.
 """
 
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from isodescent.errors import SingularMatrix
 from isodescent.finitefield import (
     ResidueField,
     _prime_factors,
+    cyclotomic_factors_mod,
     find_irreducible,
     fp_det,
     fp_gcd,
@@ -25,6 +27,8 @@ from isodescent.finitefield import (
     fp_powmod,
     fp_solve,
     fp_sub,
+    fp_trim,
+    multiplicative_order_mod,
 )
 
 PRIMES = (3, 5, 7)
@@ -173,3 +177,64 @@ def test_find_irreducible_is_the_first_in_lexicographic_order(p, d):
     h = find_irreducible(p, d)
     first = next(g for g in monic_polynomials(p, d) if rabin_is_irreducible(g, p))
     assert h == first
+
+
+def reference_cyclotomic_factors_mod(ell, m):
+    """The factorization as first written: every power of the primitive root
+    by ResidueElement.__pow__, the root search over ResidueElements."""
+    if m == 1:
+        return [(((ell - 1) % ell, 1), frozenset({0}))]
+    d = multiplicative_order_mod(ell, m)
+    Fq = ResidueField(ell, find_irreducible(ell, d))
+    cofactor = (Fq.order - 1) // m
+    xi = None
+    for c in Fq.elements():
+        if c.is_zero():
+            continue
+        eta = c ** cofactor
+        if all(eta ** (m // q) != Fq.one for q in _prime_factors(m)):
+            xi = eta
+            break
+    units = [j for j in range(1, m) if math.gcd(j, m) == 1]
+    seen, factors = set(), []
+    for j in units:
+        if j in seen:
+            continue
+        orbit = []
+        cur = j
+        while cur not in orbit:
+            orbit.append(cur)
+            cur = (cur * ell) % m
+        seen.update(orbit)
+        poly = [Fq.one]
+        for i in orbit:
+            root = xi ** i
+            nxt = [Fq.zero] * (len(poly) + 1)
+            for k, c in enumerate(poly):
+                nxt[k + 1] = nxt[k + 1] + c
+                nxt[k] = nxt[k] - c * root
+            poly = nxt
+        factors.append((tuple(c.coeffs[0] for c in poly), frozenset(orbit)))
+    factors.sort(key=lambda fo: fo[0])
+    return factors
+
+
+# split, inert and mixed cases, m a prime power, squarefree and neither, and
+# the slowest pair under the descriptor caps (f = 15)
+@pytest.mark.parametrize("ell, m", [
+    (3, 1), (5, 4), (7, 4), (3, 5), (11, 5), (3, 7), (13, 7), (3, 8), (5, 9),
+    (7, 12), (3, 20), (5, 21), (3, 28), (11, 31), (5, 63), (971, 31),
+])
+def test_cyclotomic_factors_match_the_reference(ell, m):
+    assert cyclotomic_factors_mod(ell, m) == reference_cyclotomic_factors_mod(ell, m)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_powmod_of_a_constant_matches_the_field_power(p):
+    # fp_powmod takes constants by an integer power; ResidueElement.__pow__
+    # multiplies in the field
+    F = ResidueField(p, find_irreducible(p, 3))
+    for c in range(p):
+        for e in (0, 1, 2, p, 10 ** 6 + 3):
+            assert fp_powmod((c,) if c else (), e, F.modulus, p) == \
+                fp_trim((F.element(c) ** e).coeffs)

@@ -1,7 +1,8 @@
 """Matrix products by the field kernels, against schoolbook scalar sums.
 
 linalg.mat_mul hands every product to the field of its entries: K products
-run on integer coordinates over a common denominator (CycloRing.mat_mul),
+run on integer coordinates over a common denominator per row and column
+(FieldDescriptor.mat_mul, through CycloRing.int_mat_mul),
 residue-field products on integer coefficients reduced once per entry
 (ResidueField.mat_mul).  The reference here sums scalar * and + directly and
 never goes through either kernel.
@@ -262,7 +263,7 @@ class TestCharpoly:
         a = random_matrix(lambda: k_entry(rng, desc), 5, 5)
         want = hessenberg_charpoly(a, desc)
 
-        def refuse(self, u):
+        def refuse(self, *args):
             raise AssertionError("charpoly inverted a field element")
 
         monkeypatch.setattr(CycloRing, "inv", refuse)

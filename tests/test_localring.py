@@ -219,18 +219,19 @@ def _vectors(rng, desc, count):
     past e * 8: small vectors times powers of ell and of lambda = 1 - zeta_{ell^a}
     (of ell itself when ell does not divide n)."""
     ring = desc.ring
-    lam = ring.sub(ring.from_rational(1), ring.zeta_power(desc.m % desc.n))
+    scalar = lambda c: tuple(c * x for x in ring.one)
+    lam = ring.sub(ring.one, ring.zeta_power(desc.m))
     if desc.a == 0:
-        lam = ring.from_rational(desc.ell)
+        lam = scalar(desc.ell)
     out = []
     while len(out) < count:
-        vec = ring.vector([rng.randint(-9, 9) for _ in range(desc.degree_full)])
+        vec = tuple(rng.randint(-9, 9) for _ in range(desc.degree_full))
         if not any(vec):
             continue
         for _ in range(rng.choice([0, 0, 1, 2, 3, 6, 10])):
             vec = ring.mul(vec, lam)
-        vec = ring.mul(vec, ring.from_rational(desc.ell ** rng.choice([0, 0, 1, 2, 5])))
-        out.append(tuple(int(c) for c in vec))
+        vec = ring.mul(vec, scalar(desc.ell ** rng.choice([0, 0, 1, 2, 5])))
+        out.append(vec)
     return out
 
 

@@ -1,0 +1,118 @@
+"""Field invariants checked against sympy, which shares no code with the package.
+
+- The norm that CycloRing.inv yields (w * inv(w) = N_{K/Q}(w)) against the
+  resultant: N_{K/Q}(x)^[Q(zeta_n):K] = Res_t(Phi_n(t), x(t)).
+- The ramification index e, the residue degree f and the number of primes
+  above ell of each descriptor against sympy's prime_decomp, on a defining
+  polynomial of K found by resultants.
+
+Runs only where sympy is installed; the package itself does not depend on it.
+"""
+
+import functools
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.numberfields.exceptions import ClosureFailure  # noqa: E402
+from sympy.polys.numberfields.primes import prime_decomp  # noqa: E402
+
+from isodescent.exactfield import make_descriptor  # noqa: E402
+
+from conftest import random_field_element  # noqa: E402
+
+T, X = sympy.symbols("t X")
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic(n):
+    return sympy.cyclotomic_poly(n, T)
+
+
+def as_polynomial(x):
+    """The element x as a polynomial in t = zeta_n, rational coefficients."""
+    return sum(sympy.Rational(c.numerator, c.denominator) * T ** i
+               for i, c in enumerate(x.coeffs))
+
+
+# ---------------------------------------------------------------------------
+# the norm against the resultant
+
+NORM_FIELDS = [
+    (1, 5, (1,)), (4, 5, (1,)), (5, 5, (1, 4)), (7, 7, (1, 2, 4)), (9, 3, (1,)),
+    (12, 5, (1, 11)), (20, 5, (1, 19)), (28, 7, (1, 13)),
+]
+
+
+@pytest.mark.parametrize("n, ell, sub", NORM_FIELDS)
+def test_norm_from_inv_is_the_resultant(n, ell, sub):
+    desc = make_descriptor(n, ell, subgroup=sub)
+    ring = desc.ring
+    rng = random.Random(f"norm-{n}-{ell}-{sub}")
+    for _ in range(12):
+        x = random_field_element(rng, desc)
+        if x.is_zero:
+            continue
+        prod = ring.mul(x.num, ring.inv(x.num, desc.conjugates))
+        assert not any(prod[1:])
+        norm = Fraction(prod[0], x.den ** desc.degree)
+        res = sympy.resultant(cyclotomic(n), as_polynomial(x), T)
+        assert sympy.Rational(norm.numerator, norm.denominator) ** len(desc.subgroup) == res
+
+
+# ---------------------------------------------------------------------------
+# e, f and the prime count against prime_decomp
+
+# (n, ell, subgroup): split, inert and ramified primes, tame and wild
+# ramification, with and without a subgroup
+DECOMP_GRID = [
+    (1, 3, (1,)), (3, 7, (1,)), (4, 3, (1,)), (4, 5, (1,)), (5, 5, (1, 4)),
+    (5, 11, (1, 4)), (7, 3, (1, 6)), (7, 7, (1, 2, 4)), (7, 13, (1,)),
+    (8, 3, (1, 7)), (9, 3, (1,)), (9, 5, (1, 8)), (12, 5, (1, 11)),
+    (12, 7, (1,)), (13, 3, (1, 3, 9)), (15, 5, (1,)), (15, 7, (1, 4)),
+    (16, 3, (1, 15)), (20, 5, (1, 19)), (21, 3, (1, 8)), (21, 13, (1, 20)),
+    (24, 5, (1, 5)), (28, 7, (1, 13)), (28, 11, (1,)),
+]
+
+
+def primitive_elements(desc):
+    """Elements of K that may generate it: zeta_n itself when H is trivial,
+    then orbit sums and small combinations of two of them."""
+    if len(desc.subgroup) == 1:
+        yield desc.zeta_power(1)
+    for j in range(1, desc.n):
+        yield desc.orbit_sum(j)
+    for j in range(1, desc.n):
+        for k in range(1, desc.n):
+            yield desc.orbit_sum(j) + 2 * desc.orbit_sum(k)
+
+
+def decompose(desc):
+    """prime_decomp of ell on the minimal polynomial of a generator of K,
+    found as the squarefree part of Res_t(Phi_n(t), X - theta(t))."""
+    if desc.degree == 1:
+        return prime_decomp(desc.ell, T=sympy.Poly(X, X))
+    for theta in primitive_elements(desc):
+        res = sympy.resultant(cyclotomic(desc.n), X - as_polynomial(theta), T)
+        _, factors = sympy.factor_list(res, X)
+        poly = sympy.Poly(factors[0][0], X)
+        if len(factors) != 1 or poly.degree() != desc.degree:
+            continue
+        try:
+            return prime_decomp(desc.ell, T=poly)
+        except ClosureFailure:
+            # sympy 1.14 fails on some defining polynomials, e.g. the
+            # Gaussian period of Q(zeta_13)^(1,3,9) at 3; try the next one
+            continue
+    raise AssertionError("no generator of K that sympy can decompose")
+
+
+@pytest.mark.parametrize("n, ell, sub", DECOMP_GRID)
+def test_e_f_and_prime_count_match_prime_decomp(n, ell, sub):
+    desc = make_descriptor(n, ell, subgroup=sub)
+    primes = decompose(desc)
+    assert len(primes) == desc.n_primes
+    assert {(p.e, p.f) for p in primes} == {(desc.e, desc.f)}
+    assert desc.e * desc.f * desc.n_primes == desc.degree

@@ -180,8 +180,10 @@ def balance(lat: Lattice, form: GramForm, generators=(), max_steps: int = 10000)
 
     The input lattice must already be stable under the given matrices (use
     stabilize() first); stability of every chain lattice is re-checked, not
-    assumed.  The returned form is the input rescaled so its value ideal on
-    the final lattice is exactly O.
+    assumed.  is_stable on the start certifies that every determinant is a
+    unit, so a chain lattice T needs only m T <= T, which with a unit
+    determinant is m T = T.  The returned form is the input rescaled so its
+    value ideal on the final lattice is exactly O.
     """
     field = lat.field
     if generators and not is_stable(lat, generators):
@@ -203,7 +205,7 @@ def balance(lat: Lattice, form: GramForm, generators=(), max_steps: int = 10000)
             raise InternalInconsistency("balancing chain failed to terminate")
         if grown == lat:
             raise InternalInconsistency("balancing chain stalled before the fixpoint")
-        if generators and not is_stable(grown, generators):
+        if not all(grown.contains_lattice(apply_matrix(m, grown)) for m in generators):
             raise NotStable("chain lattice lost stability; input data is inconsistent")
         lat = grown
     invariants = quotient_invariants(lat, dual)
@@ -229,7 +231,7 @@ def rigidity_check(mat, lat: Lattice, desc=None, max_order: int = DEFAULT_ORDER_
     n = len(mat)
     ident = la.identity(field, n)
     on_lat = lat.transition_from(apply_matrix(mat, lat))
-    if any(x.valuation() < 0 for row in on_lat for x in row):
+    if not all(x.is_integral() for row in on_lat for x in row):
         raise NotStable("matrix does not stabilize the lattice")
     power = mat
     order = 1

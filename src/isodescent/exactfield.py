@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from .cyclotomic import CycloRing, euler_phi
 from .errors import (
+    DimensionMismatch,
     InternalInconsistency,
     InvalidDescriptor,
     NegativeValuation,
@@ -266,11 +267,7 @@ class FieldElement:
 
     def _numerator(self):
         """(w, t, d) with self = w / (ell^t d), w an integer vector, d prime to ell."""
-        ell = self.field.ell
-        den, t = self.den, 0
-        while den % ell == 0:
-            den //= ell
-            t += 1
+        t, den = _split_ell(self.den, self.field.ell)
         return self.num, t, den
 
     def valuation(self):
@@ -289,6 +286,13 @@ class FieldElement:
                 "of the relative ramification index")
         self._val = vlam // field.e_rel - field.e * t
         return self._val
+
+    def is_integral(self) -> bool:
+        """Whether the valuation is >= 0, decided without certifying it
+        (FieldDescriptor.integral) unless it is already known."""
+        if self._val is not None:
+            return self._val >= 0
+        return self.field.integral(self.num, self.den)
 
     def reduce(self):
         """Image in the residue field; requires valuation >= 0."""
@@ -320,6 +324,15 @@ class FieldElement:
 
     def serialize(self) -> list[str]:
         return [str(c) for c in self.coeffs]
+
+
+def _split_ell(d: int, ell: int):
+    """(t, d') with d = ell^t d' and d' prime to ell."""
+    t = 0
+    while d % ell == 0:
+        d //= ell
+        t += 1
+    return t, d
 
 
 def _over_common(xs, d=None):
@@ -432,10 +445,11 @@ class FieldDescriptor:
                     raise InvalidDescriptor(
                         "matrix entries must be elements of one field descriptor")
 
-    def mat_mul(self, a, b):
-        """Product of two matrices over K by the integer kernel of the ring:
-        each row of a and each column of b is put over one common
-        denominator, and each output entry is brought to lowest terms once.
+    def _int_product(self, a, b):
+        """(row denominators rd, column denominators cd, W) with entry (i, j)
+        of a @ b equal to W[i][j] / (rd[i] cd[j]), not in lowest terms: each
+        row of a and each column of b is put over one common denominator and
+        the numerators are multiplied by the integer kernel of the ring.
 
         Raises InvalidDescriptor unless every entry is an element of this
         descriptor (or of a clone of it)."""
@@ -444,8 +458,37 @@ class FieldDescriptor:
         rows = [_over_common(row) for row in a]
         cols = [_over_common(col) for col in zip(*b)]
         prod = self.ring.int_mat_mul([w for _, w in rows], list(zip(*(w for _, w in cols))))
-        return [[_lowest(self, v, rd * cd) for v, (cd, _) in zip(prow, cols)]
-                for prow, (rd, _) in zip(prod, rows)]
+        return [d for d, _ in rows], [d for d, _ in cols], prod
+
+    def mat_mul(self, a, b):
+        """Product of two matrices over K on integer coordinates (see
+        _int_product); each output entry is brought to lowest terms once."""
+        rds, cds, prod = self._int_product(a, b)
+        return [[_lowest(self, v, rd * cd) for v, cd in zip(prow, cds)]
+                for prow, rd in zip(prod, rds)]
+
+    def integral(self, w, d: int) -> bool:
+        """Whether w / d has valuation >= 0, for an integer coordinate tuple
+        w and d > 0, not necessarily in lowest terms.  With d = ell^t d' and
+        d' prime to ell, it holds when t = 0, w lying in Z[zeta_n]; otherwise
+        iff ell^t divides w at the chosen prime, which the lambda-digits of w
+        mod ell^t decide exactly (LambdaEngine.divisible)."""
+        t, _ = _split_ell(d, self.ell)
+        return t == 0 or self.engine.divisible(w, t)
+
+    def integral_product(self, a, b) -> bool:
+        """Whether every entry of a @ b has valuation >= 0, read off the
+        integer product: no entry is brought to lowest terms, built as an
+        element or given a certified valuation.  Raises DimensionMismatch
+        on mismatched shapes and InvalidDescriptor like mat_mul."""
+        if a and len(a[0]) != len(b):
+            raise DimensionMismatch(
+                f"matrix product shape mismatch: {len(a)}x{len(a[0])} by "
+                f"{len(b)}x{len(b[0]) if b else 0}")
+        rds, cds, prod = self._int_product(a, b)
+        integral = self.integral
+        return all(integral(w, rd * cd)
+                   for prow, rd in zip(prod, rds) for w, cd in zip(prow, cds))
 
     def integer_matrix(self, m):
         """(d, w) with m = w / d: d the least common denominator of every

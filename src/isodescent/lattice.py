@@ -1,12 +1,16 @@
 """Full-rank lattices over the valuation ring of the chosen prime.
 
 A lattice is the span, over the local ring O = {v >= 0}, of the columns of a
-nonsingular matrix over K.  Everything reduces to a Smith normal form over
-the discrete valuation ring: pivoting on entries of minimal certified
-valuation keeps all transforming matrices O-invertible on the side where it
-matters (column operations are always integral shears and swaps; row
-operations additionally scale by units so the diagonal comes out as exact
-powers of the uniformizer).
+nonsingular matrix over K.  Containment is an integrality test: L contains
+L' iff the transition matrix B^-1 B' is integral, which is read off the
+integer coordinates of the product (FieldDescriptor.integral_product)
+without building or certifying its entries.  Sums, intersections (through
+duals) and quotient invariants take a Smith normal form over the discrete
+valuation ring, of which sums and invariants compute only the row side:
+pivoting on entries of minimal certified valuation keeps all transforming
+matrices O-invertible on the side where it matters (column operations are
+always integral shears and swaps; row operations additionally scale by
+units so the diagonal comes out as exact powers of the uniformizer).
 
 Diagonal exponents are reported in nonincreasing order.
 """
@@ -17,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from . import linalg as la
-from .errors import NotContained, SingularMatrix
+from .errors import DimensionMismatch, NotContained, SingularMatrix
 
 
 @dataclass
@@ -34,59 +38,37 @@ class SNFResult:
         return len(self.exps)
 
 
-def snf(m, field) -> SNFResult:
+def snf(m, field, *, _rows_only=False) -> SNFResult:
     """Smith normal form over the valuation ring; m may be rectangular.
 
     Entries may have negative valuation (the algorithm works over K); the
     invariant u @ m @ v = diag(pi**exps) always holds with v and v_inv
     integral and u, u_inv products of unit row scalings and integral shears.
+
+    _rows_only is the row side for callers that read only u, u_inv and exps
+    (lattice sums, quotient invariants): v and v_inv come back None and no
+    column operation is made.  Once the rows below pivot k are cleared, a
+    column operation changes only row k, which no later pivot search reads;
+    columns are still swapped in the working matrix, so the pivots, u, u_inv
+    and exps are those of the full form (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4).
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
     cur = la.mat_copy(m)
     u = la.identity(field, nr)
     u_inv = la.identity(field, nr)
-    v = la.identity(field, nc)
-    v_inv = la.identity(field, nc)
+    full = not _rows_only
+    v = la.identity(field, nc) if full else None
+    v_inv = la.identity(field, nc) if full else None
     zero = field.zero
 
-    def row_swap(i, j):
-        cur[i], cur[j] = cur[j], cur[i]
-        u[i], u[j] = u[j], u[i]
-        for row in u_inv:
-            row[i], row[j] = row[j], row[i]
-
-    def col_swap(i, j):
-        for row in cur:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-
-    def row_addmul(i, j, c):
-        # row_i += c * row_j
-        cur[i] = [x + c * y for x, y in zip(cur[i], cur[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-        for row in u_inv:
-            row[j] = row[j] - c * row[i]
-
-    def col_addmul(i, j, c):
-        # col_i += c * col_j
-        for row in cur:
-            row[i] = row[i] + c * row[j]
-        for row in v:
-            row[i] = row[i] + c * row[j]
-        v_inv[j] = [x - c * y for x, y in zip(v_inv[j], v_inv[i])]
-
-    def row_scale(i, c, c_back):
-        cur[i] = [c * x for x in cur[i]]
-        u[i] = [c * x for x in u[i]]
-        for row in u_inv:
-            row[i] = row[i] * c_back
-
+    # Rows k and below are zero in the columns left of pivot k, so row
+    # operations touch only columns >= k, and terms whose multiplicand is
+    # zero are skipped: elements are in lowest terms, so every skipped
+    # operation would have given back the entry it skips.
     exps = []
-    t = min(nr, nc)
-    for k in range(t):
+    for k in range(min(nr, nc)):
         best = None
         best_v = None
         for i in range(k, nr):
@@ -101,23 +83,52 @@ def snf(m, field) -> SNFResult:
             raise SingularMatrix("matrix is rank-deficient")
         bi, bj = best
         if bi != k:
-            row_swap(k, bi)
+            cur[k], cur[bi] = cur[bi], cur[k]
+            u[k], u[bi] = u[bi], u[k]
+            for row in u_inv:
+                row[k], row[bi] = row[bi], row[k]
         if bj != k:
-            col_swap(k, bj)
+            for row in cur:
+                row[k], row[bj] = row[bj], row[k]
+            if full:
+                for row in v:
+                    row[k], row[bj] = row[bj], row[k]
+                v_inv[k], v_inv[bj] = v_inv[bj], v_inv[k]
         a = best_v
         pivot = cur[k][k]
-        unit_inv = field.pi_power(a) / pivot
-        unit = pivot / field.pi_power(a)
-        row_scale(k, unit_inv, unit)
+        pa = field.pi_power(a)
+        # row k *= pi^a / pivot, which makes the pivot exactly pi^a
+        scale = pa / pivot
+        scale_back = pivot / pa
+        top = cur[k]
+        top[k:] = [pa] + [scale * x for x in top[k + 1:]]
+        u[k] = [scale * x if x != zero else x for x in u[k]]
+        for row in u_inv:
+            if row[k] != zero:
+                row[k] = row[k] * scale_back
         pk = field.pi_power(-a)
+        # row i -= f * row k clears cur[i][k]
         for i in range(k + 1, nr):
             if cur[i][k] != zero:
-                f = cur[i][k] * pk
-                row_addmul(i, k, -f)
-        for j in range(k + 1, nc):
-            if cur[k][j] != zero:
-                f = cur[k][j] * pk
-                col_addmul(j, k, -f)
+                c = -(cur[i][k] * pk)
+                below = cur[i]
+                below[k:] = [zero] + [x + c * y for x, y in zip(below[k + 1:], top[k + 1:])]
+                u[i] = [x + c * y if y != zero else x for x, y in zip(u[i], u[k])]
+                for row in u_inv:
+                    if row[i] != zero:
+                        row[k] = row[k] - c * row[i]
+        if full:
+            # column j -= f * column k clears cur[k][j]; column k is zero
+            # below row k, so no other entry of cur changes
+            for j in range(k + 1, nc):
+                if top[j] != zero:
+                    c = -(top[j] * pk)
+                    top[j] = zero
+                    for row in v:
+                        if row[k] != zero:
+                            row[j] = row[j] + c * row[k]
+                    v_inv[k] = [x - c * y if y != zero else x
+                                for x, y in zip(v_inv[k], v_inv[j])]
         exps.append(a)
 
     # reverse so exponents come out nonincreasing
@@ -129,8 +140,9 @@ def snf(m, field) -> SNFResult:
         perm_c[:tt] = reversed(perm_c[:tt])
         u[:] = [u[i] for i in perm_r]
         u_inv[:] = [[row[i] for i in perm_r] for row in u_inv]
-        v[:] = [[row[j] for j in perm_c] for row in v]
-        v_inv[:] = [v_inv[j] for j in perm_c]
+        if full:
+            v[:] = [[row[j] for j in perm_c] for row in v]
+            v_inv[:] = [v_inv[j] for j in perm_c]
         exps.reverse()
     return SNFResult(u, u_inv, v, v_inv, exps)
 
@@ -177,12 +189,12 @@ class Lattice:
         return la.mat_mul(self.inverse, other.basis)
 
     def contains_vector(self, vec) -> bool:
-        coords = la.mat_mul(self.inverse, [[x] for x in vec])
-        return all(c[0].valuation() >= 0 for c in coords)
+        return self.field.integral_product(self.inverse, [[x] for x in vec])
 
     def contains_lattice(self, other: "Lattice") -> bool:
-        c = self.transition_from(other)
-        return all(x.valuation() >= 0 for row in c for x in row)
+        """Whether the transition matrix B^-1 B' is integral, decided on its
+        integer coordinates; none of its entries is built."""
+        return self.field.integral_product(self.inverse, other.basis)
 
     def __eq__(self, other):
         if not isinstance(other, Lattice):
@@ -215,9 +227,9 @@ def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
     field = l1.field
     n = l1.dim
     if l2.dim != n:
-        raise SingularMatrix("lattice sum dimension mismatch")
+        raise DimensionMismatch("lattice sum dimension mismatch")
     joint = [r1[:] + r2[:] for r1, r2 in zip(l1.basis, l2.basis)]
-    res = snf(joint, field)
+    res = snf(joint, field, _rows_only=True)
     if res.rank != n:
         raise SingularMatrix("lattice sum lost rank")
     # basis u_inv diag(pi^e), so its inverse is diag(pi^-e) u
@@ -253,13 +265,17 @@ def dual_lattice(lat: Lattice, gram, conj=None) -> Lattice:
     return _dot_dual(apply_matrix(gram, lat), conj)
 
 
+def _contained_transition(sub: Lattice, sup: Lattice):
+    """The transition matrix from sup to sub, which must be integral."""
+    c = sup.transition_from(sub)
+    if not all(x.is_integral() for row in c for x in row):
+        raise NotContained("claimed sublattice is not contained in the superlattice")
+    return c
+
+
 def quotient_length(sub: Lattice, sup: Lattice) -> int:
     """Length of sup/sub as an O-module (the valuation of the index)."""
-    c = sup.transition_from(sub)
-    for row in c:
-        for x in row:
-            if x.valuation() < 0:
-                raise NotContained("claimed sublattice is not contained in the superlattice")
+    c = _contained_transition(sub, sup)
     d = la.det(c, sup.field)
     vd = d.valuation()
     if vd == math.inf:
@@ -269,12 +285,7 @@ def quotient_length(sub: Lattice, sup: Lattice) -> int:
 
 def quotient_invariants(sub: Lattice, sup: Lattice) -> list:
     """Elementary divisor exponents of sup/sub, nonincreasing."""
-    c = sup.transition_from(sub)
-    for row in c:
-        for x in row:
-            if x.valuation() < 0:
-                raise NotContained("claimed sublattice is not contained in the superlattice")
-    return snf(c, sup.field).exps
+    return snf(_contained_transition(sub, sup), sup.field, _rows_only=True).exps
 
 
 def stabilize(lat: Lattice, mats) -> Lattice:
@@ -311,9 +322,6 @@ def is_stable(lat: Lattice, mats) -> bool:
         d = la.det(m, field)
         if d == field.zero:
             raise SingularMatrix("a singular matrix moves no lattice onto itself")
-        if d.valuation() != 0:
-            return False
-        t = lat.transition_from(apply_matrix(m, lat))
-        if any(x.valuation() < 0 for row in t for x in row):
+        if d.valuation() != 0 or not lat.contains_lattice(apply_matrix(m, lat)):
             return False
     return True

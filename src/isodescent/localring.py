@@ -17,7 +17,8 @@ its exact ell-valuation, below P, so the smallest term is certified as soon
 as one digit survives; `analyze` returns None when every digit vanishes, and
 `valuation` retries at doubled precision up to a ceiling at which a nonzero
 element must certify.  Zero elements never certify, so call sites must test
-exact zero first.
+exact zero first.  Divisibility by ell^t needs no certification: it holds iff
+every digit vanishes mod ell^t, which precision t decides exactly.
 """
 
 from __future__ import annotations
@@ -243,6 +244,12 @@ class LambdaEngine:
                 raise InternalInconsistency(
                     "valuation did not certify at the precision ceiling")
             prec = min(2 * prec, ceiling)
+
+    def divisible(self, vec, t: int) -> bool:
+        """Whether ell^t divides vec at the chosen prime, that is vec / ell^t
+        is integral: every lambda-digit vanishes mod ell^t.  The digits mod
+        ell^t are exact at precision t, so nothing escalates."""
+        return not any(any(digit) for digit in self.image_of(vec, t))
 
     def residue(self, vec, t: int) -> tuple[int, ...]:
         """Residue of vec / ell^t: (d_0 / ell^t) mod ell.  Every digit must be

@@ -1,12 +1,16 @@
+import functools
 import random
 
 import pytest
 
+from isodescent import exactfield
 from isodescent import linalg as la
-from isodescent.errors import NotContained, SingularMatrix
+from isodescent.errors import DimensionMismatch, NotContained, SingularMatrix
+from isodescent.exactfield import FieldDescriptor, FieldElement, make_descriptor
 from isodescent.forms import GramForm
 from isodescent.lattice import (
     Lattice,
+    SNFResult,
     apply_matrix,
     dual_lattice,
     is_stable,
@@ -20,7 +24,7 @@ from isodescent.lattice import (
     standard_lattice,
 )
 
-from conftest import quaternion_rep, random_invertible
+from conftest import quaternion_rep, random_field_element, random_invertible
 
 
 def random_lattice(rng, desc, n):
@@ -380,3 +384,330 @@ class TestSingularInputs:
             scale_lattice(gauss5.zero, lat)
         with pytest.raises(SingularMatrix):
             scale_lattice(0, lat)
+
+
+# ----------------------------------------------------------------------
+# the Smith normal form against the one before the row side was split off
+
+
+# Q at 5, gauss5, quad7, the wildly ramified Q(zeta_9) at 3 and the prop6 field
+SNF_FIELDS = [(1, 5, (1,), None), (4, 5, (1,), None), (7, 7, (1, 2, 4), 3),
+              (9, 3, (1,), None), (28, 7, (1, 13), None)]
+
+
+@functools.lru_cache(maxsize=None)
+def snf_field(i):
+    n, ell, sub, inv = SNF_FIELDS[i]
+    return make_descriptor(n, ell, subgroup=sub, involution=inv)
+
+
+def reference_snf(m, field) -> SNFResult:
+    """Smith normal form over the valuation ring; m may be rectangular.
+
+    Entries may have negative valuation (the algorithm works over K); the
+    invariant u @ m @ v = diag(pi**exps) always holds with v and v_inv
+    integral and u, u_inv products of unit row scalings and integral shears.
+    """
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    cur = la.mat_copy(m)
+    u = la.identity(field, nr)
+    u_inv = la.identity(field, nr)
+    v = la.identity(field, nc)
+    v_inv = la.identity(field, nc)
+    zero = field.zero
+
+    def row_swap(i, j):
+        cur[i], cur[j] = cur[j], cur[i]
+        u[i], u[j] = u[j], u[i]
+        for row in u_inv:
+            row[i], row[j] = row[j], row[i]
+
+    def col_swap(i, j):
+        for row in cur:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+
+    def row_addmul(i, j, c):
+        # row_i += c * row_j
+        cur[i] = [x + c * y for x, y in zip(cur[i], cur[j])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        for row in u_inv:
+            row[j] = row[j] - c * row[i]
+
+    def col_addmul(i, j, c):
+        # col_i += c * col_j
+        for row in cur:
+            row[i] = row[i] + c * row[j]
+        for row in v:
+            row[i] = row[i] + c * row[j]
+        v_inv[j] = [x - c * y for x, y in zip(v_inv[j], v_inv[i])]
+
+    def row_scale(i, c, c_back):
+        cur[i] = [c * x for x in cur[i]]
+        u[i] = [c * x for x in u[i]]
+        for row in u_inv:
+            row[i] = row[i] * c_back
+
+    exps = []
+    t = min(nr, nc)
+    for k in range(t):
+        best = None
+        best_v = None
+        for i in range(k, nr):
+            for j in range(k, nc):
+                x = cur[i][j]
+                if x == zero:
+                    continue
+                vv = x.valuation()
+                if best_v is None or vv < best_v:
+                    best, best_v = (i, j), vv
+        if best is None:
+            raise SingularMatrix("matrix is rank-deficient")
+        bi, bj = best
+        if bi != k:
+            row_swap(k, bi)
+        if bj != k:
+            col_swap(k, bj)
+        a = best_v
+        pivot = cur[k][k]
+        unit_inv = field.pi_power(a) / pivot
+        unit = pivot / field.pi_power(a)
+        row_scale(k, unit_inv, unit)
+        pk = field.pi_power(-a)
+        for i in range(k + 1, nr):
+            if cur[i][k] != zero:
+                f = cur[i][k] * pk
+                row_addmul(i, k, -f)
+        for j in range(k + 1, nc):
+            if cur[k][j] != zero:
+                f = cur[k][j] * pk
+                col_addmul(j, k, -f)
+        exps.append(a)
+
+    # reverse so exponents come out nonincreasing
+    tt = len(exps)
+    if tt > 1:
+        perm_r = list(range(nr))
+        perm_c = list(range(nc))
+        perm_r[:tt] = reversed(perm_r[:tt])
+        perm_c[:tt] = reversed(perm_c[:tt])
+        u[:] = [u[i] for i in perm_r]
+        u_inv[:] = [[row[i] for i in perm_r] for row in u_inv]
+        v[:] = [[row[j] for j in perm_c] for row in v]
+        v_inv[:] = [v_inv[j] for j in perm_c]
+        exps.reverse()
+    return SNFResult(u, u_inv, v, v_inv, exps)
+
+
+def random_snf_input(rng, desc, nr, nc):
+    """Entries of either sign of valuation, about a third of them zero."""
+    return [[desc.zero if rng.random() < 0.3 else random_field_element(rng, desc)
+             for _ in range(nc)] for _ in range(nr)]
+
+
+def rank_deficient(rng, desc, nr, nc):
+    """The last row a multiple of the first, so the rank is below nr."""
+    m = random_snf_input(rng, desc, nr, nc)
+    c = random_field_element(rng, desc)
+    m[-1] = [c * x for x in m[0]]
+    return m
+
+
+def reference_sum_basis(l1, l2):
+    field, n = l1.field, l1.dim
+    res = reference_snf([r1 + r2 for r1, r2 in zip(l1.basis, l2.basis)], field)
+    return [[res.u_inv[i][j] * field.pi_power(res.exps[j]) for j in range(n)]
+            for i in range(n)]
+
+
+class TestSmithAgainstReference:
+    @pytest.mark.parametrize("fi", range(len(SNF_FIELDS)))
+    def test_full_and_row_side_match_the_reference(self, fi):
+        desc = snf_field(fi)
+        rng = random.Random(f"snf-ref-{fi}")
+        for trial in range(10):
+            n = rng.randint(1, 3)
+            nc = n if trial % 2 else 2 * n
+            m = random_snf_input(rng, desc, n, nc)
+            try:
+                ref = reference_snf(m, desc)
+            except SingularMatrix:
+                for rows_only in (False, True):
+                    with pytest.raises(SingularMatrix):
+                        snf(m, desc, _rows_only=rows_only)
+                continue
+            full = snf(m, desc)
+            for name in ("u", "u_inv", "v", "v_inv"):
+                assert la.mat_eq(getattr(full, name), getattr(ref, name)), name
+            assert full.exps == ref.exps
+            rows = snf(m, desc, _rows_only=True)
+            assert la.mat_eq(rows.u, ref.u) and la.mat_eq(rows.u_inv, ref.u_inv)
+            assert rows.exps == ref.exps
+            assert rows.v is None and rows.v_inv is None
+
+    @pytest.mark.parametrize("fi", range(len(SNF_FIELDS)))
+    def test_rank_deficient_inputs_raise(self, fi):
+        desc = snf_field(fi)
+        rng = random.Random(f"snf-deficient-{fi}")
+        for n in (2, 3):
+            for nc in (n, 2 * n):
+                m = rank_deficient(rng, desc, n, nc)
+                with pytest.raises(SingularMatrix):
+                    reference_snf(m, desc)
+                for rows_only in (False, True):
+                    with pytest.raises(SingularMatrix):
+                        snf(m, desc, _rows_only=rows_only)
+
+    @pytest.mark.parametrize("fi", range(len(SNF_FIELDS)))
+    def test_sum_and_intersection_match_the_reference(self, fi):
+        desc = snf_field(fi)
+        rng = random.Random(f"sum-ref-{fi}")
+        for _ in range(4):
+            n = rng.randint(1, 3)
+            a = random_lattice(rng, desc, n)
+            b = random_lattice(rng, desc, n)
+            assert la.mat_eq(lattice_sum(a, b).basis, reference_sum_basis(a, b))
+            ref = reference_dot_dual(Lattice(desc, reference_sum_basis(
+                reference_dot_dual(a), reference_dot_dual(b))))
+            assert la.mat_eq(lattice_intersect(a, b).basis, ref.basis)
+
+    def test_row_side_builds_no_column_transform(self, gauss5, monkeypatch):
+        sizes = []
+        real = la.identity
+
+        def recorded(field, n):
+            sizes.append(n)
+            return real(field, n)
+
+        monkeypatch.setattr(la, "identity", recorded)
+        rng = random.Random("rows-only")
+        m = random_invertible(rng, gauss5, 3) + random_invertible(rng, gauss5, 3)
+        wide = [r1 + r2 for r1, r2 in zip(m[:3], m[3:])]
+        res = snf(wide, gauss5, _rows_only=True)
+        assert sizes == [3, 3] and res.v is None and res.v_inv is None
+        a, b = Lattice(gauss5, m[:3]), Lattice(gauss5, m[3:])
+        del sizes[:]
+        lattice_sum(a, b)
+        quotient_invariants(scale_lattice(gauss5.pi, a), a)
+        assert sizes == [3, 3, 3, 3]  # u and u_inv of each, no v or v_inv
+        del sizes[:]
+        snf(wide, gauss5)
+        assert sizes == [3, 3, 6, 6]
+
+
+# ----------------------------------------------------------------------
+# containment as an integrality test
+
+
+def old_contains(l1, l2):
+    """The definition before the integer test: every entry of B1^-1 B2 has a
+    certified valuation >= 0."""
+    return all(x.valuation() >= 0 for row in l1.transition_from(l2) for x in row)
+
+
+# the fields of tests/test_properties.py
+INTEGRALITY_FIELDS = [(4, 5, (1,), None), (4, 7, (1,), 3), (5, 5, (1, 4), None),
+                      (7, 7, (1, 2, 4), 3), (9, 3, (1,), None), (28, 7, (1, 13), None)]
+
+
+@functools.lru_cache(maxsize=None)
+def integrality_field(i):
+    n, ell, sub, inv = INTEGRALITY_FIELDS[i]
+    return make_descriptor(n, ell, subgroup=sub, involution=inv)
+
+
+class TestIntegralityTest:
+    @pytest.mark.parametrize("fi", range(len(INTEGRALITY_FIELDS)))
+    def test_boundary_entries(self, fi):
+        """pi^k / ell^t has valuation k - e t: -1 at k = e t - 1, 0 at k = e t."""
+        desc = integrality_field(fi)
+        rng = random.Random(f"boundary-{fi}")
+        for t in (1, 2, 3):
+            for k in (desc.e * t - 1, desc.e * t):
+                entry = desc.pi_power(k) / desc.rational(desc.ell ** t)
+                n = rng.randint(1, 3)
+                a = random_lattice(rng, desc, n)
+                c = random_invertible(rng, desc, n, lambda r, d: random_field_element(
+                    r, d, integral=True))
+                i, j = rng.randrange(n), rng.randrange(n)
+                c[i][j] = entry
+                if la.det(c, desc) == desc.zero:
+                    continue
+                b = Lattice(desc, la.mat_mul(a.basis, c))
+                assert a.contains_lattice(b) == old_contains(a, b)
+                # the other entries are integral, so the boundary decides
+                assert a.contains_lattice(b) == (k >= desc.e * t)
+                column = [row[j] for row in b.basis]
+                assert a.contains_vector(column) == (k >= desc.e * t)
+                assert entry.is_integral() == (k >= desc.e * t)
+
+    @pytest.mark.parametrize("fi", range(len(INTEGRALITY_FIELDS)))
+    def test_random_pairs_match_the_valuation_test(self, fi):
+        desc = integrality_field(fi)
+        rng = random.Random(f"contains-{fi}")
+        for _ in range(12):
+            n = rng.randint(1, 3)
+            a = random_lattice(rng, desc, n)
+            b = random_lattice(rng, desc, n)
+            for x, y in ((a, b), (b, a), (a, lattice_sum(a, b)), (lattice_sum(a, b), a)):
+                assert x.contains_lattice(y) == old_contains(x, y)
+
+    def test_contains_builds_no_element(self, quad7, monkeypatch):
+        rng = random.Random("no-elements")
+        a = random_lattice(rng, quad7, 3)
+        b = lattice_sum(a, random_lattice(rng, quad7, 3))
+        a.inverse, b.inverse  # noqa: B018 - read before the patches
+        vec = [a.basis[r][0] for r in range(3)]
+        want = (a.contains_lattice(b), b.contains_lattice(a), b.contains_vector(vec))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("containment built or certified an element")
+
+        monkeypatch.setattr(FieldElement, "valuation", forbidden)
+        monkeypatch.setattr(FieldElement, "__init__", forbidden)
+        monkeypatch.setattr(FieldDescriptor, "mat_mul", forbidden)
+        monkeypatch.setattr(exactfield, "_make", forbidden)
+        got = (a.contains_lattice(b), b.contains_lattice(a), b.contains_vector(vec))
+        assert got == want == (False, True, True)
+
+
+class TestDimensionMismatch:
+    def test_every_operation_refuses_a_2_and_a_3_dim_lattice(self, gauss5):
+        rng = random.Random("dims")
+        a = random_lattice(rng, gauss5, 2)
+        b = random_lattice(rng, gauss5, 3)
+        i3 = la.identity(gauss5, 3)
+        calls = [
+            lambda: lattice_sum(a, b),
+            lambda: lattice_sum(b, a),
+            lambda: lattice_intersect(a, b),
+            lambda: lattice_intersect(b, a),
+            lambda: a.contains_lattice(b),
+            lambda: b.contains_lattice(a),
+            lambda: a == b,
+            lambda: b == a,
+            lambda: a.contains_vector([gauss5.one] * 3),
+            lambda: b.contains_vector([gauss5.one] * 2),
+            lambda: a.transition_from(b),
+            lambda: quotient_length(a, b),
+            lambda: quotient_length(b, a),
+            lambda: quotient_invariants(a, b),
+            lambda: quotient_invariants(b, a),
+            lambda: gauss5.integral_product(a.inverse, b.basis),
+            lambda: gauss5.integral_product(b.inverse, a.basis),
+            lambda: apply_matrix(i3, a),
+            lambda: is_stable(a, [i3]),
+            lambda: stabilize(a, [i3]),
+            lambda: dual_lattice(a, i3),
+        ]
+        for call in calls:
+            with pytest.raises(DimensionMismatch):
+                call()
+
+    def test_integral_product_refuses_mixed_descriptors(self, gauss5, gauss13):
+        from isodescent.errors import InvalidDescriptor
+        with pytest.raises(InvalidDescriptor):
+            gauss5.integral_product(la.identity(gauss5, 2), la.identity(gauss13, 2))

@@ -5,6 +5,8 @@
 - The ramification index e, the residue degree f and the number of primes
   above ell of each descriptor against sympy's prime_decomp, on a defining
   polynomial of K found by resultants.
+- Certified valuations, and the integrality test, against sympy's
+  prime_valuation in Q(zeta_n) where a single prime lies above ell.
 
 Runs only where sympy is installed; the package itself does not depend on it.
 """
@@ -17,7 +19,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.numberfields.exceptions import ClosureFailure  # noqa: E402
-from sympy.polys.numberfields.primes import prime_decomp  # noqa: E402
+from sympy.polys.numberfields.modules import to_col  # noqa: E402
+from sympy.polys.numberfields.primes import prime_decomp, prime_valuation  # noqa: E402
 
 from isodescent.exactfield import make_descriptor  # noqa: E402
 
@@ -116,3 +119,54 @@ def test_e_f_and_prime_count_match_prime_decomp(n, ell, sub):
     assert len(primes) == desc.n_primes
     assert {(p.e, p.f) for p in primes} == {(desc.e, desc.f)}
     assert desc.e * desc.f * desc.n_primes == desc.degree
+
+
+# ---------------------------------------------------------------------------
+# certified valuations against prime_valuation
+
+# (n, ell, subgroup) with a single prime P above ell in Q(zeta_n), so the
+# prime of K below P is the descriptor's: inert (7, 3), (5, 3), (4, 7) and
+# totally ramified (7, 7), (9, 3), (5, 5), each without and with a subgroup
+VALUATION_FIELDS = [
+    (7, 3, (1,)), (7, 3, (1, 6)), (7, 7, (1,)), (7, 7, (1, 2, 4)),
+    (9, 3, (1,)), (9, 3, (1, 8)), (5, 5, (1,)), (5, 5, (1, 4)),
+    (5, 3, (1,)), (5, 3, (1, 4)), (4, 7, (1,)), (4, 7, (1, 3)),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic_prime(n, ell):
+    (prime,) = prime_decomp(ell, T=sympy.Poly(cyclotomic(n), T))
+    return prime
+
+
+def sympy_valuation(x, prime):
+    """v_P(x) in Q(zeta_n) for x = num / den: the valuation of the principal
+    ideal of num, an integer of Q(zeta_n), less e(P | ell) v_ell(den)."""
+    zk = prime.ZK
+    v = prime_valuation(zk * zk.parent(to_col(list(x.num))), prime)
+    den, ell = x.den, x.field.ell
+    while den % ell == 0:
+        den //= ell
+        v -= prime.e
+    return v
+
+
+@pytest.mark.parametrize("n, ell, sub", VALUATION_FIELDS)
+def test_valuation_is_prime_valuation(n, ell, sub):
+    desc = make_descriptor(n, ell, subgroup=sub)
+    prime = cyclotomic_prime(n, ell)
+    assert prime.e == desc.e * desc.e_rel
+    rng = random.Random(f"valuation-{n}-{ell}-{sub}")
+    xs = [random_field_element(rng, desc) for _ in range(10)]
+    # pi^k / ell^t on either side of integrality, k = e t - 1 and k = e t
+    xs += [desc.pi_power(k) / desc.rational(ell ** t)
+           for t in (1, 2, 3) for k in (desc.e * t - 1, desc.e * t)]
+    for x in xs:
+        if x.is_zero:
+            continue
+        v_p = sympy_valuation(x, prime)
+        assert v_p % desc.e_rel == 0
+        # the integer test first, on a copy without a memoized valuation
+        assert desc.from_integer(x.num, x.den).is_integral() == (v_p >= 0)
+        assert x.valuation() == v_p // desc.e_rel

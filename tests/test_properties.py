@@ -1,5 +1,5 @@
-"""Valuation axioms, the residue map and the characteristic polynomial as
-properties of random elements and matrices.
+"""Valuation axioms, the residue map, the characteristic polynomial and the
+lattice laws as properties of random elements, matrices and lattices.
 
 Runs only where hypothesis is installed; the package itself does not
 depend on it.
@@ -10,10 +10,17 @@ import functools
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from isodescent import linalg as la  # noqa: E402
 from isodescent.exactfield import make_descriptor  # noqa: E402
+from isodescent.lattice import (  # noqa: E402
+    Lattice,
+    dual_lattice,
+    lattice_intersect,
+    lattice_sum,
+    quotient_length,
+)
 
 # (n, ell, subgroup, involution): split, inert, tamely ramified with and
 # without an involution, wildly ramified, and the prop6 field
@@ -23,6 +30,8 @@ FIELDS = [
 ]
 
 PROPERTY = settings(max_examples=100, deadline=None, database=None)
+# each example runs several Smith forms over a field of degree up to 6
+LATTICE_PROPERTY = settings(max_examples=30, deadline=None, database=None)
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,3 +140,85 @@ def test_cayley_hamilton(i, residue, dim, data):
         for r in range(dim):
             acc[r][r] = acc[r][r] + c
     assert all(x == field.zero for row in acc for x in row)
+
+
+@PROPERTY
+@given(fields, st.data())
+def test_integrality_test_is_the_valuation_sign(i, data):
+    desc = descriptor(i)
+    x = element(data, desc, False)
+    # a fresh copy, so no memoized valuation answers for the integer test
+    assert desc.from_integer(x.num, x.den).is_integral() == (x.valuation() >= 0)
+
+
+def lattice(data, desc, dim):
+    basis = matrix(data, desc, False, dim)
+    assume(la.det(basis, desc) != desc.zero)
+    return Lattice(desc, basis)
+
+
+def symmetric_gram(data, desc, dim):
+    """A nonsingular symmetric matrix, for which the dual is reflexive."""
+    m = matrix(data, desc, False, dim)
+    gram = [[m[min(r, c)][max(r, c)] for c in range(dim)] for r in range(dim)]
+    assume(la.det(gram, desc) != desc.zero)
+    return gram
+
+
+dims = st.integers(1, 3)
+
+
+@LATTICE_PROPERTY
+@given(fields, dims, st.data())
+def test_containment_is_integrality_of_the_transition(i, dim, data):
+    desc = descriptor(i)
+    a = lattice(data, desc, dim)
+    # the transition matrix is integral or not, and its entries sit on
+    # either side of the boundary, with probability about one half
+    integral = data.draw(st.booleans())
+    c = [[element(data, desc, integral) for _ in range(dim)] for _ in range(dim)]
+    assume(la.det(c, desc) != desc.zero)
+    b = Lattice(desc, la.mat_mul(a.basis, c))
+    want = all(x.valuation() >= 0 for row in a.transition_from(b) for x in row)
+    assert a.contains_lattice(b) == want
+    assert b.contains_lattice(a) == all(
+        x.valuation() >= 0 for row in b.transition_from(a) for x in row)
+
+
+@LATTICE_PROPERTY
+@given(fields, dims, st.data())
+def test_dual_of_dual_is_the_lattice(i, dim, data):
+    desc = descriptor(i)
+    lat = lattice(data, desc, dim)
+    gram = symmetric_gram(data, desc, dim)
+    assert dual_lattice(dual_lattice(lat, gram), gram) == lat
+
+
+@LATTICE_PROPERTY
+@given(fields, dims, st.data())
+def test_dual_of_a_sum_is_the_intersection_of_duals(i, dim, data):
+    desc = descriptor(i)
+    a, b = lattice(data, desc, dim), lattice(data, desc, dim)
+    gram = symmetric_gram(data, desc, dim)
+    assert dual_lattice(lattice_sum(a, b), gram) == lattice_intersect(
+        dual_lattice(a, gram), dual_lattice(b, gram))
+
+
+@LATTICE_PROPERTY
+@given(fields, dims, st.data())
+def test_modular_law(i, dim, data):
+    desc = descriptor(i)
+    l1, l2, extra = (lattice(data, desc, dim) for _ in range(3))
+    l3 = lattice_sum(l1, extra)  # so l1 <= l3
+    assert lattice_sum(l1, lattice_intersect(l2, l3)) == lattice_intersect(
+        lattice_sum(l1, l2), l3)
+
+
+@LATTICE_PROPERTY
+@given(fields, dims, st.data())
+def test_quotient_length_is_additive(i, dim, data):
+    desc = descriptor(i)
+    l1, b, c = (lattice(data, desc, dim) for _ in range(3))
+    l2 = lattice_sum(l1, b)
+    l3 = lattice_sum(l2, c)
+    assert quotient_length(l1, l3) == quotient_length(l1, l2) + quotient_length(l2, l3)

@@ -5,7 +5,12 @@ import pytest
 
 from isodescent import exactfield
 from isodescent import linalg as la
-from isodescent.errors import DimensionMismatch, NotContained, SingularMatrix
+from isodescent.errors import (
+    DimensionMismatch,
+    InvalidDescriptor,
+    NotContained,
+    SingularMatrix,
+)
 from isodescent.exactfield import FieldDescriptor, FieldElement, make_descriptor
 from isodescent.forms import GramForm
 from isodescent.lattice import (
@@ -659,7 +664,7 @@ class TestIntegralityTest:
         rng = random.Random("no-elements")
         a = random_lattice(rng, quad7, 3)
         b = lattice_sum(a, random_lattice(rng, quad7, 3))
-        a.inverse, b.inverse  # noqa: B018 - read before the patches
+        a.inverse, b.inverse  # noqa: B018 - computed before the patches
         vec = [a.basis[r][0] for r in range(3)]
         want = (a.contains_lattice(b), b.contains_lattice(a), b.contains_vector(vec))
 
@@ -708,6 +713,5 @@ class TestDimensionMismatch:
                 call()
 
     def test_integral_product_refuses_mixed_descriptors(self, gauss5, gauss13):
-        from isodescent.errors import InvalidDescriptor
         with pytest.raises(InvalidDescriptor):
             gauss5.integral_product(la.identity(gauss5, 2), la.identity(gauss13, 2))

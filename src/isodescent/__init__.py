@@ -38,7 +38,6 @@ from .exactfield import (
 )
 from .lattice import (
     Lattice,
-    dual_lattice,
     is_stable,
     lattice_intersect,
     lattice_sum,
@@ -53,7 +52,6 @@ from .forms import (
     AssembledForm,
     GramForm,
     ResidueForm,
-    assemble_f0,
     classify_gram,
     normalize_scale,
     reduce_bar,
@@ -107,14 +105,12 @@ __all__ = [
     "ResidueForm",
     "SearchSpaceTooLarge",
     "SingularMatrix",
-    "assemble_f0",
     "balance",
     "build_prop5_bundle",
     "build_prop6_bundle",
     "charpoly",
     "classify_gram",
     "descend",
-    "dual_lattice",
     "is_stable",
     "lattice_intersect",
     "lattice_sum",

@@ -49,15 +49,21 @@ def _expect(cond: bool, where: str, why: str):
         raise BundleFormatError(f"{where}: {why}")
 
 
+def _is_int(x) -> bool:
+    """Whether x is an integer; JSON true and false load as bool, which
+    Python counts as int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_entry(field, raw, where: str):
     """One matrix entry: a rational string or a power-basis coefficient list."""
-    if isinstance(raw, (str, int)):
+    if isinstance(raw, str) or _is_int(raw):
         try:
             return field.rational(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise BundleFormatError(f"{where}: bad rational {raw!r} ({exc})")
     if isinstance(raw, list):
-        _expect(all(isinstance(c, (str, int)) for c in raw), where,
+        _expect(all(isinstance(c, str) or _is_int(c) for c in raw), where,
                 "coefficient vectors hold strings or integers")
         try:
             return field.element(raw)
@@ -88,7 +94,7 @@ def load_bundle(path: str, max_group_order=None):
     given, overrides the bundle's cap and must be a positive integer.
     """
     _expect(max_group_order is None or
-            (isinstance(max_group_order, int) and max_group_order > 0),
+            (_is_int(max_group_order) and max_group_order > 0),
             "--max-group-order", f"must be a positive integer, got {max_group_order}")
     try:
         with open(path, "rb") as fh:
@@ -109,24 +115,24 @@ def load_bundle(path: str, max_group_order=None):
     fld = raw.get("field")
     _expect(isinstance(fld, dict), "field", "must be an object")
     for key in ("n", "ell"):
-        _expect(isinstance(fld.get(key), int), f"field.{key}",
+        _expect(_is_int(fld.get(key)), f"field.{key}",
                 "must be an integer")
     subgroup = fld.get("subgroup", [1])
     _expect(isinstance(subgroup, list) and
-            all(isinstance(h, int) for h in subgroup),
+            all(_is_int(h) for h in subgroup),
             "field.subgroup", "must be a list of integers")
     involution = fld.get("involution")
-    _expect(involution is None or isinstance(involution, int),
+    _expect(involution is None or _is_int(involution),
             "field.involution", "must be an integer or null")
     prime_choice = fld.get("prime_choice", 0)
-    _expect(isinstance(prime_choice, int), "field.prime_choice",
+    _expect(_is_int(prime_choice), "field.prime_choice",
             "must be an integer")
 
     opts = raw.get("options", {})
     _expect(isinstance(opts, dict), "options", "must be an object")
     # option keys not read here are ignored
     cap = opts.get("max_group_order", DEFAULT_GROUP_CAP)
-    _expect(isinstance(cap, int) and cap > 0, "options.max_group_order",
+    _expect(_is_int(cap) and cap > 0, "options.max_group_order",
             "must be a positive integer")
     options = {"max_group_order": cap if max_group_order is None else max_group_order}
 
@@ -140,7 +146,7 @@ def load_bundle(path: str, max_group_order=None):
     _expect(kind in KINDS, "form.kind", f"must be one of {KINDS}")
     gram = _parse_matrix(field, frm.get("gram"), "form.gram")
     twist = frm.get("twist", 0)
-    _expect(isinstance(twist, int), "form.twist", "must be an integer")
+    _expect(_is_int(twist), "form.twist", "must be an integer")
     form = GramForm(field, gram, kind, twist=twist)
 
     gens_raw = raw.get("generators")

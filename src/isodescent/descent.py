@@ -40,9 +40,9 @@ from .errors import (
     PreconditionViolated,
 )
 from .forms import (
+    AssembledForm,
     GramForm,
     ResidueForm,
-    assemble_f0,
     normalize_scale,
     reduce_bar,
     reduce_tilde,
@@ -313,10 +313,14 @@ def descend(rep: GroupRep, start: Lattice | None = None) -> DescentResult:
     w = sum(exps)
     s = n - w
 
-    # adapted bases D u_inv and B v, with inverses u D^-1 and v_inv B^-1
+    # adapted bases D u_inv and D u_inv diag(pi^exps), with inverses u D^-1
+    # and diag(pi^-exps) u D^-1; u (D^-1 B) v = diag(pi^exps) makes the
+    # second one B v for the column transform v that snf does not build
     basis_star = la.mat_mul(dual.basis, res.u_inv)
-    basis_lat = la.mat_mul(lat.basis, res.v)
     star_inv = la.mat_mul(res.u, dual.inverse)
+    scales = [field.pi_power(a) for a in exps]
+    basis_lat = [[x * c for x, c in zip(row, scales)] for row in basis_star]
+    lat_inv = [[field.pi_power(-a) * x for x in row] for a, row in zip(exps, star_inv)]
     kfield = field.residue_field
 
     def reduced_action(m):
@@ -334,7 +338,7 @@ def descend(rep: GroupRep, start: Lattice | None = None) -> DescentResult:
 
     # reduced form: first block from the lattice quotient, second (carrying
     # one extra uniformizer factor) from the dual quotient
-    adapted_lat = Lattice(field, basis_lat, _inverse=la.mat_mul(res.v_inv, lat.inverse))
+    adapted_lat = Lattice(field, basis_lat, _inverse=lat_inv)
     adapted_dual = Lattice(field, basis_star, _inverse=star_inv)
     bar_full, bar_kernel = reduce_bar(adapted_lat, f2, dual=adapted_dual)
     tilde_full, tilde_kernel = reduce_tilde(adapted_lat, f2, dual=adapted_dual)
@@ -365,7 +369,7 @@ def descend(rep: GroupRep, start: Lattice | None = None) -> DescentResult:
     try:
         bar_part = ResidueForm(kfield, bar_block, kind_bar, conj=conj_residue)
         tilde_part = ResidueForm(kfield, tilde_block, kind_tilde, conj=conj_residue)
-        f0 = assemble_f0(bar_part, tilde_part)
+        f0 = AssembledForm([bar_part, tilde_part])
         f0_blocks = [b for b in f0.blocks if b.dim > 0]
     except (KindMismatch, DegenerateForm, NoInvolution):
         kind_correct = False

@@ -573,11 +573,11 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
     The conductor is at most MAX_CONDUCTOR, ell at most MAX_ELL and the
     residue degree of ell in Q(zeta_n) at most MAX_RESIDUE_DEGREE.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidDescriptor("conductor must be a positive integer")
     if n > MAX_CONDUCTOR:
         raise InvalidDescriptor(f"conductor must be at most {MAX_CONDUCTOR}, got {n}")
-    if not isinstance(ell, int) or ell > MAX_ELL:
+    if isinstance(ell, bool) or not isinstance(ell, int) or ell > MAX_ELL:
         raise InvalidDescriptor(
             f"residue characteristic must be an integer at most {MAX_ELL}")
     if ell < 3 or ell % 2 == 0 or not _is_prime(ell):
@@ -676,7 +676,8 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
     n_primes = len(classes)
     if n_primes != g_count:
         raise InternalInconsistency("factor orbit count disagrees with the group count")
-    if not isinstance(prime_choice, int) or not (0 <= prime_choice < n_primes):
+    if isinstance(prime_choice, bool) or not isinstance(prime_choice, int) \
+            or not (0 <= prime_choice < n_primes):
         raise InvalidDescriptor(
             f"prime_choice must lie in [0, {n_primes}) for this field and ell")
     chosen_idx = classes[prime_choice]

@@ -109,8 +109,9 @@ class GramForm(_Form):
         return None
 
     def dual(self, lat: Lattice) -> Lattice:
-        """dual_lattice(lat, gram, conj) without inverting gram L: the dual
-        basis is conj(B^-1 A^-1)^T and its inverse conj(A B)^T."""
+        """The vectors pairing integrally with lat in the first slot, without
+        inverting A B: the basis is conj(B^-1 A^-1)^T and its inverse
+        conj(A B)^T."""
         if self._gram_inv is None:
             self._gram_inv = la.mat_inv(self.gram, self.field)
         basis = self._conj_t(la.mat_mul(lat.inverse, self._gram_inv))
@@ -207,21 +208,21 @@ class ResidueForm(_Form):
         return la.det(self.gram, self.rfield) != self.rfield.zero
 
 
-def _balanced_pair(lat: Lattice, form: GramForm, dual):
-    """Shared precondition checks for the two residue reductions.
+def _reduce_side(lat: Lattice, form: GramForm, dual, side: int):
+    """The body of reduce_bar (side 0) and reduce_tilde (side 1).
 
-    Returns (dual, gram of the form on lat's basis).  Raises unless the
-    lattice is balanced and the form takes integral values on it with
-    minimum valuation exactly zero.
+    Raises unless the lattice is balanced and the form takes integral values
+    on it with minimum valuation exactly zero.  Side 0 reduces the form on
+    lat's basis, side 1 reduces pi times the form on the dual's basis; the
+    kernel dimension is checked against the length of dual/lat.
     """
     field = form.field
     computed = form.dual(lat)
     if dual is None:
         dual = computed
-    else:
-        if not (dual.contains_lattice(computed) and computed.contains_lattice(dual)):
-            raise PreconditionViolated(
-                "supplied dual basis does not span the dual lattice")
+    elif not (dual.contains_lattice(computed) and computed.contains_lattice(dual)):
+        raise PreconditionViolated(
+            "supplied dual basis does not span the dual lattice")
     pdual = scale_lattice(field.pi_power(1), dual)
     if not dual.contains_lattice(lat) or not lat.contains_lattice(pdual):
         raise PreconditionViolated(
@@ -234,7 +235,23 @@ def _balanced_pair(lat: Lattice, form: GramForm, dual):
     if low > 0:
         raise PreconditionViolated(
             "form is not scale-normalized on the lattice (all values divisible by pi)")
-    return dual, g
+    if side:
+        g = la.scalar_mul(field.pi_power(1), form.gram_in_basis(dual.basis))
+        if any(x.valuation() < 0 for row in g for x in row):
+            raise InternalInconsistency(
+                "pi times the form is not integral on the dual of a balanced lattice")
+    kfield = field.residue_field
+    rg = reduce_gram(field, g)
+    kind = form.reduced_kind_pair()[side]
+    conj = field.residue_involution if kind == "hermitian" else None
+    rform = ResidueForm(kfield, rg, kind, conj=conj)
+    kernel = la.kernel_basis(rg, kfield)
+    # the first kernel is dual/lat, the second its complement
+    length = quotient_length(lat, dual)
+    if len(kernel) != (form.dim - length if side else length):
+        raise InternalInconsistency(
+            f"residue kernel {side} disagrees with the index of the lattice in its dual")
+    return rform, kernel
 
 
 def reduce_bar(lat: Lattice, form: GramForm, dual=None):
@@ -246,18 +263,7 @@ def reduce_bar(lat: Lattice, form: GramForm, dual=None):
     dual/lat, and the form is nondegenerate modulo that kernel.  An optional
     precomputed dual fixes the basis used for the balance check.
     """
-    field = form.field
-    dual, g = _balanced_pair(lat, form, dual)
-    kfield = field.residue_field
-    rg = reduce_gram(field, g)
-    kind = form.reduced_kind_pair()[0]
-    conj = field.residue_involution if kind == "hermitian" else None
-    rform = ResidueForm(kfield, rg, kind, conj=conj)
-    kernel = la.kernel_basis(rg, kfield)
-    if len(kernel) != quotient_length(lat, dual):
-        raise InternalInconsistency(
-            "kernel dimension disagrees with the index of the lattice in its dual")
-    return rform, kernel
+    return _reduce_side(lat, form, dual, 0)
 
 
 def reduce_tilde(lat: Lattice, form: GramForm, dual=None):
@@ -267,32 +273,16 @@ def reduce_tilde(lat: Lattice, form: GramForm, dual=None):
     the dual lattice's coordinates; the kernel dimension is complementary to
     reduce_bar's, and the form is nondegenerate modulo the kernel.
     """
-    field = form.field
-    dual, _ = _balanced_pair(lat, form, dual)
-    scaled = form.scale_by_pi_power(1)
-    g = scaled.gram_in_basis(dual.basis)
-    vals = [x.valuation() for row in g for x in row]
-    if min(vals) < 0:
-        raise InternalInconsistency(
-            "pi times the form is not integral on the dual of a balanced lattice")
-    kfield = field.residue_field
-    rg = reduce_gram(field, g)
-    kind = form.reduced_kind_pair()[1]
-    conj = field.residue_involution if kind == "hermitian" else None
-    rform = ResidueForm(kfield, rg, kind, conj=conj)
-    kernel = la.kernel_basis(rg, kfield)
-    if len(kernel) != form.dim - quotient_length(lat, dual):
-        raise InternalInconsistency(
-            "kernel dimensions of the two residue forms are not complementary")
-    return rform, kernel
+    return _reduce_side(lat, form, dual, 1)
 
 
 class AssembledForm(_Form):
-    """Block-diagonal residue form built from the two nondegenerate parts.
+    """Block-diagonal residue form joined from nondegenerate residue parts.
 
-    The kind is the common kind when the blocks agree, and the tag
-    "product" for the mixed symmetric/alternating pair arising from a
-    ramified hermitian input.
+    In descend the first block is the nondegenerate part of the first
+    reduction, the second that of the pi-scaled one.  Kinds must agree, and
+    the form takes the common kind, except for the symmetric/alternating
+    pair of the ramified hermitian case, which takes the tag "product".
     """
 
     def __init__(self, blocks):
@@ -323,13 +313,3 @@ class AssembledForm(_Form):
 
     def is_nondegenerate(self) -> bool:
         return all(b.is_nondegenerate() for b in self.blocks)
-
-
-def assemble_f0(bar_part: ResidueForm, tilde_part: ResidueForm) -> AssembledForm:
-    """Join the two nondegenerate residue parts into one block form.
-
-    The first block is the nondegenerate part of the first reduction, the
-    second that of the pi-scaled one.  Kinds must agree, except for the
-    symmetric/alternating pair of the ramified hermitian case.
-    """
-    return AssembledForm([bar_part, tilde_part])

@@ -5,12 +5,13 @@ nonsingular matrix over K.  Containment is an integrality test: L contains
 L' iff the transition matrix B^-1 B' is integral, which is read off the
 integer coordinates of the product (FieldDescriptor.integral_product)
 without building or certifying its entries.  Sums, intersections (through
-duals) and quotient invariants take a Smith normal form over the discrete
-valuation ring, of which sums and invariants compute only the row side:
-pivoting on entries of minimal certified valuation keeps all transforming
-matrices O-invertible on the side where it matters (column operations are
-always integral shears and swaps; row operations additionally scale by
-units so the diagonal comes out as exact powers of the uniformizer).
+duals), quotient invariants and descend's adapted bases read the row side
+of a Smith normal form over the discrete valuation ring: pivoting on
+entries of minimal certified valuation keeps the row transform O-invertible
+(swaps, integral shears and unit scalings, so the diagonal comes out as
+exact powers of the uniformizer).  The column transform v (integral
+shears and swaps) is never built: for a transition matrix D^-1 B, the
+adapted basis B v is D u_inv diag(pi**exps).
 
 Diagonal exponents are reported in nonincreasing order.
 """
@@ -26,11 +27,11 @@ from .errors import DimensionMismatch, NotContained, SingularMatrix
 
 @dataclass
 class SNFResult:
-    """u @ m @ v = diagonal of pi**exps (exponents nonincreasing)."""
+    """Row side of a Smith normal form: u and u_inv are mutually inverse and
+    integral, and for m of full row rank diag(pi**-exps) @ u @ m is integral
+    with an integral right inverse (exponents nonincreasing)."""
     u: list
     u_inv: list
-    v: list
-    v_inv: list
     exps: list
 
     @property
@@ -38,18 +39,15 @@ class SNFResult:
         return len(self.exps)
 
 
-def snf(m, field, *, _rows_only=False) -> SNFResult:
-    """Smith normal form over the valuation ring; m may be rectangular.
+def snf(m, field) -> SNFResult:
+    """Row side of the Smith normal form over the valuation ring; m may be
+    rectangular.
 
-    Entries may have negative valuation (the algorithm works over K); the
-    invariant u @ m @ v = diag(pi**exps) always holds with v and v_inv
-    integral and u, u_inv products of unit row scalings and integral shears.
-
-    _rows_only is the row side for callers that read only u, u_inv and exps
-    (lattice sums, quotient invariants): v and v_inv come back None and no
-    column operation is made.  Once the rows below pivot k are cleared, a
-    column operation changes only row k, which no later pivot search reads;
-    columns are still swapped in the working matrix, so the pivots, u, u_inv
+    Entries may have negative valuation (the algorithm works over K); u and
+    u_inv are products of unit row scalings and integral shears.  No column
+    operation is made: once the rows below pivot k are cleared, a column
+    operation would change only row k, which no later pivot search reads.
+    Columns are still swapped in the working matrix, so the pivots, u, u_inv
     and exps are those of the full form (Cohen, A Course in Computational
     Algebraic Number Theory, 2.4).
     """
@@ -58,9 +56,6 @@ def snf(m, field, *, _rows_only=False) -> SNFResult:
     cur = la.mat_copy(m)
     u = la.identity(field, nr)
     u_inv = la.identity(field, nr)
-    full = not _rows_only
-    v = la.identity(field, nc) if full else None
-    v_inv = la.identity(field, nc) if full else None
     zero = field.zero
 
     # Rows k and below are zero in the columns left of pivot k, so row
@@ -90,10 +85,6 @@ def snf(m, field, *, _rows_only=False) -> SNFResult:
         if bj != k:
             for row in cur:
                 row[k], row[bj] = row[bj], row[k]
-            if full:
-                for row in v:
-                    row[k], row[bj] = row[bj], row[k]
-                v_inv[k], v_inv[bj] = v_inv[bj], v_inv[k]
         a = best_v
         pivot = cur[k][k]
         pa = field.pi_power(a)
@@ -117,34 +108,17 @@ def snf(m, field, *, _rows_only=False) -> SNFResult:
                 for row in u_inv:
                     if row[i] != zero:
                         row[k] = row[k] - c * row[i]
-        if full:
-            # column j -= f * column k clears cur[k][j]; column k is zero
-            # below row k, so no other entry of cur changes
-            for j in range(k + 1, nc):
-                if top[j] != zero:
-                    c = -(top[j] * pk)
-                    top[j] = zero
-                    for row in v:
-                        if row[k] != zero:
-                            row[j] = row[j] + c * row[k]
-                    v_inv[k] = [x - c * y if y != zero else x
-                                for x, y in zip(v_inv[k], v_inv[j])]
         exps.append(a)
 
     # reverse so exponents come out nonincreasing
     tt = len(exps)
     if tt > 1:
-        perm_r = list(range(nr))
-        perm_c = list(range(nc))
-        perm_r[:tt] = reversed(perm_r[:tt])
-        perm_c[:tt] = reversed(perm_c[:tt])
-        u[:] = [u[i] for i in perm_r]
-        u_inv[:] = [[row[i] for i in perm_r] for row in u_inv]
-        if full:
-            v[:] = [[row[j] for j in perm_c] for row in v]
-            v_inv[:] = [v_inv[j] for j in perm_c]
+        perm = list(range(nr))
+        perm[:tt] = reversed(perm[:tt])
+        u[:] = [u[i] for i in perm]
+        u_inv[:] = [[row[i] for i in perm] for row in u_inv]
         exps.reverse()
-    return SNFResult(u, u_inv, v, v_inv, exps)
+    return SNFResult(u, u_inv, exps)
 
 
 # Passed as Lattice(..., _inverse=_ON_READ) by an operation that cannot
@@ -229,7 +203,7 @@ def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
     if l2.dim != n:
         raise DimensionMismatch("lattice sum dimension mismatch")
     joint = [r1[:] + r2[:] for r1, r2 in zip(l1.basis, l2.basis)]
-    res = snf(joint, field, _rows_only=True)
+    res = snf(joint, field)
     if res.rank != n:
         raise SingularMatrix("lattice sum lost rank")
     # basis u_inv diag(pi^e), so its inverse is diag(pi^-e) u
@@ -239,30 +213,16 @@ def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
     return Lattice(field, basis, _inverse=inv)
 
 
-def _dot_dual(lat: Lattice, conj=None) -> Lattice:
-    """Dual with respect to the standard pairing sum(conj(x_i) y_i): the
-    basis is conj(B^-1)^T, whose inverse is conj(B)^T."""
-    if conj is None:
-        basis, inv = la.transpose(lat.inverse), la.transpose(lat.basis)
-    else:
-        basis = la.conj_transpose(lat.inverse, conj)
-        inv = la.conj_transpose(lat.basis, conj)
+def _dot_dual(lat: Lattice) -> Lattice:
+    """Dual with respect to the standard pairing sum(x_i y_i): the basis is
+    (B^-1)^T, whose inverse is B^T."""
+    basis, inv = la.transpose(lat.inverse), la.transpose(lat.basis)
     return Lattice(lat.field, basis, _inverse=inv)
 
 
 def lattice_intersect(l1: Lattice, l2: Lattice) -> Lattice:
     """Largest lattice contained in both (dualize, add, dualize back)."""
     return _dot_dual(lattice_sum(_dot_dual(l1), _dot_dual(l2)))
-
-
-def dual_lattice(lat: Lattice, gram, conj=None) -> Lattice:
-    """Dual with respect to the pairing f(x, y) = conj(x)^T gram y.
-
-    The dual consists of the vectors pairing integrally with the lattice in
-    the *first* slot of f; conj is applied entrywise (None for bilinear
-    pairings).  It is the standard dual of gram L.
-    """
-    return _dot_dual(apply_matrix(gram, lat), conj)
 
 
 def _contained_transition(sub: Lattice, sup: Lattice):
@@ -285,7 +245,7 @@ def quotient_length(sub: Lattice, sup: Lattice) -> int:
 
 def quotient_invariants(sub: Lattice, sup: Lattice) -> list:
     """Elementary divisor exponents of sup/sub, nonincreasing."""
-    return snf(_contained_transition(sub, sup), sup.field, _rows_only=True).exps
+    return snf(_contained_transition(sub, sup), sup.field).exps
 
 
 def stabilize(lat: Lattice, mats) -> Lattice:

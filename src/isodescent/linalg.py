@@ -58,10 +58,6 @@ def scalar_mul(c, a):
     return [[c * x for x in row] for row in a]
 
 
-def mat_apply(fn, a):
-    return [[fn(x) for x in row] for row in a]
-
-
 def mat_eq(a, b) -> bool:
     return len(a) == len(b) and all(
         len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))

@@ -1,3 +1,4 @@
+import collections
 import json
 import pathlib
 
@@ -5,6 +6,7 @@ import pytest
 
 from isodescent import linalg as la
 from isodescent.descent import GroupRep
+from isodescent.errors import SingularMatrix
 from isodescent.exactfield import make_descriptor
 from isodescent.forms import GramForm
 
@@ -148,3 +150,111 @@ def assert_matrix_equal(a, b):
     assert len(a) == len(b)
     for ra, rb in zip(a, b):
         assert list(ra) == list(rb)
+
+
+# u @ m @ v = diag(pi**exps), with u_inv and v_inv the inverses of u and v
+ReferenceSNF = collections.namedtuple("ReferenceSNF", "u u_inv v v_inv exps")
+
+
+def reference_snf(m, field) -> ReferenceSNF:
+    """Smith normal form over the valuation ring with both transforms, one
+    elementary operation at a time; m may be rectangular.  The reference for
+    the row side that lattice.snf computes and for the adapted bases that
+    descend reads off that row side.
+
+    Entries may have negative valuation (the algorithm works over K); the
+    invariant u @ m @ v = diag(pi**exps) always holds with v and v_inv
+    integral and u, u_inv products of unit row scalings and integral shears.
+    """
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    cur = la.mat_copy(m)
+    u = la.identity(field, nr)
+    u_inv = la.identity(field, nr)
+    v = la.identity(field, nc)
+    v_inv = la.identity(field, nc)
+    zero = field.zero
+
+    def row_swap(i, j):
+        cur[i], cur[j] = cur[j], cur[i]
+        u[i], u[j] = u[j], u[i]
+        for row in u_inv:
+            row[i], row[j] = row[j], row[i]
+
+    def col_swap(i, j):
+        for row in cur:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+
+    def row_addmul(i, j, c):
+        # row_i += c * row_j
+        cur[i] = [x + c * y for x, y in zip(cur[i], cur[j])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        for row in u_inv:
+            row[j] = row[j] - c * row[i]
+
+    def col_addmul(i, j, c):
+        # col_i += c * col_j
+        for row in cur:
+            row[i] = row[i] + c * row[j]
+        for row in v:
+            row[i] = row[i] + c * row[j]
+        v_inv[j] = [x - c * y for x, y in zip(v_inv[j], v_inv[i])]
+
+    def row_scale(i, c, c_back):
+        cur[i] = [c * x for x in cur[i]]
+        u[i] = [c * x for x in u[i]]
+        for row in u_inv:
+            row[i] = row[i] * c_back
+
+    exps = []
+    t = min(nr, nc)
+    for k in range(t):
+        best = None
+        best_v = None
+        for i in range(k, nr):
+            for j in range(k, nc):
+                x = cur[i][j]
+                if x == zero:
+                    continue
+                vv = x.valuation()
+                if best_v is None or vv < best_v:
+                    best, best_v = (i, j), vv
+        if best is None:
+            raise SingularMatrix("matrix is rank-deficient")
+        bi, bj = best
+        if bi != k:
+            row_swap(k, bi)
+        if bj != k:
+            col_swap(k, bj)
+        a = best_v
+        pivot = cur[k][k]
+        unit_inv = field.pi_power(a) / pivot
+        unit = pivot / field.pi_power(a)
+        row_scale(k, unit_inv, unit)
+        pk = field.pi_power(-a)
+        for i in range(k + 1, nr):
+            if cur[i][k] != zero:
+                f = cur[i][k] * pk
+                row_addmul(i, k, -f)
+        for j in range(k + 1, nc):
+            if cur[k][j] != zero:
+                f = cur[k][j] * pk
+                col_addmul(j, k, -f)
+        exps.append(a)
+
+    # reverse so exponents come out nonincreasing
+    tt = len(exps)
+    if tt > 1:
+        perm_r = list(range(nr))
+        perm_c = list(range(nc))
+        perm_r[:tt] = reversed(perm_r[:tt])
+        perm_c[:tt] = reversed(perm_c[:tt])
+        u[:] = [u[i] for i in perm_r]
+        u_inv[:] = [[row[i] for i in perm_r] for row in u_inv]
+        v[:] = [[row[j] for j in perm_c] for row in v]
+        v_inv[:] = [v_inv[j] for j in perm_c]
+        exps.reverse()
+    return ReferenceSNF(u, u_inv, v, v_inv, exps)

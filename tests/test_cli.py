@@ -167,6 +167,33 @@ class TestExitCodes:
             assert out == ""
             assert f"--max-group-order: must be a positive integer, got {value}" in err
 
+    @pytest.mark.parametrize("where, value", [
+        ("field.n", True),
+        ("field.ell", True),
+        ("field.prime_choice", False),
+        ("field.involution", True),
+        ("field.subgroup", [True]),
+        ("form.twist", True),
+        ("options.max_group_order", True),
+        ("form.gram", [[True]]),
+        ("form.gram", [[[True]]]),
+        ("generators", [[[False]]]),
+    ])
+    def test_json_booleans_are_not_integers(self, capsys, tmp_path, where, value):
+        # JSON true and false load as bool, which Python counts as int
+        bundle = minimal_bundle()
+        *outer, key = where.split(".")
+        part = bundle
+        for name in outer:
+            part = part[name]
+        part[key] = value
+        p = tmp_path / "boolean.json"
+        p.write_text(json.dumps(bundle))
+        code, out, err = run(capsys, "descend", str(p))
+        assert code == 1
+        assert out == ""
+        assert f"error: {where}" in err
+
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "descend", "/nonexistent/bundle.json")
         assert code == 1

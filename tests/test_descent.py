@@ -3,6 +3,7 @@ import random
 import pytest
 
 from isodescent import linalg as la
+from isodescent.cli import load_bundle
 from isodescent.counterexamples import build_prop5_bundle
 from isodescent.descent import GroupRep, balance, descend, rigidity_check
 from isodescent.errors import (
@@ -25,9 +26,11 @@ from isodescent.lattice import (
 )
 
 from conftest import (
+    BUNDLE_DIR,
     assert_matrix_equal,
     quaternion_rep,
     random_invertible,
+    reference_snf,
 )
 
 
@@ -417,3 +420,49 @@ class TestDescend:
         assert res.chain_steps == base.chain_steps
         assert res.block_dims == base.block_dims
         assert res.charpoly_classes == base.charpoly_classes
+
+
+def block_rep(desc, k, rng):
+    """B_1 x B_2 with the form diag(1, ell^k, ell^k) in the basis P = D U,
+    U unimodular and D scaling the first coordinate by 1/ell: the standard
+    lattice stabilizes to ell^-1 O + O^2, and the chain needs steps."""
+    o, z = desc.one, desc.zero
+    gens = [[[-o, z, z], [z, o, z], [z, z, o]],
+            [[o, z, z], [z, z, o], [z, o, z]],
+            [[o, z, z], [z, -o, z], [z, z, o]]]
+    gram = la.identity(desc, 3)
+    gram[1][1] = gram[2][2] = desc.rational(desc.ell ** k)
+    d = la.identity(desc, 3)
+    d[0][0] = desc.rational(f"1/{desc.ell}")
+    p = la.mat_mul(d, random_unimodular(rng, desc, 3))
+    p_inv = la.mat_inv(p, desc)
+    gens = [la.mat_mul(p_inv, la.mat_mul(g, p)) for g in gens]
+    form = GramForm(desc, la.mat_mul(la.transpose(p), la.mat_mul(gram, p)), "symmetric")
+    return GroupRep(desc, gens, form)
+
+
+class TestAdaptedBasisAgainstTheColumnSide:
+    """descend takes T's adapted basis as D u_inv diag(pi^exps) from the row
+    side of the Smith form; the full reference form gives it as B v."""
+
+    def check(self, rep):
+        res = descend(rep)
+        start = stabilize(standard_lattice(rep.field, rep.dim), rep.generators)
+        bal = balance(start, rep.form, generators=rep.generators)
+        ref = reference_snf(bal.dual.transition_from(bal.lattice), rep.field)
+        assert res.invariant_exps == ref.exps
+        assert la.mat_eq(res.lattice_basis, la.mat_mul(bal.lattice.basis, ref.v))
+        assert la.mat_eq(res.dual_basis, la.mat_mul(bal.dual.basis, ref.u_inv))
+        return res
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in BUNDLE_DIR.glob("*.json")))
+    def test_committed_bundles(self, name):
+        rep, _ = load_bundle(str(BUNDLE_DIR / f"{name}.json"))
+        self.check(rep)
+
+    def test_block_group_with_chain_steps(self, gauss5):
+        res = self.check(block_rep(gauss5, 3, random.Random("adapted-block")))
+        assert res.chain_steps == 2
+        assert res.block_dims == (1, 2)
+        assert all(res.certificates.values())
+

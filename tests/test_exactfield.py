@@ -27,6 +27,12 @@ class TestDescriptorConstruction:
         with pytest.raises(InvalidDescriptor):
             make_descriptor(0, 5)
 
+    def test_rejects_booleans_as_integers(self):
+        for args, kwargs in (((True, 5), {}), ((4, True), {}),
+                             ((4, 5), {"prime_choice": False})):
+            with pytest.raises(InvalidDescriptor):
+                make_descriptor(*args, **kwargs)
+
     def test_conductor_and_ell_caps(self):
         assert make_descriptor(MAX_CONDUCTOR, 3).degree == 32
         assert make_descriptor(1, 997).ell == 997    # the largest prime <= MAX_ELL

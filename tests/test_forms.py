@@ -14,9 +14,9 @@ from isodescent.errors import (
 )
 from isodescent.finitefield import ResidueField
 from isodescent.forms import (
+    AssembledForm,
     GramForm,
     ResidueForm,
-    assemble_f0,
     classify_gram,
     normalize_scale,
     reduce_bar,
@@ -371,12 +371,39 @@ class TestReductions:
             assert len(la.kernel_basis(tilde.gram, tilde.rfield)) == len(kt)
 
 
+    @pytest.mark.parametrize("descname,kind", [("gauss5", "symmetric"),
+                                               ("gauss5", "alternating"),
+                                               ("quad7", "hermitian")])
+    def test_tilde_matches_the_scaled_form(self, descname, kind, request):
+        """reduce_tilde scales the gram matrix by pi in place of building
+        the form pi f; the reduction of pi f on the dual is the reference."""
+        desc = request.getfixturevalue(descname)
+        k = desc.residue_field
+        rng = random.Random(f"tilde-{descname}-{kind}")
+        for _ in range(10):
+            n = 2 if kind == "alternating" else rng.randint(1, 3)
+            if kind == "alternating":
+                gram = la.scalar_mul(desc.pi_power(rng.randint(0, 2)), symplectic2(desc))
+            elif kind == "symmetric":
+                gram = symmetric_invertible(rng, desc, n)
+            else:
+                gram = hermitian_invertible(rng, desc, n)
+            bal = balance(Lattice(desc, random_invertible(rng, desc, n)),
+                          GramForm(desc, gram, kind))
+            scaled = bal.form.scale_by_pi_power(1)
+            want = reduce_gram(desc, scaled.gram_in_basis(bal.dual.basis))
+            for dual in (bal.dual, None):
+                tilde, kt = reduce_tilde(bal.lattice, bal.form, dual=dual)
+                assert_matrix_equal(tilde.gram, want)
+                assert kt == la.kernel_basis(want, k)
+                assert tilde.kind == scaled.reduced_kind_pair()[0]
+
 class TestAssemble:
     def test_two_alternating_blocks(self, gauss5):
         k = gauss5.residue_field
         j = [[k.zero, k.one], [-k.one, k.zero]]
-        f0 = assemble_f0(ResidueForm(k, j, "alternating"),
-                         ResidueForm(k, j, "alternating"))
+        f0 = AssembledForm([ResidueForm(k, j, "alternating"),
+                            ResidueForm(k, j, "alternating")])
         assert f0.kind == "alternating"
         assert f0.dim == 4
         assert f0.is_nondegenerate()
@@ -387,7 +414,7 @@ class TestAssemble:
         k = gauss5.residue_field
         bar = ResidueForm(k, [[k.one, k.zero], [k.zero, k.one]], "symmetric")
         empty = ResidueForm(k, [], "symmetric")
-        f0 = assemble_f0(bar, empty)
+        f0 = AssembledForm([bar, empty])
         assert f0.kind == "symmetric"
         assert f0.dim == 2
         assert_matrix_equal(f0.gram, bar.gram)
@@ -396,7 +423,7 @@ class TestAssemble:
         k = gauss5.residue_field
         sym = ResidueForm(k, [[k.one]], "symmetric")
         alt = ResidueForm(k, [[k.zero, k.one], [-k.one, k.zero]], "alternating")
-        f0 = assemble_f0(sym, alt)
+        f0 = AssembledForm([sym, alt])
         assert f0.kind == "product"
         assert f0.kinds == ("symmetric", "alternating")
         assert f0.dims == (1, 2)
@@ -408,27 +435,27 @@ class TestAssemble:
         herm = ResidueForm(k, [[k.one]], "hermitian", conj=conj)
         sym = ResidueForm(k, [[k.one]], "symmetric")
         with pytest.raises(KindMismatch):
-            assemble_f0(herm, sym)
+            AssembledForm([herm, sym])
 
     def test_degenerate_block_rejected(self, gauss5):
         k = gauss5.residue_field
         good = ResidueForm(k, [[k.one]], "symmetric")
         bad = ResidueForm(k, [[k.zero]], "symmetric")
         with pytest.raises(DegenerateForm):
-            assemble_f0(good, bad)
+            AssembledForm([good, bad])
 
     def test_blocks_from_different_fields_rejected(self, gauss5, gauss13):
         k5 = gauss5.residue_field
         k13 = gauss13.residue_field
         with pytest.raises(KindMismatch):
-            assemble_f0(ResidueForm(k5, [[k5.one]], "symmetric"),
-                        ResidueForm(k13, [[k13.one]], "symmetric"))
+            AssembledForm([ResidueForm(k5, [[k5.one]], "symmetric"),
+                           ResidueForm(k13, [[k13.one]], "symmetric")])
 
     def test_blockwise_isometry(self, gauss5):
         k = gauss5.residue_field
         j = [[k.zero, k.one], [-k.one, k.zero]]
-        f0 = assemble_f0(ResidueForm(k, [[k.one]], "symmetric"),
-                         ResidueForm(k, j, "alternating"))
+        f0 = AssembledForm([ResidueForm(k, [[k.one]], "symmetric"),
+                            ResidueForm(k, j, "alternating")])
         g = [[-k.one, k.zero, k.zero],
              [k.zero, k.one, k.one],
              [k.zero, k.zero, k.one]]

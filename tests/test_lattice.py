@@ -15,9 +15,7 @@ from isodescent.exactfield import FieldDescriptor, FieldElement, make_descriptor
 from isodescent.forms import GramForm
 from isodescent.lattice import (
     Lattice,
-    SNFResult,
     apply_matrix,
-    dual_lattice,
     is_stable,
     lattice_intersect,
     lattice_sum,
@@ -29,7 +27,7 @@ from isodescent.lattice import (
     standard_lattice,
 )
 
-from conftest import quaternion_rep, random_field_element, random_invertible
+from conftest import quaternion_rep, random_field_element, random_invertible, reference_snf
 
 
 def random_lattice(rng, desc, n):
@@ -45,17 +43,16 @@ class TestSmithNormalForm:
             n = rng.randint(1, 4)
             m = random_invertible(rng, desc, n)
             res = snf(m, desc)
-            diag = la.mat_mul(res.u, la.mat_mul(m, res.v))
-            expected = [[desc.pi_power(res.exps[i]) if i == j else desc.zero
-                         for j in range(n)] for i in range(n)]
-            assert la.mat_eq(diag, expected)
             assert list(res.exps) == sorted(res.exps, reverse=True)
-            # change-of-basis matrices are integral with integral inverses
-            for u, ui in ((res.u, res.u_inv), (res.v, res.v_inv)):
-                assert la.mat_eq(la.mat_mul(u, ui), la.identity(desc, n))
-                for row in list(u) + list(ui):
-                    for x in row:
-                        assert x.valuation() >= 0
+            # the row transform is integral with an integral inverse
+            assert la.mat_eq(la.mat_mul(res.u, res.u_inv), la.identity(desc, n))
+            assert all(x.is_integral() for row in res.u + res.u_inv for x in row)
+            # diag(pi^-exps) u m is integral with a unit determinant, so its
+            # inverse is integral too
+            w = [[desc.pi_power(-a) * x for x in row]
+                 for a, row in zip(res.exps, la.mat_mul(res.u, m))]
+            assert all(x.is_integral() for row in w for x in row)
+            assert la.det(w, desc).valuation() == 0
             det_val = la.det(m, desc).valuation()
             assert sum(res.exps) == det_val
 
@@ -146,13 +143,12 @@ class TestDualLattice:
             n = rng.randint(1, 3)
             m = random_invertible(rng, desc, n)
             # double dual needs a reflexive pairing; m^T m is symmetric
-            gram = la.mat_mul(la.transpose(m), m)
+            dual = GramForm(desc, la.mat_mul(la.transpose(m), m), "symmetric").dual
             a = random_lattice(rng, desc, n)
             sub = scale_lattice(desc.pi_power(rng.randint(1, 2)), a)
-            da = dual_lattice(a, gram)
-            dsub = dual_lattice(sub, gram)
-            assert dual_lattice(da, gram) == a
-            assert dsub.contains_lattice(da)
+            da = dual(a)
+            assert dual(da) == a
+            assert dual(sub).contains_lattice(da)
 
     def test_hermitian_double_dual(self, gauss7):
         desc = gauss7
@@ -161,20 +157,20 @@ class TestDualLattice:
         for _ in range(10):
             n = rng.randint(1, 3)
             m = random_invertible(rng, desc, n)
-            gram = la.mat_mul(la.transpose(la.mat_apply(conj, m)), m)
+            dual = GramForm(desc, la.mat_mul(la.conj_transpose(m, conj), m), "hermitian").dual
             lat = random_lattice(rng, desc, n)
-            dd = dual_lattice(dual_lattice(lat, gram, conj=conj), gram, conj=conj)
-            assert dd == lat
+            assert dual(dual(lat)) == lat
 
     def test_standard_lattice_self_dual_under_identity(self, gauss5):
         lat = standard_lattice(gauss5, 3)
-        assert dual_lattice(lat, la.identity(gauss5, 3)) == lat
+        assert GramForm(gauss5, la.identity(gauss5, 3), "symmetric").dual(lat) == lat
 
     def test_dual_pairing_is_integral(self, gauss5):
         rng = random.Random("dualpair")
-        gram = random_invertible(rng, gauss5, 2)
+        m = random_invertible(rng, gauss5, 2)
+        gram = la.mat_mul(la.transpose(m), m)
         lat = random_lattice(rng, gauss5, 2)
-        dual = dual_lattice(lat, gram)
+        dual = GramForm(gauss5, gram, "symmetric").dual(lat)
         prod = la.mat_mul(la.transpose(dual.basis), la.mat_mul(gram, lat.basis))
         for row in prod:
             for x in row:
@@ -261,14 +257,12 @@ class TestCarriedInverses:
                 scale_lattice(desc.pi_power(rng.randint(-2, 2)), a),
                 lattice_sum(a, b),
                 lattice_intersect(a, b),
-                dual_lattice(a, sym),
                 GramForm(desc, sym, "symmetric").dual(a),
                 apply_matrix(m, a),
             ]
             if desc.involution is not None:
                 herm = la.mat_mul(la.conj_transpose(m, conj), m)
-                made += [dual_lattice(a, herm, conj=conj),
-                         GramForm(desc, herm, "hermitian").dual(a)]
+                made.append(GramForm(desc, herm, "hermitian").dual(a))
             for lat in made:
                 assert_inverse(lat)
 
@@ -290,8 +284,7 @@ class TestCarriedInverses:
             for gram, cj, kind in pairs:
                 want = la.mat_inv(la.transpose(la.mat_mul(gram, a.basis)), desc)
                 if cj is not None:
-                    want = la.mat_apply(cj, want)
-                assert la.mat_eq(dual_lattice(a, gram, conj=cj).basis, want)
+                    want = [[cj(x) for x in row] for row in want]
                 assert la.mat_eq(GramForm(desc, gram, kind).dual(a).basis, want)
 
     def test_chain_operations_invert_nothing(self, gauss5, count_solves):
@@ -392,7 +385,7 @@ class TestSingularInputs:
 
 
 # ----------------------------------------------------------------------
-# the Smith normal form against the one before the row side was split off
+# the row side of the Smith normal form against the full reference
 
 
 # Q at 5, gauss5, quad7, the wildly ramified Q(zeta_9) at 3 and the prop6 field
@@ -404,107 +397,6 @@ SNF_FIELDS = [(1, 5, (1,), None), (4, 5, (1,), None), (7, 7, (1, 2, 4), 3),
 def snf_field(i):
     n, ell, sub, inv = SNF_FIELDS[i]
     return make_descriptor(n, ell, subgroup=sub, involution=inv)
-
-
-def reference_snf(m, field) -> SNFResult:
-    """Smith normal form over the valuation ring; m may be rectangular.
-
-    Entries may have negative valuation (the algorithm works over K); the
-    invariant u @ m @ v = diag(pi**exps) always holds with v and v_inv
-    integral and u, u_inv products of unit row scalings and integral shears.
-    """
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    cur = la.mat_copy(m)
-    u = la.identity(field, nr)
-    u_inv = la.identity(field, nr)
-    v = la.identity(field, nc)
-    v_inv = la.identity(field, nc)
-    zero = field.zero
-
-    def row_swap(i, j):
-        cur[i], cur[j] = cur[j], cur[i]
-        u[i], u[j] = u[j], u[i]
-        for row in u_inv:
-            row[i], row[j] = row[j], row[i]
-
-    def col_swap(i, j):
-        for row in cur:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-
-    def row_addmul(i, j, c):
-        # row_i += c * row_j
-        cur[i] = [x + c * y for x, y in zip(cur[i], cur[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-        for row in u_inv:
-            row[j] = row[j] - c * row[i]
-
-    def col_addmul(i, j, c):
-        # col_i += c * col_j
-        for row in cur:
-            row[i] = row[i] + c * row[j]
-        for row in v:
-            row[i] = row[i] + c * row[j]
-        v_inv[j] = [x - c * y for x, y in zip(v_inv[j], v_inv[i])]
-
-    def row_scale(i, c, c_back):
-        cur[i] = [c * x for x in cur[i]]
-        u[i] = [c * x for x in u[i]]
-        for row in u_inv:
-            row[i] = row[i] * c_back
-
-    exps = []
-    t = min(nr, nc)
-    for k in range(t):
-        best = None
-        best_v = None
-        for i in range(k, nr):
-            for j in range(k, nc):
-                x = cur[i][j]
-                if x == zero:
-                    continue
-                vv = x.valuation()
-                if best_v is None or vv < best_v:
-                    best, best_v = (i, j), vv
-        if best is None:
-            raise SingularMatrix("matrix is rank-deficient")
-        bi, bj = best
-        if bi != k:
-            row_swap(k, bi)
-        if bj != k:
-            col_swap(k, bj)
-        a = best_v
-        pivot = cur[k][k]
-        unit_inv = field.pi_power(a) / pivot
-        unit = pivot / field.pi_power(a)
-        row_scale(k, unit_inv, unit)
-        pk = field.pi_power(-a)
-        for i in range(k + 1, nr):
-            if cur[i][k] != zero:
-                f = cur[i][k] * pk
-                row_addmul(i, k, -f)
-        for j in range(k + 1, nc):
-            if cur[k][j] != zero:
-                f = cur[k][j] * pk
-                col_addmul(j, k, -f)
-        exps.append(a)
-
-    # reverse so exponents come out nonincreasing
-    tt = len(exps)
-    if tt > 1:
-        perm_r = list(range(nr))
-        perm_c = list(range(nc))
-        perm_r[:tt] = reversed(perm_r[:tt])
-        perm_c[:tt] = reversed(perm_c[:tt])
-        u[:] = [u[i] for i in perm_r]
-        u_inv[:] = [[row[i] for i in perm_r] for row in u_inv]
-        v[:] = [[row[j] for j in perm_c] for row in v]
-        v_inv[:] = [v_inv[j] for j in perm_c]
-        exps.reverse()
-    return SNFResult(u, u_inv, v, v_inv, exps)
 
 
 def random_snf_input(rng, desc, nr, nc):
@@ -540,18 +432,18 @@ class TestSmithAgainstReference:
             try:
                 ref = reference_snf(m, desc)
             except SingularMatrix:
-                for rows_only in (False, True):
-                    with pytest.raises(SingularMatrix):
-                        snf(m, desc, _rows_only=rows_only)
+                with pytest.raises(SingularMatrix):
+                    snf(m, desc)
                 continue
-            full = snf(m, desc)
-            for name in ("u", "u_inv", "v", "v_inv"):
-                assert la.mat_eq(getattr(full, name), getattr(ref, name)), name
-            assert full.exps == ref.exps
-            rows = snf(m, desc, _rows_only=True)
+            rows = snf(m, desc)
             assert la.mat_eq(rows.u, ref.u) and la.mat_eq(rows.u_inv, ref.u_inv)
             assert rows.exps == ref.exps
-            assert rows.v is None and rows.v_inv is None
+            # the full form's m v is u_inv (diag(pi^exps) | 0), which is what
+            # descend builds from the row side in place of B v
+            r = rows.rank
+            want = [[row[j] * desc.pi_power(rows.exps[j]) if j < r else desc.zero
+                     for j in range(nc)] for row in rows.u_inv]
+            assert la.mat_eq(la.mat_mul(m, ref.v), want)
 
     @pytest.mark.parametrize("fi", range(len(SNF_FIELDS)))
     def test_rank_deficient_inputs_raise(self, fi):
@@ -562,9 +454,8 @@ class TestSmithAgainstReference:
                 m = rank_deficient(rng, desc, n, nc)
                 with pytest.raises(SingularMatrix):
                     reference_snf(m, desc)
-                for rows_only in (False, True):
-                    with pytest.raises(SingularMatrix):
-                        snf(m, desc, _rows_only=rows_only)
+                with pytest.raises(SingularMatrix):
+                    snf(m, desc)
 
     @pytest.mark.parametrize("fi", range(len(SNF_FIELDS)))
     def test_sum_and_intersection_match_the_reference(self, fi):
@@ -591,16 +482,13 @@ class TestSmithAgainstReference:
         rng = random.Random("rows-only")
         m = random_invertible(rng, gauss5, 3) + random_invertible(rng, gauss5, 3)
         wide = [r1 + r2 for r1, r2 in zip(m[:3], m[3:])]
-        res = snf(wide, gauss5, _rows_only=True)
-        assert sizes == [3, 3] and res.v is None and res.v_inv is None
+        snf(wide, gauss5)
+        assert sizes == [3, 3]
         a, b = Lattice(gauss5, m[:3]), Lattice(gauss5, m[3:])
         del sizes[:]
         lattice_sum(a, b)
         quotient_invariants(scale_lattice(gauss5.pi, a), a)
         assert sizes == [3, 3, 3, 3]  # u and u_inv of each, no v or v_inv
-        del sizes[:]
-        snf(wide, gauss5)
-        assert sizes == [3, 3, 6, 6]
 
 
 # ----------------------------------------------------------------------
@@ -706,7 +594,7 @@ class TestDimensionMismatch:
             lambda: apply_matrix(i3, a),
             lambda: is_stable(a, [i3]),
             lambda: stabilize(a, [i3]),
-            lambda: dual_lattice(a, i3),
+            lambda: GramForm(gauss5, i3, "symmetric").dual(a),
         ]
         for call in calls:
             with pytest.raises(DimensionMismatch):

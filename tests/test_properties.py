@@ -14,9 +14,9 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from isodescent import linalg as la  # noqa: E402
 from isodescent.exactfield import make_descriptor  # noqa: E402
+from isodescent.forms import GramForm  # noqa: E402
 from isodescent.lattice import (  # noqa: E402
     Lattice,
-    dual_lattice,
     lattice_intersect,
     lattice_sum,
     quotient_length,
@@ -190,8 +190,8 @@ def test_containment_is_integrality_of_the_transition(i, dim, data):
 def test_dual_of_dual_is_the_lattice(i, dim, data):
     desc = descriptor(i)
     lat = lattice(data, desc, dim)
-    gram = symmetric_gram(data, desc, dim)
-    assert dual_lattice(dual_lattice(lat, gram), gram) == lat
+    dual = GramForm(desc, symmetric_gram(data, desc, dim), "symmetric").dual
+    assert dual(dual(lat)) == lat
 
 
 @LATTICE_PROPERTY
@@ -199,9 +199,8 @@ def test_dual_of_dual_is_the_lattice(i, dim, data):
 def test_dual_of_a_sum_is_the_intersection_of_duals(i, dim, data):
     desc = descriptor(i)
     a, b = lattice(data, desc, dim), lattice(data, desc, dim)
-    gram = symmetric_gram(data, desc, dim)
-    assert dual_lattice(lattice_sum(a, b), gram) == lattice_intersect(
-        dual_lattice(a, gram), dual_lattice(b, gram))
+    dual = GramForm(desc, symmetric_gram(data, desc, dim), "symmetric").dual
+    assert dual(lattice_sum(a, b)) == lattice_intersect(dual(a), dual(b))
 
 
 @LATTICE_PROPERTY

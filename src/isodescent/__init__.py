@@ -41,7 +41,7 @@ from .lattice import (
     is_stable,
     lattice_intersect,
     lattice_sum,
-    quotient_invariants,
+    maps_into,
     quotient_length,
     scale_lattice,
     snf,
@@ -55,6 +55,7 @@ from .forms import (
     classify_gram,
     normalize_scale,
     reduce_bar,
+    reduce_pair,
     reduce_tilde,
 )
 from .descent import (
@@ -115,11 +116,12 @@ __all__ = [
     "lattice_intersect",
     "lattice_sum",
     "make_descriptor",
+    "maps_into",
     "no_invariant_symmetric_form",
     "normalize_scale",
-    "quotient_invariants",
     "quotient_length",
     "reduce_bar",
+    "reduce_pair",
     "reduce_tilde",
     "rigidity_check",
     "scale_lattice",

@@ -3,21 +3,23 @@
 Pipeline: make the starting lattice group-stable, rescale the form so its
 value ideal on the lattice is O, then grow the lattice by the self-correcting
 chain S + (pi^-1 S intersect pi S^dual) until it is balanced, meaning
-pi S^dual <= S <= S^dual.  A Smith normal form of the inclusion then yields
-an adapted basis in which every group element is block lower triangular mod
-lambda; the two diagonal blocks act on the two residue quotients, and their
-direct sum is the reduced representation rho_bar.  Both quotients carry
-induced nondegenerate forms whose kinds follow the scaling-twist bookkeeping
-of the forms module; the direct sum of their Gram matrices is the reduced
-form f0.
+pi S^dual <= S <= S^dual.  The chain ends with the row side of a Smith
+normal form of that inclusion, and descend reuses it for an adapted
+basis in which every group element is block lower triangular mod lambda; the
+two diagonal blocks act on the two residue quotients, and their direct sum
+is the reduced representation rho_bar.  Both quotients carry induced
+nondegenerate forms, reduced in one validated call (forms.reduce_pair),
+whose kinds follow the scaling-twist bookkeeping of the forms module; the
+direct sum of their Gram matrices is the reduced form f0.
 
 The reduction preserves characteristic polynomials mod lambda, and when
 2e < ell - 1 it is also faithful: a finite-order lattice automorphism
 congruent to the identity to square order must be the identity (the rigidity
-check).  None of this is assumed: descend() recomputes every certificate from
-its own output, and a kernel element is accepted only when the rigidity
-hypothesis genuinely fails; under a valid hypothesis it is escalated as an
-internal inconsistency.
+statement, which rigidity_check certifies for one matrix).  None of this is
+assumed: descend() recomputes every certificate from its own output, and a
+kernel element is accepted only when the rigidity hypothesis genuinely
+fails; under a valid hypothesis it is escalated as an internal
+inconsistency.
 """
 
 from __future__ import annotations
@@ -44,16 +46,15 @@ from .forms import (
     GramForm,
     ResidueForm,
     normalize_scale,
-    reduce_bar,
-    reduce_tilde,
+    reduce_pair,
 )
 from .lattice import (
     Lattice,
-    apply_matrix,
+    SNFResult,
     is_stable,
     lattice_intersect,
     lattice_sum,
-    quotient_invariants,
+    maps_into,
     scale_lattice,
     snf,
     stabilize,
@@ -165,17 +166,21 @@ class GroupRep:
 class BalanceResult:
     """The balanced lattice T with its dual, the rescaled form, the scale
     exponent m applied to f (the stored form is pi^m times the input), the
-    chain length j, and the elementary divisor exponents of T inside its
-    dual (all 0 or 1 once balanced)."""
+    chain length j, and the row side of the Smith form of the inclusion of
+    T in its dual, whose exponents (the invariants) are all 0 or 1."""
     lattice: Lattice
     dual: Lattice
     form: GramForm
     scale_power: int
     steps: int
-    invariants: list
+    inclusion: SNFResult
+
+    @property
+    def invariants(self) -> list:
+        return self.inclusion.exps
 
 
-def balance(lat: Lattice, form: GramForm, generators=(), max_steps: int = 10000) -> BalanceResult:
+def balance(lat: Lattice, form: GramForm, generators=()) -> BalanceResult:
     """Grow the lattice until pi * dual <= lattice <= dual.
 
     The input lattice must already be stable under the given matrices (use
@@ -184,6 +189,10 @@ def balance(lat: Lattice, form: GramForm, generators=(), max_steps: int = 10000)
     unit, so a chain lattice T needs only m T <= T, which with a unit
     determinant is m T = T.  The returned form is the input rescaled so its
     value ideal on the final lattice is exactly O.
+
+    The chain ends: every chain lattice lies between the start S and S^dual
+    (integrality is checked at each step) and grows strictly (the stall
+    check), so there are at most length(S^dual / S) steps.
     """
     field = lat.field
     if generators and not is_stable(lat, generators):
@@ -201,20 +210,19 @@ def balance(lat: Lattice, form: GramForm, generators=(), max_steps: int = 10000)
             lat,
             lattice_intersect(scale_lattice(field.pi_power(-1), lat), pdual))
         steps += 1
-        if steps > max_steps:
-            raise InternalInconsistency("balancing chain failed to terminate")
         if grown == lat:
             raise InternalInconsistency("balancing chain stalled before the fixpoint")
-        if not all(grown.contains_lattice(apply_matrix(m, grown)) for m in generators):
+        if not all(maps_into(m, grown) for m in generators):
             raise NotStable("chain lattice lost stability; input data is inconsistent")
         lat = grown
-    invariants = quotient_invariants(lat, dual)
-    if any(a not in (0, 1) for a in invariants):
+    # the loop has just checked that dual contains lat: the transition is integral
+    inclusion = snf(dual.transition_from(lat), field)
+    if any(a not in (0, 1) for a in inclusion.exps):
         raise InternalInconsistency("balanced lattice has a non-binary invariant")
-    return BalanceResult(lat, dual, form, scale_power, steps, invariants)
+    return BalanceResult(lat, dual, form, scale_power, steps, inclusion)
 
 
-def rigidity_check(mat, lat: Lattice, desc=None, max_order: int = DEFAULT_ORDER_CAP) -> dict:
+def rigidity_check(mat, lat: Lattice, max_order: int = DEFAULT_ORDER_CAP) -> dict:
     """Certify the forced-identity statement for one finite-order matrix.
 
     Requires: the matrix stabilizes the lattice (NotStable), has finite order
@@ -226,11 +234,9 @@ def rigidity_check(mat, lat: Lattice, desc=None, max_order: int = DEFAULT_ORDER_
     simply reports that nothing is forced.
     """
     field = lat.field
-    if desc is not None and desc != field:
-        raise PreconditionViolated("descriptor does not match the lattice's field")
     n = len(mat)
     ident = la.identity(field, n)
-    on_lat = lat.transition_from(apply_matrix(mat, lat))
+    on_lat = la.mat_mul(lat.inverse, la.mat_mul(mat, lat.basis))
     if not all(x.is_integral() for row in on_lat for x in row):
         raise NotStable("matrix does not stabilize the lattice")
     power = mat
@@ -281,7 +287,6 @@ class DescentResult:
     rho_bar: list
     f0: object
     f0_gram: list
-    f0_blocks: list
     charpoly_table_K: list
     charpoly_table_k: list
     certificates: dict
@@ -289,27 +294,17 @@ class DescentResult:
     kernel_explanations: list
 
 
-def _reduce_matrix(m):
-    return [[x.reduce() for x in row] for row in m]
-
-
 def descend(rep: GroupRep, start: Lattice | None = None) -> DescentResult:
     """Run the full reduction and recompute every certificate from scratch."""
     field = rep.field
-    form = rep.form
     n = rep.dim
 
     if start is None:
         start = standard_lattice(field, n)
     start = stabilize(start, rep.generators)
-    bal = balance(start, form, generators=rep.generators)
-    lat, dual, f2 = bal.lattice, bal.dual, bal.form
-
-    trans = dual.transition_from(lat)
-    res = snf(trans, field)
+    bal = balance(start, rep.form, generators=rep.generators)
+    dual, f2, res = bal.dual, bal.form, bal.inclusion
     exps = res.exps
-    if len(exps) != n or any(a not in (0, 1) for a in exps):
-        raise InternalInconsistency("inclusion of the balanced lattice is not binary")
     w = sum(exps)
     s = n - w
 
@@ -325,7 +320,7 @@ def descend(rep: GroupRep, start: Lattice | None = None) -> DescentResult:
 
     def reduced_action(m):
         p = la.mat_mul(star_inv, la.mat_mul(m, basis_star))
-        pbar = _reduce_matrix(p)
+        pbar = [[x.reduce() for x in row] for row in p]
         zero = kfield.zero
         for i in range(w):
             for j in range(w, n):
@@ -340,37 +335,26 @@ def descend(rep: GroupRep, start: Lattice | None = None) -> DescentResult:
     # one extra uniformizer factor) from the dual quotient
     adapted_lat = Lattice(field, basis_lat, _inverse=lat_inv)
     adapted_dual = Lattice(field, basis_star, _inverse=star_inv)
-    bar_full, bar_kernel = reduce_bar(adapted_lat, f2, dual=adapted_dual)
-    tilde_full, tilde_kernel = reduce_tilde(adapted_lat, f2, dual=adapted_dual)
-    if len(bar_kernel) != w or len(tilde_kernel) != s:
-        raise InternalInconsistency(
-            "residue kernels disagree with the elementary divisor count")
-    gram_lat = bar_full.gram
-    gram_dual = tilde_full.gram
+    # reduce_pair checks both kernel dimensions against the length of the
+    # dual over the lattice, which is sum(exps) = w
+    (bar, _), (tilde, _) = reduce_pair(adapted_lat, f2, dual=adapted_dual)
     kz = kfield.zero
     for i in range(n):
         for j in range(n):
-            if not ((i >= w and j >= w) or gram_lat[i][j] == kz):
+            if not ((i >= w and j >= w) or bar.gram[i][j] == kz):
                 raise InternalInconsistency("first residue gram has mass off its block")
-            if not ((i < w and j < w) or gram_dual[i][j] == kz):
+            if not ((i < w and j < w) or tilde.gram[i][j] == kz):
                 raise InternalInconsistency("second residue gram has mass off its block")
-    bar_block = [[gram_lat[w + i][w + j] for j in range(s)] for i in range(s)]
-    tilde_block = [[gram_dual[i][j] for j in range(w)] for i in range(w)]
+    bar_block = [[bar.gram[w + i][w + j] for j in range(s)] for i in range(s)]
+    tilde_block = [[tilde.gram[i][j] for j in range(w)] for i in range(w)]
     f0_gram = la.block_diag(kfield, [bar_block, tilde_block])
-    kind_bar, kind_tilde = f2.reduced_kind_pair()
-
-    conj_residue = None
-    if (kind_bar, kind_tilde) == ("hermitian", "hermitian"):
-        conj_residue = field.residue_involution
 
     kind_correct = True
     f0 = None
-    f0_blocks = []
     try:
-        bar_part = ResidueForm(kfield, bar_block, kind_bar, conj=conj_residue)
-        tilde_part = ResidueForm(kfield, tilde_block, kind_tilde, conj=conj_residue)
+        bar_part = ResidueForm(kfield, bar_block, bar.kind, conj=bar.conj)
+        tilde_part = ResidueForm(kfield, tilde_block, tilde.kind, conj=tilde.conj)
         f0 = AssembledForm([bar_part, tilde_part])
-        f0_blocks = [b for b in f0.blocks if b.dim > 0]
     except (KindMismatch, DegenerateForm, NoInvolution):
         kind_correct = False
 
@@ -407,20 +391,15 @@ def descend(rep: GroupRep, start: Lattice | None = None) -> DescentResult:
     f0_nondeg = la.det(f0_gram, kfield) != kfield.zero
 
     # every kernel element must be explained by a failure of the rigidity
-    # hypothesis; with the hypothesis intact the check itself escalates
-    kernel_explanations = []
-    for idx in kernel:
-        if idx == 0:
-            continue
-        g = rep.elements[idx]
-        try:
-            out = rigidity_check(g, dual)
-            raise InternalInconsistency(
-                "kernel element passed the rigidity check without forcing: "
-                f"{out}")
-        except HypothesisViolated:
-            kernel_explanations.append(
-                {"element_index": idx, "explained_by": "hypothesis_failure"})
+    # hypothesis.  Each one stabilizes the lattice and has finite order (the
+    # closure and reduced_action guarantee both), so with 2e < ell - 1 the
+    # rigidity statement forces it to be the identity: a nontrivial kernel
+    # then falsifies the implementation, as rigidity_check would report
+    if field.two_e_ok and not faithful:
+        raise InternalInconsistency(
+            f"kernel element {kernel[1]} is not the identity although 2e < ell - 1")
+    kernel_explanations = [{"element_index": idx, "explained_by": "hypothesis_failure"}
+                           for idx in kernel if idx != 0]
 
     certificates = {
         "faithful": faithful,
@@ -442,11 +421,10 @@ def descend(rep: GroupRep, start: Lattice | None = None) -> DescentResult:
         chain_steps=bal.steps,
         invariant_exps=exps,
         block_dims=(s, w),
-        block_kinds=(kind_bar, kind_tilde),
+        block_kinds=(bar.kind, tilde.kind),
         rho_bar=rho_bar,
         f0=f0,
         f0_gram=f0_gram,
-        f0_blocks=f0_blocks,
         charpoly_table_K=charpoly_table_K,
         charpoly_table_k=charpoly_table_k,
         certificates=certificates,

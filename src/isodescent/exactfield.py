@@ -69,6 +69,11 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool: descriptor integers are never coerced."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _product_set(xs, ys, n):
     return {(x * y) % n for x in xs for y in ys}
 
@@ -573,25 +578,29 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
     The conductor is at most MAX_CONDUCTOR, ell at most MAX_ELL and the
     residue degree of ell in Q(zeta_n) at most MAX_RESIDUE_DEGREE.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InvalidDescriptor("conductor must be a positive integer")
     if n > MAX_CONDUCTOR:
         raise InvalidDescriptor(f"conductor must be at most {MAX_CONDUCTOR}, got {n}")
-    if isinstance(ell, bool) or not isinstance(ell, int) or ell > MAX_ELL:
+    if not _is_int(ell) or ell > MAX_ELL:
         raise InvalidDescriptor(
             f"residue characteristic must be an integer at most {MAX_ELL}")
     if ell < 3 or ell % 2 == 0 or not _is_prime(ell):
         raise InvalidDescriptor("residue characteristic must be an odd prime")
+    subgroup = tuple(subgroup or ())
+    if not all(_is_int(h) for h in subgroup):
+        raise InvalidDescriptor("subgroup entries must be integers")
+    if involution is not None and not _is_int(involution):
+        raise InvalidDescriptor("involution must be an integer or None")
 
     if n == 1:
         units = {1}
         sub = {1}
-        hs = set(int(h) for h in subgroup) if subgroup else {1}
-        if hs - {0, 1}:
+        if set(subgroup) - {0, 1}:
             raise InvalidDescriptor("subgroup entries must be units mod n")
     else:
         units = {t for t in range(1, n) if math.gcd(t, n) == 1}
-        sub = {int(h) % n for h in subgroup} | {1}
+        sub = {h % n for h in subgroup} | {1}
         if not sub <= units:
             raise InvalidDescriptor("subgroup entries must be units mod n")
         for h1 in sub:
@@ -604,7 +613,7 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
     if involution is not None:
         if n == 1:
             raise InvalidDescriptor("the rational field admits no involution")
-        s = int(involution) % n
+        s = involution % n
         if s not in units:
             raise InvalidDescriptor("involution must be a unit mod n")
         if s in sub:
@@ -676,8 +685,7 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
     n_primes = len(classes)
     if n_primes != g_count:
         raise InternalInconsistency("factor orbit count disagrees with the group count")
-    if isinstance(prime_choice, bool) or not isinstance(prime_choice, int) \
-            or not (0 <= prime_choice < n_primes):
+    if not _is_int(prime_choice) or not (0 <= prime_choice < n_primes):
         raise InvalidDescriptor(
             f"prime_choice must lie in [0, {n_primes}) for this field and ell")
     chosen_idx = classes[prime_choice]

@@ -175,16 +175,13 @@ def normalize_scale(form: GramForm, lat: Lattice):
     return -low, form.scale_by_pi_power(-low)
 
 
-def reduce_gram(field, gram):
+def reduce_gram(gram):
     """Entrywise residue of a K-matrix with nonnegative valuations."""
-    out = []
-    for row in gram:
-        try:
-            out.append([x.reduce() for x in row])
-        except NegativeValuation:
-            raise NegativeValuation(
-                "gram matrix has a negative-valuation entry; scale first")
-    return out
+    try:
+        return [[x.reduce() for x in row] for row in gram]
+    except NegativeValuation:
+        raise NegativeValuation(
+            "gram matrix has a negative-valuation entry; scale first")
 
 
 class ResidueForm(_Form):
@@ -208,12 +205,14 @@ class ResidueForm(_Form):
         return la.det(self.gram, self.rfield) != self.rfield.zero
 
 
-def _reduce_side(lat: Lattice, form: GramForm, dual, side: int):
-    """The body of reduce_bar (side 0) and reduce_tilde (side 1).
+def _reduce_sides(lat: Lattice, form: GramForm, dual, sides):
+    """The body of reduce_bar (side 0), reduce_tilde (side 1) and
+    reduce_pair (both): one (ResidueForm, kernel) pair per side.
 
     Raises unless the lattice is balanced and the form takes integral values
-    on it with minimum valuation exactly zero.  Side 0 reduces the form on
-    lat's basis, side 1 reduces pi times the form on the dual's basis; the
+    on it with minimum valuation exactly zero; these preconditions are
+    checked once per call, whatever the sides.  Side 0 reduces the form on
+    lat's basis, side 1 reduces pi times the form on the dual's basis; each
     kernel dimension is checked against the length of dual/lat.
     """
     field = form.field
@@ -227,31 +226,35 @@ def _reduce_side(lat: Lattice, form: GramForm, dual, side: int):
     if not dual.contains_lattice(lat) or not lat.contains_lattice(pdual):
         raise PreconditionViolated(
             "lattice is not balanced against the form; run the balance chain")
-    g = form.gram_in_basis(lat.basis)
-    low = min(x.valuation() for row in g for x in row)
+    g_lat = form.gram_in_basis(lat.basis)
+    low = min(x.valuation() for row in g_lat for x in row)
     if low < 0:
         raise PreconditionViolated(
             "form is not integral on the lattice; normalize the scale first")
     if low > 0:
         raise PreconditionViolated(
             "form is not scale-normalized on the lattice (all values divisible by pi)")
-    if side:
-        g = la.scalar_mul(field.pi_power(1), form.gram_in_basis(dual.basis))
-        if any(x.valuation() < 0 for row in g for x in row):
-            raise InternalInconsistency(
-                "pi times the form is not integral on the dual of a balanced lattice")
-    kfield = field.residue_field
-    rg = reduce_gram(field, g)
-    kind = form.reduced_kind_pair()[side]
-    conj = field.residue_involution if kind == "hermitian" else None
-    rform = ResidueForm(kfield, rg, kind, conj=conj)
-    kernel = la.kernel_basis(rg, kfield)
     # the first kernel is dual/lat, the second its complement
     length = quotient_length(lat, dual)
-    if len(kernel) != (form.dim - length if side else length):
-        raise InternalInconsistency(
-            f"residue kernel {side} disagrees with the index of the lattice in its dual")
-    return rform, kernel
+    kfield = field.residue_field
+    out = []
+    for side in sides:
+        g = g_lat
+        if side:
+            g = la.scalar_mul(field.pi_power(1), form.gram_in_basis(dual.basis))
+            if any(x.valuation() < 0 for row in g for x in row):
+                raise InternalInconsistency(
+                    "pi times the form is not integral on the dual of a balanced lattice")
+        rg = reduce_gram(g)
+        kind = form.reduced_kind_pair()[side]
+        conj = field.residue_involution if kind == "hermitian" else None
+        rform = ResidueForm(kfield, rg, kind, conj=conj)
+        kernel = la.kernel_basis(rg, kfield)
+        if len(kernel) != (form.dim - length if side else length):
+            raise InternalInconsistency(
+                f"residue kernel {side} disagrees with the index of the lattice in its dual")
+        out.append((rform, kernel))
+    return out
 
 
 def reduce_bar(lat: Lattice, form: GramForm, dual=None):
@@ -263,7 +266,7 @@ def reduce_bar(lat: Lattice, form: GramForm, dual=None):
     dual/lat, and the form is nondegenerate modulo that kernel.  An optional
     precomputed dual fixes the basis used for the balance check.
     """
-    return _reduce_side(lat, form, dual, 0)
+    return _reduce_sides(lat, form, dual, (0,))[0]
 
 
 def reduce_tilde(lat: Lattice, form: GramForm, dual=None):
@@ -273,7 +276,13 @@ def reduce_tilde(lat: Lattice, form: GramForm, dual=None):
     the dual lattice's coordinates; the kernel dimension is complementary to
     reduce_bar's, and the form is nondegenerate modulo the kernel.
     """
-    return _reduce_side(lat, form, dual, 1)
+    return _reduce_sides(lat, form, dual, (1,))[0]
+
+
+def reduce_pair(lat: Lattice, form: GramForm, dual=None):
+    """Both residue forms, (reduce_bar(...), reduce_tilde(...)), with the
+    preconditions checked once."""
+    return tuple(_reduce_sides(lat, form, dual, (0, 1)))
 
 
 class AssembledForm(_Form):

@@ -4,14 +4,15 @@ A lattice is the span, over the local ring O = {v >= 0}, of the columns of a
 nonsingular matrix over K.  Containment is an integrality test: L contains
 L' iff the transition matrix B^-1 B' is integral, which is read off the
 integer coordinates of the product (FieldDescriptor.integral_product)
-without building or certifying its entries.  Sums, intersections (through
-duals), quotient invariants and descend's adapted bases read the row side
-of a Smith normal form over the discrete valuation ring: pivoting on
-entries of minimal certified valuation keeps the row transform O-invertible
-(swaps, integral shears and unit scalings, so the diagonal comes out as
-exact powers of the uniformizer).  The column transform v (integral
-shears and swaps) is never built: for a transition matrix D^-1 B, the
-adapted basis B v is D u_inv diag(pi**exps).
+without building or certifying its entries; an image m L is tested the
+same way (maps_into) and never built.  Sums, intersections (through
+duals), the inclusion of a balanced lattice in its dual and descend's
+adapted bases read the row side of a Smith normal form over the discrete
+valuation ring: pivoting on entries of minimal certified valuation keeps
+the row transform O-invertible (swaps, integral shears and unit scalings,
+so the diagonal comes out as exact powers of the uniformizer).  The column
+transform v (integral shears and swaps) is never built: for a transition
+matrix D^-1 B, the adapted basis B v is D u_inv diag(pi**exps).
 
 Diagonal exponents are reported in nonincreasing order.
 """
@@ -121,20 +122,14 @@ def snf(m, field) -> SNFResult:
     return SNFResult(u, u_inv, exps)
 
 
-# Passed as Lattice(..., _inverse=_ON_READ) by an operation that cannot
-# supply the inverse of the basis it builds: it is then computed on first read.
-_ON_READ = object()
-
-
 class Lattice:
     """O-span of the columns of a nonsingular matrix over K.
 
     The inverse of the basis matrix, which every containment and transition
-    test reads, comes from one of three places: the operation that built the
+    test reads, comes from one of two places: the operation that built the
     lattice supplies it (sums, intersections, duals and scalings know it in
-    closed form), the constructor computes it while checking that a caller's
-    basis is nonsingular, or it is computed on the first read and kept (a
-    moved lattice from apply_matrix).  No basis is inverted twice.
+    closed form), or the constructor computes it while checking that a
+    caller's basis is nonsingular.  No basis is inverted twice.
     """
 
     __hash__ = None
@@ -148,15 +143,7 @@ class Lattice:
         if _inverse is None:
             # a caller's basis: check nonsingularity now, keep the inverse
             _inverse = la.mat_inv(self.basis, field)
-        self._inv = None if _inverse is _ON_READ else _inverse
-
-    @property
-    def inverse(self):
-        """Inverse of the basis matrix (raises SingularMatrix on first read
-        if a moved lattice's matrix was singular)."""
-        if self._inv is None:
-            self._inv = la.mat_inv(self.basis, self.field)
-        return self._inv
+        self.inverse = _inverse
 
     def transition_from(self, other: "Lattice"):
         """Matrix expressing the other basis in this one."""
@@ -183,26 +170,18 @@ def standard_lattice(field, n: int) -> Lattice:
     return Lattice(field, la.identity(field, n), _inverse=la.identity(field, n))
 
 
-def apply_matrix(m, lat: Lattice) -> Lattice:
-    """The lattice m L; its inverse is computed only if something reads it."""
-    return Lattice(lat.field, la.mat_mul(m, lat.basis), _inverse=_ON_READ)
-
-
 def scale_lattice(x, lat: Lattice) -> Lattice:
     field = lat.field
     if x == field.zero:
         raise SingularMatrix("cannot scale a lattice by zero")
-    inv = _ON_READ if lat._inv is None else la.scalar_mul(field.one / x, lat._inv)
+    inv = la.scalar_mul(field.one / x, lat.inverse)
     return Lattice(field, la.scalar_mul(x, lat.basis), _inverse=inv)
 
 
-def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
-    """Smallest lattice containing both."""
-    field = l1.field
-    n = l1.dim
-    if l2.dim != n:
-        raise DimensionMismatch("lattice sum dimension mismatch")
-    joint = [r1[:] + r2[:] for r1, r2 in zip(l1.basis, l2.basis)]
+def _span(field, b1, b2) -> Lattice:
+    """The lattice spanned by the columns of two n x n bases."""
+    n = len(b1)
+    joint = [r1[:] + r2[:] for r1, r2 in zip(b1, b2)]
     res = snf(joint, field)
     if res.rank != n:
         raise SingularMatrix("lattice sum lost rank")
@@ -211,6 +190,13 @@ def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
              for i in range(n)]
     inv = [[field.pi_power(-res.exps[i]) * x for x in res.u[i]] for i in range(n)]
     return Lattice(field, basis, _inverse=inv)
+
+
+def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
+    """Smallest lattice containing both."""
+    if l2.dim != l1.dim:
+        raise DimensionMismatch("lattice sum dimension mismatch")
+    return _span(l1.field, l1.basis, l2.basis)
 
 
 def _dot_dual(lat: Lattice) -> Lattice:
@@ -225,35 +211,31 @@ def lattice_intersect(l1: Lattice, l2: Lattice) -> Lattice:
     return _dot_dual(lattice_sum(_dot_dual(l1), _dot_dual(l2)))
 
 
-def _contained_transition(sub: Lattice, sup: Lattice):
-    """The transition matrix from sup to sub, which must be integral."""
+def quotient_length(sub: Lattice, sup: Lattice) -> int:
+    """Length of sup/sub as an O-module (the valuation of the index)."""
     c = sup.transition_from(sub)
     if not all(x.is_integral() for row in c for x in row):
         raise NotContained("claimed sublattice is not contained in the superlattice")
-    return c
-
-
-def quotient_length(sub: Lattice, sup: Lattice) -> int:
-    """Length of sup/sub as an O-module (the valuation of the index)."""
-    c = _contained_transition(sub, sup)
-    d = la.det(c, sup.field)
-    vd = d.valuation()
+    vd = la.det(c, sup.field).valuation()
     if vd == math.inf:
         raise SingularMatrix("degenerate sublattice")
     return vd
 
 
-def quotient_invariants(sub: Lattice, sup: Lattice) -> list:
-    """Elementary divisor exponents of sup/sub, nonincreasing."""
-    return snf(_contained_transition(sub, sup), sup.field).exps
+def maps_into(m, lat: Lattice) -> bool:
+    """Whether m L <= L: the integrality of B^-1 (m B), decided on its
+    integer coordinates like Lattice.contains_lattice.  The image m L is
+    never built as a lattice."""
+    return lat.field.integral_product(lat.inverse, la.mat_mul(m, lat.basis))
 
 
 def stabilize(lat: Lattice, mats) -> Lattice:
     """Smallest lattice containing lat stable under all the matrices.
 
     The matrices must generate a finite group (otherwise this never
-    terminates; callers bound group order before getting here).  The sum
-    with a moved lattice is formed only when it is strictly larger.
+    terminates; callers bound group order before getting here).  The moved
+    basis m B is tested as in maps_into and added only when it leaves the
+    current lattice.
     """
     field = lat.field
     if any(la.det(m, field) == field.zero for m in mats):
@@ -263,9 +245,9 @@ def stabilize(lat: Lattice, mats) -> Lattice:
     while changed:
         changed = False
         for m in mats:
-            moved = apply_matrix(m, cur)
-            if not cur.contains_lattice(moved):
-                cur = lattice_sum(cur, moved)
+            moved = la.mat_mul(m, cur.basis)
+            if not field.integral_product(cur.inverse, moved):
+                cur = _span(field, cur.basis, moved)
                 changed = True
     return cur
 
@@ -282,6 +264,6 @@ def is_stable(lat: Lattice, mats) -> bool:
         d = la.det(m, field)
         if d == field.zero:
             raise SingularMatrix("a singular matrix moves no lattice onto itself")
-        if d.valuation() != 0 or not lat.contains_lattice(apply_matrix(m, lat)):
+        if d.valuation() != 0 or not maps_into(m, lat):
             return False
     return True

@@ -316,6 +316,37 @@ class TestReports:
         assert hashlib.sha256(blob).hexdigest() == \
             "5c28df7c51e7a9706ba198b05c605eaca5b91bd57f997b98ffbdb54e6f872a42"
 
+    @pytest.mark.parametrize("name,command,digest", [
+        ("block_b3xb2_q5", "balance",
+         "358c0f60ea24e313f3f0c6cd08c3fe23884258c76c7b5e43715ff71e45c792e2"),
+        ("block_b3xb2_q5", "charpoly",
+         "c7de9476787bc93971904354e24999c3bd73f4fa3ed34165a2bfc79e517982ac"),
+        ("prop5_ell5", "balance",
+         "d35d77ede18554d70a928eeabb402f08f8d31b3c48232945f0e614c9ec451a07"),
+        ("prop5_ell5", "charpoly",
+         "ec2ce0a49a092185b97422134757b10dba28c53358a74f186c757f19bfd0b563"),
+        ("q8_split_ell5", "balance",
+         "f511d8ab5be326d1b6c2bf98fea86ae58697b247de722f1df22727fd0e9cb91f"),
+        ("q8_split_ell5", "charpoly",
+         "4f7f68bc28aeb3b7f2c45fd40d352e90fb28788e8dbb7ce542b8e4ea44500873"),
+        ("remark4_ell7", "balance",
+         "73cfb7c553cff89a28c1c87d4d7c9c9ba29c9ea83848d2897729da0ac1cb4537"),
+        ("remark4_ell7", "charpoly",
+         "532d19d970b4b31866c8bf40b10a396031a982e146cd1645cf283c5aac16200b"),
+        ("z4_hermitian_inert_ell7", "balance",
+         "8afdf34dd2b5b98b3365bef58d2303429fb9ec376b624e28b914832d102da3e5"),
+        ("z4_hermitian_inert_ell7", "charpoly",
+         "24d19e1a3c391434017e20a87d89547f68b6047aa92364a713c247f9476612a9"),
+    ])
+    def test_balance_and_charpoly_results(self, capsys, tmp_path, name, command, digest):
+        # the canonical result block of every committed bundle, byte for byte
+        dest = tmp_path / f"{name}-{command}.json"
+        code, _, _ = run(capsys, command, str(bundle_path(name)), "--out", str(dest))
+        assert code == 0
+        result = json.loads(dest.read_text())["result"]
+        blob = json.dumps(result, sort_keys=True, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
     def test_descend_result_fields(self, capsys):
         _, out, _ = run(capsys, "descend", str(bundle_path("z4_hermitian_inert_ell7")))
         result = parse_report(out)["result"]

@@ -4,12 +4,13 @@ import pytest
 
 from isodescent import linalg as la
 from isodescent.cli import load_bundle
-from isodescent.counterexamples import build_prop5_bundle
+from isodescent.counterexamples import build_prop5_bundle, build_prop6_bundle
 from isodescent.descent import GroupRep, balance, descend, rigidity_check
 from isodescent.errors import (
     DimensionMismatch,
     GroupTooLarge,
     HypothesisViolated,
+    InternalInconsistency,
     NotFiniteOrder,
     NotStable,
     PreconditionViolated,
@@ -195,11 +196,6 @@ class TestRigidity:
         with pytest.raises(HypothesisViolated):
             rigidity_check(la.identity(real5, 2), lat)
 
-    def test_descriptor_mismatch_rejected(self, rat5, gauss5):
-        lat = standard_lattice(rat5, 2)
-        with pytest.raises(PreconditionViolated):
-            rigidity_check(la.identity(rat5, 2), lat, desc=gauss5)
-
     def test_random_finite_order_suite(self, rat5):
         rng = random.Random("rigidity-mini")
         for trial in range(60):
@@ -213,6 +209,17 @@ class TestRigidity:
             out = rigidity_check(a, standard_lattice(rat5, n))
             if out["is_identity_forced"]:
                 assert out["is_identity"]
+
+    @pytest.mark.parametrize("build", [build_prop5_bundle, build_prop6_bundle])
+    def test_kernel_under_the_hypothesis_is_inconsistent(self, build, monkeypatch):
+        # at ell = 5 both groups have a nontrivial kernel, explained only by
+        # 2e >= ell - 1; claiming the hypothesis holds makes that kernel a
+        # contradiction, which descend escalates
+        rep = build(5)
+        assert descend(rep).kernel_size > 1
+        monkeypatch.setattr(rep.field, "two_e_ok", True)
+        with pytest.raises(InternalInconsistency):
+            descend(rep)
 
 
 class TestCharpoly:
@@ -450,6 +457,9 @@ class TestAdaptedBasisAgainstTheColumnSide:
         start = stabilize(standard_lattice(rep.field, rep.dim), rep.generators)
         bal = balance(start, rep.form, generators=rep.generators)
         ref = reference_snf(bal.dual.transition_from(bal.lattice), rep.field)
+        # balance returns the row side of this form as its inclusion
+        assert la.mat_eq(bal.inclusion.u, ref.u) and la.mat_eq(bal.inclusion.u_inv, ref.u_inv)
+        assert bal.inclusion.exps == bal.invariants == ref.exps
         assert res.invariant_exps == ref.exps
         assert la.mat_eq(res.lattice_basis, la.mat_mul(bal.lattice.basis, ref.v))
         assert la.mat_eq(res.dual_basis, la.mat_mul(bal.dual.basis, ref.u_inv))

@@ -29,7 +29,13 @@ class TestDescriptorConstruction:
 
     def test_rejects_booleans_as_integers(self):
         for args, kwargs in (((True, 5), {}), ((4, True), {}),
-                             ((4, 5), {"prime_choice": False})):
+                             ((4, 5), {"prime_choice": False}),
+                             ((4, 7), {"involution": 3.7}),
+                             ((4, 7), {"involution": "3"}),
+                             ((4, 7), {"involution": True}),
+                             ((8, 7), {"subgroup": (1, True)}),
+                             ((8, 7), {"subgroup": (1, 3.0)}),
+                             ((1, 5), {"subgroup": (1.0,)})):
             with pytest.raises(InvalidDescriptor):
                 make_descriptor(*args, **kwargs)
 

@@ -21,6 +21,7 @@ from isodescent.forms import (
     normalize_scale,
     reduce_bar,
     reduce_gram,
+    reduce_pair,
     reduce_tilde,
 )
 from isodescent.lattice import Lattice, scale_lattice, standard_lattice
@@ -277,7 +278,7 @@ class TestResidueForm:
 class TestReduceGram:
     def test_entrywise_reduction(self, rat5):
         half = rat5.rational("1/2")
-        out = reduce_gram(rat5, [[rat5.one, half]])
+        out = reduce_gram([[rat5.one, half]])
         k = rat5.residue_field
         assert out[0][0] == k.one
         assert out[0][1] == k.element(3)
@@ -286,7 +287,7 @@ class TestReduceGram:
         from isodescent.errors import NegativeValuation
         bad = rat5.rational("1/5")
         with pytest.raises(NegativeValuation):
-            reduce_gram(rat5, [[bad]])
+            reduce_gram([[bad]])
 
 
 class TestReductions:
@@ -391,12 +392,40 @@ class TestReductions:
             bal = balance(Lattice(desc, random_invertible(rng, desc, n)),
                           GramForm(desc, gram, kind))
             scaled = bal.form.scale_by_pi_power(1)
-            want = reduce_gram(desc, scaled.gram_in_basis(bal.dual.basis))
+            want = reduce_gram(scaled.gram_in_basis(bal.dual.basis))
             for dual in (bal.dual, None):
                 tilde, kt = reduce_tilde(bal.lattice, bal.form, dual=dual)
                 assert_matrix_equal(tilde.gram, want)
                 assert kt == la.kernel_basis(want, k)
                 assert tilde.kind == scaled.reduced_kind_pair()[0]
+
+    @pytest.mark.parametrize("descname,kind", [("gauss5", "symmetric"),
+                                               ("gauss5", "alternating"),
+                                               ("quad7", "symmetric"),
+                                               ("quad7", "hermitian"),
+                                               ("gauss7", "hermitian")])
+    def test_pair_matches_the_two_single_reductions(self, descname, kind, request):
+        desc = request.getfixturevalue(descname)
+        rng = random.Random(f"pair-{descname}-{kind}")
+        for _ in range(6):
+            n = 2 if kind == "alternating" else rng.randint(1, 3)
+            if kind == "alternating":
+                gram = la.scalar_mul(desc.pi_power(rng.randint(0, 2)), symplectic2(desc))
+            elif kind == "symmetric":
+                gram = symmetric_invertible(rng, desc, n)
+            else:
+                gram = hermitian_invertible(rng, desc, n)
+            bal = balance(Lattice(desc, random_invertible(rng, desc, n)),
+                          GramForm(desc, gram, kind))
+            for dual in (bal.dual, None):
+                pair = reduce_pair(bal.lattice, bal.form, dual=dual)
+                singles = (reduce_bar(bal.lattice, bal.form, dual=dual),
+                           reduce_tilde(bal.lattice, bal.form, dual=dual))
+                assert len(pair) == 2
+                for (got, got_kernel), (want, want_kernel) in zip(pair, singles):
+                    assert_matrix_equal(got.gram, want.gram)
+                    assert got_kernel == want_kernel
+                    assert got.kind == want.kind
 
 class TestAssemble:
     def test_two_alternating_blocks(self, gauss5):

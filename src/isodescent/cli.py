@@ -33,7 +33,7 @@ from .descent import (
 )
 from .errors import (BundleFormatError, InvalidDescriptor, IsodescentError,
                      NegativeValuation, SearchSpaceTooLarge)
-from .exactfield import make_descriptor
+from .exactfield import _is_int, make_descriptor
 from .forms import KINDS, GramForm
 from .lattice import stabilize, standard_lattice
 
@@ -47,12 +47,6 @@ VERIFY_TAGS = ("lemma", "prop5", "prop6")
 def _expect(cond: bool, where: str, why: str):
     if not cond:
         raise BundleFormatError(f"{where}: {why}")
-
-
-def _is_int(x) -> bool:
-    """Whether x is an integer; JSON true and false load as bool, which
-    Python counts as int."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _parse_entry(field, raw, where: str):

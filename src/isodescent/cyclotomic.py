@@ -34,6 +34,15 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def _split_ell(d: int, ell: int):
+    """(t, d') with d = ell^t d' and d' prime to ell."""
+    t = 0
+    while d % ell == 0:
+        d //= ell
+        t += 1
+    return t, d
+
+
 def divisors(n: int) -> list[int]:
     small, large = [], []
     k = 1

@@ -30,13 +30,10 @@ from dataclasses import dataclass
 
 from . import linalg as la
 from .errors import (
-    DegenerateForm,
     DimensionMismatch,
     GroupTooLarge,
     HypothesisViolated,
     InternalInconsistency,
-    KindMismatch,
-    NoInvolution,
     NotFiniteOrder,
     NotStable,
     PreconditionViolated,
@@ -345,18 +342,13 @@ def descend(rep: GroupRep, start: Lattice | None = None) -> DescentResult:
                 raise InternalInconsistency("first residue gram has mass off its block")
             if not ((i < w and j < w) or tilde.gram[i][j] == kz):
                 raise InternalInconsistency("second residue gram has mass off its block")
+    # the kernel dimensions and the vanishing off the blocks make both blocks
+    # nondegenerate; each is a principal submatrix of a gram that passed its
+    # kind check, and reduced_kind_pair yields only kinds that assemble
     bar_block = [[bar.gram[w + i][w + j] for j in range(s)] for i in range(s)]
     tilde_block = [[tilde.gram[i][j] for j in range(w)] for i in range(w)]
-    f0_gram = la.block_diag(kfield, [bar_block, tilde_block])
-
-    kind_correct = True
-    f0 = None
-    try:
-        bar_part = ResidueForm(kfield, bar_block, bar.kind, conj=bar.conj)
-        tilde_part = ResidueForm(kfield, tilde_block, tilde.kind, conj=tilde.conj)
-        f0 = AssembledForm([bar_part, tilde_part])
-    except (KindMismatch, DegenerateForm, NoInvolution):
-        kind_correct = False
+    f0 = AssembledForm([ResidueForm(kfield, bar_block, bar.kind, conj=bar.conj),
+                        ResidueForm(kfield, tilde_block, tilde.kind, conj=tilde.conj)])
 
     # reduction mod pi is a ring homomorphism on integral matrices, and block
     # lower triangular matrices multiply on their diagonal blocks: once each
@@ -366,8 +358,7 @@ def descend(rep: GroupRep, start: Lattice | None = None) -> DescentResult:
     rho_bar = [la.identity(kfield, n)]
     for parent, gen in rep.links[1:]:
         rho_bar.append(la.mat_mul(rho_bar[parent], gen_bar[gen]))
-    if f0 is None or not all(f0.is_isometry(p) for p in rho_bar):
-        kind_correct = False
+    kind_correct = all(f0.is_isometry(p) for p in rho_bar)
 
     ident_k = la.identity(kfield, n)
     kernel = [i for i, p in enumerate(rho_bar) if la.mat_eq(p, ident_k)]
@@ -388,7 +379,7 @@ def descend(rep: GroupRep, start: Lattice | None = None) -> DescentResult:
             charpoly_ok = False
         classes[tuple(tuple(c.coeffs) for c in cp_psi)] += 1
 
-    f0_nondeg = la.det(f0_gram, kfield) != kfield.zero
+    f0_nondeg = la.det(f0.gram, kfield) != kfield.zero
 
     # every kernel element must be explained by a failure of the rigidity
     # hypothesis.  Each one stabilizes the lattice and has finite order (the
@@ -420,11 +411,11 @@ def descend(rep: GroupRep, start: Lattice | None = None) -> DescentResult:
         scale_power=bal.scale_power,
         chain_steps=bal.steps,
         invariant_exps=exps,
-        block_dims=(s, w),
-        block_kinds=(bar.kind, tilde.kind),
+        block_dims=f0.dims,
+        block_kinds=f0.kinds,
         rho_bar=rho_bar,
         f0=f0,
-        f0_gram=f0_gram,
+        f0_gram=f0.gram,
         charpoly_table_K=charpoly_table_K,
         charpoly_table_k=charpoly_table_k,
         certificates=certificates,

@@ -23,9 +23,10 @@ are rejected, since then the completion carries no involution at all.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
-from .cyclotomic import CycloRing, euler_phi
+from .cyclotomic import CycloRing, _split_ell, euler_phi
 from .errors import (
     DimensionMismatch,
     InternalInconsistency,
@@ -70,8 +71,22 @@ def _is_prime(p: int) -> bool:
 
 
 def _is_int(x) -> bool:
-    """An int that is not a bool: descriptor integers are never coerced."""
+    """An int that is not a bool: descriptor and bundle integers are never
+    coerced, and JSON true and false load as bool, which Python counts as int."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+# the documented string coordinates; Fraction also reads exponent forms such
+# as "1e100000", whose power of ten no digit limit bounds
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _rational(c) -> Fraction:
+    """A coordinate as a Fraction; a string must be an integer or p/q, and
+    anything else raises ValueError."""
+    if isinstance(c, str) and not _RATIONAL.fullmatch(c):
+        raise ValueError(f"{c!r} is not an integer or p/q")
+    return Fraction(c)
 
 
 def _product_set(xs, ys, n):
@@ -142,7 +157,7 @@ class FieldElement:
 
     def __init__(self, field: "FieldDescriptor", coeffs):
         # den is the least common denominator, so gcd(den, *num) = 1
-        qs = [Fraction(c) for c in coeffs]
+        qs = [_rational(c) for c in coeffs]
         if len(qs) > field.degree_full:
             raise InvalidDescriptor(
                 f"expected at most {field.degree_full} coefficients, got {len(qs)}")
@@ -331,15 +346,6 @@ class FieldElement:
         return [str(c) for c in self.coeffs]
 
 
-def _split_ell(d: int, ell: int):
-    """(t, d') with d = ell^t d' and d' prime to ell."""
-    t = 0
-    while d % ell == 0:
-        d //= ell
-        t += 1
-    return t, d
-
-
 def _over_common(xs, d=None):
     """(d, nums): d a common multiple of the denominators of the elements xs,
     by default the least, and nums their numerators over it."""
@@ -395,9 +401,10 @@ class FieldDescriptor:
     def element(self, coeffs) -> FieldElement:
         """Validating constructor: coefficients on the power basis of zeta_n.
 
-        Accepts ints, Fractions, or strings like "2/3"; shorter vectors are
-        zero-padded.  Raises InvalidDescriptor when the element is not fixed
-        by the subgroup (i.e. does not lie in K).
+        Accepts ints, Fractions, or integer and p/q strings such as "2/3"
+        (other strings raise ValueError); shorter vectors are zero-padded.
+        Raises InvalidDescriptor when the element is not fixed by the
+        subgroup (i.e. does not lie in K).
         """
         if isinstance(coeffs, FieldElement):
             if coeffs.field != self:
@@ -411,7 +418,7 @@ class FieldDescriptor:
 
     def rational(self, q) -> FieldElement:
         if not isinstance(q, int):
-            q = Fraction(q)
+            q = _rational(q)
             return _make(self, (q.numerator,) + self.ring.zero[1:], q.denominator)
         return _make(self, (q,) + self.ring.zero[1:], 1)
 
@@ -623,11 +630,7 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
         # normalize to the smallest representative of the coset s*H
         s_norm = min((s * h) % n for h in sub)
 
-    a = 0
-    m = n
-    while m % ell == 0:
-        m //= ell
-        a += 1
+    a, m = _split_ell(n, ell)
     e_full = euler_phi(ell**a)
     phi_n = euler_phi(n)
 

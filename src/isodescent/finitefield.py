@@ -313,9 +313,9 @@ class ResidueElement:
         o = self._like(other)
         if o is None:
             return NotImplemented
+        # the fold table of the matrix product, on 1x1 matrices
         F = self.field
-        prod = fp_mod(fp_mul(fp_trim(self.coeffs), fp_trim(o.coeffs), F.p), F.modulus, F.p)
-        return F.element(prod)
+        return ResidueElement(F, F.int_mat_mul([[self.coeffs]], [[o.coeffs]])[0][0])
 
     __rmul__ = __mul__
 

@@ -40,6 +40,19 @@ def _check_shape(gram):
     return n
 
 
+def _conj_t(m, conj):
+    """conj(m)^T for the entrywise involution conj; the transpose when conj
+    is None (bilinear kinds)."""
+    return la.transpose(m) if conj is None else la.conj_transpose(m, conj)
+
+
+def _kind_holds(gram, conj, skew: bool) -> bool:
+    """Whether conj(A)^T equals A, or -A when skew.  Forms live in odd or
+    zero characteristic, where skew symmetry forces a zero diagonal."""
+    expect = [[-x for x in row] for row in gram] if skew else gram
+    return la.mat_eq(_conj_t(gram, conj), expect)
+
+
 class _Form:
     """Conventions shared by every form class: f(x, y) = conj(x)^T A y.
 
@@ -48,21 +61,10 @@ class _Form:
     entries lie in.
     """
 
-    def _conj_t(self, m):
-        if self.conj is None:
-            return la.transpose(m)
-        return la.conj_transpose(m, self.conj)
-
     def _check_kind(self, kind: str, twist: int = 0):
         """Raise KindMismatch unless conj(A)^T equals A, or -A for the
-        alternating kind and odd-twist hermitian forms.  Forms live in odd
-        or zero characteristic, where skew symmetry forces a zero diagonal."""
-        a = self.gram
-        if kind == "alternating" or twist:
-            expect = [[-x for x in row] for row in a]
-        else:
-            expect = a
-        if not la.mat_eq(self._conj_t(a), expect):
+        alternating kind and odd-twist hermitian forms."""
+        if not _kind_holds(self.gram, self.conj, kind == "alternating" or twist):
             raise KindMismatch(
                 f"gram matrix does not satisfy the {kind} axiom (twist {twist})")
 
@@ -70,11 +72,11 @@ class _Form:
         if not self.dim:
             return self._scalars.zero  # the empty sum
         xcol, ycol = [[v] for v in x], [[v] for v in y]
-        return la.mat_mul(self._conj_t(xcol), la.mat_mul(self.gram, ycol))[0][0]
+        return la.mat_mul(_conj_t(xcol, self.conj), la.mat_mul(self.gram, ycol))[0][0]
 
     def gram_in_basis(self, b):
         """Gram matrix of the form restricted to the columns of b."""
-        return la.mat_mul(self._conj_t(b), la.mat_mul(self.gram, b))
+        return la.mat_mul(_conj_t(b, self.conj), la.mat_mul(self.gram, b))
 
     def is_isometry(self, m) -> bool:
         return la.mat_eq(self.gram_in_basis(m), self.gram)
@@ -114,8 +116,8 @@ class GramForm(_Form):
         conj(A B)^T."""
         if self._gram_inv is None:
             self._gram_inv = la.mat_inv(self.gram, self.field)
-        basis = self._conj_t(la.mat_mul(lat.inverse, self._gram_inv))
-        inv = self._conj_t(la.mat_mul(self.gram, lat.basis))
+        basis = _conj_t(la.mat_mul(lat.inverse, self._gram_inv), self.conj)
+        inv = _conj_t(la.mat_mul(self.gram, lat.basis), self.conj)
         return Lattice(self.field, basis, _inverse=inv)
 
     # -- scaling ----------------------------------------------------------
@@ -144,17 +146,13 @@ def classify_gram(field, gram):
 
     Prefers alternating over symmetric over hermitian when several hold.
     """
-    n = _check_shape(gram)
-    t = la.transpose(gram)
-    if la.mat_eq(t, la.scalar_mul(-field.one, gram)) and \
-            all(gram[i][i] == field.zero for i in range(n)):
+    _check_shape(gram)
+    if _kind_holds(gram, None, True):
         return "alternating"
-    if la.mat_eq(t, gram):
+    if _kind_holds(gram, None, False):
         return "symmetric"
-    if field.involution is not None:
-        ct = la.conj_transpose(gram, lambda x: x.conjugate())
-        if la.mat_eq(ct, gram):
-            return "hermitian"
+    if field.involution is not None and _kind_holds(gram, lambda x: x.conjugate(), False):
+        return "hermitian"
     return None
 
 

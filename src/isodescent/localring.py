@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .cyclotomic import cyclotomic_poly, euler_phi
+from .cyclotomic import _split_ell, cyclotomic_poly, euler_phi
 from .errors import InternalInconsistency
 from .finitefield import fp_divmod, fp_ext_gcd, fp_mod, fp_mul, fp_sub, fp_trim
 
@@ -67,11 +67,7 @@ class LambdaEngine:
     def __init__(self, n: int, ell: int, factor: tuple[int, ...]):
         self.n = n
         self.ell = ell
-        a = 0
-        m = n
-        while m % ell == 0:
-            m //= ell
-            a += 1
+        a, m = _split_ell(n, ell)
         self.a = a
         self.m = m
         self.e_full = euler_phi(ell**a)

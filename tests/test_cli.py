@@ -223,6 +223,23 @@ class TestExitCodes:
         assert code == 1
         assert "form.gram[0][0]" in err
 
+    @pytest.mark.parametrize("value", ["1e100000", "2.5"])
+    def test_only_integer_and_fraction_strings(self, capsys, tmp_path, value):
+        # "1e100000" is nine characters, but Fraction would read it as 10^100000
+        bundle = json.loads(bundle_path("q8_split_ell5").read_text())
+        bundle["form"]["gram"][0][1][0] = value
+        cases = [(bundle, "form.gram[0][1]: bad coefficient vector"),
+                 (minimal_bundle(gram_entry=value), "form.gram[0][0]: bad rational")]
+        for i, (raw, message) in enumerate(cases):
+            p = tmp_path / f"notation{i}.json"
+            p.write_text(json.dumps(raw))
+            started = time.perf_counter()
+            code, out, err = run(capsys, "descend", str(p))
+            assert time.perf_counter() - started < 1.0
+            assert code == 1
+            assert out == ""
+            assert message in err
+
     def test_group_cap_flag(self, capsys):
         code, out, err = run(capsys, "descend", str(bundle_path("q8_split_ell5")),
                              "--max-group-order", "3")

@@ -419,6 +419,29 @@ class TestDescend:
             assert res.block_dims == base.block_dims
             assert res.block_kinds == base.block_kinds
 
+    def test_h3_over_a_residue_subfield(self):
+        """W(H_3) from its Cartan matrix over Q(sqrt 5) = Q(zeta_5)^{1,4} at
+        ell = 7: the residue field F_49 is a proper subfield of the
+        completion's F_7^4, so every residue goes through the subfield
+        embedding."""
+        desc = make_descriptor(5, 7, subgroup=(1, 4))
+        assert (desc.f, desc.f_full) == (2, 4)
+        o, z = desc.one, desc.zero
+        tau = o + desc.orbit_sum(1)  # 1 + zeta_5 + zeta_5^4, the golden ratio
+        cartan = [[2 * o, -tau, z], [-tau, 2 * o, -o], [z, -o, 2 * o]]
+        gens = []
+        for i in range(3):
+            s = la.identity(desc, 3)
+            s[i] = [x - c for x, c in zip(s[i], cartan[i])]
+            gens.append(s)
+        res = descend(GroupRep(desc, gens, GramForm(desc, cartan, "symmetric")))
+        assert res.group_order == 120
+        assert res.certificates == dict.fromkeys(
+            ("faithful", "charpoly_preserved", "f0_nondegenerate", "kind_correct",
+             "hypothesis_2e_lt_ell_minus_1"), True)
+        assert res.block_dims == (3, 0)
+        assert desc.residue_field.degree == 2
+
     def test_uniformizer_choice_does_not_matter(self, gauss5, q8_res5):
         base = q8_res5
         desc2 = with_uniformizer(gauss5, gauss5.pi_power(1) * gauss5.rational(2))

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -228,6 +229,21 @@ class TestInvolution:
     def test_fixed_subfield_elements_are_fixed(self, quad7):
         # rationals lie in the fixed field of any involution
         assert quad7.rational("7/3").conjugate() == quad7.rational("7/3")
+
+
+class TestStringCoordinates:
+    @pytest.mark.parametrize("text", ["1e5", "1e100000", "2.5", " 3", "1_000"])
+    def test_only_integers_and_fractions_parse(self, gauss5, text):
+        # Fraction alone reads exponent and decimal forms, and builds 10^k
+        # for an exponent k of any size
+        with pytest.raises(ValueError):
+            gauss5.element([text])
+        with pytest.raises(ValueError):
+            gauss5.rational(text)
+
+    def test_signed_fraction_parses(self, gauss5):
+        assert gauss5.element(["-3/2", "+4"]).coeffs == (Fraction(-3, 2), Fraction(4))
+        assert gauss5.rational("-3/2") == gauss5.rational(Fraction(-3, 2))
 
 
 class TestUniformizerChoice:

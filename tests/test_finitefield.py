@@ -24,6 +24,7 @@ from isodescent.finitefield import (
     fp_mat_mul,
     fp_mat_pow,
     fp_mod,
+    fp_mul,
     fp_powmod,
     fp_solve,
     fp_sub,
@@ -121,6 +122,25 @@ def test_every_nonzero_element_has_an_inverse(p, degree):
         assert x * x.inverse() == F.one
         count += 1
     assert count == F.order - 1
+
+
+@pytest.mark.parametrize("p, degree, pairs", [
+    (3, 2, None), (5, 2, None), (7, 2, None), (3, 6, 500), (5, 4, 500),
+])
+def test_product_matches_polynomial_division(p, degree, pairs):
+    # ResidueElement products fold through the int_mat_mul table; the
+    # reference divides the plain product by the modulus
+    F = ResidueField(p, find_irreducible(p, degree))
+    if pairs is None:
+        todo = [(x, y) for x in F.elements() for y in F.elements()]
+    else:
+        rng = random.Random(f"product-{p}-{degree}")
+        todo = [tuple(F.element([rng.randrange(p) for _ in range(degree)])
+                      for _ in range(2)) for _ in range(pairs)]
+    for x, y in todo:
+        expect = fp_mod(fp_mul(fp_trim(x.coeffs), fp_trim(y.coeffs), p), F.modulus, p)
+        assert fp_trim((x * y).coeffs) == expect
+        assert len((x * y).coeffs) == degree
 
 
 def rabin_is_irreducible(h, p):

@@ -7,6 +7,8 @@
   polynomial of K found by resultants.
 - Certified valuations, and the integrality test, against sympy's
   prime_valuation in Q(zeta_n) where a single prime lies above ell.
+- The factors of Phi_m mod ell from cyclotomic_factors_mod against sympy's
+  factor_list over GF(ell).
 
 Runs only where sympy is installed; the package itself does not depend on it.
 """
@@ -23,6 +25,7 @@ from sympy.polys.numberfields.modules import to_col  # noqa: E402
 from sympy.polys.numberfields.primes import prime_decomp, prime_valuation  # noqa: E402
 
 from isodescent.exactfield import make_descriptor  # noqa: E402
+from isodescent.finitefield import cyclotomic_factors_mod  # noqa: E402
 
 from conftest import random_field_element  # noqa: E402
 
@@ -170,3 +173,20 @@ def test_valuation_is_prime_valuation(n, ell, sub):
         # the integer test first, on a copy without a memoized valuation
         assert desc.from_integer(x.num, x.den).is_integral() == (v_p >= 0)
         assert x.valuation() == v_p // desc.e_rel
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic factorization against factor_list over GF(ell)
+
+FACTOR_GRID = [(ell, m) for ell in (3, 5, 7) for m in range(1, 41) if m % ell]
+
+
+@pytest.mark.parametrize("ell, m", FACTOR_GRID)
+def test_cyclotomic_factors_match_factor_list(ell, m):
+    _, factors = sympy.Poly(sympy.cyclotomic_poly(m, X), X, modulus=ell).factor_list()
+    # Phi_m is squarefree mod ell for m prime to ell; sympy prints GF(ell)
+    # coefficients symmetrically, so they are taken mod ell, low degree first
+    assert all(mult == 1 for _, mult in factors)
+    expect = sorted(tuple(int(c) % ell for c in reversed(f.all_coeffs()))
+                    for f, _ in factors)
+    assert [poly for poly, _ in cyclotomic_factors_mod(ell, m)] == expect

@@ -23,10 +23,12 @@ from isodescent.lattice import (  # noqa: E402
 )
 
 # (n, ell, subgroup, involution): split, inert, tamely ramified with and
-# without an involution, wildly ramified, and the prop6 field
+# without an involution, wildly ramified, the prop6 field, and Q(sqrt 5) at
+# 7, whose residue field F_49 is a proper subfield of the completion's F_7^4
 FIELDS = [
     (4, 5, (1,), None), (4, 7, (1,), 3), (5, 5, (1, 4), None),
     (7, 7, (1, 2, 4), 3), (9, 3, (1,), None), (28, 7, (1, 13), None),
+    (5, 7, (1, 4), None),
 ]
 
 PROPERTY = settings(max_examples=100, deadline=None, database=None)

@@ -83,7 +83,7 @@ def _parse_matrix(field, raw, where: str):
 def load_bundle(path: str, max_group_order=None):
     """Read and validate a bundle file; returns (GroupRep, options dict).
 
-    All GroupRep invariants (closure under the cap, every element an
+    All GroupRep invariants (closure under the cap, every generator an
     isometry) are re-checked during construction.  max_group_order, when
     given, overrides the bundle's cap and must be a positive integer.
     """
@@ -310,15 +310,20 @@ def cmd_charpoly(bundle_path: str, out_path=None, max_group_order=None) -> int:
     rep, _ = load_bundle(bundle_path, max_group_order)
     rows = []
     classes = {}
-    for i, m in enumerate(rep.elements):
-        cp = la.charpoly(m, rep.field)
-        ser = _ser_poly(cp)
+    # one charpoly per conjugacy class, at its smallest index, which the
+    # loop reaches before any other element of the class
+    per_class = {}
+    for i, c in enumerate(rep.conjugacy_classes()):
+        if c == i:
+            cp = la.charpoly(rep.elements[i], rep.field)
+            ser = _ser_poly(cp)
+            per_class[i] = ser, _reduce_poly_or_none(cp), json.dumps(ser)
+        ser, red, key = per_class[c]
         rows.append({
             "element_index": i,
             "charpoly": ser,
-            "charpoly_mod_lambda": _reduce_poly_or_none(cp),
+            "charpoly_mod_lambda": red,
         })
-        key = json.dumps(ser)
         classes[key] = classes.get(key, 0) + 1
     result = {
         "field": rep.field.describe(),

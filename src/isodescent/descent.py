@@ -12,6 +12,13 @@ nondegenerate forms, reduced in one validated call (forms.reduce_pair),
 whose kinds follow the scaling-twist bookkeeping of the forms module; the
 direct sum of their Gram matrices is the reduced form f0.
 
+The reduced action is computed on the generators only and carried along the
+closure tree; checking the group law on every other edge of the Cayley
+graph makes it a homomorphism, so f0 is checked on the generators' images
+and both characteristic polynomials, being class functions, once per
+conjugacy class (the classes come from the Cayley table, with no field
+arithmetic).
+
 The reduction preserves characteristic polynomials mod lambda, and when
 2e < ell - 1 it is also faithful: a finite-order lattice automorphism
 congruent to the identity to square order must be the identity (the rigidity
@@ -73,14 +80,17 @@ class GroupRep:
     generators (identity first, generator order fixed), so the element list
     is deterministic.  It runs on integer matrices: an element M is held as
     (d, W) with M = W / d, W on integer coordinates in Z[zeta_n] and
-    gcd(d, W) = 1, and that pair is the key of the seen set.  links[i] is
-    (parent index, generator index) with elements[i] = elements[parent] *
-    generators[generator], and None for the identity, so per-element work
-    can be carried along the closure tree.  Every element, the generators
-    first, is checked against the isometry equation on the same integer
-    form, conj(W)^T G W = d^2 G for the gram matrix G / d_G; exceeding the
-    cap raises GroupTooLarge.  The FieldElement matrices are built once per
-    element, after the closure.
+    gcd(d, W) = 1, and that pair is the key of the seen map to its index.
+    links[i] is (parent index, generator index) with elements[i] =
+    elements[parent] * generators[generator], and None for the identity, so
+    per-element work can be carried along the closure tree; right[x][g] is
+    the index of elements[x] * generators[g], the right Cayley table, from
+    which conjugacy_classes reads the classes.  The generators are checked
+    against the isometry equation on the same integer form, conj(W)^T G W =
+    d^2 G for the gram matrix G / d_G, before any longer product is formed;
+    a product of isometries is an isometry, so no other element needs the
+    check.  Exceeding the cap raises GroupTooLarge.  The FieldElement
+    matrices are built once per element, after the closure.
     """
 
     def __init__(self, field, generators, form: GramForm, cap: int = DEFAULT_GROUP_CAP):
@@ -112,11 +122,13 @@ class GroupRep:
         ident = [[one if i == j else zero for j in range(self.dim)] for i in range(self.dim)]
         out = [(1, ident)]
         links = [None]
-        seen = {(1, _mat_key(ident))}
+        right = []
+        seen = {(1, _mat_key(ident)): 0}
         queue = deque([0])
         while queue:
             idx = queue.popleft()
             d, w = out[idx]
+            targets = []
             for gi, (gd, gw) in enumerate(gens):
                 pw, pd = mul(w, gw), d * gd
                 common = math.gcd(pd, *(c for row in pw for x in row for c in x))
@@ -124,23 +136,25 @@ class GroupRep:
                     pd //= common
                     pw = [[tuple(c // common for c in x) for x in row] for row in pw]
                 key = (pd, _mat_key(pw))
-                if key not in seen:
+                j = seen.get(key)
+                if j is None:
                     # the identity's products are the generators, so each is
                     # checked before any longer product is formed: a bad input
                     # cannot blow up the enumeration (non-isometries need not
-                    # have finite order)
-                    if not preserves(pd, pw):
-                        raise PreconditionViolated(
-                            "a generator does not preserve the form" if idx == 0
-                            else "a group element does not preserve the form")
+                    # have finite order), and a product of isometries is one
+                    if idx == 0 and not preserves(pd, pw):
+                        raise PreconditionViolated("a generator does not preserve the form")
                     if len(out) >= cap:
                         raise GroupTooLarge(
                             f"group closure exceeded the cap of {cap} elements")
-                    seen.add(key)
-                    queue.append(len(out))
+                    j = seen[key] = len(out)
+                    queue.append(j)
                     out.append((pd, pw))
                     links.append((idx, gi))
+                targets.append(j)
+            right.append(targets)
         self.links = links
+        self.right = right
         # one FieldElement per distinct entry, so equal entries share their
         # memoized valuation and residue
         entries = {}
@@ -157,6 +171,34 @@ class GroupRep:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    def conjugacy_classes(self) -> list:
+        """cls[x], the smallest index conjugate to element x, from the Cayley
+        table alone.  For each generator g, left[x] = index of g x is carried
+        along the tree (g x = (g parent) gen), and g x g^-1 is left[x] sent
+        back through the inverse of the permutation x -> x g; a union-find
+        keeping the smaller index as root merges x with g x g^-1."""
+        right = self.right
+        root = list(range(self.order))
+
+        def find(x):
+            while root[x] != x:
+                root[x] = root[root[x]]
+                x = root[x]
+            return x
+
+        for g in range(len(self.generators)):
+            left = [right[0][g]]
+            for parent, gen in self.links[1:]:
+                left.append(right[left[parent]][gen])
+            times_inverse = [0] * self.order
+            for x, targets in enumerate(right):
+                times_inverse[targets[g]] = x
+            for x, gx in enumerate(left):
+                a, b = find(x), find(times_inverse[gx])
+                if a != b:
+                    root[max(a, b)] = min(a, b)
+        return [find(x) for x in range(self.order)]
 
 
 @dataclass
@@ -263,6 +305,28 @@ def rigidity_check(mat, lat: Lattice, max_order: int = DEFAULT_ORDER_CAP) -> dic
     }
 
 
+def _along_tree(links, gen_images, mul, one):
+    """Images of every closure element, multiplied along the closure tree:
+    image[i] = image[parent] * gen_images[generator] for links[i]."""
+    images = [one]
+    for parent, gen in links[1:]:
+        images.append(mul(images[parent], gen_images[gen]))
+    return images
+
+
+def _check_edges(rep, images, gen_images, mul):
+    """Check images[x] * gen_images[g] == images[x g] on every Cayley edge
+    off the tree (the tree edges hold by construction).  With the identity
+    sent to one, this holds exactly when the images form a homomorphism."""
+    links = rep.links
+    for x, targets in enumerate(rep.right):
+        for g, y in enumerate(targets):
+            if links[y] != (x, g) and mul(images[x], gen_images[g]) != images[y]:
+                raise InternalInconsistency(
+                    f"reduced action is not a homomorphism on the Cayley edge "
+                    f"from element {x} by generator {g}")
+
+
 @dataclass
 class DescentResult:
     """Everything descend() produced, with enough data to recompute every
@@ -353,31 +417,43 @@ def descend(rep: GroupRep, start: Lattice | None = None) -> DescentResult:
     # reduction mod pi is a ring homomorphism on integral matrices, and block
     # lower triangular matrices multiply on their diagonal blocks: once each
     # generator's action is integral and block lower triangular (checked by
-    # reduced_action), rho_bar(m g) = rho_bar(m) rho_bar(g) along the tree
+    # reduced_action), rho_bar(m g) = rho_bar(m) rho_bar(g).  rho_bar is
+    # carried along the tree on integer coordinates mod p and checked on every
+    # other Cayley edge, so it is a homomorphism: then the generators'
+    # isometries are every element's, and charpolys are class functions
     gen_bar = [reduced_action(g) for g in rep.generators]
-    rho_bar = [la.identity(kfield, n)]
-    for parent, gen in rep.links[1:]:
-        rho_bar.append(la.mat_mul(rho_bar[parent], gen_bar[gen]))
-    kind_correct = all(f0.is_isometry(p) for p in rho_bar)
+    kind_correct = all(f0.is_isometry(p) for p in gen_bar)
+    gen_int = [kfield.integer_matrix(g)[1] for g in gen_bar]
+    mul = kfield.int_mat_mul
+    ident = kfield.integer_matrix(la.identity(kfield, n))[1]
+    rho_int = _along_tree(rep.links, gen_int, mul, ident)
+    _check_edges(rep, rho_int, gen_int, mul)
 
-    ident_k = la.identity(kfield, n)
-    kernel = [i for i, p in enumerate(rho_bar) if la.mat_eq(p, ident_k)]
+    keys = [_mat_key(p) for p in rho_int]
+    kernel = [i for i, key in enumerate(keys) if key == keys[0]]
     faithful = len(kernel) == 1
-    image_order = len({_mat_key(p) for p in rho_bar})
+    image = set(keys)
+    image_order = len(image)
+    # one ResidueElement per distinct entry
+    distinct = {v for key in image for row in key for v in row}
+    entries = {v: kfield.from_integer(v, 1) for v in distinct}
+    rho_bar = [[[entries[v] for v in row] for row in p] for p in rho_int]
 
+    # both charpolys once per conjugacy class, at its smallest index
+    cls = rep.conjugacy_classes()
     charpoly_ok = True
     classes = Counter()
-    charpoly_table_K = []
-    charpoly_table_k = []
-    for m, p in zip(rep.elements, rho_bar):
-        cp_K = la.charpoly(m, field)
+    per_class = {}
+    for r, size in sorted(Counter(cls).items()):
+        cp_K = la.charpoly(rep.elements[r], field)
         cp_red = [c.reduce() for c in cp_K]
-        cp_psi = la.charpoly(p, kfield)
-        charpoly_table_K.append(cp_K)
-        charpoly_table_k.append(cp_psi)
+        cp_psi = la.charpoly(rho_bar[r], kfield)
+        per_class[r] = cp_K, cp_psi
         if len(cp_red) != len(cp_psi) or any(a != b for a, b in zip(cp_red, cp_psi)):
             charpoly_ok = False
-        classes[tuple(tuple(c.coeffs) for c in cp_psi)] += 1
+        classes[tuple(tuple(c.coeffs) for c in cp_psi)] += size
+    charpoly_table_K = [per_class[c][0] for c in cls]
+    charpoly_table_k = [per_class[c][1] for c in cls]
 
     f0_nondeg = la.det(f0.gram, kfield) != kfield.zero
 

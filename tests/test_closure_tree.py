@@ -1,20 +1,24 @@
-"""The integer closure and the tree-carried reduced action, against the
-per-element code they replaced.
+"""The integer closure, its Cayley table and the tree-carried reduced action,
+against the per-element code they replaced.
 
-GroupRep enumerates its closure on integer matrices and records every
-element as parent x generator; descend reduces only the generators and
-multiplies the reduced matrices along those links.  The references below
-are the former FieldElement-keyed closure and the former reduced_action,
-which conjugated and reduced every element on its own.
+GroupRep enumerates its closure on integer matrices, records every element
+as parent x generator and keeps the right Cayley table; descend reduces
+only the generators, multiplies the reduced matrices along those links,
+checks the group law on the other Cayley edges and takes both charpolys
+once per conjugacy class.  The references below are the former
+FieldElement-keyed closure, the former reduced_action, which conjugated and
+reduced every element on its own, the former per-element loop of descend,
+and conjugacy classes by brute-force conjugation.
 """
 
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
 from isodescent import linalg as la
 from isodescent.cli import load_bundle
 from isodescent.counterexamples import build_prop6_bundle
+from isodescent import descent
 from isodescent.descent import DEFAULT_GROUP_CAP, GroupRep, descend
 from isodescent.errors import GroupTooLarge, InternalInconsistency, PreconditionViolated
 from isodescent.exactfield import make_descriptor
@@ -72,6 +76,78 @@ def reference_reduced_action(res, m):
     return la.block_diag(kfield, [lower, upper])
 
 
+def reference_descend_tables(rep, res):
+    """The former per-element loop of descend, verbatim: rho_bar along the
+    tree in ResidueElement arithmetic, then an f0 isometry check and both
+    charpolys for every element."""
+    field = rep.field
+    kfield = field.residue_field
+    n = rep.dim
+    f0 = res.f0
+    gen_bar = [reference_reduced_action(res, g) for g in rep.generators]
+    rho_bar = [la.identity(kfield, n)]
+    for parent, gen in rep.links[1:]:
+        rho_bar.append(la.mat_mul(rho_bar[parent], gen_bar[gen]))
+    kind_correct = all(f0.is_isometry(p) for p in rho_bar)
+
+    ident_k = la.identity(kfield, n)
+    kernel = [i for i, p in enumerate(rho_bar) if la.mat_eq(p, ident_k)]
+    faithful = len(kernel) == 1
+    image_order = len({_mat_key(p) for p in rho_bar})
+
+    charpoly_ok = True
+    classes = Counter()
+    charpoly_table_K = []
+    charpoly_table_k = []
+    for m, p in zip(rep.elements, rho_bar):
+        cp_K = la.charpoly(m, field)
+        cp_red = [c.reduce() for c in cp_K]
+        cp_psi = la.charpoly(p, kfield)
+        charpoly_table_K.append(cp_K)
+        charpoly_table_k.append(cp_psi)
+        if len(cp_red) != len(cp_psi) or any(a != b for a, b in zip(cp_red, cp_psi)):
+            charpoly_ok = False
+        classes[tuple(tuple(c.coeffs) for c in cp_psi)] += 1
+
+    f0_nondeg = la.det(f0.gram, kfield) != kfield.zero
+
+    if field.two_e_ok and not faithful:
+        raise InternalInconsistency(
+            f"kernel element {kernel[1]} is not the identity although 2e < ell - 1")
+    kernel_explanations = [{"element_index": idx, "explained_by": "hypothesis_failure"}
+                           for idx in kernel if idx != 0]
+
+    certificates = {
+        "faithful": faithful,
+        "charpoly_preserved": charpoly_ok,
+        "f0_nondegenerate": f0_nondeg,
+        "kind_correct": kind_correct,
+        "hypothesis_2e_lt_ell_minus_1": field.two_e_ok,
+    }
+    return {
+        "kernel_size": len(kernel),
+        "image_order": image_order,
+        "rho_bar": rho_bar,
+        "charpoly_table_K": charpoly_table_K,
+        "charpoly_table_k": charpoly_table_k,
+        "certificates": certificates,
+        "charpoly_classes": sorted(classes.items()),
+        "kernel_explanations": kernel_explanations,
+    }
+
+
+def brute_force_classes(rep):
+    """cls[x], the smallest index among h x h^-1 over every element h."""
+    index = {_mat_key(m): i for i, m in enumerate(rep.elements)}
+    pairs = [(h, la.mat_inv(h, rep.field)) for h in rep.elements]
+    cls = [None] * rep.order
+    for x, m in enumerate(rep.elements):
+        if cls[x] is None:
+            for h, h_inv in pairs:
+                cls[index[_mat_key(la.mat_mul(h, la.mat_mul(m, h_inv)))]] = x
+    return cls
+
+
 def _signed_permutations_b2(desc):
     z, o = desc.zero, desc.one
     return [[[z, o], [o, z]], [[-o, z], [z, o]]]
@@ -104,7 +180,7 @@ def block_b2xb2_gauss5():
 CASES = {
     **{name: (lambda name=name: load_bundle(str(bundle_path(name)))[0])
        for name in ("q8_split_ell5", "z4_hermitian_inert_ell7", "remark4_ell7",
-                    "prop5_ell5")},
+                    "prop5_ell5", "block_b3xb2_q5")},
     "prop6_ell5": lambda: build_prop6_bundle(5),
     "prop6_ell7": lambda: build_prop6_bundle(7),
     "block_b2xb2_gauss5": block_b2xb2_gauss5,
@@ -112,7 +188,7 @@ CASES = {
 
 ORDERS = {"q8_split_ell5": 8, "z4_hermitian_inert_ell7": 4, "remark4_ell7": 16,
           "prop5_ell5": 5, "prop6_ell5": 40, "prop6_ell7": 56,
-          "block_b2xb2_gauss5": 64}
+          "block_b2xb2_gauss5": 64, "block_b3xb2_q5": 384}
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))
@@ -147,6 +223,74 @@ def test_reduced_action_matches_the_per_element_reduction(case):
         assert reference_reduced_action(res, m) == p
 
 
+
+def test_right_table_is_the_cayley_table(case):
+    _, rep, _ = case
+    assert len(rep.right) == rep.order
+    for x, targets in enumerate(rep.right):
+        assert len(targets) == len(rep.generators)
+        for g, y in enumerate(targets):
+            assert la.mat_eq(la.mat_mul(rep.elements[x], rep.generators[g]),
+                             rep.elements[y])
+
+
+def test_tables_match_the_per_element_loop(case):
+    _, rep, res = case
+    ref = reference_descend_tables(rep, res)
+    ser = lambda table: [[c.serialize() for c in cp] for cp in table]
+    assert ser(res.charpoly_table_K) == ser(ref["charpoly_table_K"])
+    assert res.charpoly_table_k == ref["charpoly_table_k"]
+    assert res.rho_bar == ref["rho_bar"]
+    for key in ("kernel_size", "image_order", "certificates", "charpoly_classes",
+                "kernel_explanations"):
+        assert getattr(res, key) == ref[key], key
+
+
+def test_classes_match_brute_force_conjugation(case):
+    _, rep, _ = case
+    cls = rep.conjugacy_classes()
+    assert cls == brute_force_classes(rep)
+    sizes = Counter(cls)
+    assert all(rep.order % size == 0 for size in sizes.values())
+    assert sum(sizes.values()) == rep.order
+
+
+def test_edge_check_finds_a_corrupted_element(monkeypatch):
+    # replace the image of one element by the identity's; the element is the
+    # end of a Cayley edge off the tree from another element, whose image
+    # times the generator's is the true image, not the identity
+    rep = block_b2xb2_gauss5()
+    x = next(y for src, targets in enumerate(rep.right) for g, y in enumerate(targets)
+             if rep.links[y] != (src, g) and y not in (0, src))
+    along_tree = descent._along_tree
+
+    def corrupted(*args):
+        images = along_tree(*args)
+        images[x] = images[0]
+        return images
+
+    monkeypatch.setattr(descent, "_along_tree", corrupted)
+    with pytest.raises(InternalInconsistency, match="not a homomorphism"):
+        descend(rep)
+
+
+
+def test_edge_check_finds_images_that_are_no_representation():
+    # twice the first generator's image squares to 4 = -1 mod 5, not to
+    # one: carried along the tree it agrees with every tree edge, and only
+    # an edge off the tree (a relation of the group) shows the fault
+    rep = block_b2xb2_gauss5()
+    res = descend(rep)
+    kfield = rep.field.residue_field
+    mul = kfield.int_mat_mul
+    gens = [kfield.integer_matrix(res.rho_bar[y])[1] for y in rep.right[0]]
+    one = kfield.integer_matrix(res.rho_bar[0])[1]
+    descent._check_edges(rep, descent._along_tree(rep.links, gens, mul, one), gens, mul)
+    gens[0] = [[tuple(2 * c for c in v) for v in row] for row in gens[0]]
+    with pytest.raises(InternalInconsistency, match="not a homomorphism"):
+        descent._check_edges(rep, descent._along_tree(rep.links, gens, mul, one), gens, mul)
+
+
 def test_cap_matches_the_reference():
     desc = make_descriptor(4, 5)
     rep = block_b2xb2_gauss5()
@@ -159,12 +303,15 @@ def test_cap_matches_the_reference():
 
 
 def test_non_isometry_generator_is_refused_before_any_longer_product():
-    # diag(1, 2, 1, 1) has infinite order; the first generator is an
-    # isometry, and with the cap at 2 the bad one is checked before the cap
+    # diag(1, 2, 1, 1) has infinite order; only the generators are checked,
+    # each before the cap: with the bad one second the cap of 2 admits the
+    # first, and with the bad one first the cap of 1 admits nothing
     rep = block_b2xb2_gauss5()
     desc = rep.field
     bad = la.identity(desc, 4)
     bad[1][1] = desc.rational(2)
-    for cap in (2, DEFAULT_GROUP_CAP):
-        with pytest.raises(PreconditionViolated, match="a generator does not preserve"):
-            GroupRep(desc, [rep.generators[0], bad], rep.form, cap=cap)
+    for gens, caps in (([rep.generators[0], bad], (2, DEFAULT_GROUP_CAP)),
+                       ([bad] + rep.generators, (1, DEFAULT_GROUP_CAP))):
+        for cap in caps:
+            with pytest.raises(PreconditionViolated, match="a generator does not preserve"):
+                GroupRep(desc, gens, rep.form, cap=cap)

@@ -1,9 +1,11 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 from isodescent import linalg as la
-from isodescent.cli import load_bundle
+from isodescent.cli import _descent_result_dict, load_bundle
 from isodescent.counterexamples import build_prop5_bundle, build_prop6_bundle
 from isodescent.descent import GroupRep, balance, descend, rigidity_check
 from isodescent.errors import (
@@ -441,6 +443,31 @@ class TestDescend:
              "hypothesis_2e_lt_ell_minus_1"), True)
         assert res.block_dims == (3, 0)
         assert desc.residue_field.degree == 2
+
+    def test_f4_weyl_group(self):
+        """W(F_4), order 1152, from its Cartan matrix over Q at ell = 7: the
+        reflection in root i subtracts 2 B_ij / B_ii from row i of the
+        identity, for the symmetrized gram B with two root lengths.  The
+        digest pins the result block byte for byte."""
+        desc = make_descriptor(1, 7)
+        r = desc.rational
+        gram = [[r(x) for x in row] for row in
+                ([4, -2, 0, 0], [-2, 4, -2, 0], [0, -2, 2, -1], [0, 0, -1, 2])]
+        gens = []
+        for i in range(4):
+            s = la.identity(desc, 4)
+            c = r(2) / gram[i][i]
+            s[i] = [x - c * b for x, b in zip(s[i], gram[i])]
+            gens.append(s)
+        res = descend(GroupRep(desc, gens, GramForm(desc, gram, "symmetric")))
+        assert res.group_order == 1152
+        assert res.certificates == dict.fromkeys(
+            ("faithful", "charpoly_preserved", "f0_nondegenerate", "kind_correct",
+             "hypothesis_2e_lt_ell_minus_1"), True)
+        blob = json.dumps(_descent_result_dict(res), sort_keys=True,
+                          separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == \
+            "f558737bce8bfa9ee07c01692f3d325bc1922bad42e056dab628381504a86417"
 
     def test_uniformizer_choice_does_not_matter(self, gauss5, q8_res5):
         base = q8_res5

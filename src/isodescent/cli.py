@@ -346,8 +346,13 @@ def cmd_verify(tag: str, ell: int, out_path=None, enum_cap=None) -> int:
     if tag not in VERIFY_TAGS:
         raise BundleFormatError(f"verify: unknown tag {tag!r}, expected "
                                 f"one of {VERIFY_TAGS}")
+    # the cap decides which routes prop6 runs, so a given cap is part of the
+    # input; without the flag the digest covers (ell, tag) alone
+    canonical = {"ell": ell, "tag": tag}
     if enum_cap is None:
         enum_cap = DEFAULT_ENUM_CAP
+    else:
+        canonical["enum_cap"] = enum_cap
     if enum_cap < 1:
         raise BundleFormatError(
             f"verify: --enum-cap must be a positive integer, got {enum_cap}")
@@ -361,7 +366,7 @@ def cmd_verify(tag: str, ell: int, out_path=None, enum_cap=None) -> int:
             f"verify {tag}: {candidates} candidates at ell={ell} exceed "
             f"--enum-cap {enum_cap}")
     digest = hashlib.sha256(
-        json.dumps({"ell": ell, "tag": tag}, sort_keys=True).encode()).hexdigest()
+        json.dumps(canonical, sort_keys=True).encode()).hexdigest()
     if tag == "lemma":
         cert = no_invariant_symmetric_form(ell)
     elif tag == "prop5":

@@ -74,52 +74,39 @@ def _require_odd_prime(ell: int):
 # invariant-form and commutant systems over F_ell
 
 
+def _eye(n: int):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _invariance_rows(g):
+    """kron(g^T, g^T) - 1, the matrix of B -> g^T B g - B on the entries of
+    B flattened row-major, by vec(P X Q) = (P kron Q^T) vec(X)."""
+    gt = la.transpose(g)
+    return la.mat_sub(la.kron(gt, gt), _eye(len(g) ** 2))
+
+
 def _solve_form_constraints(gens, ell, n, alternating=False):
     """Basis of the space of bilinear forms B with g^T B g = B for all g.
 
-    Unknowns are the n*n entries of B, row-major.  With alternating=True the
-    constraints B^T = -B and zero diagonal are added.
+    Unknowns are the n*n entries of B, row-major; each g contributes the
+    rows of _invariance_rows(g).  With alternating=True the rows of
+    B -> B + B^T are added; in odd characteristic they force the zero
+    diagonal.
     """
-    rows = []
-    for g in gens:
-        # (g^T B g)_{ij} = sum_{k,l} g_{ki} B_{kl} g_{lj}
-        for i in range(n):
-            for j in range(n):
-                row = [0] * (n * n)
-                for k in range(n):
-                    gki = g[k][i]
-                    if gki == 0:
-                        continue
-                    for l in range(n):
-                        row[k * n + l] = (row[k * n + l] + gki * g[l][j]) % ell
-                row[i * n + j] = (row[i * n + j] - 1) % ell
-                rows.append(row)
+    rows = [row for g in gens for row in _invariance_rows(g)]
     if alternating:
-        for i in range(n):
-            for j in range(i, n):
-                row = [0] * (n * n)
-                if i == j:
-                    row[i * n + i] = 1
-                else:
-                    row[i * n + j] = 1
-                    row[j * n + i] = 1
-                rows.append(row)
+        rows += [[(c == i * n + j) + (c == j * n + i) for c in range(n * n)]
+                 for i in range(n) for j in range(n)]
     basis = fp_kernel(rows, ell)
     return [[[v[i * n + j] for j in range(n)] for i in range(n)] for v in basis]
 
 
 def _solve_commutant(gens, ell, n):
-    """Basis of the space of matrices E with E g = g E for all g."""
-    rows = []
-    for g in gens:
-        # (E g - g E)_{ij} = sum_k E_{ik} g_{kj} - g_{ik} E_{kj}
-        for i in range(n):
-            for j in range(n):
-                row = [0] * (n * n)
-                for k in range(n):
-                    row[i * n + k] = (row[i * n + k] + g[k][j]) % ell
-                    row[k * n + j] = (row[k * n + j] - g[i][k]) % ell
-                rows.append(row)
+    """Basis of the space of matrices E with E g = g E for all g: the kernel
+    of kron(1, g^T) - kron(g, 1) on E flattened row-major."""
+    one = _eye(n)
+    rows = [row for g in gens
+            for row in la.mat_sub(la.kron(one, la.transpose(g)), la.kron(g, one))]
     return fp_kernel(rows, ell)
 
 
@@ -133,18 +120,16 @@ def _invariant_symmetric_grams(g, ell: int):
     Returns (examined, invariant) with invariant the list of (p, q, r) whose
     Gram [[p, q], [q, r]] satisfies g^T B g = B, in lexicographic order.
     B -> g^T B g - B is F_ell-linear, so its values R_p, R_q, R_r on the
-    three symmetric basis matrices are computed once, flattened row-major.
-    Each candidate's residual is p R_p + q R_q + r R_r: it starts at
-    p R_p + q R_q for each (p, q) and advances by R_r (four additions mod
-    ell) at each step of r; the candidate is invariant iff it is zero.
+    three symmetric basis matrices, flattened row-major, are read once off
+    _invariance_rows(g): columns 0, 1 + 2 and 3.  Each candidate's residual
+    is p R_p + q R_q + r R_r: it starts at p R_p + q R_q for each (p, q) and
+    advances by R_r (four additions mod ell) at each step of r; the
+    candidate is invariant iff it is zero.
     """
-    gt = [[g[0][0], g[1][0]], [g[0][1], g[1][1]]]
-    residuals = []
-    for basis in ([[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [0, 1]]):
-        moved = fp_mat_mul(fp_mat_mul(gt, basis, ell), g, ell)
-        residuals.append([(moved[i][j] - basis[i][j]) % ell
-                          for i in range(2) for j in range(2)])
-    rp, rq, (r0, r1, r2, r3) = residuals
+    m = _invariance_rows(g)
+    rp = [row[0] for row in m]
+    rq = [row[1] + row[2] for row in m]
+    r0, r1, r2, r3 = (row[3] for row in m)
     examined = 0
     invariant = []
     for p in range(ell):
@@ -223,7 +208,10 @@ def _order_ell_unipotent_fact(ell: int) -> dict:
     Each invertible M has its ell-th power computed as alpha M + beta I,
     with (alpha, beta) looked up by trace and determinant in
     _ell_power_table, and M has order ell iff M != I and that power is I.
+    Conjugacy is certified without an inverse: P = [(M - 1) v, v] for v
+    outside the kernel of M - 1, with det P != 0 and M P = P U.
     """
+    unipotent = [[1, 1], [0, 1]]
     ident = [[1, 0], [0, 1]]
     powers = _ell_power_table(ell)
     count = 0
@@ -248,24 +236,14 @@ def _order_ell_unipotent_fact(ell: int) -> dict:
                     if fp_mat_mul(nil, nil, ell) != [[0, 0], [0, 0]]:
                         all_square_zero = False
                         continue
-                    # basis {(M-1)v, v} for v outside the kernel of M-1
-                    v = None
-                    for cand in ([1, 0], [0, 1]):
-                        img = [(nil[0][0] * cand[0] + nil[0][1] * cand[1]) % ell,
-                               (nil[1][0] * cand[0] + nil[1][1] * cand[1]) % ell]
+                    for v in ([1, 0], [0, 1]):
+                        img = [(nil[0][0] * v[0] + nil[0][1] * v[1]) % ell,
+                               (nil[1][0] * v[0] + nil[1][1] * v[1]) % ell]
                         if img != [0, 0]:
-                            v = cand
                             break
-                    img = [(nil[0][0] * v[0] + nil[0][1] * v[1]) % ell,
-                           (nil[1][0] * v[0] + nil[1][1] * v[1]) % ell]
                     pmat = [[img[0], v[0]], [img[1], v[1]]]
-                    pdet = fp_det(pmat, ell)
-                    pinv_scale = pow(pdet, -1, ell)
-                    pinv = [[(pmat[1][1] * pinv_scale) % ell,
-                             (-pmat[0][1] * pinv_scale) % ell],
-                            [(-pmat[1][0] * pinv_scale) % ell,
-                             (pmat[0][0] * pinv_scale) % ell]]
-                    if fp_mat_mul(fp_mat_mul(pinv, m, ell), pmat, ell) != [[1, 1], [0, 1]]:
+                    if (fp_det(pmat, ell) == 0 or fp_mat_mul(m, pmat, ell)
+                            != fp_mat_mul(pmat, unipotent, ell)):
                         all_conjugate = False
     return {
         "order_ell_count": count,
@@ -505,22 +483,13 @@ def verify_prop6(ell: int, enum_cap: int = DEFAULT_ENUM_CAP) -> NonexistenceCert
         and all((b[i][j] + b[j][i]) % ell == 0 for i in range(2) for j in range(2))
         for b in w_basis)
 
-    # (b) commutant of the doubled module
-    def diag4(m):
-        return [[m[0][0], m[0][1], 0, 0],
-                [m[1][0], m[1][1], 0, 0],
-                [0, 0, m[0][0], m[0][1]],
-                [0, 0, m[1][0], m[1][1]]]
-
-    dgens = [diag4(abar), diag4(bbar)]
+    # (b) commutant of the doubled module, quaternions acting diagonally
+    dgens = [la.kron(ident, abar), la.kron(ident, bbar)]
     end_dim = len(_solve_commutant(dgens, ell, 4))
 
     # (c) invariant alternating forms on V0 under quaternions + gluing
-    cmat = [[1, 0, 1, 0],
-            [0, 1, 0, 1],
-            [0, 0, 1, 0],
-            [0, 0, 0, 1]]
-    sol = _solve_form_constraints(dgens + [cmat], ell, 4, alternating=True)
+    glue = la.kron([[1, 1], [0, 1]], ident)
+    sol = _solve_form_constraints(dgens + [glue], ell, 4, alternating=True)
     sol_dim = len(sol)
 
     # identity route: each basis form vanishes on W + 0, so every member

@@ -85,12 +85,12 @@ class GroupRep:
     elements[parent] * generators[generator], and None for the identity, so
     per-element work can be carried along the closure tree; right[x][g] is
     the index of elements[x] * generators[g], the right Cayley table, from
-    which conjugacy_classes reads the classes.  The generators are checked
-    against the isometry equation on the same integer form, conj(W)^T G W =
-    d^2 G for the gram matrix G / d_G, before any longer product is formed;
-    a product of isometries is an isometry, so no other element needs the
-    check.  Exceeding the cap raises GroupTooLarge.  The FieldElement
-    matrices are built once per element, after the closure.
+    which conjugacy_classes reads the classes.  Every generator is checked
+    with form.is_isometry before any product is formed, so a bad input
+    cannot blow up the enumeration (non-isometries need not have finite
+    order); a product of isometries is an isometry, so no other element
+    needs the check.  Exceeding the cap raises GroupTooLarge.  The
+    FieldElement matrices are built once per element, after the closure.
     """
 
     def __init__(self, field, generators, form: GramForm, cap: int = DEFAULT_GROUP_CAP):
@@ -103,20 +103,9 @@ class GroupRep:
         for g in self.generators:
             if len(g) != self.dim or any(len(r) != self.dim for r in g):
                 raise DimensionMismatch("generator does not match the form dimension")
+        if not all(form.is_isometry(g) for g in self.generators):
+            raise PreconditionViolated("a generator does not preserve the form")
         mul = field.int_mat_mul
-        _, gram = field.integer_matrix(form.gram)
-        if form.conj is None:
-            conj_t = la.transpose
-        else:
-            s = field.involution
-            conj_t = lambda w: [[field.ring.galois(x, s) for x in col]
-                                for col in zip(*w)]
-
-        def preserves(d, w):
-            dd = d * d
-            return mul(conj_t(w), mul(gram, w)) == [
-                [tuple(dd * c for c in x) for x in row] for row in gram]
-
         gens = [field.integer_matrix(g) for g in self.generators]
         one, zero = field.integer_one, (0,) * field.degree_full
         ident = [[one if i == j else zero for j in range(self.dim)] for i in range(self.dim)]
@@ -138,12 +127,6 @@ class GroupRep:
                 key = (pd, _mat_key(pw))
                 j = seen.get(key)
                 if j is None:
-                    # the identity's products are the generators, so each is
-                    # checked before any longer product is formed: a bad input
-                    # cannot blow up the enumeration (non-isometries need not
-                    # have finite order), and a product of isometries is one
-                    if idx == 0 and not preserves(pd, pw):
-                        raise PreconditionViolated("a generator does not preserve the form")
                     if len(out) >= cap:
                         raise GroupTooLarge(
                             f"group closure exceeded the cap of {cap} elements")

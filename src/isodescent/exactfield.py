@@ -22,6 +22,7 @@ are rejected, since then the completion carries no involution at all.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -40,6 +41,7 @@ from .finitefield import (
     fp_is_irreducible,
     fp_kernel,
     fp_solve,
+    fp_vectors,
     multiplicative_order_mod,
 )
 from .localring import LambdaEngine
@@ -787,12 +789,8 @@ def _build_residue_subfield(desc: FieldDescriptor):
             "fixed space of the residue Frobenius has the wrong dimension")
     kern_elts = [big.element(v) for v in kern]
 
-    for counter in range(1, ell**f):
-        digits = []
-        cc = counter
-        for _ in range(f):
-            digits.append(cc % ell)
-            cc //= ell
+    # the nonzero combinations of the fixed basis; the first vector is zero
+    for digits in itertools.islice(fp_vectors(ell, f), 1, None):
         theta = big.zero
         for d, w in zip(digits, kern_elts):
             if d:

@@ -8,6 +8,7 @@ for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 
@@ -131,22 +132,19 @@ def fp_is_irreducible(h, p) -> bool:
     return True
 
 
+def fp_vectors(p: int, d: int):
+    """Every vector of F_p^d, as the little-endian base-p digits of
+    0, 1, ..., p^d - 1 in turn."""
+    return (t[::-1] for t in itertools.product(range(p), repeat=d))
+
+
 def find_irreducible(p: int, d: int) -> tuple[int, ...]:
     """First monic irreducible of degree d over F_p in lexicographic coefficient order."""
-    if d == 1:
-        return (0, 1)
-    counter = 0
-    while True:
-        coeffs, c = [], counter
-        for _ in range(d):
-            coeffs.append(c % p)
-            c //= p
-        h = tuple(coeffs) + (1,)
+    for coeffs in fp_vectors(p, d):
+        h = coeffs + (1,)
         if fp_is_irreducible(h, p):
             return h
-        counter += 1
-        if counter >= p ** d:
-            raise AssertionError("irreducible search exhausted")
+    raise AssertionError("irreducible search exhausted")
 
 
 class ResidueField:
@@ -246,12 +244,8 @@ class ResidueField:
 
     def elements(self):
         """All field elements in lexicographic coefficient order."""
-        for idx in range(self.order):
-            coeffs, c = [], idx
-            for _ in range(self.degree):
-                coeffs.append(c % self.p)
-                c //= self.p
-            yield ResidueElement(self, tuple(coeffs))
+        for coeffs in fp_vectors(self.p, self.degree):
+            yield ResidueElement(self, coeffs)
 
     def __eq__(self, other):
         return (

@@ -264,6 +264,18 @@ class TestReports:
         assert report["input_sha256"] == expected
         assert report["result"]["certificates"] == {"verdict": True}
 
+    def test_verify_digest_records_a_given_enum_cap(self, capsys):
+        # the cap decides the routes, so two caps give two digests, and a
+        # given cap is distinguished from the default one
+        digests = {}
+        for cap in (None, "1", "5"):
+            argv = ["verify", "prop6", "--ell", "5"] + (["--enum-cap", cap] if cap else [])
+            _, out, _ = run(capsys, *argv)
+            digests[cap] = parse_report(out)["input_sha256"]
+        assert len(set(digests.values())) == 3
+        assert digests["1"] == hashlib.sha256(json.dumps(
+            {"ell": 5, "enum_cap": 1, "tag": "prop6"}, sort_keys=True).encode()).hexdigest()
+
     def test_reports_are_deterministic(self, capsys):
         _, out1, _ = run(capsys, "descend", str(bundle_path("q8_split_ell5")))
         _, out2, _ = run(capsys, "descend", str(bundle_path("q8_split_ell5")))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -11,6 +12,7 @@ from isodescent.counterexamples import (
     _invariant_symmetric_grams,
     _order_ell_unipotent_fact,
     _quaternion_pair_mod,
+    _solve_commutant,
     _solve_form_constraints,
     build_prop5_bundle,
     build_prop6_bundle,
@@ -19,7 +21,7 @@ from isodescent.counterexamples import (
     verify_prop6,
 )
 from isodescent.errors import CharTwo, InternalInconsistency, InvalidDescriptor
-from isodescent.finitefield import fp_det, fp_mat_mul, fp_mat_pow
+from isodescent.finitefield import fp_det, fp_kernel, fp_mat_mul, fp_mat_pow
 
 
 class TestLemma:
@@ -371,3 +373,137 @@ class TestProp6Pfaffian:
         cert = verify_prop6(999983)
         assert cert.verdict
         assert cert.counts["enumerated"] == cert.counts["degenerate"] == 999983
+
+
+# ---------------------------------------------------------------------------
+# index-loop references for the Kronecker-product systems: the former
+# _solve_form_constraints, _solve_commutant and prop6's diag4 and cmat
+
+
+def reference_form_constraints(gens, ell, n, alternating=False):
+    rows = []
+    for g in gens:
+        # (g^T B g)_{ij} = sum_{k,l} g_{ki} B_{kl} g_{lj}
+        for i in range(n):
+            for j in range(n):
+                row = [0] * (n * n)
+                for k in range(n):
+                    gki = g[k][i]
+                    if gki == 0:
+                        continue
+                    for l in range(n):
+                        row[k * n + l] = (row[k * n + l] + gki * g[l][j]) % ell
+                row[i * n + j] = (row[i * n + j] - 1) % ell
+                rows.append(row)
+    if alternating:
+        for i in range(n):
+            for j in range(i, n):
+                row = [0] * (n * n)
+                if i == j:
+                    row[i * n + i] = 1
+                else:
+                    row[i * n + j] = 1
+                    row[j * n + i] = 1
+                rows.append(row)
+    basis = fp_kernel(rows, ell)
+    return [[[v[i * n + j] for j in range(n)] for i in range(n)] for v in basis]
+
+
+def reference_commutant(gens, ell, n):
+    rows = []
+    for g in gens:
+        # (E g - g E)_{ij} = sum_k E_{ik} g_{kj} - g_{ik} E_{kj}
+        for i in range(n):
+            for j in range(n):
+                row = [0] * (n * n)
+                for k in range(n):
+                    row[i * n + k] = (row[i * n + k] + g[k][j]) % ell
+                    row[k * n + j] = (row[k * n + j] - g[i][k]) % ell
+                rows.append(row)
+    return fp_kernel(rows, ell)
+
+
+def diag4(m):
+    return [[m[0][0], m[0][1], 0, 0],
+            [m[1][0], m[1][1], 0, 0],
+            [0, 0, m[0][0], m[0][1]],
+            [0, 0, m[1][0], m[1][1]]]
+
+
+cmat = [[1, 0, 1, 0],
+        [0, 1, 0, 1],
+        [0, 0, 1, 0],
+        [0, 0, 0, 1]]
+
+
+def random_gens(rng, ell, n, count):
+    return [[[rng.randrange(-ell, 2 * ell) for _ in range(n)] for _ in range(n)]
+            for _ in range(count)]
+
+
+class TestKroneckerSystems:
+    @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
+    def test_prop6_systems_match_the_index_loops(self, ell):
+        abar, bbar = _quaternion_pair_mod(ell)
+        dgens = [diag4(abar), diag4(bbar)]
+        ident = [[1, 0], [0, 1]]
+        assert [la.kron(ident, m) for m in (abar, bbar)] == dgens
+        assert la.kron([[1, 1], [0, 1]], ident) == cmat
+        w_basis = _solve_form_constraints([abar, bbar], ell, 2)
+        commutant = _solve_commutant(dgens, ell, 4)
+        sol = _solve_form_constraints(dgens + [cmat], ell, 4, alternating=True)
+        assert w_basis == reference_form_constraints([abar, bbar], ell, 2)
+        assert commutant == reference_commutant(dgens, ell, 4)
+        assert sol == reference_form_constraints(dgens + [cmat], ell, 4, alternating=True)
+        cert = verify_prop6(ell)
+        assert cert.counts["invariant_form_dim_W"] == len(w_basis)
+        assert cert.counts["commutant_dim"] == len(commutant)
+        assert cert.counts["alternating_solution_dim"] == len(sol)
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_systems_match_the_index_loops(self, ell, n):
+        rng = random.Random(f"kron-{ell}-{n}")
+        nonzero = {False: 0, True: 0}
+        # the identity keeps every form; a signed permutation matrix keeps a
+        # space of forms of each kind for some permutations; random matrices
+        # mostly keep none
+        systems = [[[[int(i == j) for j in range(n)] for i in range(n)]]]
+        for _ in range(15):
+            perm, sign = rng.sample(range(n), n), rng.choice((1, -1))
+            systems.append([[[sign * int(perm[i] == j) for j in range(n)]
+                             for i in range(n)]])
+            systems.append(random_gens(rng, ell, n, rng.choice((1, 2))))
+        for gens in systems:
+            for alternating in (False, True):
+                got = _solve_form_constraints(gens, ell, n, alternating)
+                assert got == reference_form_constraints(gens, ell, n, alternating), gens
+                nonzero[alternating] += bool(got) and gens is not systems[0]
+            assert _solve_commutant(gens, ell, n) == reference_commutant(gens, ell, n), gens
+        assert all(nonzero.values())
+
+    @pytest.mark.parametrize("alternating", [False, True])
+    def test_all_81_forms_at_ell3(self, alternating):
+        # oracle: every bilinear form on F_3^2, checked entry by entry
+        ell, n = 3, 2
+        rng = random.Random("oracle-81")
+        systems = [list(_quaternion_pair_mod(ell)), [[[1, 1], [0, 1]]],
+                   [[[1, 0], [0, 1]]], [[[2, 0], [0, 1]]]]
+        systems += [random_gens(rng, ell, n, 1) for _ in range(8)]
+        for gens in systems:
+            invariant = set()
+            for entries in itertools.product(range(ell), repeat=n * n):
+                b = [list(entries[:n]), list(entries[n:])]
+                if alternating and any((b[i][j] + b[j][i]) % ell or b[i][i]
+                                       for i in range(n) for j in range(n)):
+                    continue
+                if all(sum(g[k][i] * b[k][l] * g[l][j]
+                           for k in range(n) for l in range(n)) % ell == b[i][j]
+                       for g in gens for i in range(n) for j in range(n)):
+                    invariant.add(entries)
+            basis = _solve_form_constraints(gens, ell, n, alternating)
+            span = {tuple(sum(c * m[i][j] for c, m in zip(coeffs, basis)) % ell
+                          for i in range(n) for j in range(n))
+                    for coeffs in itertools.product(range(ell), repeat=len(basis))}
+            assert span == invariant, gens
+            assert len(invariant) == ell ** len(basis)

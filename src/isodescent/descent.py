@@ -89,8 +89,13 @@ class GroupRep:
     with form.is_isometry before any product is formed, so a bad input
     cannot blow up the enumeration (non-isometries need not have finite
     order); a product of isometries is an isometry, so no other element
-    needs the check.  Exceeding the cap raises GroupTooLarge.  The
-    FieldElement matrices are built once per element, after the closure.
+    needs the check.  Exceeding the cap raises GroupTooLarge.  Every
+    conjugate of the trace of a finite-order element is a sum of dim roots
+    of unity, so that trace t is an algebraic integer with
+    Tr_{Q(zeta_n)/Q}(t tbar) <= phi(n) dim^2; an element entering the
+    closure without both proves the group infinite and raises
+    NotFiniteOrder.  The FieldElement matrices are built once per element,
+    after the closure.
     """
 
     def __init__(self, field, generators, form: GramForm, cap: int = DEFAULT_GROUP_CAP):
@@ -105,6 +110,18 @@ class GroupRep:
                 raise DimensionMismatch("generator does not match the form dimension")
         if not all(form.is_isometry(g) for g in self.generators):
             raise PreconditionViolated("a generator does not preserve the form")
+        ring = field.ring
+        trace_zeta = [sum(ring.zeta_power(j + i)[i] for i in range(ring.phi))
+                      for j in range(ring.n)]
+
+        def finite_order_trace(d, w):
+            t = [sum(c) for c in zip(*(w[i][i] for i in range(self.dim)))]
+            if any(c % d for c in t):
+                return False
+            t = [(j, c // d) for j, c in enumerate(t) if c]
+            return (sum(a * b * trace_zeta[(j - k) % ring.n] for j, a in t for k, b in t)
+                    <= ring.phi * self.dim**2)
+
         mul = field.int_mat_mul
         gens = [field.integer_matrix(g) for g in self.generators]
         one, zero = field.integer_one, (0,) * field.degree_full
@@ -127,6 +144,10 @@ class GroupRep:
                 key = (pd, _mat_key(pw))
                 j = seen.get(key)
                 if j is None:
+                    if not finite_order_trace(pd, pw):
+                        raise NotFiniteOrder(
+                            "the group is infinite: a closure element has a trace "
+                            "that no element of finite order has")
                     if len(out) >= cap:
                         raise GroupTooLarge(
                             f"group closure exceeded the cap of {cap} elements")
@@ -338,14 +359,12 @@ class DescentResult:
     kernel_explanations: list
 
 
-def descend(rep: GroupRep, start: Lattice | None = None) -> DescentResult:
+def descend(rep: GroupRep) -> DescentResult:
     """Run the full reduction and recompute every certificate from scratch."""
     field = rep.field
     n = rep.dim
 
-    if start is None:
-        start = standard_lattice(field, n)
-    start = stabilize(start, rep.generators)
+    start = stabilize(standard_lattice(field, n), rep.generators)
     bal = balance(start, rep.form, generators=rep.generators)
     dual, f2, res = bal.dual, bal.form, bal.inclusion
     exps = res.exps

@@ -1,8 +1,9 @@
 """Finite-precision model of the completion of Z[zeta_n] at a prime above ell.
 
-The completion is W[lambda]: W = Z_ell[t]/(G(t)) is unramified, with G a
-Hensel lift of one irreducible factor of the prime-to-ell cyclotomic part,
-and lambda = 1 - u, where u images zeta_{ell^a} and Psi(u) is the cyclotomic
+The completion is W[lambda]: W = Z_ell[t]/(g(t)) is unramified, with g the
+chosen monic irreducible factor of Phi_m mod ell (m the prime-to-ell part
+of n), and zeta_m maps to the root omega of x^m = 1 with omega = t mod ell.
+lambda = 1 - u, where u images zeta_{ell^a} and Psi(u) is the cyclotomic
 polynomial of the ell-power part, so lambda is a root of the Eisenstein
 polynomial Psi(1 - lambda) of degree e_full.  Every element is
 sum_k d_k lambda^k over k < e_full with digits d_k in W, and its valuation is
@@ -27,7 +28,7 @@ import math
 
 from .cyclotomic import _split_ell, cyclotomic_poly, euler_phi
 from .errors import InternalInconsistency
-from .finitefield import fp_divmod, fp_ext_gcd, fp_mod, fp_mul, fp_sub, fp_trim
+from .finitefield import fp_mod, fp_mul, fp_powmod, fp_sub, fp_trim
 
 # lists of e_full lambda-digits, each a t-polynomial of length f_full
 _Elt = list[list[int]]
@@ -50,17 +51,6 @@ def _var_powers(count: int, monic, modulus: int) -> list[list[int]]:
     return out
 
 
-def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 class LambdaEngine:
     """Lambda-digits and valuations for one chosen prime above ell."""
 
@@ -75,7 +65,9 @@ class LambdaEngine:
         self.factor = fp_trim(tuple(c % ell for c in factor))
         if not self.factor or self.factor[-1] != 1:
             raise InternalInconsistency("residue factor must be monic")
-        self._phi_m = [int(c) for c in cyclotomic_poly(m)]
+        if fp_mod(tuple(c % ell for c in cyclotomic_poly(m)), self.factor, ell):
+            raise InternalInconsistency(
+                "chosen factor does not divide the cyclotomic polynomial mod ell")
         self._psi = [int(c) for c in cyclotomic_poly(ell**a)] if a >= 1 else None
         if a >= 1:
             # alpha*ell^a + beta*m = 1 splits zeta_n into the two cyclotomic parts
@@ -85,80 +77,46 @@ class LambdaEngine:
         # u^i = sum_k C(i, k) (-lambda)^k, row i, column k
         self._to_lambda = [[(-1) ** k * math.comb(i, k) for k in range(self.e_full)]
                            for i in range(self.e_full)]
-        self._lift_cache: dict[int, tuple[int, ...]] = {}
         self._image_cache: dict[int, list[_Elt]] = {}
 
     # ------------------------------------------------------------------
-    # Hensel lifting of the chosen factor
-
-    def lift(self, prec: int) -> tuple[int, ...]:
-        """The factor lifted to a monic divisor of Phi_m modulo ell^prec."""
-        if prec in self._lift_cache:
-            return self._lift_cache[prec]
-        ell = self.ell
-        modulus = ell**prec
-        phi_m = self._phi_m
-        if self.f_full == len(phi_m) - 1:
-            g_int = tuple(c % modulus for c in phi_m)
-            self._lift_cache[prec] = g_int
-            return g_int
-        g0 = self.factor
-        phi_bar = tuple(c % ell for c in phi_m)
-        r0, rem = fp_divmod(phi_bar, g0, ell)
-        if fp_trim(rem):
-            raise InternalInconsistency("chosen factor does not divide the cyclotomic polynomial mod ell")
-        gcd, _, t_pol = fp_ext_gcd(g0, r0, ell)
-        if gcd != (1,):
-            raise InternalInconsistency(
-                "factors of the cyclotomic polynomial are not coprime")
-        g_cur = [int(c) for c in g0]
-        r_cur = [int(c) for c in r0]
-        for k in range(1, prec):
-            step = ell**k
-            prod = _int_poly_mul(g_cur, r_cur)
-            err = [0] * max(len(phi_m), len(prod))
-            for i, c in enumerate(phi_m):
-                err[i] += c
-            for i, c in enumerate(prod):
-                err[i] -= c
-            if any(c % step for c in err):
-                raise InternalInconsistency("Hensel lift lost divisibility")
-            e_bar = fp_trim(tuple((c // step) % ell for c in err))
-            if not e_bar:
-                continue
-            dg = fp_mod(fp_mul(e_bar, t_pol, ell), g0, ell)
-            num = fp_sub(e_bar, fp_mul(dg, r0, ell), ell)
-            dr, rem2 = fp_divmod(num, g0, ell)
-            if fp_trim(rem2):
-                raise InternalInconsistency("Hensel correction is not divisible by the factor")
-            for i, c in enumerate(dg):
-                if i >= len(g_cur):
-                    g_cur.append(0)
-                g_cur[i] = g_cur[i] + step * c
-            for i, c in enumerate(dr):
-                if i >= len(r_cur):
-                    r_cur.append(0)
-                r_cur[i] = r_cur[i] + step * c
-        g_int = tuple(c % modulus for c in g_cur)
-        assert len(g_int) == self.f_full + 1 and g_int[-1] == 1
-        check = _int_poly_mul(list(g_int), r_cur)
-        for i in range(max(len(check), len(phi_m))):
-            lhs = check[i] if i < len(check) else 0
-            rhs = phi_m[i] if i < len(phi_m) else 0
-            if (lhs - rhs) % modulus:
-                raise InternalInconsistency("Hensel lift verification failed")
-        self._lift_cache[prec] = g_int
-        return g_int
-
-    # ------------------------------------------------------------------
     # images of powers of zeta_n, in the lambda-basis
+
+    def _omega_powers(self, prec: int) -> list[list[int]]:
+        """omega^k modulo (g, ell^prec), k < m, as t-polynomials of length
+        f_full.  omega is reached from t by Newton's iteration on x^m = 1,
+        omega <- omega (1 - (omega^m - 1) / m), each step doubling the exact
+        ell-adic digits and run at that precision: ell does not divide m, so
+        x^m - 1 is separable mod ell (Hensel's lemma; Serre, Local Fields,
+        II section 4)."""
+        ell, m, g = self.ell, self.m, self.factor
+        omega, exact = fp_mod((0, 1), g, ell), 1
+        while exact < prec:
+            modulus = ell**min(2 * exact, prec)
+            err = fp_sub(fp_powmod(omega, m, g, modulus), (1,), modulus)
+            if any(c % ell**exact for c in err):
+                raise InternalInconsistency("Newton step lost the root of x^m - 1")
+            step = fp_mod(fp_mul(omega, err, modulus), g, modulus)
+            omega = fp_sub(omega, fp_mul(step, (pow(m, -1, modulus),), modulus), modulus)
+            exact = min(2 * exact, prec)
+        modulus = ell**prec
+        pows = [(1,)]
+        for _ in range(m):
+            pows.append(fp_mod(fp_mul(pows[-1], omega, modulus), g, modulus))
+        pows = [list(p) + [0] * (self.f_full - len(p)) for p in pows]
+        # omega^m = 1 and Phi_m(omega) = 0 at full precision (phi(m) <= m)
+        if pows[m] != pows[0] or any(
+                sum(c * p[i] for c, p in zip(cyclotomic_poly(m), pows)) % modulus
+                for i in range(self.f_full)):
+            raise InternalInconsistency("the Newton root is not a root of Phi_m")
+        return pows[:m]
 
     def images(self, prec: int) -> list[_Elt]:
         """Lambda-digits of zeta_n^j, j < phi(n), modulo ell^prec."""
         if prec in self._image_cache:
             return self._image_cache[prec]
         modulus = self.ell**prec
-        t_pows = _var_powers(max(self.m, 1), self.lift(prec), modulus)
+        t_pows = self._omega_powers(prec)
         phi_n = euler_phi(self.n)
         if self.a == 0:
             imgs = [[t_pows[j % self.m]] for j in range(phi_n)]

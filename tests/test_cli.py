@@ -153,6 +153,26 @@ class TestExitCodes:
             assert out == ""
             assert f"is {f}; it must be at most {MAX_RESIDUE_DEGREE}" in err
 
+    # isometries of infinite order: a trace that is not an algebraic integer,
+    # and an integral trace 3 of a 2 x 2 matrix, past any sum of two roots of unity
+    @pytest.mark.parametrize("ell, gram, gen", [
+        (5, [["1", "0"], ["0", "-1"]], [["5/3", "4/3"], ["4/3", "5/3"]]),
+        (7, [["2", "-1"], ["-1", "-2"]], [["2", "1"], ["1", "1"]]),
+    ])
+    def test_infinite_group_exits_one_fast(self, capsys, tmp_path, ell, gram, gen):
+        bundle = minimal_bundle()
+        bundle["field"]["ell"] = ell
+        bundle["form"]["gram"] = gram
+        bundle["generators"] = [gen]
+        p = tmp_path / "infinite.json"
+        p.write_text(json.dumps(bundle))
+        started = time.perf_counter()
+        code, out, err = run(capsys, "descend", str(p))
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        assert out == ""
+        assert "the group is infinite" in err
+
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_group_cap_flag_must_be_positive(self, capsys, monkeypatch, value):
         # refused before the bundle is read, so before any field or closure work

@@ -96,6 +96,24 @@ class TestGroupRep:
         with pytest.raises(GroupTooLarge):
             GroupRep(gauss5, gens, f, cap=3)
 
+    @pytest.mark.parametrize("gram, kind, gen", [
+        ([[1, 0], [0, -1]], "symmetric", [["5/3", "4/3"], ["4/3", "5/3"]]),
+        ([[0, 1], [-1, 0]], "alternating", [[2, 1], [1, 1]]),
+        ([[4, 1], [1, 4]], "symmetric", [[0, -1], [1, "1/2"]]),
+    ])
+    def test_infinite_group_raises_not_finite_order(self, gauss5, gram, kind, gen):
+        # traces 10/3, not integral; 3, with Tr(3 * 3) = 18 > phi(4) * 2^2;
+        # and 1/2, a rotation by arccos(1/4), every power's trace in [-2, 2]
+        f = GramForm(gauss5, int_matrix(gauss5, gram), kind)
+        with pytest.raises(NotFiniteOrder, match="the group is infinite"):
+            GroupRep(gauss5, [int_matrix(gauss5, gen)], f, cap=50)
+
+    def test_unipotent_passes_the_trace_test_until_the_cap(self, gauss5):
+        # every power of a unipotent has trace 2, which a finite group allows
+        f = GramForm(gauss5, symplectic2(gauss5), "alternating")
+        with pytest.raises(GroupTooLarge):
+            GroupRep(gauss5, [int_matrix(gauss5, [[1, 1], [0, 1]])], f, cap=50)
+
     def test_non_isometry_generator_rejected(self, gauss5):
         f = GramForm(gauss5, symplectic2(gauss5), "alternating")
         with pytest.raises(PreconditionViolated):
@@ -397,12 +415,19 @@ class TestDescend:
             assert res.f0.is_isometry(p)
 
     def test_start_lattice_choice_does_not_matter(self, q8_rep5, q8_res5, gauss5):
+        # descend starts from the standard lattice; in the coordinates of a
+        # basis B that lattice is the span of B, the group B^-1 g B and the
+        # form B^T F B
+        def from_start(basis):
+            inv = la.mat_inv(basis, gauss5)
+            gens = [la.mat_mul(inv, la.mat_mul(g, basis)) for g in q8_rep5.generators]
+            form = GramForm(gauss5, q8_rep5.form.gram_in_basis(basis), "alternating")
+            return descend(GroupRep(gauss5, gens, form))
+
         base = q8_res5
-        shifted = descend(q8_rep5,
-                          start=scale_lattice(gauss5.pi_power(1),
-                                              standard_lattice(gauss5, 2)))
-        skew = descend(q8_rep5,
-                       start=Lattice(gauss5, int_matrix(gauss5, [[1, 0], [0, 5]])))
+        shifted = from_start(scale_lattice(gauss5.pi_power(1),
+                                           standard_lattice(gauss5, 2)).basis)
+        skew = from_start(int_matrix(gauss5, [[1, 0], [0, 5]]))
         for other in (shifted, skew):
             assert other.certificates == base.certificates
             assert other.charpoly_classes == base.charpoly_classes

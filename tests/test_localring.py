@@ -4,7 +4,10 @@
 elements in the u-basis of S_P, a nonzero residue at u -> 1 pins the
 valuation, an ell-division consumes e digits, and multiplying by
 Q(u) = prod_{c != 1} (1 - u^c) turns one (1 - u)-digit into an ell-division.
-It shares only the Hensel lift and `_var_powers` with the engine under test.
+It presents W as Z_ell[t]/(G) with G the Hensel lift of the chosen factor of
+Phi_m, the former `LambdaEngine.lift`, copied verbatim with `_int_poly_mul`,
+where the engine under test sends zeta_m to a Newton root of x^m = 1.  It
+shares only `_var_powers` with the engine under test.
 """
 
 from __future__ import annotations
@@ -13,20 +16,93 @@ import random
 
 import pytest
 
-from isodescent.cyclotomic import euler_phi
+from isodescent.cyclotomic import cyclotomic_poly, euler_phi
 from isodescent.errors import InternalInconsistency
 from isodescent.exactfield import make_descriptor
+from isodescent.finitefield import fp_divmod, fp_ext_gcd, fp_mod, fp_mul, fp_sub, fp_trim
 from isodescent.localring import PRECISION_START, LambdaEngine, _var_powers
 
 _TPoly = list[int]
 _Elt = list[list[int]]
 
 
+def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 class DigitStripEngine(LambdaEngine):
     def __init__(self, n: int, ell: int, factor: tuple[int, ...]):
         super().__init__(n, ell, factor)
+        self._phi_m = [int(c) for c in cyclotomic_poly(self.m)]
+        self._lift_cache: dict[int, tuple[int, ...]] = {}
         self._img_cache = {}
         self._q_cache = {}
+
+    def lift(self, prec: int) -> tuple[int, ...]:
+        """The factor lifted to a monic divisor of Phi_m modulo ell^prec."""
+        if prec in self._lift_cache:
+            return self._lift_cache[prec]
+        ell = self.ell
+        modulus = ell**prec
+        phi_m = self._phi_m
+        if self.f_full == len(phi_m) - 1:
+            g_int = tuple(c % modulus for c in phi_m)
+            self._lift_cache[prec] = g_int
+            return g_int
+        g0 = self.factor
+        phi_bar = tuple(c % ell for c in phi_m)
+        r0, rem = fp_divmod(phi_bar, g0, ell)
+        if fp_trim(rem):
+            raise InternalInconsistency("chosen factor does not divide the cyclotomic polynomial mod ell")
+        gcd, _, t_pol = fp_ext_gcd(g0, r0, ell)
+        if gcd != (1,):
+            raise InternalInconsistency(
+                "factors of the cyclotomic polynomial are not coprime")
+        g_cur = [int(c) for c in g0]
+        r_cur = [int(c) for c in r0]
+        for k in range(1, prec):
+            step = ell**k
+            prod = _int_poly_mul(g_cur, r_cur)
+            err = [0] * max(len(phi_m), len(prod))
+            for i, c in enumerate(phi_m):
+                err[i] += c
+            for i, c in enumerate(prod):
+                err[i] -= c
+            if any(c % step for c in err):
+                raise InternalInconsistency("Hensel lift lost divisibility")
+            e_bar = fp_trim(tuple((c // step) % ell for c in err))
+            if not e_bar:
+                continue
+            dg = fp_mod(fp_mul(e_bar, t_pol, ell), g0, ell)
+            num = fp_sub(e_bar, fp_mul(dg, r0, ell), ell)
+            dr, rem2 = fp_divmod(num, g0, ell)
+            if fp_trim(rem2):
+                raise InternalInconsistency("Hensel correction is not divisible by the factor")
+            for i, c in enumerate(dg):
+                if i >= len(g_cur):
+                    g_cur.append(0)
+                g_cur[i] = g_cur[i] + step * c
+            for i, c in enumerate(dr):
+                if i >= len(r_cur):
+                    r_cur.append(0)
+                r_cur[i] = r_cur[i] + step * c
+        g_int = tuple(c % modulus for c in g_cur)
+        assert len(g_int) == self.f_full + 1 and g_int[-1] == 1
+        check = _int_poly_mul(list(g_int), r_cur)
+        for i in range(max(len(check), len(phi_m))):
+            lhs = check[i] if i < len(check) else 0
+            rhs = phi_m[i] if i < len(phi_m) else 0
+            if (lhs - rhs) % modulus:
+                raise InternalInconsistency("Hensel lift verification failed")
+        self._lift_cache[prec] = g_int
+        return g_int
 
     def zero_elt(self) -> _Elt:
         return [[0] * self.f_full for _ in range(self.e_full)]

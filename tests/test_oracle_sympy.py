@@ -7,6 +7,11 @@
   polynomial of K found by resultants.
 - Certified valuations, and the integrality test, against sympy's
   prime_valuation in Q(zeta_n) where a single prime lies above ell.
+- Valuations where ell splits in Q(zeta_n), against the norm: the
+  valuations at the chosen prime P of the conjugates sigma_t(w) add up to
+  e_full v_ell(Res_t(Phi_n(t), w(t))); and P is the prime of the chosen
+  factor g of Phi_m mod ell, g(zeta_m) lying in P and every other factor
+  of sympy's factor_list, evaluated at zeta_m, outside it.
 - The factors of Phi_m mod ell from cyclotomic_factors_mod against sympy's
   factor_list over GF(ell).
 
@@ -173,6 +178,50 @@ def test_valuation_is_prime_valuation(n, ell, sub):
         # the integer test first, on a copy without a memoized valuation
         assert desc.from_integer(x.num, x.den).is_integral() == (v_p >= 0)
         assert x.valuation() == v_p // desc.e_rel
+
+
+# ---------------------------------------------------------------------------
+# valuations at a split prime against the norm
+
+# (n, ell) where ell splits in Q(zeta_n) into two or more primes: unramified
+# with residue degree 1, 2, 3, 4 and 6, and ramified at (20, 5) and (21, 7)
+SPLIT_FIELDS = [(5, 11), (8, 17), (12, 13), (20, 5), (21, 7), (15, 7), (24, 7),
+                (28, 3), (36, 5), (13, 3)]
+
+
+@pytest.mark.parametrize("n, ell", SPLIT_FIELDS)
+def test_split_prime_valuation_matches_the_norm(n, ell):
+    first = make_descriptor(n, ell)
+    assert first.n_primes > 1
+    ring, m = first.ring, first.m
+    units = [t for t in range(1, n) if sympy.gcd(t, n) == 1]
+    _, factors = sympy.Poly(sympy.cyclotomic_poly(m, X), X, modulus=ell).factor_list()
+    factors = [tuple(int(c) % ell for c in reversed(f.all_coeffs())) for f, _ in factors]
+
+    def at_zeta_m(poly):
+        acc = ring.zero
+        for i, c in enumerate(poly):
+            acc = ring.add(acc, tuple(c * z for z in ring.zeta_power(i * (n // m))))
+        return acc
+
+    for choice in range(first.n_primes):
+        desc = make_descriptor(n, ell, prime_choice=choice)
+        eng = desc.engine
+        assert desc.factor in factors
+        for poly in factors:
+            assert (eng.valuation(at_zeta_m(poly)) > 0) == (poly == desc.factor)
+        g = at_zeta_m(desc.factor)
+        rng = random.Random(f"split-{n}-{ell}-{choice}")
+        for _ in range(6):
+            w = tuple(rng.randint(-5, 5) for _ in range(ring.phi))
+            if not any(w):
+                continue
+            for _ in range(rng.randrange(3)):
+                w = ring.mul(w, g)
+            w = tuple(c * ell ** rng.randrange(2) for c in w)
+            res = sympy.resultant(cyclotomic(n), sum(c * T ** i for i, c in enumerate(w)), T)
+            total = sum(eng.valuation(ring.galois(w, t)) for t in units)
+            assert total == desc.e_full * sympy.multiplicity(ell, abs(res))
 
 
 # ---------------------------------------------------------------------------

@@ -315,7 +315,7 @@ def cmd_charpoly(bundle_path: str, out_path=None, max_group_order=None) -> int:
     per_class = {}
     for i, c in enumerate(rep.conjugacy_classes()):
         if c == i:
-            cp = la.charpoly(rep.elements[i], rep.field)
+            cp = la.charpoly(rep.element(i), rep.field)
             ser = _ser_poly(cp)
             per_class[i] = ser, _reduce_poly_or_none(cp), json.dumps(ser)
         ser, red, key = per_class[c]

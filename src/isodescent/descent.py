@@ -12,12 +12,14 @@ nondegenerate forms, reduced in one validated call (forms.reduce_pair),
 whose kinds follow the scaling-twist bookkeeping of the forms module; the
 direct sum of their Gram matrices is the reduced form f0.
 
-The reduced action is computed on the generators only and carried along the
-closure tree; checking the group law on every other edge of the Cayley
-graph makes it a homomorphism, so f0 is checked on the generators' images
-and both characteristic polynomials, being class functions, once per
+The group acts on a finite orbit of row vectors, and each element is held
+as the indices of its rows there (_Orbit).  The reduced action is computed
+on the generators only and carried along the closure tree the same way, on
+an orbit of rows in k^N; checking the group law on every other edge of the
+Cayley graph makes it a homomorphism, so f0 is checked on the generators'
+images and both characteristic polynomials, being class functions, once per
 conjugacy class (the classes come from the Cayley table, with no field
-arithmetic).
+arithmetic; a matrix over K is built only for each class representative).
 
 The reduction preserves characteristic polynomials mod lambda, and when
 2e < ell - 1 it is also faithful: a finite-order lattice automorphism
@@ -32,7 +34,7 @@ inconsistency.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 from . import linalg as la
@@ -69,112 +71,207 @@ DEFAULT_GROUP_CAP = 100000
 DEFAULT_ORDER_CAP = 4096
 
 
-def _mat_key(m):
-    return tuple(tuple(row) for row in m)
+class _Orbit:
+    """A finite orbit of row vectors under a list of matrices, grown on demand.
+
+    points[p] is a canonical row vector and index its inverse;
+    images(vectors, g) returns the canonical products of vectors with matrix
+    g.  act[g][p] is the index of points[p] times matrix g, known for the
+    points made before the last time g was asked for, and extended to every
+    point made since by one batch of images the next time a key reaches
+    past it.  A matrix whose rows are points is held as its key, the tuple
+    of its rows' indices.  Row i of x g is (row i of x) g, so the key of x g
+    is act[g] applied to the key of x: dim table lookups, and one
+    vector-matrix product per point and matrix (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 4.1).  Every orbit of a finite
+    group has at most dim |G| points.
+    """
+
+    def __init__(self, images, count: int):
+        self.images = images
+        self.points = []
+        self.index = {}
+        self.act = [[] for _ in range(count)]
+
+    def point(self, v) -> int:
+        p = self.index.get(v)
+        if p is None:
+            p = self.index[v] = len(self.points)
+            self.points.append(v)
+        return p
+
+    def times(self, key, g: int) -> tuple:
+        """The key of (the matrix with this key) times matrix g."""
+        a = self.act[g]
+        try:
+            return tuple([a[p] for p in key])
+        except IndexError:
+            a.extend([self.point(v) for v in self.images(self.points[len(a):], g)])
+            return tuple([a[p] for p in key])
+
+    def along_tree(self, one, links) -> list:
+        """The key of every closure element, multiplied along the closure
+        tree from the identity's key one: key[i] = key[parent] g for
+        links[i] = (parent, g)."""
+        keys = [one]
+        for parent, gen in links[1:]:
+            keys.append(self.times(keys[parent], gen))
+        return keys
+
+    def check_edges(self, keys, links, right):
+        """Check keys[x] g == keys[x g] on every Cayley edge off the tree
+        (the tree edges hold by construction).  With the identity sent to
+        one, this holds exactly when the matrices form a homomorphism."""
+        for x, targets in enumerate(right):
+            for g, y in enumerate(targets):
+                if links[y] != (x, g) and self.times(keys[x], g) != keys[y]:
+                    raise InternalInconsistency(
+                        f"reduced action is not a homomorphism on the Cayley edge "
+                        f"from element {x} by generator {g}")
+
+
+class _Elements:
+    """rep.elements, a read-only sequence: element i as a matrix over K, built
+    on first access and kept in rep._built.  The rep does not hold this view,
+    so a rep is freed without waiting for the cycle collector."""
+
+    def __init__(self, rep):
+        self._rep = rep
+
+    def __len__(self):
+        return self._rep.order
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        built = self._rep._built
+        m = built.get(i)
+        if m is None:
+            m = built[i] = self._rep.element(i)
+        return m
 
 
 class GroupRep:
     """Finite matrix group over K preserving a fixed form.
 
     The closure is enumerated breadth first over products with the
-    generators (identity first, generator order fixed), so the element list
-    is deterministic.  It runs on integer matrices: an element M is held as
-    (d, W) with M = W / d, W on integer coordinates in Z[zeta_n] and
-    gcd(d, W) = 1, and that pair is the key of the seen map to its index.
-    links[i] is (parent index, generator index) with elements[i] =
-    elements[parent] * generators[generator], and None for the identity, so
-    per-element work can be carried along the closure tree; right[x][g] is
-    the index of elements[x] * generators[g], the right Cayley table, from
-    which conjugacy_classes reads the classes.  Every generator is checked
-    with form.is_isometry before any product is formed, so a bad input
-    cannot blow up the enumeration (non-isometries need not have finite
-    order); a product of isometries is an isometry, so no other element
-    needs the check.  Exceeding the cap raises GroupTooLarge.  Every
-    conjugate of the trace of a finite-order element is a sum of dim roots
-    of unity, so that trace t is an algebraic integer with
-    Tr_{Q(zeta_n)/Q}(t tbar) <= phi(n) dim^2; an element entering the
-    closure without both proves the group infinite and raises
-    NotFiniteOrder.  The FieldElement matrices are built once per element,
-    after the closure.
+    generators (identity first, generator order fixed), so the element order
+    is deterministic.  Element i is keys[i], the indices of its rows in an
+    orbit (_Orbit) whose points are row vectors w / d, w on integer
+    coordinates in Z[zeta_n] and gcd(d, w) = 1, normalized once per point;
+    the keys are the seen map to an element's index.  links[i] is (parent
+    index, generator index) with element i = element parent *
+    generators[generator], and None for the identity, so per-element work
+    can be carried along the closure tree; right[x][g] is the index of
+    element x * generators[g], the right Cayley table, from which
+    conjugacy_classes reads the classes.
+    Every generator is checked with form.is_isometry before any product is
+    formed, so a bad input cannot blow up the enumeration (non-isometries
+    need not have finite order); a product of isometries is an isometry, so
+    no other element needs the check.  Exceeding the cap raises
+    GroupTooLarge.  Every conjugate of the trace of a finite-order element is
+    a sum of dim roots of unity, so that trace t is an algebraic integer with
+    Tr_{Q(zeta_n)/Q}(t tbar) <= phi(n) dim^2; an element entering the closure
+    without both proves the group infinite and raises NotFiniteOrder.  The
+    orbit holds only rows of the elements met and of their products with the
+    generators, so an infinite group is caught at its first bad element.
+    element(i) builds element i's matrix of FieldElements from its points;
+    elements is the sequence of those matrices, each built on first access.
     """
 
     def __init__(self, field, generators, form: GramForm, cap: int = DEFAULT_GROUP_CAP):
         self.field = field
         self.form = form
         self.generators = [la.mat_copy(g) for g in generators]
-        self.dim = form.dim
+        self.dim = dim = form.dim
         if form.field != field:
             raise DimensionMismatch("form and group live over different fields")
         for g in self.generators:
-            if len(g) != self.dim or any(len(r) != self.dim for r in g):
+            if len(g) != dim or any(len(r) != dim for r in g):
                 raise DimensionMismatch("generator does not match the form dimension")
         if not all(form.is_isometry(g) for g in self.generators):
             raise PreconditionViolated("a generator does not preserve the form")
         ring = field.ring
         trace_zeta = [sum(ring.zeta_power(j + i)[i] for i in range(ring.phi))
                       for j in range(ring.n)]
+        mul = field.int_mat_mul
+        gens = [field.integer_matrix(g) for g in self.generators]
 
-        def finite_order_trace(d, w):
-            t = [sum(c) for c in zip(*(w[i][i] for i in range(self.dim)))]
+        def images(vectors, g):
+            gd, gw = gens[g]
+            out = []
+            for (d, _), row in zip(vectors, mul([w for _, w in vectors], gw)):
+                d *= gd
+                if d > 1:
+                    common = math.gcd(d, *(c for x in row for c in x))
+                    if common > 1:
+                        d //= common
+                        row = [tuple(c // common for c in x) for x in row]
+                out.append((d, tuple(row)))
+            return out
+
+        orbit = _Orbit(images, len(gens))
+        points = orbit.points
+
+        def finite_order_trace(key):
+            rows = [points[p] for p in key]
+            d = math.lcm(*(rd for rd, _ in rows))
+            t = [sum(c) for c in zip(*([x * (d // rd) for x in w[i]]
+                                       for i, (rd, w) in enumerate(rows)))]
             if any(c % d for c in t):
                 return False
             t = [(j, c // d) for j, c in enumerate(t) if c]
             return (sum(a * b * trace_zeta[(j - k) % ring.n] for j, a in t for k, b in t)
-                    <= ring.phi * self.dim**2)
+                    <= ring.phi * dim**2)
 
-        mul = field.int_mat_mul
-        gens = [field.integer_matrix(g) for g in self.generators]
         one, zero = field.integer_one, (0,) * field.degree_full
-        ident = [[one if i == j else zero for j in range(self.dim)] for i in range(self.dim)]
-        out = [(1, ident)]
+        ident = tuple(orbit.point((1, tuple(one if i == j else zero for j in range(dim))))
+                      for i in range(dim))
+        keys = [ident]
         links = [None]
         right = []
-        seen = {(1, _mat_key(ident)): 0}
-        queue = deque([0])
-        while queue:
-            idx = queue.popleft()
-            d, w = out[idx]
+        seen = {ident: 0}
+        for idx, key in enumerate(keys):
             targets = []
-            for gi, (gd, gw) in enumerate(gens):
-                pw, pd = mul(w, gw), d * gd
-                common = math.gcd(pd, *(c for row in pw for x in row for c in x))
-                if common > 1:
-                    pd //= common
-                    pw = [[tuple(c // common for c in x) for x in row] for row in pw]
-                key = (pd, _mat_key(pw))
-                j = seen.get(key)
+            for g in range(len(gens)):
+                product = orbit.times(key, g)
+                j = seen.get(product)
                 if j is None:
-                    if not finite_order_trace(pd, pw):
+                    if not finite_order_trace(product):
                         raise NotFiniteOrder(
                             "the group is infinite: a closure element has a trace "
                             "that no element of finite order has")
-                    if len(out) >= cap:
+                    if len(keys) >= cap:
                         raise GroupTooLarge(
                             f"group closure exceeded the cap of {cap} elements")
-                    j = seen[key] = len(out)
-                    queue.append(j)
-                    out.append((pd, pw))
-                    links.append((idx, gi))
+                    j = seen[product] = len(keys)
+                    keys.append(product)
+                    links.append((idx, g))
                 targets.append(j)
             right.append(targets)
+        # the point table is all element() reads; the index and the action
+        # table are dropped with the orbit
+        self.points = points
+        self.keys = keys
         self.links = links
         self.right = right
-        # one FieldElement per distinct entry, so equal entries share their
-        # memoized valuation and residue
-        entries = {}
+        self._built = {}  # the matrices elements has built
 
-        def entry(x, d):
-            key = (x, d)
-            el = entries.get(key)
-            if el is None:
-                el = entries[key] = field.from_integer(x, d)
-            return el
+    def element(self, i: int) -> list:
+        """Element i as a new matrix of FieldElements, read off its points."""
+        points, field = self.points, self.field
+        return [[field.from_integer(x, d) for x in w]
+                for d, w in (points[p] for p in self.keys[i])]
 
-        self.elements = [[[entry(x, d) for x in row] for row in w] for d, w in out]
+    @property
+    def elements(self) -> _Elements:
+        return _Elements(self)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.links)
 
     def conjugacy_classes(self) -> list:
         """cls[x], the smallest index conjugate to element x, from the Cayley
@@ -309,26 +406,22 @@ def rigidity_check(mat, lat: Lattice, max_order: int = DEFAULT_ORDER_CAP) -> dic
     }
 
 
-def _along_tree(links, gen_images, mul, one):
-    """Images of every closure element, multiplied along the closure tree:
-    image[i] = image[parent] * gen_images[generator] for links[i]."""
-    images = [one]
-    for parent, gen in links[1:]:
-        images.append(mul(images[parent], gen_images[gen]))
-    return images
-
-
-def _check_edges(rep, images, gen_images, mul):
-    """Check images[x] * gen_images[g] == images[x g] on every Cayley edge
-    off the tree (the tree edges hold by construction).  With the identity
-    sent to one, this holds exactly when the images form a homomorphism."""
-    links = rep.links
-    for x, targets in enumerate(rep.right):
-        for g, y in enumerate(targets):
-            if links[y] != (x, g) and mul(images[x], gen_images[g]) != images[y]:
-                raise InternalInconsistency(
-                    f"reduced action is not a homomorphism on the Cayley edge "
-                    f"from element {x} by generator {g}")
+def _reduced_keys(rep, gen_bar):
+    """rho_bar of every closure element as its key in an orbit of rows in
+    k^N (see _Orbit), carried along the closure tree from the generators'
+    images gen_bar and checked on every other Cayley edge, so the keys are
+    those of a homomorphism.  Returns the orbit's points and the keys."""
+    kfield = rep.field.residue_field
+    mul = kfield.int_mat_mul
+    gens = [kfield.integer_matrix(g)[1] for g in gen_bar]
+    orbit = _Orbit(lambda vectors, g: [tuple(row) for row in mul(vectors, gens[g])],
+                   len(gens))
+    n, one, zero = rep.dim, kfield.integer_one, (0,) * kfield.degree
+    ident = tuple(orbit.point(tuple(one if i == j else zero for j in range(n)))
+                  for i in range(n))
+    keys = orbit.along_tree(ident, rep.links)
+    orbit.check_edges(keys, rep.links, rep.right)
+    return orbit.points, keys
 
 
 @dataclass
@@ -420,26 +513,21 @@ def descend(rep: GroupRep) -> DescentResult:
     # lower triangular matrices multiply on their diagonal blocks: once each
     # generator's action is integral and block lower triangular (checked by
     # reduced_action), rho_bar(m g) = rho_bar(m) rho_bar(g).  rho_bar is
-    # carried along the tree on integer coordinates mod p and checked on every
+    # carried along the tree as keys of rows in k^N and checked on every
     # other Cayley edge, so it is a homomorphism: then the generators'
     # isometries are every element's, and charpolys are class functions
     gen_bar = [reduced_action(g) for g in rep.generators]
     kind_correct = all(f0.is_isometry(p) for p in gen_bar)
-    gen_int = [kfield.integer_matrix(g)[1] for g in gen_bar]
-    mul = kfield.int_mat_mul
-    ident = kfield.integer_matrix(la.identity(kfield, n))[1]
-    rho_int = _along_tree(rep.links, gen_int, mul, ident)
-    _check_edges(rep, rho_int, gen_int, mul)
+    points, keys = _reduced_keys(rep, gen_bar)
 
-    keys = [_mat_key(p) for p in rho_int]
     kernel = [i for i, key in enumerate(keys) if key == keys[0]]
     faithful = len(kernel) == 1
-    image = set(keys)
-    image_order = len(image)
-    # one ResidueElement per distinct entry
-    distinct = {v for key in image for row in key for v in row}
-    entries = {v: kfield.from_integer(v, 1) for v in distinct}
-    rho_bar = [[[entries[v] for v in row] for row in p] for p in rho_int]
+    image_order = len(set(keys))
+    # one ResidueElement per distinct entry and one row list per point,
+    # shared by every element that has that row
+    entries = {v: kfield.from_integer(v, 1) for v in {v for pt in points for v in pt}}
+    rows = [[entries[v] for v in pt] for pt in points]
+    rho_bar = [[rows[p] for p in key] for key in keys]
 
     # both charpolys once per conjugacy class, at its smallest index
     cls = rep.conjugacy_classes()
@@ -447,7 +535,7 @@ def descend(rep: GroupRep) -> DescentResult:
     classes = Counter()
     per_class = {}
     for r, size in sorted(Counter(cls).items()):
-        cp_K = la.charpoly(rep.elements[r], field)
+        cp_K = la.charpoly(rep.element(r), field)
         cp_red = [c.reduce() for c in cp_K]
         cp_psi = la.charpoly(rho_bar[r], kfield)
         per_class[r] = cp_K, cp_psi

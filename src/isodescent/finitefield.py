@@ -30,14 +30,16 @@ def fp_sub(a, b, p):
 
 
 def fp_mul(a, b, p):
+    """a b with each output coefficient accumulated over the integers and
+    reduced mod p once; p need not be prime (LambdaEngine passes ell^P)."""
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return fp_trim(out)
+                out[i + j] += x * y
+    return fp_trim([c % p for c in out])
 
 
 def fp_divmod(a, b, p):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from isodescent import cli
+from isodescent import cli, descent
 from isodescent.cli import load_bundle, main
 from isodescent.errors import BundleFormatError
 from isodescent.exactfield import MAX_CONDUCTOR, MAX_ELL, MAX_RESIDUE_DEGREE
@@ -55,6 +55,28 @@ class TestExitCodes:
         assert not certs["faithful"]
         assert not certs["hypothesis_2e_lt_ell_minus_1"]
         assert certs["charpoly_preserved"]
+
+    def test_a_reduced_form_the_generators_do_not_preserve_exits_two(self, tmp_path,
+                                                                     monkeypatch):
+        # one diagonal entry of the first block's gram moved by one: B_3 x
+        # B_2 permutes that block's basis, so some generator's image no
+        # longer preserves f0, while the block stays nondegenerate
+        reduce_pair = descent.reduce_pair
+
+        def bent(*args, **kwargs):
+            (bar, kernel), tilde = reduce_pair(*args, **kwargs)
+            last = bar.dim - 1  # the first block holds the trailing indices
+            bar.gram[last][last] = bar.gram[last][last] + bar.rfield.one
+            return (bar, kernel), tilde
+
+        monkeypatch.setattr(descent, "reduce_pair", bent)
+        out = tmp_path / "report.json"
+        assert cli.cmd_descend(str(bundle_path("block_b3xb2_q5")), str(out)) == 2
+        result = json.loads(out.read_text())["result"]
+        assert result["block_dims"] == [3, 2]
+        certs = result["certificates"]
+        assert not certs["kind_correct"]
+        assert all(v for k, v in certs.items() if k != "kind_correct")
 
     def test_verify_exit_codes(self, capsys):
         assert run(capsys, "verify", "lemma", "--ell", "5")[0] == 0

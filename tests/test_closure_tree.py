@@ -1,11 +1,12 @@
-"""The integer closure, its Cayley table and the tree-carried reduced action,
+"""The orbit closure, its Cayley table and the tree-carried reduced action,
 against the per-element code they replaced.
 
-GroupRep enumerates its closure on integer matrices, records every element
-as parent x generator and keeps the right Cayley table; descend reduces
-only the generators, multiplies the reduced matrices along those links,
-checks the group law on the other Cayley edges and takes both charpolys
-once per conjugacy class.  The references below are the former
+GroupRep enumerates its closure as permutations of an orbit of rows,
+records every element as parent x generator and keeps the right Cayley
+table; descend reduces only the generators, carries the reduced action
+along those links as the indices of its rows in an orbit in k^N, checks the
+group law on the other Cayley edges and takes both charpolys once per
+conjugacy class.  The references below are the former
 FieldElement-keyed closure, the former reduced_action, which conjugated and
 reduced every element on its own, the former per-element loop of descend,
 and conjugacy classes by brute-force conjugation.
@@ -256,23 +257,22 @@ def test_classes_match_brute_force_conjugation(case):
 
 
 def test_edge_check_finds_a_corrupted_element(monkeypatch):
-    # replace the image of one element by the identity's; the element is the
-    # end of a Cayley edge off the tree from another element, whose image
-    # times the generator's is the true image, not the identity
+    # replace the key of one element's image by the identity's; the element
+    # is the end of a Cayley edge off the tree from another element, whose
+    # image times the generator's is the true image, not the identity
     rep = block_b2xb2_gauss5()
     x = next(y for src, targets in enumerate(rep.right) for g, y in enumerate(targets)
              if rep.links[y] != (src, g) and y not in (0, src))
-    along_tree = descent._along_tree
+    along_tree = descent._Orbit.along_tree
 
     def corrupted(*args):
-        images = along_tree(*args)
-        images[x] = images[0]
-        return images
+        keys = along_tree(*args)
+        keys[x] = keys[0]
+        return keys
 
-    monkeypatch.setattr(descent, "_along_tree", corrupted)
+    monkeypatch.setattr(descent._Orbit, "along_tree", corrupted)
     with pytest.raises(InternalInconsistency, match="not a homomorphism"):
         descend(rep)
-
 
 
 def test_edge_check_finds_images_that_are_no_representation():
@@ -281,14 +281,12 @@ def test_edge_check_finds_images_that_are_no_representation():
     # an edge off the tree (a relation of the group) shows the fault
     rep = block_b2xb2_gauss5()
     res = descend(rep)
-    kfield = rep.field.residue_field
-    mul = kfield.int_mat_mul
-    gens = [kfield.integer_matrix(res.rho_bar[y])[1] for y in rep.right[0]]
-    one = kfield.integer_matrix(res.rho_bar[0])[1]
-    descent._check_edges(rep, descent._along_tree(rep.links, gens, mul, one), gens, mul)
-    gens[0] = [[tuple(2 * c for c in v) for v in row] for row in gens[0]]
+    gens = [res.rho_bar[y] for y in rep.right[0]]
+    descent._reduced_keys(rep, gens)  # the true images pass
+    two = rep.field.residue_field.element(2)
+    gens[0] = [[two * v for v in row] for row in gens[0]]
     with pytest.raises(InternalInconsistency, match="not a homomorphism"):
-        descent._check_edges(rep, descent._along_tree(rep.links, gens, mul, one), gens, mul)
+        descent._reduced_keys(rep, gens)
 
 
 def test_cap_matches_the_reference():

@@ -494,6 +494,29 @@ class TestDescend:
         assert hashlib.sha256(blob).hexdigest() == \
             "f558737bce8bfa9ee07c01692f3d325bc1922bad42e056dab628381504a86417"
 
+    def test_d5_weyl_group(self):
+        """W(D_5), order 1920, from its Cartan matrix over Q at ell = 7, with
+        its 18 conjugacy classes; the closure holds each element as the
+        indices of its rows among at most dim |G| orbit points."""
+        desc = make_descriptor(1, 7)
+        r = desc.rational
+        cartan = [[r(2 if i == j else 0) for j in range(5)] for i in range(5)]
+        for i, j in ((0, 1), (1, 2), (2, 3), (2, 4)):
+            cartan[i][j] = cartan[j][i] = r(-1)
+        gens = []
+        for i in range(5):
+            s = la.identity(desc, 5)
+            s[i] = [x - c for x, c in zip(s[i], cartan[i])]
+            gens.append(s)
+        rep = GroupRep(desc, gens, GramForm(desc, cartan, "symmetric"))
+        res = descend(rep)
+        assert res.group_order == 1920
+        assert len(set(rep.conjugacy_classes())) == 18
+        assert res.certificates == dict.fromkeys(
+            ("faithful", "charpoly_preserved", "f0_nondegenerate", "kind_correct",
+             "hypothesis_2e_lt_ell_minus_1"), True)
+        assert len(rep.points) <= rep.dim * rep.order
+
     def test_uniformizer_choice_does_not_matter(self, gauss5, q8_res5):
         base = q8_res5
         desc2 = with_uniformizer(gauss5, gauss5.pi_power(1) * gauss5.rational(2))

@@ -1,5 +1,6 @@
-"""Valuation axioms, the residue map, the characteristic polynomial and the
-lattice laws as properties of random elements, matrices and lattices.
+"""Valuation axioms, the residue map, the characteristic polynomial, the
+lattice laws and polynomial products mod p as properties of random elements,
+matrices, lattices and polynomials.
 
 Runs only where hypothesis is installed; the package itself does not
 depend on it.
@@ -14,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from isodescent import linalg as la  # noqa: E402
 from isodescent.exactfield import make_descriptor  # noqa: E402
+from isodescent.finitefield import fp_mul, fp_trim  # noqa: E402
 from isodescent.forms import GramForm  # noqa: E402
 from isodescent.lattice import (  # noqa: E402
     Lattice,
@@ -224,3 +226,25 @@ def test_quotient_length_is_additive(i, dim, data):
     l2 = lattice_sum(l1, b)
     l3 = lattice_sum(l2, c)
     assert quotient_length(l1, l3) == quotient_length(l1, l2) + quotient_length(l2, l3)
+
+
+def per_term_mul(a, b, p):
+    """a b mod p with every partial product reduced as it is added."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return fp_trim(out)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_fp_mul_reduces_once_per_coefficient(data):
+    # primes and the prime powers ell^P that LambdaEngine multiplies modulo;
+    # coefficients outside [0, p) and trailing zeros included
+    p = data.draw(st.sampled_from([3, 5, 7, 971, 3 ** 64, 7 ** 12, 31 ** 20, 971 ** 40]))
+    poly = st.lists(st.integers(-2 * p, 2 * p), max_size=12)
+    a, b = data.draw(poly), data.draw(poly)
+    assert fp_mul(a, b, p) == per_term_mul(a, b, p)

@@ -19,6 +19,7 @@ import hashlib
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__ as TOOL_VERSION
 from . import linalg as la
@@ -232,8 +233,75 @@ def _make_report(command: str, digest: str, result: dict, started: float) -> dic
     }
 
 
+def _json_scalar(o) -> str:
+    """A JSON scalar as json.dumps writes it."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o in (float("inf"), float("-inf")):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _write_json(o, out: list, newline: str):
+    """Append the text of o to out.  newline is the line break and indent
+    before a closing bracket at o's depth."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for x in o:
+            out.append(sep)
+            if isinstance(x, (list, tuple, dict)):
+                _write_json(x, out, inner)
+            else:
+                out.append(_json_scalar(x))
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, x in sorted(o.items()):
+            key = k if isinstance(k, str) else _json_scalar(k)
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            if isinstance(x, (list, tuple, dict)):
+                _write_json(x, out, inner)
+            else:
+                out.append(_json_scalar(x))
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(_json_scalar(o))
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.  With an
+    indent, json.dumps runs its pure-Python encoder; this writer builds the
+    same text from the C string escaper, in about half the time on the
+    reports."""
+    out = []
+    _write_json(obj, out, "\n")
+    return "".join(out)
+
+
 def _emit(report: dict, out_path):
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    payload = _json_text(report) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(payload)

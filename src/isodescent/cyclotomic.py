@@ -1,15 +1,22 @@
-"""Exact arithmetic in Z[zeta_n] on the power basis 1, zeta, ..., zeta^(phi(n)-1).
+"""Exact arithmetic in an order Z[theta] on the power basis of theta.
 
 This is the coefficient-level substrate: vectors are plain tuples of ints,
-with no subfield constraint attached.  Sums, products, matrix products and
-Galois maps stay in Z[zeta_n]; division is left to the caller, which keeps
-one common denominator per element (see exactfield).  inv returns the
-product y of the nontrivial conjugates of w over a subfield, so that w * y
-is the norm of w, an integer.  Ambient-field elements proper (vectors over
-a denominator, fixed by the chosen Galois subgroup, with a designated prime
-above ell) are built on top of this in exactfield.
+with no subfield constraint attached.  One class serves two rings.
+CycloRing(n) is Z[zeta_n], theta = zeta_n and d = phi(n): the ambient ring,
+a field descriptor's `ring`, on whose coordinates elements cross the
+boundary (parsing, coeffs, serialize).  CycloRing(n, f, sigma) is Z[theta]
+for theta a Gaussian period that generates a subfield K of Q(zeta_n), f its
+integer minimal polynomial of degree d = [K:Q]: the descriptor's `kring`,
+in which the arithmetic of K runs (see exactfield).  When K = Q(zeta_n) the
+two are one object.  Sums, products and matrix products stay in Z[theta],
+and so do Galois maps once scaled by an integer where sigma_t does not map
+Z[theta] into itself; division is left to the caller, which keeps one
+common denominator per element.  inv returns an integer multiple y of the
+product of the nontrivial conjugates of w over a subfield, so that w * y is
+an integer.
 
-All functions are pure; CycloRing instances only hold precomputed tables.
+All functions are pure; CycloRing instances only hold tables, the Galois
+tables built on first use.
 """
 
 from __future__ import annotations
@@ -84,39 +91,57 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 class CycloRing:
-    """Tables and integer coordinate arithmetic for Z[zeta_n]."""
+    """Tables and integer coordinate arithmetic for an order Z[theta].
 
-    def __init__(self, n: int):
+    Z[theta] = Z[x]/(f) for theta an algebraic integer of Q(zeta_n) and f its
+    monic integer minimal polynomial, of degree `degree`; a vector holds the
+    coordinates on 1, theta, ..., theta^(degree-1).  CycloRing(n) is Z[zeta_n]
+    itself: theta = zeta_n and f = Phi_n.  CycloRing(n, f, sigma) is Z[theta]
+    for a primitive element theta of a subfield of Q(zeta_n) (exactfield
+    builds it from a Gaussian period); sigma(t), for t prime to n, returns
+    the Galois table (D, rows) of zeta -> zeta^t, with rows[j] the integer
+    coordinates of D sigma_t(theta^j) for one integer D > 0.
+    """
+
+    def __init__(self, n: int, modulus=None, sigma=None):
         self.n = n
-        self.phi = euler_phi(n)
-        self.modulus = cyclotomic_poly(n)
-        self.zeta_pow = self._power_table()
-        self.zero = (0,) * self.phi
-        self.one = self.zeta_pow[0]
-        # zeta^j as its nonzero (index, coordinate) pairs; _fold keeps those
-        # for phi <= j <= 2 phi - 2, where a product of two coordinate
-        # vectors folds back modulo Phi_n
-        self._sparse = [[(i, z) for i, z in enumerate(v) if z] for v in self.zeta_pow]
-        self._fold = [self._sparse[k % n] for k in range(self.phi, 2 * self.phi - 1)]
+        self.modulus = cyclotomic_poly(n) if modulus is None else tuple(modulus)
+        self.degree = d = len(self.modulus) - 1
+        # theta^k for k < 2 d - 1, and on Z[zeta_n] for every k < n
+        self.powers = self._power_table(max(2 * d - 1, n if modulus is None else 0))
+        self.zero = (0,) * d
+        self.one = self.powers[0]
+        # theta^k as its nonzero (index, coordinate) pairs; _fold keeps those
+        # for d <= k <= 2 d - 2, where a product of two coordinate vectors
+        # folds back modulo f
+        self._sparse = [[(i, z) for i, z in enumerate(v) if z] for v in self.powers]
+        self._fold = self._sparse[d:2 * d - 1]
+        self._sigma = self._zeta_sigma if sigma is None else sigma
+        self._galois = {}  # t -> (D, sparse rows of D sigma_t(theta^j))
 
-    def _power_table(self) -> list[tuple[int, ...]]:
-        # zeta^j on the power basis for 0 <= j < n, integer coordinates.
-        phi, mod = self.phi, self.modulus
+    def _power_table(self, count: int) -> list[tuple[int, ...]]:
+        # theta^k on the power basis for 0 <= k < count, integer coordinates
+        d, mod = self.degree, self.modulus
         table = []
-        cur = [0] * phi
+        cur = [0] * d
         cur[0] = 1
-        for _ in range(self.n):
+        for _ in range(count):
             table.append(tuple(cur))
-            nxt = [0] + cur[: phi - 1]
-            lead = cur[phi - 1]
+            nxt = [0] + cur[: d - 1]
+            lead = cur[d - 1]
             if lead:
-                for i in range(phi):
+                for i in range(d):
                     nxt[i] -= lead * mod[i]
             cur = nxt
         return table
 
+    def _zeta_sigma(self, t: int):
+        # on Z[zeta_n], sigma_t(zeta^j) = zeta^(j t)
+        return 1, [self.powers[(j * t) % self.n] for j in range(self.degree)]
+
     def zeta_power(self, j: int) -> tuple[int, ...]:
-        return self.zeta_pow[j % self.n]
+        """zeta_n^j; on Z[zeta_n] only, where theta = zeta_n."""
+        return self.powers[j % self.n]
 
     def add(self, u, v):
         return tuple(map(operator.add, u, v))
@@ -128,18 +153,18 @@ class CycloRing:
         return tuple(-a for a in u)
 
     def mul(self, u, v):
-        """u * v in Z[zeta_n]: one integer convolution, folded once."""
-        phi = self.phi
-        if phi == 1:
+        """u * v in Z[theta]: one integer convolution, folded once."""
+        d = self.degree
+        if d == 1:
             return (u[0] * v[0],)
         vs = [(j, b) for j, b in enumerate(v) if b]
-        conv = [0] * (2 * phi - 1)
+        conv = [0] * (2 * d - 1)
         for i, a in enumerate(u):
             if a:
                 for j, b in vs:
                     conv[i + j] += a * b
-        out = conv[:phi]
-        for c, zs in zip(conv[phi:], self._fold):
+        out = conv[:d]
+        for c, zs in zip(conv[d:], self._fold):
             if c:
                 for i, z in zs:
                     out[i] += c * z
@@ -147,29 +172,28 @@ class CycloRing:
 
     def int_mat_mul(self, a, b):
         """a @ b for matrices of integer coordinate vectors, exactly in
-        Z[zeta_n]: each output entry sums the integer convolutions of its
-        terms and is reduced once modulo Phi_n.  The entries of the product
-        are tuples of ints; shapes are the caller's to check."""
-        phi, fold = self.phi, self._fold
-        if phi == 1:
+        Z[theta]: each output entry sums the integer convolutions of its
+        terms and is reduced once modulo f.  The entries of the product are
+        tuples of ints; shapes are the caller's to check."""
+        d, fold = self.degree, self._fold
+        if d == 1:
             cols = [[y[0] for y in col] for col in zip(*b)]
             return [[(sum(map(operator.mul, r, c)),) for c in cols]
                     for r in ([x[0] for x in row] for row in a)]
-        sparse = lambda v: [(i, c) for i, c in enumerate(v) if c]
-        cols = [[sparse(y) for y in col] for col in zip(*b)]
+        cols = [[[(i, c) for i, c in enumerate(y) if c] for y in col] for col in zip(*b)]
         out = []
         for row in a:
-            ru = [sparse(x) for x in row]
+            ru = [[(i, c) for i, c in enumerate(x) if c] for x in row]
             out_row = []
             for cu in cols:
-                conv = [0] * (2 * phi - 1)
+                conv = [0] * (2 * d - 1)
                 for x, y in zip(ru, cu):
                     if x and y:
                         for i, s in x:
                             for j, t in y:
                                 conv[i + j] += s * t
-                acc = conv[:phi]
-                for c, zs in zip(conv[phi:], fold):
+                acc = conv[:d]
+                for c, zs in zip(conv[d:], fold):
                     if c:
                         for i, z in zs:
                             acc[i] += c * z
@@ -181,9 +205,10 @@ class CycloRing:
         """y = the product of galois(w, t) over t in conjugates.  When w lies
         in the fixed field K of a subgroup H of the units mod n, and the
         exponents are one representative of each coset of H but H itself,
-        w * y is the norm of w from K to Q, a nonzero integer, and w^-1 is
-        y / (w * y) (Cohen, A Course in Computational Algebraic Number
-        Theory, 4.2)."""
+        y is a positive integer times the product of the other conjugates of
+        w, so w * y is a nonzero integer, the norm of w from K to Q times
+        the product of the tables' scales, and w^-1 is y / (w * y) (Cohen,
+        A Course in Computational Algebraic Number Theory, 4.2)."""
         if self.is_zero(w):
             raise ZeroDivisionError("inverse of zero")
         y = self.one
@@ -191,16 +216,29 @@ class CycloRing:
             y = self.mul(y, self.galois(w, t))
         return y
 
+    def _table(self, t: int):
+        table = self._galois.get(t)
+        if table is None:
+            if math.gcd(t, self.n) != 1:
+                raise ValueError("galois exponent not prime to n")
+            scale, rows = self._sigma(t)
+            table = self._galois[t] = (
+                scale, [[(i, z) for i, z in enumerate(v) if z] for v in rows])
+        return table
+
+    def galois_scale(self, t: int) -> int:
+        """D in galois: 1 on Z[zeta_n], and whenever sigma_t maps Z[theta]
+        into itself."""
+        return self._table(t)[0]
+
     def galois(self, w, t: int):
-        """Apply zeta -> zeta^t (t must be prime to n) to an integer vector;
-        the image has integer coordinates too, since every zeta^j does."""
-        if math.gcd(t, self.n) != 1:
-            raise ValueError("galois exponent not prime to n")
-        n, sparse = self.n, self._sparse
-        out = [0] * self.phi
-        for j, c in enumerate(w):
+        """D sigma_t(w) for zeta -> zeta^t (t must be prime to n) and the
+        integer D = galois_scale(t): the image of an integer vector has
+        integer coordinates once scaled by D."""
+        out = [0] * self.degree
+        for c, row in zip(w, self._table(t)[1]):
             if c:
-                for i, z in sparse[(j * t) % n]:
+                for i, z in row:
                     out[i] += c * z
         return tuple(out)
 

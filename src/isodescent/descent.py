@@ -160,7 +160,8 @@ class GroupRep:
     generators (identity first, generator order fixed), so the element order
     is deterministic.  Element i is keys[i], the indices of its rows in an
     orbit (_Orbit) whose points are row vectors w / d, w on integer
-    coordinates in Z[zeta_n] and gcd(d, w) = 1, normalized once per point;
+    coordinates in Z[theta] (FieldDescriptor.kring) and gcd(d, w) = 1,
+    normalized once per point;
     the keys are the seen map to an element's index.  links[i] is (parent
     index, generator index) with element i = element parent *
     generators[generator], and None for the identity, so per-element work
@@ -194,7 +195,7 @@ class GroupRep:
         if not all(form.is_isometry(g) for g in self.generators):
             raise PreconditionViolated("a generator does not preserve the form")
         ring = field.ring
-        trace_zeta = [sum(ring.zeta_power(j + i)[i] for i in range(ring.phi))
+        trace_zeta = [sum(ring.zeta_power(j + i)[i] for i in range(ring.degree))
                       for j in range(ring.n)]
         mul = field.int_mat_mul
         gens = [field.integer_matrix(g) for g in self.generators]
@@ -220,13 +221,16 @@ class GroupRep:
             d = math.lcm(*(rd for rd, _ in rows))
             t = [sum(c) for c in zip(*([x * (d // rd) for x in w[i]]
                                        for i, (rd, w) in enumerate(rows)))]
+            # integrality is read on the power basis of zeta_n, whose
+            # integer vectors are all of the integers of Q(zeta_n)
+            t = field.to_power_basis(t)
             if any(c % d for c in t):
                 return False
             t = [(j, c // d) for j, c in enumerate(t) if c]
             return (sum(a * b * trace_zeta[(j - k) % ring.n] for j, a in t for k, b in t)
-                    <= ring.phi * dim**2)
+                    <= ring.degree * dim**2)
 
-        one, zero = field.integer_one, (0,) * field.degree_full
+        one, zero = field.integer_one, field.kring.zero
         ident = tuple(orbit.point((1, tuple(one if i == j else zero for j in range(dim))))
                       for i in range(dim))
         keys = [ident]

@@ -1,15 +1,28 @@
 """Exact subfields of cyclotomic fields with one certified prime over ell.
 
-The ambient field K = Q(zeta_n)^H is cut out of the n-th cyclotomic field by
-a subgroup H of the units mod n.  A descriptor fixes one prime above an odd
+The field K = Q(zeta_n)^H is cut out of the n-th cyclotomic field by a
+subgroup H of the units mod n.  A descriptor fixes one prime above an odd
 prime ell (chosen among the Galois-orbit classes of irreducible factors of
 the prime-to-ell cyclotomic part), certifies a uniformizer for it, and
-carries the residue-field data needed to reduce integral elements.  Elements
-are exact: integer power-basis coordinates in Z[zeta_n] over one positive
-denominator, in lowest terms, and inverted through their norm to Q.
-Fractions appear only at the boundary (parsing, coeffs, serialize).
+carries the residue-field data needed to reduce integral elements.
+
+Elements are exact and held on a basis of K itself: `num` is d = [K:Q]
+integer coordinates on 1, theta, ..., theta^(d-1), over one positive
+denominator, in lowest terms, and an element is inverted through its norm
+to Q (Cohen, A Course in Computational Algebraic Number Theory, 4.2).
+theta is the first Gaussian period eta_j = sum over h in H of zeta_n^(j h)
+with d distinct conjugates (eta_1 is 0 for n = 8, H = {1, 5}), and the
+descriptor's `kring` runs the arithmetic in Z[theta], modulo theta's
+integer minimal polynomial: x^2 + x + 2 for Q(sqrt -7) in Q(zeta_7).  When
+H is trivial, theta = zeta_n and `kring` is `ring`.  `ring` is always the
+ambient Z[zeta_n]: the boundary (FieldElement(field, coeffs), element,
+rational, orbit_sum, zeta_power on the way in; coeffs and serialize on the
+way out) is on its power basis, and so are reports, so their bytes do not
+depend on theta.  Fractions appear only at that boundary.
+
 Valuations and residues are read off the lambda-adic digits of the
-numerator in the completion (see localring): the valuation is the least
+numerator in the completion (see localring), from a per-precision table of
+the digits of the powers of theta (`kengine`): the valuation is the least
 e * v_ell(d_k) + k over the digits, certified at a working precision that
 doubles up to a ceiling computed from the element's norm, so no answer
 depends on floating point or on unproven precision heuristics.
@@ -129,7 +142,7 @@ def _add(field, a, da, b, db):
     a * (db / g) + b * (da / g) and da * db / g divides g (Knuth, TAOCP
     4.5.1), so only g is tested."""
     if da == db:
-        return _lowest(field, field.ring.add(a, b), da)
+        return _lowest(field, field.kring.add(a, b), da)
     g = math.gcd(da, db)
     sa, sb = db // g, da // g
     num = tuple(x * sa + y * sb for x, y in zip(a, b))
@@ -144,15 +157,14 @@ def _add(field, a, da, b, db):
 class FieldElement:
     """One element of K, exact, with memoized certification results.
 
-    An element is num / den: num its power-basis coordinates in Z[zeta_n],
-    a tuple of ints, and den a positive int with gcd(den, *num) = 1, so
+    An element is num / den: num its coordinates in Z[theta] on the basis
+    1, theta, ..., theta^(d-1) of K (see FieldDescriptor.kring), a tuple of
+    d = [K:Q] ints, and den a positive int with gcd(den, *num) = 1, so
     equal elements have equal pairs.  Arithmetic builds results straight
-    from such pairs.  FieldElement(field, coeffs) takes rational power-basis
-    coordinates, and coeffs gives them back as Fractions; both are for the
-    boundary (parsing, serialize, tests).
-
-    Construct through FieldDescriptor.element, which checks membership in the
-    H-fixed subfield; FieldElement(field, coeffs) skips that check.
+    from such pairs.  FieldElement(field, coeffs) takes rational coordinates
+    on the power basis of zeta_n and refuses a vector that is not in K, and
+    coeffs gives them back as Fractions; both are for the boundary (parsing,
+    serialize, tests).
     """
 
     __slots__ = ("field", "num", "den", "_val", "_res")
@@ -165,16 +177,28 @@ class FieldElement:
                 f"expected at most {field.degree_full} coefficients, got {len(qs)}")
         qs += [Fraction(0)] * (field.degree_full - len(qs))
         den = math.lcm(*(q.denominator for q in qs))
+        coords = field._theta_coords(tuple(q.numerator * (den // q.denominator) for q in qs))
+        if coords is None:
+            raise InvalidDescriptor(
+                "coefficient vector is not fixed by the subgroup; not an element of K")
+        num, scale = coords
+        if scale != 1:
+            den *= scale
+            g = math.gcd(den, *num)
+            num, den = tuple(c // g for c in num), den // g
+        # with scale 1, a common factor of den and num would divide the
+        # power-basis numerator, whose content is prime to den
         self.field = field
-        self.num = tuple(q.numerator * (den // q.denominator) for q in qs)
+        self.num = num
         self.den = den
         self._val = None
         self._res = None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
+        """Coordinates on the power basis of zeta_n."""
         den = self.den
-        return tuple(Fraction(c, den) for c in self.num)
+        return tuple(Fraction(c, den) for c in self.field.to_power_basis(self.num))
 
     # -- coercion ------------------------------------------------------
 
@@ -202,19 +226,19 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _add(self.field, self.num, self.den, self.field.ring.neg(o.num), o.den)
+        return _add(self.field, self.num, self.den, self.field.kring.neg(o.num), o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _add(self.field, o.num, o.den, self.field.ring.neg(self.num), self.den)
+        return _add(self.field, o.num, o.den, self.field.kring.neg(self.num), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _lowest(self.field, self.field.ring.mul(self.num, o.num), self.den * o.den)
+        return _lowest(self.field, self.field.kring.mul(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -231,7 +255,7 @@ class FieldElement:
         return o * self.inverse()
 
     def __neg__(self):
-        return _make(self.field, self.field.ring.neg(self.num), self.den)
+        return _make(self.field, self.field.kring.neg(self.num), self.den)
 
     def __pow__(self, exp: int):
         if not isinstance(exp, int):
@@ -248,10 +272,11 @@ class FieldElement:
         return out
 
     def inverse(self) -> "FieldElement":
-        """(num / den)^-1 = den * y / N with y = ring.inv(num) and
-        N = num * y the norm of num from K to Q, a nonzero integer."""
+        """(num / den)^-1 = den * y / N with y = kring.inv(num) and
+        N = num * y a nonzero integer, the norm of num from K to Q times the
+        scales of the Galois tables."""
         field = self.field
-        ring = field.ring
+        ring = field.kring
         y = ring.inv(self.num, field.conjugates)
         prod = ring.mul(self.num, y)
         norm = prod[0]
@@ -301,7 +326,7 @@ class FieldElement:
             return self._val
         field = self.field
         ints, t, _ = self._numerator()
-        vlam = field.engine.valuation(ints)
+        vlam = field.kengine.valuation(ints)
         if vlam % field.e_rel:
             raise InternalInconsistency(
                 "completion valuation of a field element is not a multiple "
@@ -329,7 +354,7 @@ class FieldElement:
             raise NegativeValuation(
                 f"element has valuation {v}; only integral elements reduce")
         ints, t, d = self._numerator()
-        x = field._residue_from_big(field.engine.residue(ints, t))
+        x = field._residue_from_big(field.kengine.residue(ints, t))
         if d % field.ell != 1:
             x = x * pow(d % field.ell, -1, field.ell)
         self._res = x
@@ -340,9 +365,13 @@ class FieldElement:
         field = self.field
         if field.involution is None:
             raise NoInvolution("field descriptor carries no involution")
-        # a Galois map is a ring automorphism of Z[zeta_n], so the content
-        # of num, and with it the lowest terms, is unchanged
-        return _make(field, field.ring.galois(self.num, field.involution), self.den)
+        s, ring = field.involution, field.kring
+        image, scale = ring.galois(self.num, s), ring.galois_scale(s)
+        if scale == 1:
+            # then the Galois map is a ring automorphism of Z[theta], so the
+            # content of num, and with it the lowest terms, is unchanged
+            return _make(field, image, self.den)
+        return _lowest(field, image, self.den * scale)
 
     def serialize(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -370,6 +399,7 @@ class FieldDescriptor:
         self._pi_powers = {}
         self._one = None
         self._zero = None
+        self._orbit_sums = {}
 
     # -- identity ------------------------------------------------------
 
@@ -392,13 +422,44 @@ class FieldDescriptor:
 
     # -- element constructors -------------------------------------------
 
-    def _is_fixed(self, num) -> bool:
-        for h in self.subgroup:
-            if h % self.n == 1 % self.n:
-                continue
-            if self.ring.galois(num, h) != num:
-                return False
-        return True
+    # -- the boundary: coordinates on the power basis of zeta_n ----------
+
+    def _theta_coords(self, w):
+        """(c, D) with c / D the coordinates on the basis of theta of an
+        integer tuple w on the power basis of zeta_n, or None when w is not
+        in K: c = B w_R (see _build_theta), and w lies in K iff M c = D w.
+        That holds on the rows R by the choice of B, so only the other rows
+        are checked.  When theta = zeta_n (_to_theta is None), c = w and
+        D = 1."""
+        rows = self._to_theta
+        if rows is None:
+            return w, 1
+        c = tuple(sum(b * w[r] for r, b in row) for row in rows)
+        scale = self._to_theta_den
+        for i, row in self._off_pivot:
+            if sum(z * c[j] for j, z in row) != scale * w[i]:
+                return None
+        return c, scale
+
+    def _from_power_basis(self, w, den: int):
+        """The element w / den for an integer tuple w on the power basis of
+        zeta_n and den > 0, or None when w is not in K."""
+        coords = self._theta_coords(w)
+        if coords is None:
+            return None
+        return _lowest(self, coords[0], coords[1] * den)
+
+    def to_power_basis(self, num) -> tuple[int, ...]:
+        """Power-basis coordinates in Z[zeta_n] of an integer vector on the
+        basis of theta."""
+        if self._theta_powers is None:
+            return num
+        out = [0] * self.degree_full
+        for c, col in zip(num, self._theta_powers):
+            if c:
+                for i, z in col:
+                    out[i] += c * z
+        return tuple(out)
 
     def element(self, coeffs) -> FieldElement:
         """Validating constructor: coefficients on the power basis of zeta_n.
@@ -412,17 +473,13 @@ class FieldDescriptor:
             if coeffs.field != self:
                 raise InvalidDescriptor("element belongs to a different field descriptor")
             return coeffs
-        x = FieldElement(self, coeffs)
-        if not self._is_fixed(x.num):
-            raise InvalidDescriptor(
-                "coefficient vector is not fixed by the subgroup; not an element of K")
-        return x
+        return FieldElement(self, coeffs)
 
     def rational(self, q) -> FieldElement:
         if not isinstance(q, int):
             q = _rational(q)
-            return _make(self, (q.numerator,) + self.ring.zero[1:], q.denominator)
-        return _make(self, (q,) + self.ring.zero[1:], 1)
+            return _make(self, (q.numerator,) + self.kring.zero[1:], q.denominator)
+        return _make(self, (q,) + self.kring.zero[1:], 1)
 
     def zeta_power(self, j: int) -> FieldElement:
         """zeta_n^j when it lies in K (validated)."""
@@ -430,10 +487,12 @@ class FieldDescriptor:
 
     def orbit_sum(self, j: int) -> FieldElement:
         """Sum of zeta_n^(j*h) over the subgroup; always lies in K."""
-        acc = self.ring.zero
-        for h in self.subgroup:
-            acc = self.ring.add(acc, self.ring.zeta_power(j * h))
-        return _make(self, acc, 1)
+        j %= self.n
+        x = self._orbit_sums.get(j)
+        if x is None:
+            x = self._orbit_sums[j] = self._from_power_basis(
+                _period(self.ring, self.subgroup, j), 1)
+        return x
 
     @property
     def one(self) -> FieldElement:
@@ -448,7 +507,7 @@ class FieldDescriptor:
         return self._zero
 
     # integer coordinates (see linalg.charpoly): one common denominator per
-    # matrix, row or column, power-basis coordinates in Z[zeta_n]
+    # matrix, row or column, coordinates in Z[theta] on the basis of theta
 
     def _check(self, m):
         for row in m:
@@ -471,7 +530,7 @@ class FieldDescriptor:
         self._check(b)
         rows = [_over_common(row) for row in a]
         cols = [_over_common(col) for col in zip(*b)]
-        prod = self.ring.int_mat_mul([w for _, w in rows], list(zip(*(w for _, w in cols))))
+        prod = self.kring.int_mat_mul([w for _, w in rows], list(zip(*(w for _, w in cols))))
         return [d for d, _ in rows], [d for d, _ in cols], prod
 
     def mat_mul(self, a, b):
@@ -484,11 +543,11 @@ class FieldDescriptor:
     def integral(self, w, d: int) -> bool:
         """Whether w / d has valuation >= 0, for an integer coordinate tuple
         w and d > 0, not necessarily in lowest terms.  With d = ell^t d' and
-        d' prime to ell, it holds when t = 0, w lying in Z[zeta_n]; otherwise
+        d' prime to ell, it holds when t = 0, w lying in Z[theta]; otherwise
         iff ell^t divides w at the chosen prime, which the lambda-digits of w
         mod ell^t decide exactly (LambdaEngine.divisible)."""
         t, _ = _split_ell(d, self.ell)
-        return t == 0 or self.engine.divisible(w, t)
+        return t == 0 or self.kengine.divisible(w, t)
 
     def integral_product(self, a, b) -> bool:
         """Whether every entry of a @ b has valuation >= 0, read off the
@@ -513,7 +572,7 @@ class FieldDescriptor:
         return d, [_over_common(row, d)[1] for row in m]
 
     def int_mat_mul(self, a, b):
-        return self.ring.int_mat_mul(a, b)
+        return self.kring.int_mat_mul(a, b)
 
     def from_integer(self, w, d: int) -> FieldElement:
         """The element w / d for an integer coordinate tuple w and d > 0."""
@@ -521,7 +580,7 @@ class FieldDescriptor:
 
     @property
     def integer_one(self):
-        return self.ring.one
+        return self.kring.one
 
     def pi_power(self, j: int) -> FieldElement:
         """pi^j with a cache (negative powers allowed)."""
@@ -755,6 +814,7 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
         if n > 1 else ()
     desc.engine = LambdaEngine(n, ell, chosen_factor)
     assert desc.engine.e_full == e_full and desc.engine.f_full == f_full
+    _build_theta(desc)
 
     # residue fields: big = completion residue field, small = residue field of K
     desc.residue_field_big = ResidueField(ell, chosen_factor)
@@ -768,6 +828,120 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
 
     _certify_uniformizer(desc)
     return desc
+
+
+def _period(ring, subgroup, j: int):
+    """The Gaussian period eta_j, the sum of zeta_n^(j h) over the subgroup,
+    on the power basis of zeta_n."""
+    acc = ring.zero
+    for h in subgroup:
+        acc = ring.add(acc, ring.zeta_power(j * h))
+    return acc
+
+
+def _primitive_period(ring, subgroup, cosets):
+    """The least j >= 1 whose period eta_j has distinct conjugates eta_(j t),
+    t in cosets (one unit from each coset of the subgroup), so that it
+    generates the fixed field; None when no period does."""
+    for j in range(1, ring.n):
+        if len({_period(ring, subgroup, j * t) for t in cosets}) == len(cosets):
+            return j
+    return None
+
+
+def _left_inverse(vectors):
+    """(R, B, D) for d independent integer vectors, the columns of a matrix
+    M: R the first d rows of M that are independent, and B / D = M_R^-1 with
+    B an integer matrix and D > 0 the least common denominator.  None when
+    the vectors are dependent.  Fraction-free Gauss-Jordan on M^T next to
+    the identity: the row operations E bring M^T to a form whose columns R
+    are diagonal, p_r in row r, so E = diag(p) (M_R^T)^-1."""
+    d, width = len(vectors), len(vectors[0])
+    rows = [list(v) + [int(i == k) for k in range(d)] for i, v in enumerate(vectors)]
+    pivots = []
+    for c in range(width):
+        r0 = len(pivots)
+        p = next((r for r in range(r0, d) if rows[r][c]), None)
+        if p is None:
+            continue
+        rows[r0], rows[p] = rows[p], rows[r0]
+        piv = rows[r0]
+        for r in range(d):
+            x = rows[r][c]
+            if r != r0 and x:
+                g = math.gcd(piv[c], x)
+                a, b = piv[c] // g, x // g
+                row = [a * y - b * z for y, z in zip(rows[r], piv)]
+                g = math.gcd(*row)
+                rows[r] = [y // g for y in row]
+        pivots.append(c)
+        if len(pivots) == d:
+            break
+    else:
+        return None
+    den = math.lcm(*(rows[r][c] for r, c in enumerate(pivots)))
+    # B = E^T diag(p)^-1 over den, E the last d columns
+    b = [[rows[r][width + j] * (den // rows[r][c]) for r, c in enumerate(pivots)]
+         for j in range(d)]
+    g = math.gcd(den, *(x for row in b for x in row))
+    return pivots, [[x // g for x in row] for row in b], den // g
+
+
+def _build_theta(desc: FieldDescriptor):
+    """The arithmetic of K on the power basis of a primitive integral
+    element theta.
+
+    theta is the first Gaussian period eta_j (j = 1, 2, ...) whose d = [K:Q]
+    conjugates eta_(j t), one t per coset of the subgroup, are distinct;
+    eta_1 can fail (it is 0 for n = 8, H = {1, 5}), and every subgroup of
+    the units modulo any n <= MAX_CONDUCTOR has such a period.  With M the
+    power-basis matrix of 1, theta, ..., theta^(d-1) and R the first d
+    independent rows of M, an element w of Q(zeta_n) has coordinates
+    B w_R / D on the basis of theta, B / D = M_R^-1, and lies in K iff M
+    maps them back to w.  theta^d read off the same way gives the minimal
+    polynomial f of theta, and sigma_t(theta^j) the Galois tables of kring
+    (built on first use).  When the subgroup is trivial, theta = zeta_n and
+    kring, kengine are ring and engine themselves."""
+    ring, n, H, d = desc.ring, desc.n, desc.subgroup, desc.degree
+    if len(H) == 1:
+        desc.kring, desc.kengine = ring, desc.engine
+        desc._theta_powers = desc._to_theta = None
+        return
+    j = _primitive_period(ring, H, (1,) + desc.conjugates)
+    if j is None:
+        raise InternalInconsistency("no Gaussian period generates the field")
+    theta = _period(ring, H, j)
+    powers = [ring.one]
+    for _ in range(d):
+        powers.append(ring.mul(powers[-1], theta))
+    inverse = _left_inverse(powers[:d])
+    if inverse is None:
+        raise InternalInconsistency("the powers of theta do not span the field")
+    pivots, rows, den = inverse
+    desc._theta_powers = [[(i, z) for i, z in enumerate(v) if z] for v in powers[:d]]
+    desc._to_theta = [[(r, b) for r, b in zip(pivots, row) if b] for row in rows]
+    desc._to_theta_den = den
+    desc._off_pivot = [(i, [(j, v[i]) for j, v in enumerate(powers[:d]) if v[i]])
+                       for i in range(desc.degree_full) if i not in pivots]
+
+    def coordinates(w):
+        # w, an integer vector of K on the power basis, as an element
+        x = desc._from_power_basis(w, 1)
+        if x is None:
+            raise InternalInconsistency("a conjugate of theta left the field")
+        return x
+
+    top = coordinates(powers[d])
+    if top.den != 1:
+        raise InternalInconsistency("theta is not an algebraic integer")
+
+    def sigma(t):
+        images = [coordinates(ring.galois(p, t)) for p in powers[:d]]
+        scale = math.lcm(*(x.den for x in images))
+        return scale, [[c * (scale // x.den) for c in x.num] for x in images]
+
+    desc.kring = CycloRing(n, tuple(-c for c in top.num) + (1,), sigma)
+    desc.kengine = desc.engine.on_basis(powers[:d])
 
 
 def _build_residue_subfield(desc: FieldDescriptor):
@@ -821,16 +995,24 @@ def _build_residue_subfield(desc: FieldDescriptor):
 
 
 def _uniformizer_candidates(desc: FieldDescriptor, trace_group):
-    """Yield H-fixed candidate elements, cheapest first."""
+    """Yield H-fixed candidate elements, cheapest first, built on the power
+    basis of zeta_n."""
     ring = desc.ring
     n, m = desc.n, desc.m
+
+    def in_field(w):
+        x = desc._from_power_basis(w, 1)
+        if x is None:
+            raise InternalInconsistency("uniformizer candidate left the field")
+        return x
+
     if desc.e == 1:
         yield desc.rational(desc.ell)
         return
     # all remaining candidates need actual ramification
     base = ring.sub(ring.one, ring.zeta_power(m))
     if all((h * m) % n == m % n for h in trace_group):
-        yield desc.from_integer(base, 1)
+        yield in_field(base)
     power = base
     for s_exp in (1, 2, 3):
         if s_exp > 1:
@@ -840,7 +1022,7 @@ def _uniformizer_candidates(desc: FieldDescriptor, trace_group):
             acc = ring.zero
             for h in trace_group:
                 acc = ring.add(acc, ring.galois(y, h))
-            yield desc.from_integer(acc, 1)
+            yield in_field(acc)
 
 
 def _first_valuation_one(desc: FieldDescriptor, candidates):
@@ -848,8 +1030,6 @@ def _first_valuation_one(desc: FieldDescriptor, candidates):
     for x in candidates:
         if x.is_zero:
             continue
-        if not desc._is_fixed(x.num):
-            raise InternalInconsistency("uniformizer candidate left the field")
         v = x.valuation()
         if v == 1:
             yield x
@@ -922,5 +1102,6 @@ def with_uniformizer(desc: FieldDescriptor, pi_new: FieldElement) -> FieldDescri
     clone._pi_powers = {0: clone.one, 1: clone.pi}
     clone._one = None
     clone._zero = None
+    clone._orbit_sums = {}
     return clone
 

@@ -13,17 +13,22 @@ min_k (e_full * v_ell(d_k) + k), the terms being distinct mod e_full
 The engine keeps the digits modulo ell^P, as t-polynomials of degree below
 f_full.  The images of the powers of zeta_n are held in the lambda-basis
 already: u^i = (1 - lambda)^i expands by binomial coefficients, and i < e_full
-means no reduction by Psi is needed.  A digit that is nonzero mod ell^P has
-its exact ell-valuation, below P, so the smallest term is certified as soon
-as one digit survives; `analyze` returns None when every digit vanishes, and
-`valuation` retries at doubled precision up to a ceiling at which a nonzero
-element must certify.  Zero elements never certify, so call sites must test
-exact zero first.  Divisibility by ell^t needs no certification: it holds iff
-every digit vanishes mod ell^t, which precision t decides exactly.
+means no reduction by Psi is needed.  An engine reads integer vectors on one
+basis: the power basis of zeta_n, or, through `on_basis`, the basis
+1, theta, ..., theta^(d-1) of a subfield K, whose digit table at each
+precision holds the digits of the powers of theta (see exactfield).  A
+digit that is nonzero mod ell^P has its exact ell-valuation, below P, so
+the smallest term is certified as soon as one digit survives; `analyze`
+returns None when every digit vanishes, and `valuation` retries at doubled
+precision up to a ceiling at which a nonzero element must certify.  Zero
+elements never certify, so call sites must test exact zero first.
+Divisibility by ell^t needs no certification: it holds iff every digit
+vanishes mod ell^t, which precision t decides exactly.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 from .cyclotomic import _split_ell, cyclotomic_poly, euler_phi
@@ -77,7 +82,23 @@ class LambdaEngine:
         # u^i = sum_k C(i, k) (-lambda)^k, row i, column k
         self._to_lambda = [[(-1) ** k * math.comb(i, k) for k in range(self.e_full)]
                            for i in range(self.e_full)]
-        self._image_cache: dict[int, list[_Elt]] = {}
+        # None: vectors are on the power basis of zeta_n; see on_basis
+        self.basis = None
+        # the l1 norm of each basis element on the power basis
+        self._weights = [1] * euler_phi(n)
+        self._image_cache: dict[int, list[list[int]]] = {}
+
+    def on_basis(self, basis) -> "LambdaEngine":
+        """This engine reading integer vectors on another basis: basis[j] is
+        the power-basis vector of the j-th basis element.  Its digit table at
+        each precision holds the digits of the basis elements, read off this
+        engine's and cached the same way."""
+        other = copy.copy(self)
+        other.basis = [tuple(b) for b in basis]
+        other._weights = [sum(map(abs, b)) for b in other.basis]
+        other._power_engine = self
+        other._image_cache = {}
+        return other
 
     # ------------------------------------------------------------------
     # images of powers of zeta_n, in the lambda-basis
@@ -111,49 +132,60 @@ class LambdaEngine:
             raise InternalInconsistency("the Newton root is not a root of Phi_m")
         return pows[:m]
 
-    def images(self, prec: int) -> list[_Elt]:
-        """Lambda-digits of zeta_n^j, j < phi(n), modulo ell^prec."""
+    def images(self, prec: int) -> list[list[int]]:
+        """Lambda-digits of the basis elements modulo ell^prec (of zeta_n^j,
+        j < phi(n), on the power basis), each flat: digit k is at
+        [k f_full, (k + 1) f_full)."""
         if prec in self._image_cache:
             return self._image_cache[prec]
+        if self.basis is not None:
+            digits = self._power_engine.image_of
+            imgs = self._image_cache[prec] = [
+                [c for digit in digits(b, prec) for c in digit] for b in self.basis]
+            return imgs
         modulus = self.ell**prec
         t_pows = self._omega_powers(prec)
         phi_n = euler_phi(self.n)
         if self.a == 0:
-            imgs = [[t_pows[j % self.m]] for j in range(phi_n)]
+            imgs = [list(t_pows[j % self.m]) for j in range(phi_n)]
         else:
             la = self.ell**self.a
             lam_pows = [[sum(c * row[k] for c, row in zip(ue, self._to_lambda)) % modulus
                          for k in range(self.e_full)]
                         for ue in _var_powers(la, self._psi, modulus)]
-            imgs = [[[(d * tv) % modulus for tv in t_pows[(self.alpha * j) % self.m]]
-                     for d in lam_pows[(self.beta * j) % la]]
+            imgs = [[(d * tv) % modulus for d in lam_pows[(self.beta * j) % la]
+                     for tv in t_pows[(self.alpha * j) % self.m]]
                     for j in range(phi_n)]
         self._image_cache[prec] = imgs
         return imgs
 
-    def image_of(self, vec, prec: int) -> _Elt:
-        """Lambda-digits d_0 ... d_{e-1}, mod ell^prec, of an integer vector on
-        the power basis."""
-        imgs = self.images(prec)
+    def _flat_image(self, vec, prec: int) -> list[int]:
+        # the digits of image_of, flat as in images
         modulus = self.ell**prec
-        acc = [[0] * self.f_full for _ in range(self.e_full)]
-        for j, c in enumerate(vec):
+        acc = None
+        for c, img in zip(vec, self.images(prec)):
             c %= modulus
             if c:
-                img = imgs[j]
-                for i in range(self.e_full):
-                    row = img[i]
-                    tgt = acc[i]
-                    for idx in range(self.f_full):
-                        tgt[idx] = (tgt[idx] + c * row[idx]) % modulus
-        return acc
+                acc = ([c * z for z in img] if acc is None
+                       else [a + c * z for a, z in zip(acc, img)])
+        if acc is None:
+            return [0] * (self.e_full * self.f_full)
+        return [a % modulus for a in acc]
+
+    def image_of(self, vec, prec: int) -> _Elt:
+        """Lambda-digits d_0 ... d_{e-1}, mod ell^prec, of an integer vector on
+        the engine's basis."""
+        flat, f = self._flat_image(vec, prec), self.f_full
+        return [flat[k:k + f] for k in range(0, len(flat), f)]
 
     # ------------------------------------------------------------------
     # valuations and residues
 
     def analyze(self, vec, prec: int):
         """Certified valuation, in powers of lambda, of a nonzero integer
-        vector, or None when every lambda-digit vanishes mod ell^prec."""
+        vector, or None when every lambda-digit vanishes mod ell^prec.  The
+        first digit that is a unit decides: every digit before it is
+        divisible by ell, so its term e v_ell(d_k) + k is at least e."""
         ell, e = self.ell, self.e_full
         best = None
         for k, digit in enumerate(self.image_of(vec, prec)):
@@ -163,6 +195,8 @@ class LambdaEngine:
                 while g % ell == 0:
                     g //= ell
                     v += 1
+                if v == 0:
+                    return k
                 if best is None or e * v + k < best:
                     best = e * v + k
         return best
@@ -172,9 +206,12 @@ class LambdaEngine:
 
         If every digit vanishes mod ell^p, the element lies in lambda^(e p)
         and the chosen prime has norm ell^f, so ell^(f e p) divides the
-        element's norm, which is at most ||vec||_1^phi(n) in absolute value.
+        element's norm.  Every conjugate of the element sum_j c_j b_j is at
+        most sum_j |c_j| ||b_j||_1 in absolute value, b_j the basis elements
+        on the power basis, so the norm is at most that to the phi(n); on
+        the power basis itself, ||vec||_1^phi(n).
         """
-        bound = sum(abs(c) for c in vec) ** euler_phi(self.n)
+        bound = sum(abs(c) * w for c, w in zip(vec, self._weights)) ** euler_phi(self.n)
         step = self.ell ** (self.f_full * self.e_full)
         prec, power = 1, step
         while power <= bound:
@@ -203,14 +240,14 @@ class LambdaEngine:
         """Whether ell^t divides vec at the chosen prime, that is vec / ell^t
         is integral: every lambda-digit vanishes mod ell^t.  The digits mod
         ell^t are exact at precision t, so nothing escalates."""
-        return not any(any(digit) for digit in self.image_of(vec, t))
+        return not any(self._flat_image(vec, t))
 
     def residue(self, vec, t: int) -> tuple[int, ...]:
         """Residue of vec / ell^t: (d_0 / ell^t) mod ell.  Every digit must be
         divisible by ell^t, that is the quotient must be integral."""
         den = self.ell**t
-        digits = self.image_of(vec, max(PRECISION_START, t + 1))
-        if any(c % den for digit in digits for c in digit):
+        digits = self._flat_image(vec, max(PRECISION_START, t + 1))
+        if any(c % den for c in digits):
             raise InternalInconsistency(
                 "ell-division requested on a vector that is not divisible")
-        return tuple((c // den) % self.ell for c in digits[0])
+        return tuple((c // den) % self.ell for c in digits[:self.f_full])

@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from isodescent import cli
 from isodescent import linalg as la
 from isodescent.descent import GroupRep
 from isodescent.errors import SingularMatrix
@@ -11,6 +12,20 @@ from isodescent.exactfield import make_descriptor
 from isodescent.forms import GramForm
 
 BUNDLE_DIR = pathlib.Path(__file__).resolve().parent.parent / "bundles"
+
+
+@pytest.fixture(autouse=True)
+def reports_are_json_dumps(monkeypatch):
+    """Every CLI report any test writes is checked byte for byte against
+    json.dumps(report, indent=2, sort_keys=True), the text the report
+    writer replaces."""
+    write = cli._json_text
+
+    def checked(obj):
+        text = write(obj)
+        assert text == json.dumps(obj, indent=2, sort_keys=True)
+        return text
+    monkeypatch.setattr(cli, "_json_text", checked)
 
 
 @pytest.fixture(scope="session")
@@ -134,6 +149,15 @@ def random_field_element(rng, desc, integral=False, max_pi_shift=2):
         x = x + desc.rational(f"{num}/{den}") * desc.orbit_sum(j)
     lo = 0 if integral else -max_pi_shift
     return x * desc.pi_power(rng.randint(lo, max_pi_shift))
+
+
+def power_numerator(x):
+    """x * den on the power basis of zeta_n, for x = num / den: integer
+    coordinates read through the boundary (FieldElement.coeffs), whatever
+    basis num is held on."""
+    w = [c * x.den for c in x.coeffs]
+    assert all(c.denominator == 1 for c in w)
+    return tuple(c.numerator for c in w)
 
 
 def random_invertible(rng, desc, n, entry_fn=None):

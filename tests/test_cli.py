@@ -418,6 +418,25 @@ class TestReports:
         blob = json.dumps(result, sort_keys=True, separators=(",", ":")).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
 
+    @pytest.mark.parametrize("name,code,digest", [
+        ("prop5_ell5", 2,
+         "59047e546ff9b4306dffb0a699762be8b4625d93952283a25492979e801f2628"),
+        ("q8_split_ell5", 0,
+         "a54d8cbdbbfcf91c454c1551ed122bf98aec613bc037b8b71c6164b56a57251b"),
+        ("remark4_ell7", 0,
+         "d85101cf0e6899e330dca9b06e5682bf565b08066aef1652d8529b1a1a2a5f65"),
+        ("z4_hermitian_inert_ell7", 0,
+         "99ee577993498bd5089e21169a56c8918e1e09a50d2a793ebc7face9faf79744"),
+    ])
+    def test_descend_results(self, capsys, tmp_path, name, code, digest):
+        # the canonical descend result block of every committed bundle, byte
+        # for byte (block_b3xb2_q5 is pinned by test_large_block_bundle_result)
+        dest = tmp_path / f"{name}-descend.json"
+        assert run(capsys, "descend", str(bundle_path(name)), "--out", str(dest))[0] == code
+        result = json.loads(dest.read_text())["result"]
+        blob = json.dumps(result, sort_keys=True, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
     def test_descend_result_fields(self, capsys):
         _, out, _ = run(capsys, "descend", str(bundle_path("z4_hermitian_inert_ell7")))
         result = parse_report(out)["result"]

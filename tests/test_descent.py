@@ -108,6 +108,16 @@ class TestGroupRep:
         with pytest.raises(NotFiniteOrder, match="the group is infinite"):
             GroupRep(gauss5, [int_matrix(gauss5, gen)], f, cap=50)
 
+    def test_trace_integrality_is_read_on_the_power_basis(self):
+        # Q(i) as Q(zeta_8)^{1,5}, where theta = eta_2 = 2i: the trace i of
+        # the generator is an algebraic integer with coordinates (0, 1/2) on
+        # the basis 1, theta, so integrality is read on zeta_8's power basis
+        desc = make_descriptor(8, 3, subgroup=(1, 5), involution=3)
+        i = desc.zeta_power(2)
+        assert i.num == (0, 1) and i.den == 2
+        form = GramForm(desc, [[desc.one]], "hermitian")
+        assert GroupRep(desc, [[[i]]], form).order == 4
+
     def test_unipotent_passes_the_trace_test_until_the_cap(self, gauss5):
         # every power of a unipotent has trace 2, which a finite group allows
         f = GramForm(gauss5, symplectic2(gauss5), "alternating")
@@ -468,6 +478,22 @@ class TestDescend:
              "hypothesis_2e_lt_ell_minus_1"), True)
         assert res.block_dims == (3, 0)
         assert desc.residue_field.degree == 2
+        blob = json.dumps(_descent_result_dict(res), sort_keys=True,
+                          separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == \
+            "5fb245cc614a33f8e09f12a2c8da3c312413f963b3101a1b3e7e711f7642b265"
+
+    @pytest.mark.parametrize("ell,digest", [
+        (5, "9bec27afd1d22483f99e96a1b7dfac073c0c3e7ac72a49618bdb186f9e3d52c2"),
+        (7, "9777fc0077c7993f04d9ee828dced09e8e4bcae4f4b754d8eb187a774aae729b"),
+    ])
+    def test_prop6_bundle_result(self, ell, digest):
+        """The prop6 bundle over Q(zeta_4ell)^{1,h}, a degree-4 or degree-6
+        field: the digest pins descend's result block byte for byte."""
+        res = descend(build_prop6_bundle(ell))
+        blob = json.dumps(_descent_result_dict(res), sort_keys=True,
+                          separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_f4_weyl_group(self):
         """W(F_4), order 1152, from its Cartan matrix over Q at ell = 7: the

@@ -9,8 +9,9 @@ from isodescent.errors import (
     NegativeValuation,
     NoInvolution,
 )
-from isodescent.exactfield import (MAX_CONDUCTOR, MAX_ELL, MAX_RESIDUE_DEGREE, make_descriptor,
-                                   with_uniformizer)
+from isodescent.cyclotomic import CycloRing
+from isodescent.exactfield import (MAX_CONDUCTOR, MAX_ELL, MAX_RESIDUE_DEGREE, FieldElement,
+                                   _primitive_period, make_descriptor, with_uniformizer)
 
 from conftest import random_field_element
 
@@ -281,3 +282,80 @@ class TestUniformizerChoice:
         if not (bad.conjugate() + bad).is_zero:
             with pytest.raises(InvalidDescriptor):
                 with_uniformizer(quad7, bad)
+
+
+def _subgroups(n):
+    """Every subgroup of the units modulo n, as a sorted tuple."""
+    units = [t for t in range(1, n) if math.gcd(t, n) == 1]
+
+    def closure(gens):
+        out, todo = {1}, [1]
+        while todo:
+            x = todo.pop()
+            for g in gens:
+                y = x * g % n
+                if y not in out:
+                    out.add(y)
+                    todo.append(y)
+        return frozenset(out)
+
+    found, layer = {closure(())}, {closure(())}
+    while layer:
+        layer = {closure(set(h) | {u}) for h in layer for u in units if u not in h} - found
+        found |= layer
+    return sorted(tuple(sorted(h)) for h in found)
+
+
+class TestTheta:
+    """K runs on the power basis of theta, a Gaussian period (_build_theta)."""
+
+    def test_every_field_below_the_conductor_cap_has_a_primitive_period(self):
+        # so the search for theta never needs a combination of periods
+        count = 0
+        for n in range(3, MAX_CONDUCTOR + 1):
+            ring = CycloRing(n)
+            units = [t for t in range(1, n) if math.gcd(t, n) == 1]
+            for h in _subgroups(n):
+                cosets = sorted({min(t * x % n for x in h) for t in units})
+                assert _primitive_period(ring, h, cosets) is not None, (n, h)
+                count += 1
+        assert count == 584
+
+    @pytest.mark.parametrize("n, ell, sub, inv, j, modulus", [
+        (7, 7, (1, 2, 4), 3, 1, (2, 1, 1)),                 # remark4: x^2 + x + 2
+        (5, 7, (1, 4), None, 1, (-1, 1, 1)),                # Q(sqrt 5): x^2 + x - 1
+        (20, 5, (1, 9), None, 1, (1, 0, 3, 0, 1)),          # prop6 at 5: x^4 + 3x^2 + 1
+        (28, 7, (1, 13), None, 1, (1, 0, 6, 0, 5, 0, 1)),   # prop6 at 7
+        (8, 5, (1, 5), None, 2, (4, 0, 1)),                 # eta_1 = 0: theta = eta_2 = 2i
+        (5, 7, (1, 2, 3, 4), None, 1, (1, 1)),              # K = Q: theta = -1
+    ])
+    def test_theta_and_its_minimal_polynomial(self, n, ell, sub, inv, j, modulus):
+        desc = make_descriptor(n, ell, subgroup=sub, involution=inv)
+        assert desc.kring is not desc.ring
+        assert desc.kring.modulus == modulus and desc.kring.degree == desc.degree
+        theta = desc.orbit_sum(j)
+        assert theta.den == 1
+        assert theta.num == ((0, 1) + (0,) * (desc.degree - 2) if desc.degree > 1
+                             else (-modulus[0],))
+        acc = desc.zero
+        for c in reversed(modulus):
+            acc = acc * theta + c
+        assert acc.is_zero
+
+    def test_trivial_subgroup_runs_on_the_ambient_ring(self):
+        desc = make_descriptor(12, 5)
+        assert desc.kring is desc.ring and desc.kengine is desc.engine
+        x = desc.zeta_power(5) / 3
+        assert x.num == desc.ring.zeta_power(5) and x.coeffs == tuple(
+            Fraction(c, 3) for c in desc.ring.zeta_power(5))
+
+    def test_vectors_outside_the_field_are_refused(self):
+        desc = make_descriptor(8, 5, subgroup=(1, 5))
+        assert desc.zeta_power(2) == desc.element((0, 0, 1, 0))
+        for coeffs in ((0, 1), (0, 0, 0, 1), (1, 1, 1, 1)):
+            with pytest.raises(InvalidDescriptor):
+                FieldElement(desc, coeffs)
+            with pytest.raises(InvalidDescriptor):
+                desc.element(coeffs)
+        with pytest.raises(InvalidDescriptor):
+            desc.zeta_power(1)

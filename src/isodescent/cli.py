@@ -102,6 +102,8 @@ def load_bundle(path: str, max_group_order=None):
         raise BundleFormatError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}")
+    except RecursionError:
+        raise BundleFormatError(f"{path}: invalid JSON: nested too deeply")
 
     _expect(isinstance(raw, dict), path, "top level must be an object")
     _expect(raw.get("schema") == 1, "schema",

@@ -1,17 +1,26 @@
-"""Exact arithmetic in an order Z[theta] on the power basis of theta.
+"""Exact arithmetic in Z[x]/(f), f monic, on the power basis of x.
 
-This is the coefficient-level substrate: vectors are plain tuples of ints,
-with no subfield constraint attached.  One class serves two rings.
-CycloRing(n) is Z[zeta_n], theta = zeta_n and d = phi(n): the ambient ring,
-a field descriptor's `ring`, on whose coordinates elements cross the
-boundary (parsing, coeffs, serialize).  CycloRing(n, f, sigma) is Z[theta]
-for theta a Gaussian period that generates a subfield K of Q(zeta_n), f its
-integer minimal polynomial of degree d = [K:Q]: the descriptor's `kring`,
-in which the arithmetic of K runs (see exactfield).  When K = Q(zeta_n) the
-two are one object.  Sums, products and matrix products stay in Z[theta],
-and so do Galois maps once scaled by an integer where sigma_t does not map
-Z[theta] into itself; division is left to the caller, which keeps one
-common denominator per element.  inv returns an integer multiple y of the
+This is the coefficient-level substrate and the one kernel for such rings:
+vectors are plain tuples of ints, with no subfield constraint attached.
+The class serves three rings:
+
+- Z[theta] for K.  CycloRing(n) is Z[zeta_n], theta = zeta_n and
+  d = phi(n): the ambient ring, a field descriptor's `ring`, on whose
+  coordinates elements cross the boundary (parsing, coeffs, serialize).
+  CycloRing(n, f, sigma) is Z[theta] for theta a Gaussian period that
+  generates a subfield K of Q(zeta_n), f its integer minimal polynomial of
+  degree d = [K:Q]: the descriptor's `kring`, in which the arithmetic of K
+  runs (see exactfield).  When K = Q(zeta_n) the two are one object.
+- Z[y]/(h) for the integer lift h of the modulus of a residue field
+  F_q = F_p[y]/(h): finitefield.ResidueField multiplies here and reduces
+  each output coefficient mod p once.
+- Z[u]/(Psi) for Psi the ell^a-th cyclotomic polynomial: its power table
+  gives localring.LambdaEngine the powers of u = zeta_(ell^a).
+
+Sums, products and matrix products stay in the ring, and so do Galois maps
+once scaled by an integer where sigma_t does not map Z[theta] into itself;
+division is left to the caller, which keeps one common denominator per
+element.  inv returns an integer multiple y of the
 product of the nontrivial conjugates of w over a subfield, so that w * y is
 an integer.
 
@@ -101,9 +110,11 @@ class CycloRing:
     builds it from a Gaussian period); sigma(t), for t prime to n, returns
     the Galois table (D, rows) of zeta -> zeta^t, with rows[j] the integer
     coordinates of D sigma_t(theta^j) for one integer D > 0.
+    CycloRing(None, h) is Z[y]/(h) with no n: it has no zeta-powers and no
+    Galois tables, which the integer lift of a residue field never needs.
     """
 
-    def __init__(self, n: int, modulus=None, sigma=None):
+    def __init__(self, n: int | None, modulus=None, sigma=None):
         self.n = n
         self.modulus = cyclotomic_poly(n) if modulus is None else tuple(modulus)
         self.degree = d = len(self.modulus) - 1

@@ -955,7 +955,7 @@ def _build_residue_subfield(desc: FieldDescriptor):
         basis_vec[c] = 1
         img = big.element(basis_vec) ** q_power
         for r in range(f_full):
-            rows[r][c] = int(img.coeffs[r]) if r < len(img.coeffs) else 0
+            rows[r][c] = img.coeffs[r]
         rows[c][c] = (rows[c][c] - 1) % ell
     kern = fp_kernel(rows, ell)
     if len(kern) != f:
@@ -972,8 +972,7 @@ def _build_residue_subfield(desc: FieldDescriptor):
         powers = []
         p = big.one
         for _ in range(f + 1):
-            powers.append([int(p.coeffs[i]) if i < len(p.coeffs) else 0
-                           for i in range(f_full)])
+            powers.append(list(p.coeffs))
             p = p * theta
         if f_full - len(fp_kernel(powers[:f], ell)) == f:
             break

@@ -3,7 +3,10 @@
 Everything here is deterministic: irreducible moduli come from a lexicographic
 search, and the factorization of a cyclotomic residue is computed from root
 orbits over an explicitly constructed extension, so repeated runs agree bit
-for bit.
+for bit.  Products in F_q of degree f >= 2, scalar and matrix, run on
+cyclotomic.CycloRing, the one Z[x]/(f) kernel, over the integer lift of the
+modulus, and each output coefficient is reduced mod p once; products in F_p
+keep a branch of their own.
 """
 
 from __future__ import annotations
@@ -11,6 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from functools import lru_cache
+
+from .cyclotomic import CycloRing
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +164,9 @@ class ResidueField:
         assert self.modulus[-1] == 1, "modulus must be monic"
         self.degree = len(self.modulus) - 1
         self.order = p ** self.degree
-        # y^k mod the modulus for f <= k <= 2f - 2, nonzero pairs: where a
-        # product of two coefficient tuples folds back
-        self._fold = [[(i, z) for i, z in enumerate(self.element((0,) * k + (1,)).coeffs) if z]
-                      for k in range(self.degree, 2 * self.degree - 1)]
+        # Z[y]/(h) on the integer lift of the modulus: a product there,
+        # reduced mod p, is the product in F_q
+        self.ring = CycloRing(None, self.modulus)
 
     def element(self, coeffs) -> "ResidueElement":
         if isinstance(coeffs, ResidueElement):
@@ -189,32 +194,15 @@ class ResidueField:
 
     def int_mat_mul(self, a, b):
         """a @ b for matrices of coefficient tuples (ints, any representative
-        mod p): each output entry accumulates the integer convolutions of its
-        terms and is reduced modulo the monic modulus and p once."""
-        p, f = self.p, self.degree
-        if f == 1:
+        mod p): the product in Z[y]/(h) (CycloRing.int_mat_mul), with each
+        output coefficient reduced mod p once."""
+        p = self.p
+        if self.degree == 1:
             cols = [[y[0] for y in col] for col in zip(*b)]
             return [[(sum(map(operator.mul, r, c)) % p,) for c in cols]
                     for r in ([x[0] for x in row] for row in a)]
-        fold, cols = self._fold, list(zip(*b))
-        out = []
-        for row in a:
-            out_row = []
-            for col in cols:
-                conv = [0] * (2 * f - 1)
-                for x, y in zip(row, col):
-                    for i, s in enumerate(x):
-                        if s:
-                            for j, t in enumerate(y):
-                                conv[i + j] += s * t
-                acc = conv[:f]
-                for c, zs in zip(conv[f:], fold):
-                    if c:
-                        for i, z in zs:
-                            acc[i] += c * z
-                out_row.append(tuple(c % p for c in acc))
-            out.append(out_row)
-        return out
+        return [[tuple(c % p for c in v) for v in row]
+                for row in self.ring.int_mat_mul(a, b)]
 
     def mat_mul(self, a, b):
         """Product of two matrices over this field by int_mat_mul on their
@@ -309,9 +297,9 @@ class ResidueElement:
         o = self._like(other)
         if o is None:
             return NotImplemented
-        # the fold table of the matrix product, on 1x1 matrices
         F = self.field
-        return ResidueElement(F, F.int_mat_mul([[self.coeffs]], [[o.coeffs]])[0][0])
+        p = F.p
+        return ResidueElement(F, tuple(c % p for c in F.ring.mul(self.coeffs, o.coeffs)))
 
     __rmul__ = __mul__
 
@@ -382,18 +370,21 @@ def multiplicative_order_mod(t: int, m: int) -> int:
     return k
 
 
+@lru_cache(maxsize=None)
 def cyclotomic_factors_mod(ell: int, m: int):
     """Irreducible factors of the residue mod ell of the m-th cyclotomic polynomial
     (requires gcd(m, ell) = 1).
 
-    Returns a list of (poly, orbit) pairs sorted by ascending coefficient tuple,
+    Returns a tuple of (poly, orbit) pairs sorted by ascending coefficient tuple,
     where poly is a monic irreducible tuple over F_ell and orbit is the frozenset
     of exponents j in (Z/m)^* whose roots zeta_m^j the factor kills.  All factors
-    share the same degree, the multiplicative order of ell mod m.
+    share the same degree, the multiplicative order of ell mod m.  The result
+    depends on (ell, m) alone and is cached, so every descriptor with the same
+    (ell, m) shares one tuple.
     """
     assert math.gcd(m, ell) == 1
     if m == 1:
-        return [(((ell - 1) % ell, 1), frozenset({0}))]
+        return ((((ell - 1) % ell, 1), frozenset({0})),)
     d = multiplicative_order_mod(ell, m)
     Fq = ResidueField(ell, find_irreducible(ell, d))
     # deterministic primitive m-th root of unity in Fq: eta^m = 1, so eta has
@@ -439,7 +430,7 @@ def cyclotomic_factors_mod(ell: int, m: int):
             coeffs.append(c.coeffs[0])
         factors.append((tuple(coeffs), frozenset(orbit)))
     factors.sort(key=lambda fo: fo[0])
-    return factors
+    return tuple(factors)
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,28 @@ min_k (e_full * v_ell(d_k) + k), the terms being distinct mod e_full
 (Serre, Local Fields, I section 6).
 
 The engine keeps the digits modulo ell^P, as t-polynomials of degree below
-f_full.  The images of the powers of zeta_n are held in the lambda-basis
-already: u^i = (1 - lambda)^i expands by binomial coefficients, and i < e_full
-means no reduction by Psi is needed.  An engine reads integer vectors on one
-basis: the power basis of zeta_n, or, through `on_basis`, the basis
-1, theta, ..., theta^(d-1) of a subfield K, whose digit table at each
-precision holds the digits of the powers of theta (see exactfield).  A
-digit that is nonzero mod ell^P has its exact ell-valuation, below P, so
-the smallest term is certified as soon as one digit survives; `analyze`
-returns None when every digit vanishes, and `valuation` retries at doubled
-precision up to a ceiling at which a nonzero element must certify.  Zero
-elements never certify, so call sites must test exact zero first.
-Divisibility by ell^t needs no certification: it holds iff every digit
-vanishes mod ell^t, which precision t decides exactly.
+f_full.  With alpha ell^a + beta m = 1, one formula gives the image of every
+power of zeta_n, for every a >= 0:
+
+    zeta_n^j -> omega^(alpha j) * u^(beta j).
+
+u^i, i < ell^a, is read once per engine off the power table of
+Z[u]/(Psi) (cyclotomic.CycloRing(ell^a)), on 1, u, ..., u^(e_full - 1),
+and held in the lambda-basis: u^k = (1 - lambda)^k expands by binomial
+coefficients, and k < e_full means no reduction by Psi is needed.  At a = 0,
+ell^a = 1, e_full = 1 and the u-factor is the digit 1, so zeta_n^j maps
+to omega^j.
+
+An engine reads integer vectors on one basis: the power basis of zeta_n,
+or, through `on_basis`, the basis 1, theta, ..., theta^(d-1) of a subfield
+K, whose digit table at each precision holds the digits of the powers of
+theta (see exactfield).  A digit that is nonzero mod ell^P has its exact
+ell-valuation, below P, so the smallest term is certified as soon as one
+digit survives; `analyze` returns None when every digit vanishes, and
+`valuation` retries at doubled precision up to a ceiling at which a nonzero
+element must certify.  Zero elements never certify, so call sites must test
+exact zero first.  Divisibility by ell^t needs no certification: it holds
+iff every digit vanishes mod ell^t, which precision t decides exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from __future__ import annotations
 import copy
 import math
 
-from .cyclotomic import _split_ell, cyclotomic_poly, euler_phi
+from .cyclotomic import CycloRing, _split_ell, cyclotomic_poly, euler_phi
 from .errors import InternalInconsistency
 from .finitefield import fp_mod, fp_mul, fp_powmod, fp_sub, fp_trim
 
@@ -40,20 +49,6 @@ _Elt = list[list[int]]
 
 # the first working precision; most elements certify at it
 PRECISION_START = 32
-
-
-def _var_powers(count: int, monic, modulus: int) -> list[list[int]]:
-    """x^k reduced modulo a monic polynomial (coefficients low first), for
-    k < count, as coefficient vectors of length deg(monic) mod modulus."""
-    d = len(monic) - 1
-    cur = [1] + [0] * (d - 1) if d > 0 else []
-    out = []
-    for _ in range(count):
-        out.append(cur)
-        if d:
-            top = cur[-1] % modulus
-            cur = [(v - top * g) % modulus for v, g in zip([0] + cur[:-1], monic)]
-    return out
 
 
 class LambdaEngine:
@@ -73,15 +68,16 @@ class LambdaEngine:
         if fp_mod(tuple(c % ell for c in cyclotomic_poly(m)), self.factor, ell):
             raise InternalInconsistency(
                 "chosen factor does not divide the cyclotomic polynomial mod ell")
-        self._psi = [int(c) for c in cyclotomic_poly(ell**a)] if a >= 1 else None
-        if a >= 1:
-            # alpha*ell^a + beta*m = 1 splits zeta_n into the two cyclotomic parts
-            la = ell**a
-            self.alpha = pow(la, -1, m)
-            self.beta = pow(m, -1, la)
-        # u^i = sum_k C(i, k) (-lambda)^k, row i, column k
-        self._to_lambda = [[(-1) ** k * math.comb(i, k) for k in range(self.e_full)]
-                           for i in range(self.e_full)]
+        # alpha*ell^a + beta*m = 1 splits zeta_n into the two cyclotomic parts
+        la = ell**a
+        self.alpha = pow(la, -1, m)
+        self.beta = pow(m, -1, la)
+        # the lambda-digits of u^i, i < ell^a: u^i on 1, u, ..., u^(e-1), and
+        # u^k = sum_j C(k, j) (-lambda)^j
+        e = self.e_full
+        to_lambda = [[(-1) ** j * math.comb(k, j) for j in range(e)] for k in range(e)]
+        self._u_digits = [[sum(c * row[j] for c, row in zip(ui, to_lambda)) for j in range(e)]
+                          for ui in CycloRing(la).powers[:la]]
         # None: vectors are on the power basis of zeta_n; see on_basis
         self.basis = None
         # the l1 norm of each basis element on the power basis
@@ -144,18 +140,10 @@ class LambdaEngine:
                 [c for digit in digits(b, prec) for c in digit] for b in self.basis]
             return imgs
         modulus = self.ell**prec
-        t_pows = self._omega_powers(prec)
-        phi_n = euler_phi(self.n)
-        if self.a == 0:
-            imgs = [list(t_pows[j % self.m]) for j in range(phi_n)]
-        else:
-            la = self.ell**self.a
-            lam_pows = [[sum(c * row[k] for c, row in zip(ue, self._to_lambda)) % modulus
-                         for k in range(self.e_full)]
-                        for ue in _var_powers(la, self._psi, modulus)]
-            imgs = [[(d * tv) % modulus for d in lam_pows[(self.beta * j) % la]
-                     for tv in t_pows[(self.alpha * j) % self.m]]
-                    for j in range(phi_n)]
+        t_pows, u_digits, la = self._omega_powers(prec), self._u_digits, self.ell**self.a
+        imgs = [[(d * tv) % modulus for d in u_digits[(self.beta * j) % la]
+                 for tv in t_pows[(self.alpha * j) % self.m]]
+                for j in range(euler_phi(self.n))]
         self._image_cache[prec] = imgs
         return imgs
 

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import isodescent
 from isodescent import cli, descent
 from isodescent.cli import load_bundle, main
 from isodescent.errors import BundleFormatError
@@ -247,6 +251,22 @@ class TestExitCodes:
         code, out, err = run(capsys, "descend", str(p))
         assert code == 1
         assert "line" in err and "column" in err
+
+    def test_deeply_nested_json(self, tmp_path):
+        # json.loads raises RecursionError here, not JSONDecodeError; the CLI
+        # must still end with one error line, not a traceback
+        p = tmp_path / "nested.json"
+        p.write_text("[" * 200000)
+        with pytest.raises(BundleFormatError):
+            load_bundle(str(p))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(isodescent.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "isodescent", "descend", str(p)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "error:" in proc.stderr and "nested too deeply" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_wrong_schema(self, capsys, tmp_path):
         bundle = minimal_bundle()

@@ -10,6 +10,7 @@ from isodescent.errors import (
     NoInvolution,
 )
 from isodescent.cyclotomic import CycloRing
+from isodescent.finitefield import cyclotomic_factors_mod
 from isodescent.exactfield import (MAX_CONDUCTOR, MAX_ELL, MAX_RESIDUE_DEGREE, FieldElement,
                                    _primitive_period, make_descriptor, with_uniformizer)
 
@@ -17,6 +18,13 @@ from conftest import random_field_element
 
 
 class TestDescriptorConstruction:
+    def test_equal_ell_and_m_share_one_factor_tuple(self):
+        # Q(zeta_7) and Q(zeta_35) at 5 both factor Phi_7 mod 5: the
+        # factorization is computed once and both descriptors hold its factor
+        factors = cyclotomic_factors_mod(5, 7)
+        assert isinstance(factors, tuple)
+        assert make_descriptor(7, 5).factor is make_descriptor(35, 5).factor is factors[0][0]
+
     def test_rejects_even_characteristic(self):
         with pytest.raises(InvalidDescriptor):
             make_descriptor(4, 2)

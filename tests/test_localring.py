@@ -6,8 +6,10 @@ valuation, an ell-division consumes e digits, and multiplying by
 Q(u) = prod_{c != 1} (1 - u^c) turns one (1 - u)-digit into an ell-division.
 It presents W as Z_ell[t]/(G) with G the Hensel lift of the chosen factor of
 Phi_m, the former `LambdaEngine.lift`, copied verbatim with `_int_poly_mul`,
-where the engine under test sends zeta_m to a Newton root of x^m = 1.  It
-shares only `_var_powers` with the engine under test.
+where the engine under test sends zeta_m to a Newton root of x^m = 1.  Its
+power tables come from `_var_powers` and its Psi from `self._psi`, the
+former engine's, copied verbatim.  Of the engine under test it uses only the
+constructor's scalars (a, m, e_full, f_full, alpha, beta) and checked factor.
 """
 
 from __future__ import annotations
@@ -20,12 +22,26 @@ from isodescent.cyclotomic import cyclotomic_poly, euler_phi
 from isodescent.errors import InternalInconsistency
 from isodescent.exactfield import make_descriptor
 from isodescent.finitefield import fp_divmod, fp_ext_gcd, fp_mod, fp_mul, fp_sub, fp_trim
-from isodescent.localring import PRECISION_START, LambdaEngine, _var_powers
+from isodescent.localring import PRECISION_START, LambdaEngine
 
 from conftest import power_numerator
 
 _TPoly = list[int]
 _Elt = list[list[int]]
+
+
+def _var_powers(count: int, monic, modulus: int) -> list[list[int]]:
+    """x^k reduced modulo a monic polynomial (coefficients low first), for
+    k < count, as coefficient vectors of length deg(monic) mod modulus."""
+    d = len(monic) - 1
+    cur = [1] + [0] * (d - 1) if d > 0 else []
+    out = []
+    for _ in range(count):
+        out.append(cur)
+        if d:
+            top = cur[-1] % modulus
+            cur = [(v - top * g) % modulus for v, g in zip([0] + cur[:-1], monic)]
+    return out
 
 
 def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -42,6 +58,7 @@ def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
 class DigitStripEngine(LambdaEngine):
     def __init__(self, n: int, ell: int, factor: tuple[int, ...]):
         super().__init__(n, ell, factor)
+        self._psi = [int(c) for c in cyclotomic_poly(ell**self.a)] if self.a >= 1 else None
         self._phi_m = [int(c) for c in cyclotomic_poly(self.m)]
         self._lift_cache: dict[int, tuple[int, ...]] = {}
         self._img_cache = {}

@@ -1,6 +1,6 @@
 """Valuation axioms, the residue map, the characteristic polynomial, the
-lattice laws and polynomial products mod p as properties of random elements,
-matrices, lattices and polynomials.
+lattice laws, residue-field products and polynomial products mod p as
+properties of random elements, matrices, lattices and polynomials.
 
 Runs only where hypothesis is installed; the package itself does not
 depend on it.
@@ -15,7 +15,14 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from isodescent import linalg as la  # noqa: E402
 from isodescent.exactfield import make_descriptor  # noqa: E402
-from isodescent.finitefield import fp_mul, fp_trim  # noqa: E402
+from isodescent.finitefield import (  # noqa: E402
+    ResidueElement,
+    ResidueField,
+    find_irreducible,
+    fp_mod,
+    fp_mul,
+    fp_trim,
+)
 from isodescent.forms import GramForm  # noqa: E402
 from isodescent.lattice import (  # noqa: E402
     Lattice,
@@ -248,3 +255,39 @@ def test_fp_mul_reduces_once_per_coefficient(data):
     poly = st.lists(st.integers(-2 * p, 2 * p), max_size=12)
     a, b = data.draw(poly), data.draw(poly)
     assert fp_mul(a, b, p) == per_term_mul(a, b, p)
+
+
+@functools.lru_cache(maxsize=None)
+def residue_field(p, f):
+    return ResidueField(p, find_irreducible(p, f))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_residue_products_take_any_representative_mod_p(data):
+    # linalg.charpoly passes negated coefficient tuples to int_mat_mul:
+    # on coefficients outside [0, p) the product is that of the reduced
+    # inputs, entry by entry the sum of the polynomial products mod the
+    # modulus, and ResidueElement.__mul__ agrees with it on 1x1 matrices
+    p, f = data.draw(st.sampled_from([(3, 1), (971, 1), (3, 2), (7, 2), (5, 3), (971, 3)]))
+    F = residue_field(p, f)
+    rows, inner, cols = (data.draw(st.integers(1, 3)) for _ in range(3))
+    coeffs = st.tuples(*[st.integers(-3 * p, 3 * p)] * f)
+    a = [[data.draw(coeffs) for _ in range(inner)] for _ in range(rows)]
+    b = [[data.draw(coeffs) for _ in range(cols)] for _ in range(inner)]
+
+    def reduced(m):
+        return [[tuple(c % p for c in v) for v in row] for row in m]
+
+    prod = F.int_mat_mul(a, b)
+    assert prod == F.int_mat_mul(reduced(a), reduced(b))
+    for i in range(rows):
+        for j in range(cols):
+            acc = [0] * (2 * f - 1)
+            for k in range(inner):
+                for t, c in enumerate(fp_mul(a[i][k], b[k][j], p)):
+                    acc[t] += c
+            expect = fp_mod(fp_trim([c % p for c in acc]), F.modulus, p)
+            assert prod[i][j] == expect + (0,) * (f - len(expect))
+    x, y = a[0][0], b[0][0]
+    assert (ResidueElement(F, x) * ResidueElement(F, y)).coeffs == F.int_mat_mul([[x]], [[y]])[0][0]

@@ -34,7 +34,7 @@ from .descent import (
 )
 from .errors import (BundleFormatError, InvalidDescriptor, IsodescentError,
                      NegativeValuation, SearchSpaceTooLarge)
-from .exactfield import _is_int, make_descriptor
+from .exactfield import FieldElement, _is_int, make_descriptor
 from .forms import KINDS, GramForm
 from .lattice import stabilize, standard_lattice
 
@@ -163,36 +163,22 @@ def load_bundle(path: str, max_group_order=None):
 # report serialization
 
 
-def _ser_scalar(x) -> list:
-    return x.serialize()
-
-
-def _ser_matrix(m) -> list:
-    return [[_ser_scalar(x) for x in row] for row in m]
-
-
-def _ser_residue(x) -> list:
+def _ser(x) -> list:
+    """A report value: an element of K as its power-basis coefficient
+    strings, a residue as its F_ell coefficients, and a list or tuple of
+    them (a matrix, a characteristic polynomial low degree first) entrywise."""
+    if isinstance(x, (list, tuple)):
+        return [_ser(y) for y in x]
+    if isinstance(x, FieldElement):
+        return x.serialize()
     return list(x.coeffs)
-
-
-def _ser_residue_matrix(m) -> list:
-    return [[_ser_residue(x) for x in row] for row in m]
-
-
-def _ser_poly(cp) -> list:
-    """Characteristic polynomial, low degree first."""
-    return [_ser_scalar(c) for c in cp]
-
-
-def _ser_poly_residue(cp) -> list:
-    return [_ser_residue(c) for c in cp]
 
 
 def _reduce_poly_or_none(cp):
     out = []
     for c in cp:
         try:
-            out.append(_ser_residue(c.reduce()))
+            out.append(_ser(c.reduce()))
         except NegativeValuation:
             out.append(None)
     return out
@@ -209,29 +195,17 @@ def _descent_result_dict(res) -> dict:
         "invariant_exponents": list(res.invariant_exps),
         "block_dims": list(res.block_dims),
         "block_kinds": list(res.block_kinds),
-        "lattice_basis": _ser_matrix(res.lattice_basis),
-        "dual_basis": _ser_matrix(res.dual_basis),
-        "reduced_form_gram": _ser_residue_matrix(res.f0_gram),
-        "reduced_generators": [_ser_residue_matrix(res.rho_bar[i])
-                               for i in range(len(res.rho_bar))],
-        "charpoly_table": [_ser_poly(cp) for cp in res.charpoly_table_K],
-        "charpoly_table_mod_lambda": [_ser_poly_residue(cp)
-                                      for cp in res.charpoly_table_k],
+        "lattice_basis": _ser(res.lattice_basis),
+        "dual_basis": _ser(res.dual_basis),
+        "reduced_form_gram": _ser(res.f0_gram),
+        "reduced_generators": _ser(res.rho_bar),
+        "charpoly_table": _ser(res.charpoly_table_K),
+        "charpoly_table_mod_lambda": _ser(res.charpoly_table_k),
         "charpoly_classes": [
             {"charpoly_mod_lambda": [list(c) for c in key], "count": cnt}
             for key, cnt in res.charpoly_classes],
         "kernel_explanations": res.kernel_explanations,
         "certificates": res.certificates,
-    }
-
-
-def _make_report(command: str, digest: str, result: dict, started: float) -> dict:
-    return {
-        "version": TOOL_VERSION,
-        "command": command,
-        "input_sha256": digest,
-        "result": result,
-        "timing_seconds": round(time.monotonic() - started, 6),
     }
 
 
@@ -302,28 +276,31 @@ def _json_text(obj) -> str:
     return "".join(out)
 
 
-def _emit(report: dict, out_path):
+def _file_digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _finish(command: str, digest: str, started: float, result: dict, summary: str,
+            out_path) -> int:
+    """Write the report to out_path, or to stdout, then the one-line summary,
+    kept off stdout when the report goes there.  The exit code is 0 when
+    every certificate in result is true and 2 otherwise."""
+    report = {
+        "version": TOOL_VERSION,
+        "command": command,
+        "input_sha256": digest,
+        "result": result,
+        "timing_seconds": round(time.monotonic() - started, 6),
+    }
     payload = _json_text(report) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-
-
-def _file_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _summarize(line: str, out_path):
-    """Human-readable one-liner; kept off stdout when the JSON goes there."""
-    stream = sys.stdout if out_path else sys.stderr
-    stream.write(line + "\n")
-
-
-def _exit_code(certificates: dict) -> int:
-    return 0 if all(certificates.values()) else 2
+    (sys.stdout if out_path else sys.stderr).write(summary + "\n")
+    return 0 if all(result["certificates"].values()) else 2
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +312,11 @@ def cmd_descend(bundle_path: str, out_path=None, max_group_order=None) -> int:
     digest = _file_digest(bundle_path)
     rep, _ = load_bundle(bundle_path, max_group_order)
     res = descend(rep)
-    report = _make_report("descend", digest, _descent_result_dict(res), started)
-    _emit(report, out_path)
-    certs = res.certificates
-    flags = " ".join(f"{k}={'yes' if v else 'NO'}" for k, v in sorted(certs.items()))
-    _summarize(
-        f"descend: group {res.group_order}, image {res.image_order}, "
-        f"blocks {tuple(res.block_dims)} {tuple(res.block_kinds)}; {flags}",
-        out_path)
-    return _exit_code(certs)
+    flags = " ".join(f"{k}={'yes' if v else 'NO'}" for k, v in sorted(res.certificates.items()))
+    return _finish("descend", digest, started, _descent_result_dict(res),
+                   f"descend: group {res.group_order}, image {res.image_order}, "
+                   f"blocks {tuple(res.block_dims)} {tuple(res.block_kinds)}; {flags}",
+                   out_path)
 
 
 def cmd_balance(bundle_path: str, out_path=None, max_group_order=None) -> int:
@@ -352,25 +325,21 @@ def cmd_balance(bundle_path: str, out_path=None, max_group_order=None) -> int:
     rep, _ = load_bundle(bundle_path, max_group_order)
     lat = stabilize(standard_lattice(rep.field, rep.form.dim), rep.generators)
     bal = balance(lat, rep.form, generators=rep.generators)
-    certs = {
-        "chain_terminated": True,
-        "invariants_binary": all(v in (0, 1) for v in bal.invariants),
-    }
     result = {
         "field": rep.field.describe(),
         "scale_power": bal.scale_power,
         "chain_steps": bal.steps,
         "invariant_exponents": list(bal.invariants),
-        "lattice_basis": _ser_matrix(bal.lattice.basis),
-        "dual_basis": _ser_matrix(bal.dual.basis),
-        "certificates": certs,
+        "lattice_basis": _ser(bal.lattice.basis),
+        "dual_basis": _ser(bal.dual.basis),
+        "certificates": {
+            "chain_terminated": True,
+            "invariants_binary": all(v in (0, 1) for v in bal.invariants),
+        },
     }
-    report = _make_report("balance", digest, result, started)
-    _emit(report, out_path)
-    _summarize(
-        f"balance: {bal.steps} growth steps, scale {bal.scale_power}, "
-        f"invariants {bal.invariants}", out_path)
-    return _exit_code(certs)
+    return _finish("balance", digest, started, result,
+                   f"balance: {bal.steps} growth steps, scale {bal.scale_power}, "
+                   f"invariants {bal.invariants}", out_path)
 
 
 def cmd_charpoly(bundle_path: str, out_path=None, max_group_order=None) -> int:
@@ -386,7 +355,7 @@ def cmd_charpoly(bundle_path: str, out_path=None, max_group_order=None) -> int:
     for i, c in enumerate(rep.conjugacy_classes()):
         if c == i:
             cp = la.charpoly(rep.element(i), rep.field)
-            ser = _ser_poly(cp)
+            ser = _ser(cp)
             per_class[i] = ser, _reduce_poly_or_none(cp), json.dumps(ser)
         ser, red, key = per_class[c]
         rows.append({
@@ -403,12 +372,9 @@ def cmd_charpoly(bundle_path: str, out_path=None, max_group_order=None) -> int:
                     for k, v in sorted(classes.items())],
         "certificates": {"closure_complete": True},
     }
-    report = _make_report("charpoly", digest, result, started)
-    _emit(report, out_path)
-    _summarize(
-        f"charpoly: {rep.order} elements, {len(classes)} distinct polynomials",
-        out_path)
-    return 0
+    return _finish("charpoly", digest, started, result,
+                   f"charpoly: {rep.order} elements, {len(classes)} distinct polynomials",
+                   out_path)
 
 
 def cmd_verify(tag: str, ell: int, out_path=None, enum_cap=None) -> int:
@@ -445,13 +411,10 @@ def cmd_verify(tag: str, ell: int, out_path=None, enum_cap=None) -> int:
         cert = verify_prop6(ell, enum_cap=enum_cap)
     result = cert.to_dict()
     result["certificates"] = {"verdict": cert.verdict}
-    report = _make_report("verify", digest, result, started)
-    _emit(report, out_path)
-    _summarize(
-        f"verify {tag} (ell={ell}): "
-        f"{'holds' if cert.verdict else 'FAILED'} over {cert.search_space}",
-        out_path)
-    return 0 if cert.verdict else 2
+    return _finish("verify", digest, started, result,
+                   f"verify {tag} (ell={ell}): "
+                   f"{'holds' if cert.verdict else 'FAILED'} over {cert.search_space}",
+                   out_path)
 
 
 # ---------------------------------------------------------------------------

@@ -281,29 +281,32 @@ class GroupRep:
         """cls[x], the smallest index conjugate to element x, from the Cayley
         table alone.  For each generator g, left[x] = index of g x is carried
         along the tree (g x = (g parent) gen), and g x g^-1 is left[x] sent
-        back through the inverse of the permutation x -> x g; a union-find
-        keeping the smaller index as root merges x with g x g^-1."""
-        right = self.right
-        root = list(range(self.order))
-
-        def find(x):
-            while root[x] != x:
-                root[x] = root[root[x]]
-                x = root[x]
-            return x
-
+        back through the inverse of the permutation x -> x g.  The classes
+        are the orbits of these conjugations, the generators generating the
+        group: each is walked breadth first from its smallest index, the
+        first index that no earlier orbit reached."""
+        right, order = self.right, self.order
+        conjugations = []
         for g in range(len(self.generators)):
             left = [right[0][g]]
             for parent, gen in self.links[1:]:
                 left.append(right[left[parent]][gen])
-            times_inverse = [0] * self.order
+            times_inverse = [0] * order
             for x, targets in enumerate(right):
                 times_inverse[targets[g]] = x
-            for x, gx in enumerate(left):
-                a, b = find(x), find(times_inverse[gx])
-                if a != b:
-                    root[max(a, b)] = min(a, b)
-        return [find(x) for x in range(self.order)]
+            conjugations.append([times_inverse[gx] for gx in left])
+        cls = [None] * order
+        for x in range(order):
+            if cls[x] is None:
+                cls[x] = x
+                orbit = [x]
+                for y in orbit:
+                    for perm in conjugations:
+                        z = perm[y]
+                        if cls[z] is None:
+                            cls[z] = x
+                            orbit.append(z)
+        return cls
 
 
 @dataclass

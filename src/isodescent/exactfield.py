@@ -170,29 +170,17 @@ class FieldElement:
     __slots__ = ("field", "num", "den", "_val", "_res")
 
     def __init__(self, field: "FieldDescriptor", coeffs):
-        # den is the least common denominator, so gcd(den, *num) = 1
         qs = [_rational(c) for c in coeffs]
         if len(qs) > field.degree_full:
             raise InvalidDescriptor(
                 f"expected at most {field.degree_full} coefficients, got {len(qs)}")
-        qs += [Fraction(0)] * (field.degree_full - len(qs))
         den = math.lcm(*(q.denominator for q in qs))
-        coords = field._theta_coords(tuple(q.numerator * (den // q.denominator) for q in qs))
-        if coords is None:
+        w = [q.numerator * (den // q.denominator) for q in qs]
+        x = field._from_power_basis(tuple(w + [0] * (field.degree_full - len(w))), den)
+        if x is None:
             raise InvalidDescriptor(
                 "coefficient vector is not fixed by the subgroup; not an element of K")
-        num, scale = coords
-        if scale != 1:
-            den *= scale
-            g = math.gcd(den, *num)
-            num, den = tuple(c // g for c in num), den // g
-        # with scale 1, a common factor of den and num would divide the
-        # power-basis numerator, whose content is prime to den
-        self.field = field
-        self.num = num
-        self.den = den
-        self._val = None
-        self._res = None
+        self.field, self.num, self.den, self._val, self._res = field, x.num, x.den, None, None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -420,34 +408,32 @@ class FieldDescriptor:
         return (f"FieldDescriptor(n={self.n}, ell={self.ell}, "
                 f"subgroup={list(self.subgroup)}, prime_choice={self.prime_choice}{inv})")
 
-    # -- element constructors -------------------------------------------
-
     # -- the boundary: coordinates on the power basis of zeta_n ----------
 
-    def _theta_coords(self, w):
-        """(c, D) with c / D the coordinates on the basis of theta of an
-        integer tuple w on the power basis of zeta_n, or None when w is not
-        in K: c = B w_R (see _build_theta), and w lies in K iff M c = D w.
-        That holds on the rows R by the choice of B, so only the other rows
-        are checked.  When theta = zeta_n (_to_theta is None), c = w and
-        D = 1."""
+    def _from_power_basis(self, w, den: int):
+        """The element w / den for an integer tuple w on the power basis of
+        zeta_n and den > 0, or None when w is not in K.  Its coordinates on
+        the basis of theta are c / D with c = B w_R (see _build_theta), and
+        w lies in K iff M c = D w.  That holds on the rows R by the choice of
+        B, so only the other rows are checked.  When theta = zeta_n
+        (_to_theta is None), c = w and D = 1."""
         rows = self._to_theta
         if rows is None:
-            return w, 1
+            return _lowest(self, w, den)
         c = tuple(sum(b * w[r] for r, b in row) for row in rows)
         scale = self._to_theta_den
         for i, row in self._off_pivot:
             if sum(z * c[j] for j, z in row) != scale * w[i]:
                 return None
-        return c, scale
+        return _lowest(self, c, scale * den)
 
-    def _from_power_basis(self, w, den: int):
-        """The element w / den for an integer tuple w on the power basis of
-        zeta_n and den > 0, or None when w is not in K."""
-        coords = self._theta_coords(w)
-        if coords is None:
-            return None
-        return _lowest(self, coords[0], coords[1] * den)
+    def _in_field(self, w) -> FieldElement:
+        """The element of an integer tuple w on the power basis of zeta_n
+        that the descriptor built itself and knows to lie in K."""
+        x = self._from_power_basis(w, 1)
+        if x is None:
+            raise InternalInconsistency("a vector the descriptor built is not in K")
+        return x
 
     def to_power_basis(self, num) -> tuple[int, ...]:
         """Power-basis coordinates in Z[zeta_n] of an integer vector on the
@@ -490,8 +476,7 @@ class FieldDescriptor:
         j %= self.n
         x = self._orbit_sums.get(j)
         if x is None:
-            x = self._orbit_sums[j] = self._from_power_basis(
-                _period(self.ring, self.subgroup, j), 1)
+            x = self._orbit_sums[j] = self._in_field(_period(self.ring, self.subgroup, j))
         return x
 
     @property
@@ -924,19 +909,12 @@ def _build_theta(desc: FieldDescriptor):
     desc._off_pivot = [(i, [(j, v[i]) for j, v in enumerate(powers[:d]) if v[i]])
                        for i in range(desc.degree_full) if i not in pivots]
 
-    def coordinates(w):
-        # w, an integer vector of K on the power basis, as an element
-        x = desc._from_power_basis(w, 1)
-        if x is None:
-            raise InternalInconsistency("a conjugate of theta left the field")
-        return x
-
-    top = coordinates(powers[d])
+    top = desc._in_field(powers[d])
     if top.den != 1:
         raise InternalInconsistency("theta is not an algebraic integer")
 
     def sigma(t):
-        images = [coordinates(ring.galois(p, t)) for p in powers[:d]]
+        images = [desc._in_field(ring.galois(p, t)) for p in powers[:d]]
         scale = math.lcm(*(x.den for x in images))
         return scale, [[c * (scale // x.den) for c in x.num] for x in images]
 
@@ -998,20 +976,13 @@ def _uniformizer_candidates(desc: FieldDescriptor, trace_group):
     basis of zeta_n."""
     ring = desc.ring
     n, m = desc.n, desc.m
-
-    def in_field(w):
-        x = desc._from_power_basis(w, 1)
-        if x is None:
-            raise InternalInconsistency("uniformizer candidate left the field")
-        return x
-
     if desc.e == 1:
         yield desc.rational(desc.ell)
         return
     # all remaining candidates need actual ramification
     base = ring.sub(ring.one, ring.zeta_power(m))
     if all((h * m) % n == m % n for h in trace_group):
-        yield in_field(base)
+        yield desc._in_field(base)
     power = base
     for s_exp in (1, 2, 3):
         if s_exp > 1:
@@ -1021,7 +992,7 @@ def _uniformizer_candidates(desc: FieldDescriptor, trace_group):
             acc = ring.zero
             for h in trace_group:
                 acc = ring.add(acc, ring.galois(y, h))
-            yield in_field(acc)
+            yield desc._in_field(acc)
 
 
 def _first_valuation_one(desc: FieldDescriptor, candidates):
@@ -1038,39 +1009,32 @@ def _first_valuation_one(desc: FieldDescriptor, candidates):
                 yield adj
 
 
+def _symmetry_broken(desc: FieldDescriptor, pi: FieldElement):
+    """The symmetry contract of a uniformizer: anti-fixed under a ramified
+    involution, fixed under an unramified one.  The broken half as a
+    message, or None when pi keeps it."""
+    if desc.involution_type == "ramified" and pi.conjugate() != -pi:
+        return "ramified descriptors need an anti-fixed uniformizer (conjugate = -pi)"
+    if desc.involution_type == "unramified" and pi.conjugate() != pi:
+        return "unramified descriptors need a conjugation-fixed uniformizer"
+    return None
+
+
 def _certify_uniformizer(desc: FieldDescriptor):
-    if desc.involution is None:
-        for x in _first_valuation_one(desc, _uniformizer_candidates(desc, desc.subgroup)):
-            desc.pi = x
-            break
-    elif desc.involution_type == "unramified":
-        # search inside L so the uniformizer is conjugation-fixed
-        for x in _first_valuation_one(
-                desc, _uniformizer_candidates(desc, desc.subgroup_L)):
-            if x.conjugate() != x:
-                raise InternalInconsistency("trace over the L-group is not conjugation-fixed")
-            desc.pi = x
-            break
-    else:
-        # ramified: want an anti-fixed uniformizer (conjugate = -pi)
-        for w in _first_valuation_one(desc, _uniformizer_candidates(desc, desc.subgroup)):
-            sw = w.conjugate()
-            if sw == -w:
-                desc.pi = w
-                break
-            cand = (w - sw) / desc.rational(2)
-            if not cand.is_zero and cand.valuation() == 1:
-                desc.pi = cand
-                break
+    # an unramified involution searches inside L, whose traces are fixed
+    group = desc.subgroup_L if desc.involution_type == "unramified" else desc.subgroup
+    candidates = _first_valuation_one(desc, _uniformizer_candidates(desc, group))
+    if desc.involution_type == "ramified":
+        # (w - conj w) / 2 is anti-fixed, and is w when w already is
+        halves = ((w - w.conjugate()) / desc.rational(2) for w in candidates)
+        candidates = (x for x in halves if x.valuation() == 1)
+    desc.pi = next(candidates, None)
     if desc.pi is None:
         raise InvalidDescriptor(
             "could not certify a uniformizer from the built-in candidate family")
-    if desc.involution is not None:
-        sp = desc.pi.conjugate()
-        if desc.involution_type == "ramified" and sp != -desc.pi:
-            raise InternalInconsistency("ramified uniformizer is not anti-fixed")
-        if desc.involution_type == "unramified" and sp != desc.pi:
-            raise InternalInconsistency("unramified uniformizer is not fixed")
+    broken = _symmetry_broken(desc, desc.pi)
+    if broken:
+        raise InternalInconsistency(broken)
     desc._pi_powers = {0: desc.one, 1: desc.pi}
 
 
@@ -1087,14 +1051,9 @@ def with_uniformizer(desc: FieldDescriptor, pi_new: FieldElement) -> FieldDescri
     if pi_new.valuation() != 1:
         raise InvalidDescriptor(
             f"proposed uniformizer has valuation {pi_new.valuation()}, expected 1")
-    if desc.involution is not None:
-        sp = pi_new.conjugate()
-        if desc.involution_type == "ramified" and sp != -pi_new:
-            raise InvalidDescriptor(
-                "ramified descriptors need an anti-fixed uniformizer (conjugate = -pi)")
-        if desc.involution_type == "unramified" and sp != pi_new:
-            raise InvalidDescriptor(
-                "unramified descriptors need a conjugation-fixed uniformizer")
+    broken = _symmetry_broken(desc, pi_new)
+    if broken:
+        raise InvalidDescriptor(broken)
     clone = FieldDescriptor()
     clone.__dict__.update(desc.__dict__)
     clone.pi = _make(clone, pi_new.num, pi_new.den)

@@ -56,9 +56,8 @@ def _kind_holds(gram, conj, skew: bool) -> bool:
 class _Form:
     """Conventions shared by every form class: f(x, y) = conj(x)^T A y.
 
-    Subclasses set `gram` (A), `dim`, `conj`, the entrywise map applied to
-    the first slot (None for bilinear kinds), and `_scalars`, the field the
-    entries lie in.
+    Subclasses set `gram` (A), `dim` and `conj`, the entrywise map applied
+    to the first slot (None for bilinear kinds).
     """
 
     def _check_kind(self, kind: str, twist: int = 0):
@@ -67,12 +66,6 @@ class _Form:
         if not _kind_holds(self.gram, self.conj, kind == "alternating" or twist):
             raise KindMismatch(
                 f"gram matrix does not satisfy the {kind} axiom (twist {twist})")
-
-    def evaluate(self, x, y):
-        if not self.dim:
-            return self._scalars.zero  # the empty sum
-        xcol, ycol = [[v] for v in x], [[v] for v in y]
-        return la.mat_mul(_conj_t(xcol, self.conj), la.mat_mul(self.gram, ycol))[0][0]
 
     def gram_in_basis(self, b):
         """Gram matrix of the form restricted to the columns of b."""
@@ -88,7 +81,7 @@ class GramForm(_Form):
     def __init__(self, field, gram, kind: str, twist: int = 0):
         if kind not in KINDS:
             raise KindMismatch(f"unknown form kind {kind!r}")
-        self.field = self._scalars = field
+        self.field = field
         self.gram = la.mat_copy(gram)
         self.kind = kind
         self.dim = _check_shape(gram)
@@ -190,7 +183,7 @@ class ResidueForm(_Form):
             raise KindMismatch(f"unknown form kind {kind!r}")
         if rfield.p == 2:
             raise CharTwo("residue forms need odd characteristic")
-        self.rfield = self._scalars = rfield
+        self.rfield = rfield
         self.gram = la.mat_copy(gram)
         self.kind = kind
         self.conj = conj if kind == "hermitian" else None
@@ -308,7 +301,7 @@ class AssembledForm(_Form):
             raise KindMismatch(
                 f"cannot assemble blocks of kinds {kinds}; only the "
                 "symmetric/alternating mix is meaningful")
-        self.rfield = self._scalars = rfield
+        self.rfield = rfield
         self.blocks = tuple(parts)
         self.dims = tuple(b.dim for b in parts)
         self.kinds = tuple(b.kind for b in parts)

@@ -149,9 +149,6 @@ class Lattice:
         """Matrix expressing the other basis in this one."""
         return la.mat_mul(self.inverse, other.basis)
 
-    def contains_vector(self, vec) -> bool:
-        return self.field.integral_product(self.inverse, [[x] for x in vec])
-
     def contains_lattice(self, other: "Lattice") -> bool:
         """Whether the transition matrix B^-1 B' is integral, decided on its
         integer coordinates; none of its entries is built."""

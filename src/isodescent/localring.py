@@ -10,9 +10,11 @@ sum_k d_k lambda^k over k < e_full with digits d_k in W, and its valuation is
 min_k (e_full * v_ell(d_k) + k), the terms being distinct mod e_full
 (Serre, Local Fields, I section 6).
 
-The engine keeps the digits modulo ell^P, as t-polynomials of degree below
-f_full.  With alpha ell^a + beta m = 1, one formula gives the image of every
-power of zeta_n, for every a >= 0:
+The engine keeps the digits modulo ell^P, flat: digit k, a t-polynomial of
+degree below f_full, is the slice [k f_full, (k + 1) f_full) of one list of
+e_full f_full integers, and valuations, residues and divisibility are all
+read off that list.  With alpha ell^a + beta m = 1, one formula gives the
+image of every power of zeta_n, for every a >= 0:
 
     zeta_n^j -> omega^(alpha j) * u^(beta j).
 
@@ -25,14 +27,15 @@ to omega^j.
 
 An engine reads integer vectors on one basis: the power basis of zeta_n,
 or, through `on_basis`, the basis 1, theta, ..., theta^(d-1) of a subfield
-K, whose digit table at each precision holds the digits of the powers of
-theta (see exactfield).  A digit that is nonzero mod ell^P has its exact
-ell-valuation, below P, so the smallest term is certified as soon as one
-digit survives; `analyze` returns None when every digit vanishes, and
-`valuation` retries at doubled precision up to a ceiling at which a nonzero
-element must certify.  Zero elements never certify, so call sites must test
-exact zero first.  Divisibility by ell^t needs no certification: it holds
-iff every digit vanishes mod ell^t, which precision t decides exactly.
+K, whose digit table at each precision holds the flat digits of the powers
+of theta, read off the power-basis engine (see exactfield).  A digit that
+is nonzero mod ell^P has its exact ell-valuation, below P, so the smallest
+term is certified as soon as one digit survives; `analyze` returns None
+when every digit vanishes, and `valuation` retries at doubled precision up
+to a ceiling at which a nonzero element must certify.  Zero elements never
+certify, so call sites must test exact zero first.  Divisibility by ell^t
+needs no certification: it holds iff every digit vanishes mod ell^t, which
+precision t decides exactly.
 """
 
 from __future__ import annotations
@@ -43,9 +46,6 @@ import math
 from .cyclotomic import CycloRing, _split_ell, cyclotomic_poly, euler_phi
 from .errors import InternalInconsistency
 from .finitefield import fp_mod, fp_mul, fp_powmod, fp_sub, fp_trim
-
-# lists of e_full lambda-digits, each a t-polynomial of length f_full
-_Elt = list[list[int]]
 
 # the first working precision; most elements certify at it
 PRECISION_START = 32
@@ -135,9 +135,8 @@ class LambdaEngine:
         if prec in self._image_cache:
             return self._image_cache[prec]
         if self.basis is not None:
-            digits = self._power_engine.image_of
-            imgs = self._image_cache[prec] = [
-                [c for digit in digits(b, prec) for c in digit] for b in self.basis]
+            flat = self._power_engine._flat_image
+            imgs = self._image_cache[prec] = [flat(b, prec) for b in self.basis]
             return imgs
         modulus = self.ell**prec
         t_pows, u_digits, la = self._omega_powers(prec), self._u_digits, self.ell**self.a
@@ -148,7 +147,8 @@ class LambdaEngine:
         return imgs
 
     def _flat_image(self, vec, prec: int) -> list[int]:
-        # the digits of image_of, flat as in images
+        """Lambda-digits d_0 ... d_{e-1}, mod ell^prec, of an integer vector
+        on the engine's basis, flat as in images."""
         modulus = self.ell**prec
         acc = None
         for c, img in zip(vec, self.images(prec)):
@@ -160,12 +160,6 @@ class LambdaEngine:
             return [0] * (self.e_full * self.f_full)
         return [a % modulus for a in acc]
 
-    def image_of(self, vec, prec: int) -> _Elt:
-        """Lambda-digits d_0 ... d_{e-1}, mod ell^prec, of an integer vector on
-        the engine's basis."""
-        flat, f = self._flat_image(vec, prec), self.f_full
-        return [flat[k:k + f] for k in range(0, len(flat), f)]
-
     # ------------------------------------------------------------------
     # valuations and residues
 
@@ -174,10 +168,11 @@ class LambdaEngine:
         vector, or None when every lambda-digit vanishes mod ell^prec.  The
         first digit that is a unit decides: every digit before it is
         divisible by ell, so its term e v_ell(d_k) + k is at least e."""
-        ell, e = self.ell, self.e_full
+        ell, e, f = self.ell, self.e_full, self.f_full
+        flat = self._flat_image(vec, prec)
         best = None
-        for k, digit in enumerate(self.image_of(vec, prec)):
-            g = math.gcd(*digit)
+        for k in range(e):
+            g = math.gcd(*flat[k * f:(k + 1) * f])
             if g:
                 v = 0
                 while g % ell == 0:

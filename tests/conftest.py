@@ -128,6 +128,25 @@ def bundle_path(name: str) -> pathlib.Path:
     return BUNDLE_DIR / f"{name}.json"
 
 
+def evaluate(form, x, y):
+    """f(x, y) = sum over i, j of conj(x_i) A_ij y_j, the forms convention
+    written out entry by entry rather than through matrix products."""
+    scalars = form.field if isinstance(form, GramForm) else form.rfield
+    conj = form.conj or (lambda v: v)
+    total = scalars.zero
+    for xi, row in zip(x, form.gram):
+        cx = conj(xi)
+        for a, yj in zip(row, y):
+            total = total + cx * a * yj
+    return total
+
+
+def contains_vector(lat, vec) -> bool:
+    """Whether the column vec lies in the lattice: B^-1 vec is integral,
+    decided on the integer product (FieldDescriptor.integral_product)."""
+    return lat.field.integral_product(lat.inverse, [[x] for x in vec])
+
+
 def load_json(path):
     with open(path) as fh:
         return json.load(fh)

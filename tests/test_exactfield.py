@@ -285,11 +285,17 @@ class TestUniformizerChoice:
 
     def test_ramified_involution_needs_antifixed_uniformizer(self, quad7):
         # pi itself qualifies; a fixed element of valuation 1 does not exist,
-        # and a wrong-symmetry candidate like pi + 7 is rejected
+        # and a wrong-symmetry candidate like pi + 49 is rejected
         bad = quad7.pi + quad7.rational(49)
-        if not (bad.conjugate() + bad).is_zero:
-            with pytest.raises(InvalidDescriptor):
-                with_uniformizer(quad7, bad)
+        with pytest.raises(InvalidDescriptor, match="anti-fixed"):
+            with_uniformizer(quad7, bad)
+
+    def test_unramified_involution_needs_fixed_uniformizer(self, gauss7):
+        # 7 i has valuation 1 at the inert 7, and conjugation sends it to -7 i
+        bad = gauss7.zeta_power(1) * gauss7.rational(7)
+        assert bad.valuation() == 1
+        with pytest.raises(InvalidDescriptor, match="conjugation-fixed"):
+            with_uniformizer(gauss7, bad)
 
 
 def _subgroups(n):

@@ -6,6 +6,12 @@ prime ell (chosen among the Galois-orbit classes of irreducible factors of
 the prime-to-ell cyclotomic part), certifies a uniformizer for it, and
 carries the residue-field data needed to reduce integral elements.
 
+With n = ell^a m, ell prime to m, the inertia group I of ell is the kernel
+of reduction mod m and the decomposition group D the preimage of <ell mod m>
+(Washington, Introduction to Cyclotomic Fields, ch. 2): e = |I| / |H & I|
+and f = [D : I] |H & I| / |H & D| are indices.  Every admitted field
+certifies a uniformizer, a trace over H of zeta^j (1 - zeta_(ell^a))^s.
+
 Elements are exact and held on a basis of K itself: `num` is d = [K:Q]
 integer coordinates on 1, theta, ..., theta^(d-1), over one positive
 denominator, in lowest terms, and an element is inverted through its norm
@@ -102,20 +108,6 @@ def _rational(c) -> Fraction:
     if isinstance(c, str) and not _RATIONAL.fullmatch(c):
         raise ValueError(f"{c!r} is not an integer or p/q")
     return Fraction(c)
-
-
-def _product_set(xs, ys, n):
-    return {(x * y) % n for x in xs for y in ys}
-
-
-def _cyclic_closure(seed, extra, n):
-    """Subgroup generated by the subgroup `seed` and one extra unit."""
-    out = set(seed)
-    power = extra % n
-    while power not in out:
-        out |= {(power * x) % n for x in seed}
-        power = (power * extra) % n
-    return out
 
 
 _new = object.__new__
@@ -579,7 +571,7 @@ class FieldDescriptor:
 
     def _residue_from_big(self, rcoords):
         """Convert completion-residue coordinates into the abstract residue field."""
-        if self._embed_identity:
+        if self._embed_rows is None:
             return self.residue_field.element(list(rcoords))
         sol = fp_solve(self._embed_rows, rcoords, self.ell)
         if sol is None:
@@ -593,7 +585,7 @@ class FieldDescriptor:
             raise NoInvolution("field descriptor carries no involution")
         if self.involution_type == "ramified":
             return x
-        return x.frobenius(self.f_half)
+        return x.frobenius(self.f // 2)
 
     # -- reporting -------------------------------------------------------
 
@@ -690,32 +682,21 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
     if any(len(p) - 1 != f_full for p, _ in factors):
         raise InternalInconsistency("cyclotomic factors of unequal degree")
 
-    # decomposition data from the subgroup lattice
-    one_mod_m = 1 % m if m > 1 else 0
-    inertia = {t for t in units if t % m == one_mod_m} if n > 1 else {1}
-    if a >= 1 and n > 1:
-        la = ell**a
-        if m == 1:
-            frob_lift = 1 % n if n > 1 else 1
-        else:
-            # t = ell mod m, 1 mod ell^a
-            frob_lift = (ell * pow(la, -1, m) * la + pow(m, -1, la) * m) % n
-            assert frob_lift % m == ell % m and frob_lift % la == 1
-    else:
-        frob_lift = ell % n if n > 1 else 1
-    decomp = _cyclic_closure(inertia, frob_lift, n) if n > 1 else {1}
+    # decomposition data: the inertia group I is the kernel of reduction mod
+    # m and the decomposition group D the preimage of <ell mod m>; e and f of
+    # the fixed field of a subgroup S are indices of S in them
+    ell_powers = {pow(ell, k, m) for k in range(f_cyclo)}
+    inertia = {t for t in units if t % m == 1 % m}
+    decomp = {t for t in units if t % m in ell_powers}
+    if len(inertia) != e_full or len(decomp) != e_full * f_full:
+        raise InternalInconsistency("inertia or decomposition group of the wrong order")
 
-    HI = _product_set(sub, inertia, n) if n > 1 else {1}
-    HD = _product_set(sub, decomp, n) if n > 1 else {1}
-    e = len(HI) // len(sub)
-    f = len(HD) // len(HI)
-    g_count = len(units) // len(HD)
-    e_rel = len(sub & inertia)
-    if e * e_rel != e_full:
-        raise InternalInconsistency("ramification indices do not multiply up")
-    f_rel = len(sub & decomp) // max(len(sub & inertia), 1)
-    if f * f_rel != f_full:
-        raise InternalInconsistency("residue degrees do not multiply up")
+    def ramification(group):
+        in_inertia = len(group & inertia)
+        return e_full // in_inertia, f_full * in_inertia // len(group & decomp)
+
+    e, f = ramification(sub)
+    g_count = len(units) * len(sub & decomp) // (len(sub) * len(decomp))
 
     # orbit classes of factors under the subgroup = primes of K above ell
     exp_to_idx = {}
@@ -725,7 +706,7 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
 
     def factor_image(idx: int, t: int) -> int:
         ex = next(iter(factors[idx][1]))
-        return exp_to_idx[(ex * t) % m] if m > 1 else 0
+        return exp_to_idx[(ex * t) % m]
 
     reps = {}
     for idx in range(len(factors)):
@@ -742,23 +723,15 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
 
     # involution type at the chosen prime
     involution_type = None
-    f_half = None
     HL = None
     if s_norm is not None:
         HL = tuple(sorted(sub | {(s_norm * h) % n for h in sub}))
-        HLset = set(HL)
-        HLI = _product_set(HLset, inertia, n)
-        HLD = _product_set(HLset, decomp, n)
-        e_L = len(HLI) // len(HLset)
-        f_L = len(HLD) // len(HLI)
-        fixes_prime = reps.get(factor_image(chosen_idx, s_norm)) == reps[chosen_idx] \
-            if m > 1 else True
+        e_L, f_L = ramification(set(HL))
+        fixes_prime = reps[factor_image(chosen_idx, s_norm)] == reps[chosen_idx]
         if e == 2 * e_L and f == f_L:
             involution_type = "ramified"
-            f_half = f
         elif e == e_L and f == 2 * f_L:
             involution_type = "unramified"
-            f_half = f_L
         elif e == e_L and f == f_L:
             if fixes_prime:
                 raise InternalInconsistency("split prime with a fixed factor orbit")
@@ -767,7 +740,7 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
                 "no involution there (pick another prime or drop the involution)")
         else:
             raise InternalInconsistency("impossible involution ramification pattern")
-        if involution_type is not None and m > 1 and not fixes_prime:
+        if not fixes_prime:
             raise InternalInconsistency("non-split involution moved the factor orbit")
 
     desc = FieldDescriptor()
@@ -782,14 +755,12 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
     desc.f_full = f_full
     desc.e = e
     desc.f = f
-    desc.e_rel = e_rel
-    desc.f_rel = f_rel
+    desc.e_rel = e_full // e
     desc.n_primes = n_primes
     desc.degree_full = phi_n
     desc.degree = phi_n // len(H)
     desc.factor = chosen_factor
     desc.involution_type = involution_type
-    desc.f_half = f_half
     desc.subgroup_L = HL
     desc.two_e_ok = 2 * e < ell - 1
     desc.ring = CycloRing(n)
@@ -805,10 +776,8 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
     desc.residue_field_big = ResidueField(ell, chosen_factor)
     if f == f_full:
         desc.residue_field = desc.residue_field_big
-        desc._embed_identity = True
         desc._embed_rows = None
     else:
-        desc._embed_identity = False
         _build_residue_subfield(desc)
 
     _certify_uniformizer(desc)
@@ -984,7 +953,7 @@ def _uniformizer_candidates(desc: FieldDescriptor, trace_group):
     if all((h * m) % n == m % n for h in trace_group):
         yield desc._in_field(base)
     power = base
-    for s_exp in (1, 2, 3):
+    for s_exp in range(1, desc.e_full + 1):
         if s_exp > 1:
             power = ring.mul(power, base)
         for shift in range(min(n, 24)):

@@ -382,6 +382,24 @@ class TestDescend:
         assert res.f0.dims == (2, 2)
         assert res.image_order == 16
 
+    def test_wild_subfield_with_deep_uniformizer(self):
+        # Q(zeta_5) inside Q(zeta_25), with e_rel = 5: its uniformizer needs
+        # (1 - zeta_25)^5; the monomial group <diag(zeta_5, 1), swap> of order
+        # 50 keeps the identity hermitian form, and 2e = 8 >= ell - 1, so the
+        # reduction need not be faithful
+        desc = make_descriptor(25, 5, subgroup=(1, 6, 11, 16, 21), involution=4)
+        assert desc.involution_type == "ramified" and desc.e_rel == 5
+        o, z = desc.one, desc.zero
+        form = GramForm(desc, [[o, z], [z, o]], "hermitian")
+        rep = GroupRep(desc, [[[desc.zeta_power(5), z], [z, o]], [[z, o], [o, z]]], form)
+        assert rep.order == 50
+        res = descend(rep)
+        assert res.certificates["charpoly_preserved"]
+        assert res.certificates["f0_nondegenerate"]
+        assert res.certificates["kind_correct"]
+        assert not res.certificates["faithful"]
+        assert not res.certificates["hypothesis_2e_lt_ell_minus_1"]
+
     def test_hypothesis_failure_is_explained(self):
         rep = build_prop5_bundle(5)
         res = descend(rep)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,7 +14,8 @@ from isodescent.errors import (
 from isodescent.cyclotomic import CycloRing
 from isodescent.finitefield import cyclotomic_factors_mod
 from isodescent.exactfield import (MAX_CONDUCTOR, MAX_ELL, MAX_RESIDUE_DEGREE, FieldElement,
-                                   _primitive_period, make_descriptor, with_uniformizer)
+                                   _primitive_period, _symmetry_broken, make_descriptor,
+                                   with_uniformizer)
 
 from conftest import random_field_element
 
@@ -373,3 +376,76 @@ class TestTheta:
                 desc.element(coeffs)
         with pytest.raises(InvalidDescriptor):
             desc.zeta_power(1)
+
+
+def _units_with_residues(n, ell, residues):
+    """The units modulo n whose residue modulo ell lies in `residues`."""
+    return tuple(t for t in range(1, n) if math.gcd(t, n) == 1 and t % ell in residues)
+
+
+# the fields with ell^2 | n where no trace of zeta^j (1 - zeta_(ell^a))^s
+# with s <= 3 certifies: the first that does has s = ell (s = 9 at ell = 3).
+# H is the units with residue mod ell in `residues`, e_rel = |H & I| is 5
+# to 21, with and without an involution
+DEEP_RAMIFIED = [
+    (n, ell, _units_with_residues(n, ell, residues), inv)
+    for n, ell, residues, invs in [
+        (25, 5, {1}, (None, 4)), (27, 3, {1}, (None, 2)), (49, 7, {1}, (None, 6)),
+        (50, 5, {1}, (None, 9)), (54, 3, {1}, (None, 5)),
+        (25, 5, {1, 4}, (None, 2)), (49, 7, {1, 6}, (None,)), (50, 5, {1, 4}, (None, 3)),
+        (49, 7, {1, 2, 4}, (None, 3)),
+    ]
+    for inv in invs
+]
+
+
+class TestDeepRamification:
+    @pytest.mark.parametrize("n, ell, sub, inv", DEEP_RAMIFIED)
+    def test_uniformizer_is_certified(self, n, ell, sub, inv):
+        desc = make_descriptor(n, ell, subgroup=sub, involution=inv)
+        assert desc.pi.valuation() == 1
+        assert _symmetry_broken(desc, desc.pi) is None
+
+
+def _cyclic_subgroups(n):
+    """Every cyclic subgroup of the units modulo n, as a sorted tuple."""
+    out = set()
+    for u in (t for t in range(1, n) if math.gcd(t, n) == 1):
+        h, x = {1}, u
+        while x not in h:
+            h.add(x)
+            x = x * u % n
+        out.add(tuple(sorted(h)))
+    return sorted(out) or [(1,)]
+
+
+def _involution_cosets(n, sub):
+    """The least unit of each coset s H with s not in H and s^2 in H."""
+    return sorted({min(s * h % n for h in sub) for s in range(1, n)
+                   if math.gcd(s, n) == 1 and s not in sub and s * s % n in sub})
+
+
+def test_descriptor_grid_digest():
+    # describe(), or the refusal, of each input with n <= 40, ell in {3, 5, 7},
+    # H cyclic, with no involution and with each one, the first prime; the
+    # DEEP_RAMIFIED fields, refused while the uniformizer search stopped at
+    # s = 3, are left out
+    skip = set(DEEP_RAMIFIED)
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 41):
+        for ell in (3, 5, 7):
+            for sub in _cyclic_subgroups(n):
+                for inv in [None] + _involution_cosets(n, sub):
+                    if (n, ell, sub, inv) in skip:
+                        continue
+                    try:
+                        desc = make_descriptor(n, ell, subgroup=sub, involution=inv)
+                        text = json.dumps(desc.describe(), sort_keys=True)
+                    except InvalidDescriptor as exc:
+                        text = str(exc)
+                    digest.update(text.encode() + b"\n")
+                    count += 1
+    assert count == 1545
+    assert digest.hexdigest() == (
+        "7d464963eaba0b9d812bc69cc30bae365324f8bfd883b15ee09b89f76b4ebacd")

@@ -86,6 +86,10 @@ DECOMP_GRID = [
     (12, 7, (1,)), (13, 3, (1, 3, 9)), (15, 5, (1,)), (15, 7, (1, 4)),
     (16, 3, (1, 15)), (20, 5, (1, 19)), (21, 3, (1, 8)), (21, 13, (1, 20)),
     (24, 5, (1, 5)), (28, 7, (1, 13)), (28, 11, (1,)),
+    # ell^2 | n with H the units that are 1 mod ell: wild ramification
+    # inside a nontrivial subgroup, e_rel = |H & I| > 1
+    (25, 5, (1, 6, 11, 16, 21)), (27, 3, (1, 4, 7, 10, 13, 16, 19, 22, 25)),
+    (49, 7, (1, 8, 15, 22, 29, 36, 43)), (50, 5, (1, 11, 21, 31, 41)),
 ]
 
 

@@ -198,7 +198,7 @@ class GroupRep:
         trace_zeta = [sum(ring.zeta_power(j + i)[i] for i in range(ring.degree))
                       for j in range(ring.n)]
         mul = field.int_mat_mul
-        gens = [field.integer_matrix(g) for g in self.generators]
+        gens = [la.integer_matrix(field, g) for g in self.generators]
 
         def images(vectors, g):
             gd, gw = gens[g]
@@ -420,7 +420,7 @@ def _reduced_keys(rep, gen_bar):
     those of a homomorphism.  Returns the orbit's points and the keys."""
     kfield = rep.field.residue_field
     mul = kfield.int_mat_mul
-    gens = [kfield.integer_matrix(g)[1] for g in gen_bar]
+    gens = [la.integer_matrix(kfield, g)[1] for g in gen_bar]
     orbit = _Orbit(lambda vectors, g: [tuple(row) for row in mul(vectors, gens[g])],
                    len(gens))
     n, one, zero = rep.dim, kfield.integer_one, (0,) * kfield.degree

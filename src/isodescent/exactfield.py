@@ -46,9 +46,9 @@ import math
 import re
 from fractions import Fraction
 
+from . import linalg as la
 from .cyclotomic import CycloRing, _split_ell, euler_phi
 from .errors import (
-    DimensionMismatch,
     InternalInconsistency,
     InvalidDescriptor,
     NegativeValuation,
@@ -357,15 +357,6 @@ class FieldElement:
         return [str(c) for c in self.coeffs]
 
 
-def _over_common(xs, d=None):
-    """(d, nums): d a common multiple of the denominators of the elements xs,
-    by default the least, and nums their numerators over it."""
-    if d is None:
-        d = math.lcm(*(x.den for x in xs))
-    return d, [x.num if x.den == d else tuple(c * (d // x.den) for c in x.num)
-               for x in xs]
-
-
 class FieldDescriptor:
     """K = Q(zeta_n)^H together with one certified prime above ell.
 
@@ -483,10 +474,15 @@ class FieldDescriptor:
             self._zero = self.rational(0)
         return self._zero
 
-    # integer coordinates (see linalg.charpoly): one common denominator per
-    # matrix, row or column, coordinates in Z[theta] on the basis of theta
+    # integer coordinates (see linalg): each row over its least common
+    # denominator, coordinates in Z[theta] on the basis of theta
 
-    def _check(self, m):
+    def integer_rows(self, m):
+        """One (d, w) per row of m: d the least common denominator of the
+        row's entries and w their integer coordinate tuples over it.  Raises
+        InvalidDescriptor unless every entry is an element of this
+        descriptor (or of a clone of it)."""
+        out = []
         for row in m:
             for x in row:
                 # identity first: == builds two key tuples; clones stay equal
@@ -494,28 +490,10 @@ class FieldDescriptor:
                         and (x.field is self or x.field == self)):
                     raise InvalidDescriptor(
                         "matrix entries must be elements of one field descriptor")
-
-    def _int_product(self, a, b):
-        """(row denominators rd, column denominators cd, W) with entry (i, j)
-        of a @ b equal to W[i][j] / (rd[i] cd[j]), not in lowest terms: each
-        row of a and each column of b is put over one common denominator and
-        the numerators are multiplied by the integer kernel of the ring.
-
-        Raises InvalidDescriptor unless every entry is an element of this
-        descriptor (or of a clone of it)."""
-        self._check(a)
-        self._check(b)
-        rows = [_over_common(row) for row in a]
-        cols = [_over_common(col) for col in zip(*b)]
-        prod = self.kring.int_mat_mul([w for _, w in rows], list(zip(*(w for _, w in cols))))
-        return [d for d, _ in rows], [d for d, _ in cols], prod
-
-    def mat_mul(self, a, b):
-        """Product of two matrices over K on integer coordinates (see
-        _int_product); each output entry is brought to lowest terms once."""
-        rds, cds, prod = self._int_product(a, b)
-        return [[_lowest(self, v, rd * cd) for v, cd in zip(prow, cds)]
-                for prow, rd in zip(prod, rds)]
+            d = math.lcm(*(x.den for x in row))
+            out.append((d, [x.num if x.den == d else tuple(c * (d // x.den) for c in x.num)
+                            for x in row]))
+        return out
 
     def integral(self, w, d: int) -> bool:
         """Whether w / d has valuation >= 0, for an integer coordinate tuple
@@ -528,25 +506,14 @@ class FieldDescriptor:
 
     def integral_product(self, a, b) -> bool:
         """Whether every entry of a @ b has valuation >= 0, read off the
-        integer product: no entry is brought to lowest terms, built as an
-        element or given a certified valuation.  Raises DimensionMismatch
-        on mismatched shapes and InvalidDescriptor like mat_mul."""
-        if a and len(a[0]) != len(b):
-            raise DimensionMismatch(
-                f"matrix product shape mismatch: {len(a)}x{len(a[0])} by "
-                f"{len(b)}x{len(b[0]) if b else 0}")
-        rds, cds, prod = self._int_product(a, b)
+        integer product (linalg.int_product): no entry is brought to lowest
+        terms, built as an element or given a certified valuation.  Raises
+        DimensionMismatch on mismatched shapes and InvalidDescriptor like
+        integer_rows."""
+        rds, cds, prod = la.int_product(self, a, b)
         integral = self.integral
         return all(integral(w, rd * cd)
                    for prow, rd in zip(prod, rds) for w, cd in zip(prow, cds))
-
-    def integer_matrix(self, m):
-        """(d, w) with m = w / d: d the least common denominator of every
-        entry of m, so gcd(d, w) = 1, and w the integer coordinate tuples
-        of the entries.  Raises InvalidDescriptor like mat_mul."""
-        self._check(m)
-        d = math.lcm(*(x.den for row in m for x in row))
-        return d, [_over_common(row, d)[1] for row in m]
 
     def int_mat_mul(self, a, b):
         return self.kring.int_mat_mul(a, b)

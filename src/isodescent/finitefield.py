@@ -204,29 +204,26 @@ class ResidueField:
         return [[tuple(c % p for c in v) for v in row]
                 for row in self.ring.int_mat_mul(a, b)]
 
-    def mat_mul(self, a, b):
-        """Product of two matrices over this field by int_mat_mul on their
-        coefficients.  Raises TypeError unless every entry is an element of
-        this field."""
-        prod = self.int_mat_mul(self.integer_matrix(a)[1], self.integer_matrix(b)[1])
-        return [[ResidueElement(self, v) for v in row] for row in prod]
+    # integer coordinates (see linalg): coefficient tuples over d = 1
 
-    # integer coordinates (see linalg.charpoly): coefficient tuples over d = 1
-
-    def integer_matrix(self, m):
-        """(1, the coefficient tuples of the entries of m)."""
+    def integer_rows(self, m):
+        """One (1, the coefficient tuples of the row's entries) per row of m.
+        Raises TypeError unless every entry is an element of this field."""
         for row in m:
             for x in row:
                 if not (isinstance(x, ResidueElement)
                         and (x.field is self or x.field == self)):
                     raise TypeError("matrix entries must be elements of one residue field")
-        return 1, [[x.coeffs for x in row] for row in m]
+        return [(1, [x.coeffs for x in row]) for row in m]
 
     def from_integer(self, w, d: int):
         """The element w / d for a coefficient tuple w and d prime to p."""
         p = self.p
-        inv = pow(d, -1, p)
-        return ResidueElement(self, tuple(c * inv % p for c in w))
+        if d != 1:
+            # integer_rows gives d = 1, so products and charpoly skip this
+            inv = pow(d, -1, p)
+            w = [c * inv for c in w]
+        return ResidueElement(self, tuple(c % p for c in w))
 
     @property
     def integer_one(self):

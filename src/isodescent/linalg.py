@@ -5,14 +5,21 @@ Matrices are plain lists of lists.  The `field` argument is any object with
 (both number-field elements and residue-field elements qualify).  Nothing
 here is numerical: pivots are exact equality tests against field.zero.
 
-Matrix products go through the `mat_mul` of the entries' field
-(FieldDescriptor or ResidueField), which works on integer coordinates and
-normalizes each output entry once instead of after every scalar step.
-charpoly works on those integer coordinates throughout, through the
-fields' `integer_matrix`, `int_mat_mul`, `integer_one` and `from_integer`.
+Products, characteristic polynomials and determinants run on one integer
+form of a matrix: each row over its least common denominator, as a pair
+(d, w) with w the row's integer coordinate tuples, which the entries'
+field (FieldDescriptor or ResidueField, where d = 1) returns from
+`integer_rows`.  The field also supplies `int_mat_mul`, the product of
+such tuples, `from_integer`, the element w / d, and `integer_one`; this
+module builds everything else from those four.  mat_mul puts the rows of
+one factor and the columns of the other over their own denominators and
+brings each output entry to lowest terms once, charpoly puts the whole
+matrix over one denominator, and det is charpoly's constant term.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import DimensionMismatch, SingularMatrix
 
@@ -41,17 +48,47 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_mul(a, b):
-    """a @ b by the integer kernel of the entries' field."""
-    if not a:
-        return []
-    if len(a[0]) != len(b):
+def _check_product(a, b):
+    if a and len(a[0]) != len(b):
         raise DimensionMismatch(
             f"matrix product shape mismatch: {len(a)}x{len(a[0])} by "
             f"{len(b)}x{len(b[0]) if b else 0}")
-    if not b:
+
+
+def int_product(field, a, b):
+    """(row denominators rd, column denominators cd, W) with entry (i, j)
+    of a @ b equal to W[i][j] / (rd[i] cd[j]), not in lowest terms: the
+    rows of a and the columns of b come from the field's integer_rows and
+    their numerators are multiplied by its int_mat_mul.  Raises
+    DimensionMismatch on mismatched shapes, and the field's own error
+    unless every entry is one of its elements."""
+    _check_product(a, b)
+    rows = field.integer_rows(a)
+    cols = field.integer_rows(list(zip(*b)))
+    prod = field.int_mat_mul([w for _, w in rows], list(zip(*(w for _, w in cols))))
+    return [d for d, _ in rows], [d for d, _ in cols], prod
+
+
+def integer_matrix(field, m):
+    """(d, w) with m = w / d: d the least common denominator of every entry
+    of m and w the entries' integer coordinate tuples over it."""
+    rows = field.integer_rows(m)
+    d = math.lcm(*(rd for rd, _ in rows))
+    return d, [w if rd == d else [tuple(c * (d // rd) for c in x) for x in w]
+               for rd, w in rows]
+
+
+def mat_mul(a, b):
+    """a @ b on integer coordinates (int_product), each output entry brought
+    to lowest terms once."""
+    _check_product(a, b)
+    if not a or not b:
         return [[] for _ in a]
-    return a[0][0].field.mat_mul(a, b)
+    field = a[0][0].field
+    rds, cds, prod = int_product(field, a, b)
+    from_integer = field.from_integer
+    return [[from_integer(v, rd * cd) for v, cd in zip(prow, cds)]
+            for prow, rd in zip(prod, rds)]
 
 
 def scalar_mul(c, a):
@@ -132,28 +169,9 @@ def mat_inv(a, field):
 
 
 def det(a, field):
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise DimensionMismatch("determinant needs a square matrix")
-    z = field.zero
-    m = mat_copy(a)
-    sign = 1
-    out = field.one
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != z), None)
-        if piv is None:
-            return z
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        pv = m[col][col]
-        out = out * pv
-        inv = field.one / pv
-        for r in range(col + 1, n):
-            if m[r][col] != z:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return out if sign == 1 else -out
+    """(-1)^n times the constant term of charpoly(a): nothing is inverted."""
+    c0 = charpoly(a, field)[0]
+    return -c0 if len(a) % 2 else c0
 
 
 def kernel_basis(a, field):
@@ -184,36 +202,35 @@ def charpoly(a, field):
 
     Berkowitz's division-free algorithm (Inform. Process. Lett. 18, 1984) on
     the field's integer coordinates: over K on a = w / d, with w in
-    Z[zeta_n] and d one common denominator, and over a residue field on
-    coefficients mod p.  With c_k the coefficients of det(y*I - w), the
-    answer's coefficient k is c_k / d^(n-k).  Every product is one call of
-    the field's int_mat_mul, the convolve-and-fold kernel of its mat_mul;
-    nothing is inverted.
+    Z[theta] and d one common denominator (integer_matrix), and over a
+    residue field on coefficients mod p.  With c_k the coefficients of
+    det(y*I - w), the answer's coefficient k is c_k / d^(n-k).  Every
+    product is one call of the field's int_mat_mul; nothing is inverted.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise DimensionMismatch("characteristic polynomial needs a square matrix")
     if n == 0:
         return [field.one]
-    d, w = field.integer_matrix(a)
+    d, w = integer_matrix(field, a)
     mul = field.int_mat_mul
     one = field.integer_one
     zero = (0,) * len(one)
     neg = lambda v: tuple(-c for c in v)
     # coefficients of the leading t x t minor, leading coefficient first, as
-    # a column; each step multiplies it by a lower triangular Toeplitz matrix
-    poly = [[one]]
-    for t in range(n):
+    # a column, from t = 1 on; each step multiplies it by a lower triangular
+    # Toeplitz matrix
+    poly = [[one], [neg(w[0][0])]]
+    for t in range(1, n):
         # w's leading (t+1) x (t+1) block is [[sub, col], [row, w[t][t]]]
-        row = [w[t][:t]]
         col = [[r[t]] for r in w[:t]]
         sub = [r[:t] for r in w[:t]]
-        # first Toeplitz column: 1, -w[t][t], -row col, -row sub col, ...
-        first = [one, neg(w[t][t])]
-        for j in range(t):
-            if j:
-                row = mul(row, sub)
-            first.append(neg(mul(row, col)[0][0]))
+        # first Toeplitz column: 1, -w[t][t], -row col, -row sub col, ...,
+        # the products with col taken at once on the rows row sub^j
+        rows = [w[t][:t]]
+        for _ in range(t - 1):
+            rows.append(mul(rows[-1:], sub)[0])
+        first = [one, neg(w[t][t])] + [neg(x) for x, in mul(rows, col)]
         toeplitz = [[first[i - j] if i >= j else zero for j in range(t + 1)]
                     for i in range(t + 2)]
         poly = mul(toeplitz, poly)

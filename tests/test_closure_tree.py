@@ -12,6 +12,7 @@ reduced every element on its own, the former per-element loop of descend,
 and conjugacy classes by brute-force conjugation.
 """
 
+import math
 from collections import Counter, deque
 
 import pytest
@@ -138,14 +139,28 @@ def reference_descend_tables(rep, res):
 
 
 def brute_force_classes(rep):
-    """cls[x], the smallest index among h x h^-1 over every element h."""
-    index = {_mat_key(m): i for i, m in enumerate(rep.elements)}
-    pairs = [(h, la.mat_inv(h, rep.field)) for h in rep.elements]
+    """cls[x], the smallest index among h x h^-1 over every element h.
+
+    Every element and its inverse is put over one denominator once
+    (la.integer_matrix), the conjugates are products of integer coordinates
+    (the field's int_mat_mul), and a matrix W / d is keyed by the pair
+    (d, W) in lowest terms, which the matrix determines."""
+    field = rep.field
+    mul = field.int_mat_mul
+
+    def key(d, w):
+        g = math.gcd(d, *(c for row in w for x in row for c in x))
+        return d // g, tuple(tuple(tuple(c // g for c in x) for x in row) for row in w)
+
+    ints = [la.integer_matrix(field, m) for m in rep.elements]
+    index = {key(d, w): i for i, (d, w) in enumerate(ints)}
+    pairs = [(h, la.integer_matrix(field, la.mat_inv(m, field)))
+             for h, m in zip(ints, rep.elements)]
     cls = [None] * rep.order
-    for x, m in enumerate(rep.elements):
+    for x, (d, w) in enumerate(ints):
         if cls[x] is None:
-            for h, h_inv in pairs:
-                cls[index[_mat_key(la.mat_mul(h, la.mat_mul(m, h_inv)))]] = x
+            for (hd, hw), (id_, iw) in pairs:
+                cls[index[key(hd * d * id_, mul(hw, mul(w, iw)))]] = x
     return cls
 
 

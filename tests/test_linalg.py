@@ -1,13 +1,17 @@
-"""Matrix products by the field kernels, against schoolbook scalar sums.
+"""Matrix products, characteristic polynomials and determinants on integer
+coordinates, against references built from scalar arithmetic.
 
-linalg.mat_mul hands every product to the field of its entries: K products
-run on integer coordinates over a common denominator per row and column
-(FieldDescriptor.mat_mul, through CycloRing.int_mat_mul),
+linalg runs every product on the integer rows that the entries' field
+returns from integer_rows: K products on integer coordinates over a common
+denominator per row and column (through CycloRing.int_mat_mul),
 residue-field products on integer coefficients reduced once per entry
-(ResidueField.mat_mul).  The reference here sums scalar * and + directly and
-never goes through either kernel.
+(ResidueField.int_mat_mul).  charpoly and det run Berkowitz's algorithm on
+the same coordinates.  The references here (schoolbook sums, a Hessenberg
+reduction and the Leibniz expansion) use scalar *, + and / directly and go
+through no integer kernel.
 """
 
+import itertools
 import random
 
 import pytest
@@ -268,3 +272,49 @@ class TestCharpoly:
 
         monkeypatch.setattr(CycloRing, "inv", refuse)
         assert la.charpoly(a, desc) == want
+
+
+# ----------------------------------------------------------------------
+# determinant: charpoly's constant term against the Leibniz expansion
+
+DET_FIELDS = {
+    "gauss5": lambda: make_descriptor(4, 5),
+    "remark4": lambda: make_descriptor(7, 7, subgroup=(1, 2, 4)),
+    "F49": lambda: ResidueField(7, find_irreducible(7, 2)),
+}
+
+
+def leibniz_det(a, field):
+    """The sum over permutations s of sign(s) prod a[i][s(i)], by scalar *
+    and +."""
+    total = field.zero
+    for perm in itertools.permutations(range(len(a))):
+        term = field.one
+        for i, j in enumerate(perm):
+            term = term * a[i][j]
+        inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(DET_FIELDS))
+def test_det_matches_leibniz(name):
+    field = DET_FIELDS[name]()
+    rng = random.Random(f"det-{name}")
+    make = residue_entry if isinstance(field, ResidueField) else k_entry
+    entry = lambda: make(rng, field)
+    singular = 0
+    for n in range(5):
+        for trial in range(4):
+            a = random_matrix(entry, n, n)
+            b = random_matrix(entry, n, n)
+            if trial % 2 and n:
+                # the last row a combination of the others (zero when n = 1)
+                c = [entry() for _ in range(n - 1)]
+                a[-1] = [sum((x * r[j] for x, r in zip(c, a)), field.zero)
+                         for j in range(n)]
+            got = la.det(a, field)
+            assert got == leibniz_det(a, field)
+            singular += got == field.zero
+            assert la.det(la.mat_mul(a, b), field) == got * la.det(b, field)
+    assert singular >= 8

@@ -510,7 +510,10 @@ class FieldDescriptor:
         terms, built as an element or given a certified valuation.  Raises
         DimensionMismatch on mismatched shapes and InvalidDescriptor like
         integer_rows."""
-        rds, cds, prod = la.int_product(self, a, b)
+        return self.integral_scaled(*la.int_product(self, a, b))
+
+    def integral_scaled(self, rds, cds, prod) -> bool:
+        """Whether every prod[i][j] / (rds[i] cds[j]) has valuation >= 0."""
         integral = self.integral
         return all(integral(w, rd * cd)
                    for prow, rd in zip(prod, rds) for w, cd in zip(prow, cds))

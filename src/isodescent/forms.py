@@ -12,6 +12,9 @@ form to a symmetric one and the second to an alternating one, odd twist
 swaps them, because the residue involution is trivial in the ramified case).
 Unramified involutions use a conjugation-fixed uniformizer, so both reduced
 forms stay hermitian, and bilinear kinds are preserved verbatim.
+
+A GramForm keeps its last dual and its last certified balanced pair, keyed
+by lattice identity: reductions certify once per (lattice, dual) per form.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ class GramForm(_Form):
         self._check_kind(kind, self.twist)
         if la.det(self.gram, field) == field.zero:
             raise DegenerateForm("gram matrix is singular")
-        self._gram_inv = None
+        self._gram_inv = self._dual_slot = self._balanced_slot = None
 
     @property
     def conj(self):
@@ -106,12 +109,17 @@ class GramForm(_Form):
     def dual(self, lat: Lattice) -> Lattice:
         """The vectors pairing integrally with lat in the first slot, without
         inverting A B: the basis is conj(B^-1 A^-1)^T and its inverse
-        conj(A B)^T."""
+        conj(A B)^T.  The dual last built is kept and returned again for the
+        same Lattice object."""
+        slot = self._dual_slot
+        if slot is not None and slot[0] is lat:
+            return slot[1]
         if self._gram_inv is None:
             self._gram_inv = la.mat_inv(self.gram, self.field)
         basis = _conj_t(la.mat_mul(lat.inverse, self._gram_inv), self.conj)
         inv = _conj_t(la.mat_mul(self.gram, lat.basis), self.conj)
-        return Lattice(self.field, basis, _inverse=inv)
+        self._dual_slot = (lat, Lattice(self.field, basis, _inverse=inv))
+        return self._dual_slot[1]
 
     # -- scaling ----------------------------------------------------------
 
@@ -201,32 +209,36 @@ def _reduce_sides(lat: Lattice, form: GramForm, dual, sides):
     reduce_pair (both): one (ResidueForm, kernel) pair per side.
 
     Raises unless the lattice is balanced and the form takes integral values
-    on it with minimum valuation exactly zero; these preconditions are
-    checked once per call, whatever the sides.  Side 0 reduces the form on
-    lat's basis, side 1 reduces pi times the form on the dual's basis; each
-    kernel dimension is checked against the length of dual/lat.
+    on it with minimum valuation exactly zero; the form keeps the last pair
+    that passed, with the gram on lat and the length of dual/lat.  Side 0
+    reduces the form on lat's basis, side 1 pi times the form on the dual's
+    basis; each call checks its kernel dimensions against that length.
     """
     field = form.field
-    computed = form.dual(lat)
     if dual is None:
-        dual = computed
-    elif not (dual.contains_lattice(computed) and computed.contains_lattice(dual)):
-        raise PreconditionViolated(
-            "supplied dual basis does not span the dual lattice")
-    pdual = scale_lattice(field.pi_power(1), dual)
-    if not dual.contains_lattice(lat) or not lat.contains_lattice(pdual):
-        raise PreconditionViolated(
-            "lattice is not balanced against the form; run the balance chain")
-    g_lat = form.gram_in_basis(lat.basis)
-    low = min(x.valuation() for row in g_lat for x in row)
-    if low < 0:
-        raise PreconditionViolated(
-            "form is not integral on the lattice; normalize the scale first")
-    if low > 0:
-        raise PreconditionViolated(
-            "form is not scale-normalized on the lattice (all values divisible by pi)")
-    # the first kernel is dual/lat, the second its complement
-    length = quotient_length(lat, dual)
+        dual = form.dual(lat)
+    slot = form._balanced_slot
+    if slot is None or slot[0] is not lat or slot[1] is not dual:
+        computed = form.dual(lat)
+        if dual is not computed and not (
+                dual.contains_lattice(computed) and computed.contains_lattice(dual)):
+            raise PreconditionViolated(
+                "supplied dual basis does not span the dual lattice")
+        pdual = scale_lattice(field.pi_power(1), dual)
+        if not dual.contains_lattice(lat) or not lat.contains_lattice(pdual):
+            raise PreconditionViolated(
+                "lattice is not balanced against the form; run the balance chain")
+        g_lat = form.gram_in_basis(lat.basis)
+        low = min(x.valuation() for row in g_lat for x in row)
+        if low < 0:
+            raise PreconditionViolated(
+                "form is not integral on the lattice; normalize the scale first")
+        if low > 0:
+            raise PreconditionViolated(
+                "form is not scale-normalized on the lattice (all values divisible by pi)")
+        # the first kernel is dual/lat, the second its complement
+        slot = form._balanced_slot = (lat, dual, g_lat, quotient_length(lat, dual))
+    _, _, g_lat, length = slot
     kfield = field.residue_field
     out = []
     for side in sides:
@@ -255,7 +267,8 @@ def reduce_bar(lat: Lattice, form: GramForm, dual=None):
     and lat must be balanced (pi*dual inside lat inside dual).  Returns
     (ResidueForm, kernel basis); the kernel dimension equals the length of
     dual/lat, and the form is nondegenerate modulo that kernel.  An optional
-    precomputed dual fixes the basis used for the balance check.
+    precomputed dual fixes the basis used for the balance check.  The
+    preconditions are certified once per (lat, dual) per form.
     """
     return _reduce_sides(lat, form, dual, (0,))[0]
 
@@ -263,9 +276,10 @@ def reduce_bar(lat: Lattice, form: GramForm, dual=None):
 def reduce_tilde(lat: Lattice, form: GramForm, dual=None):
     """Second residue form: pi times the form, reduced on the dual mod pi.
 
-    Preconditions as in reduce_bar.  Returns (ResidueForm, kernel basis) on
-    the dual lattice's coordinates; the kernel dimension is complementary to
-    reduce_bar's, and the form is nondegenerate modulo the kernel.
+    Preconditions as in reduce_bar, and not checked again after it on the
+    same objects.  Returns (ResidueForm, kernel basis) on the dual lattice's
+    coordinates; the kernel dimension is complementary to reduce_bar's, and
+    the form is nondegenerate modulo the kernel.
     """
     return _reduce_sides(lat, form, dual, (1,))[0]
 

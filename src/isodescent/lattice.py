@@ -1,9 +1,10 @@
 """Full-rank lattices over the valuation ring of the chosen prime.
 
 A lattice is the span, over the local ring O = {v >= 0}, of the columns of a
-nonsingular matrix over K.  Containment is an integrality test: L contains
-L' iff the transition matrix B^-1 B' is integral, which is read off the
-integer coordinates of the product (FieldDescriptor.integral_product)
+nonsingular matrix over K, immutable after construction.  Containment is an
+integrality test: L contains L' iff the transition matrix B^-1 B' is
+integral, which is read off the product of the integer rows of B^-1 and the
+integer columns of B' (FieldDescriptor.integer_rows, kept by each lattice)
 without building or certifying its entries; an image m L is tested the
 same way (maps_into) and never built.  Sums, intersections (through
 duals), the inclusion of a balanced lattice in its dual and descend's
@@ -21,9 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg as la
-from .errors import DimensionMismatch, NotContained, SingularMatrix
+from .errors import DimensionMismatch, InvalidDescriptor, NotContained, SingularMatrix
 
 
 @dataclass
@@ -125,6 +127,7 @@ def snf(m, field) -> SNFResult:
 class Lattice:
     """O-span of the columns of a nonsingular matrix over K.
 
+    Immutable after construction, so it keeps the integer forms it builds.
     The inverse of the basis matrix, which every containment and transition
     test reads, comes from one of two places: the operation that built the
     lattice supplies it (sums, intersections, duals and scalings know it in
@@ -145,14 +148,35 @@ class Lattice:
             _inverse = la.mat_inv(self.basis, field)
         self.inverse = _inverse
 
+    @cached_property
+    def _inverse_rows(self):
+        """(d, W) with B^-1 = diag(d)^-1 W: the inverse's integer rows."""
+        rows = self.field.integer_rows(self.inverse)
+        return [d for d, _ in rows], [w for _, w in rows]
+
+    @cached_property
+    def _basis_columns(self):
+        """(e, W) with B = W diag(e)^-1: the basis's integer columns."""
+        cols = self.field.integer_rows(list(zip(*self.basis)))
+        return [e for e, _ in cols], list(zip(*(w for _, w in cols)))
+
+    def _integral_on(self, cds, w) -> bool:
+        """Whether B^-1 W diag(cds)^-1 is integral, for an integer matrix W."""
+        if len(w) != self.dim:
+            raise DimensionMismatch(f"{len(w)} rows against a {self.dim}-dim lattice")
+        rds, inv = self._inverse_rows
+        return self.field.integral_scaled(rds, cds, self.field.int_mat_mul(inv, w))
+
     def transition_from(self, other: "Lattice"):
         """Matrix expressing the other basis in this one."""
         return la.mat_mul(self.inverse, other.basis)
 
     def contains_lattice(self, other: "Lattice") -> bool:
-        """Whether the transition matrix B^-1 B' is integral, decided on its
-        integer coordinates; none of its entries is built."""
-        return self.field.integral_product(self.inverse, other.basis)
+        """Whether the transition matrix B^-1 B' is integral, decided on the
+        two lattices' integer forms; none of its entries is built."""
+        if other.field is not self.field and other.field != self.field:
+            raise InvalidDescriptor("lattices over different field descriptors")
+        return self._integral_on(*other._basis_columns)
 
     def __eq__(self, other):
         if not isinstance(other, Lattice):
@@ -210,20 +234,27 @@ def lattice_intersect(l1: Lattice, l2: Lattice) -> Lattice:
 
 def quotient_length(sub: Lattice, sup: Lattice) -> int:
     """Length of sup/sub as an O-module (the valuation of the index)."""
-    c = sup.transition_from(sub)
-    if not all(x.is_integral() for row in c for x in row):
+    if not sup.contains_lattice(sub):
         raise NotContained("claimed sublattice is not contained in the superlattice")
-    vd = la.det(c, sup.field).valuation()
+    vd = la.det(sup.transition_from(sub), sup.field).valuation()
     if vd == math.inf:
         raise SingularMatrix("degenerate sublattice")
     return vd
 
 
+def _moved_columns(dm, lat: Lattice):
+    """(e, W) with m B = W diag(e)^-1, for (d, w) = linalg.integer_matrix(m)."""
+    d, w = dm
+    if any(len(row) != lat.dim for row in w):
+        raise DimensionMismatch(f"matrix does not act on a {lat.dim}-dim lattice")
+    cds, b = lat._basis_columns
+    return [d * e for e in cds], lat.field.int_mat_mul(w, b)
+
+
 def maps_into(m, lat: Lattice) -> bool:
-    """Whether m L <= L: the integrality of B^-1 (m B), decided on its
-    integer coordinates like Lattice.contains_lattice.  The image m L is
-    never built as a lattice."""
-    return lat.field.integral_product(lat.inverse, la.mat_mul(m, lat.basis))
+    """Whether m L <= L: the integrality of B^-1 (m B), decided on integer
+    forms like Lattice.contains_lattice.  The image m L is never built."""
+    return lat._integral_on(*_moved_columns(la.integer_matrix(lat.field, m), lat))
 
 
 def stabilize(lat: Lattice, mats) -> Lattice:
@@ -237,13 +268,15 @@ def stabilize(lat: Lattice, mats) -> Lattice:
     field = lat.field
     if any(la.det(m, field) == field.zero for m in mats):
         raise SingularMatrix("cannot stabilize under a singular matrix")
+    ints = [la.integer_matrix(field, m) for m in mats]
     cur = lat
     changed = True
     while changed:
         changed = False
-        for m in mats:
-            moved = la.mat_mul(m, cur.basis)
-            if not field.integral_product(cur.inverse, moved):
+        for dm in ints:
+            cds, w = _moved_columns(dm, cur)
+            if not cur._integral_on(cds, w):
+                moved = [[field.from_integer(x, e) for x, e in zip(row, cds)] for row in w]
                 cur = _span(field, cur.basis, moved)
                 changed = True
     return cur

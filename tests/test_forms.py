@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from isodescent import forms
 from isodescent import linalg as la
 from isodescent.descent import balance
 from isodescent.errors import (
@@ -426,6 +427,95 @@ class TestReductions:
                     assert_matrix_equal(got.gram, want.gram)
                     assert got_kernel == want_kernel
                     assert got.kind == want.kind
+
+class TestCertifiedOnce:
+    """The form keeps the last (lattice, dual) whose preconditions passed;
+    a reduction on other objects is checked in full."""
+
+    @staticmethod
+    def balanced(rng, desc, kind):
+        n = 2 if kind == "alternating" else rng.randint(1, 3)
+        if kind == "alternating":
+            gram = la.scalar_mul(desc.pi_power(rng.randint(0, 2)), symplectic2(desc))
+        elif kind == "symmetric":
+            gram = symmetric_invertible(rng, desc, n)
+        else:
+            gram = hermitian_invertible(rng, desc, n)
+        return balance(Lattice(desc, random_invertible(rng, desc, n)), GramForm(desc, gram, kind))
+
+    def test_wrong_dual_and_unbalanced_lattice_after_a_certified_call(self, rat5):
+        pi = rat5.pi_power(1)
+        f = GramForm(rat5, [[rat5.one, rat5.zero], [rat5.zero, pi]], "symmetric")
+        lat = standard_lattice(rat5, 2)
+        dual = f.dual(lat)
+        reduce_bar(lat, f, dual=dual)
+        for wrong in (lat, scale_lattice(pi, dual)):
+            for reduce in (reduce_bar, reduce_tilde, reduce_pair):
+                with pytest.raises(PreconditionViolated):
+                    reduce(lat, f, dual=wrong)
+        # the dual as another object is certified afresh
+        again = Lattice(rat5, dual.basis)
+        assert reduce_bar(lat, f, dual=again)[1] == reduce_bar(lat, f, dual=dual)[1]
+        # pi L is not balanced against f, the lattice diag(1, 1/pi) not integral
+        for other in (scale_lattice(pi, lat),
+                      Lattice(rat5, [[rat5.one, rat5.zero], [rat5.zero, rat5.pi_power(-1)]])):
+            for reduce in (reduce_bar, reduce_tilde, reduce_pair):
+                with pytest.raises(PreconditionViolated):
+                    reduce(other, f)
+        # after the failures the certified pair reduces as on a fresh form
+        assert reduce_tilde(lat, f, dual=dual)[1] == reduce_tilde(lat, GramForm(
+            rat5, f.gram, f.kind), dual=dual)[1]
+
+    @pytest.mark.parametrize("descname,kind", [("gauss5", "symmetric"),
+                                               ("gauss5", "alternating"),
+                                               ("quad7", "hermitian"),
+                                               ("gauss7", "hermitian")])
+    def test_tilde_after_bar_matches_a_fresh_form(self, descname, kind, request):
+        desc = request.getfixturevalue(descname)
+        rng = random.Random(f"certified-{descname}-{kind}")
+        for _ in range(6):
+            bal = self.balanced(rng, desc, kind)
+            reduce_bar(bal.lattice, bal.form, dual=bal.dual)
+            got, got_kernel = reduce_tilde(bal.lattice, bal.form, dual=bal.dual)
+            fresh = GramForm(desc, bal.form.gram, bal.form.kind, bal.form.twist)
+            want, want_kernel = reduce_tilde(bal.lattice, fresh, dual=bal.dual)
+            assert_matrix_equal(got.gram, want.gram)
+            assert got.kind == want.kind and got_kernel == want_kernel
+
+    @pytest.mark.parametrize("descname,kind", [("gauss5", "symmetric"),
+                                               ("quad7", "hermitian")])
+    def test_second_reduction_checks_nothing(self, descname, kind, request, monkeypatch):
+        desc = request.getfixturevalue(descname)
+        rng = random.Random(f"counted-{descname}-{kind}")
+        bal = self.balanced(rng, desc, kind)
+        calls = {"contains": [], "dual": 0, "length": 0}
+        contains, dual, length = Lattice.contains_lattice, GramForm.dual, forms.quotient_length
+
+        def counted_contains(a, b):
+            calls["contains"].append((a, b))
+            return contains(a, b)
+
+        def counted_dual(form, lat):
+            calls["dual"] += 1
+            return dual(form, lat)
+
+        def counted_length(sub, sup):
+            calls["length"] += 1
+            return length(sub, sup)
+
+        monkeypatch.setattr(Lattice, "contains_lattice", counted_contains)
+        monkeypatch.setattr(GramForm, "dual", counted_dual)
+        monkeypatch.setattr(forms, "quotient_length", counted_length)
+        reduce_bar(bal.lattice, bal.form, dual=bal.dual)
+        # the supplied dual is the one balance built: no dual-against-dual
+        # containment, only the balance checks and the length, each on T
+        assert calls["contains"] and calls["length"] == 1
+        assert all(a is bal.lattice or b is bal.lattice for a, b in calls["contains"])
+        calls.update(contains=[], dual=0, length=0)
+        reduce_tilde(bal.lattice, bal.form, dual=bal.dual)
+        reduce_pair(bal.lattice, bal.form, dual=bal.dual)
+        assert calls == {"contains": [], "dual": 0, "length": 0}
+
 
 class TestAssemble:
     def test_two_alternating_blocks(self, gauss5):

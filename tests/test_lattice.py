@@ -536,8 +536,11 @@ class TestIntegralityTest:
             n = rng.randint(1, 3)
             a = random_lattice(rng, desc, n)
             b = random_lattice(rng, desc, n)
-            for x, y in ((a, b), (b, a), (a, lattice_sum(a, b)), (lattice_sum(a, b), a)):
-                assert x.contains_lattice(y) == old_contains(x, y)
+            pairs = ((a, b), (b, a), (a, lattice_sum(a, b)), (lattice_sum(a, b), a))
+            # the second round reads the integer forms the first one kept
+            for _ in range(2):
+                for x, y in pairs:
+                    assert x.contains_lattice(y) == old_contains(x, y)
 
     def test_contains_builds_no_element(self, quad7, monkeypatch):
         rng = random.Random("no-elements")
@@ -591,3 +594,62 @@ class TestDimensionMismatch:
     def test_integral_product_refuses_mixed_descriptors(self, gauss5, gauss13):
         with pytest.raises(InvalidDescriptor):
             gauss5.integral_product(la.identity(gauss5, 2), la.identity(gauss13, 2))
+
+
+class TestKeptIntegerForms:
+    """A lattice keeps the integer rows of its inverse and the integer
+    columns of its basis; the tests that read them still check the
+    descriptor of every operand."""
+
+    def test_foreign_descriptor_refused(self, gauss5, gauss13):
+        rng = random.Random("foreign")
+        a = random_lattice(rng, gauss5, 2)
+        b = random_lattice(rng, gauss13, 2)
+        swap = signed_swaps(gauss13, 2)[0]
+        calls = [
+            lambda: a.contains_lattice(b),
+            lambda: b.contains_lattice(a),
+            lambda: a == b,
+            lambda: b == a,
+            lambda: maps_into(swap, a),
+            lambda: stabilize(a, [swap]),
+        ]
+        for _ in range(2):  # once building the integer forms, once reading them
+            for call in calls:
+                with pytest.raises(InvalidDescriptor):
+                    call()
+
+    def test_clone_descriptor_accepted(self, gauss5):
+        clone = make_descriptor(4, 5)
+        assert clone is not gauss5 and clone == gauss5
+        rng = random.Random("clone")
+        own, cloned = signed_swaps(gauss5, 2), signed_swaps(clone, 2)
+        for _ in range(6):
+            a = random_lattice(rng, gauss5, 2)
+            c = random_lattice(rng, gauss5, 2)
+            # c over the clone
+            b = Lattice(clone, [[clone.element(list(x.coeffs)) for x in row] for row in c.basis])
+            assert b == c and c == b
+            for x, y in ((a, b), (b, a), (a, lattice_sum(a, b)), (lattice_sum(a, b), b)):
+                assert x.contains_lattice(y) == old_contains(x, y)
+            assert a.contains_lattice(b) == a.contains_lattice(c)
+            assert b.contains_lattice(a) == c.contains_lattice(a)
+            for m1, m2 in zip(own, cloned):
+                assert maps_into(m2, a) == maps_into(m1, a)
+                assert maps_into(m1, b) == maps_into(m1, c)
+            assert la.mat_eq(stabilize(a, cloned).basis, stabilize(a, own).basis)
+            assert la.mat_eq(stabilize(b, own).basis, stabilize(c, own).basis)
+
+    @pytest.mark.parametrize("descname", ["gauss5", "quad7"])
+    def test_maps_into_matches_the_image_lattice(self, descname, request):
+        """maps_into reads m B off the integer forms; the reference builds
+        the image lattice m L and tests its containment."""
+        desc = request.getfixturevalue(descname)
+        rng = random.Random(f"maps-into-{descname}")
+        for _ in range(8):
+            n = rng.randint(1, 3)
+            lat = random_lattice(rng, desc, n)
+            m = random_invertible(rng, desc, n)
+            image = Lattice(desc, la.mat_mul(m, lat.basis))
+            for _ in range(2):
+                assert maps_into(m, lat) == old_contains(lat, image)

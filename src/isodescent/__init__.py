@@ -55,7 +55,6 @@ from .forms import (
     classify_gram,
     normalize_scale,
     reduce_bar,
-    reduce_pair,
     reduce_tilde,
 )
 from .descent import (
@@ -121,7 +120,6 @@ __all__ = [
     "normalize_scale",
     "quotient_length",
     "reduce_bar",
-    "reduce_pair",
     "reduce_tilde",
     "rigidity_check",
     "scale_lattice",

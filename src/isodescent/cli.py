@@ -33,7 +33,7 @@ from .descent import (
     descend,
 )
 from .errors import (BundleFormatError, InvalidDescriptor, IsodescentError,
-                     NegativeValuation, SearchSpaceTooLarge)
+                     SearchSpaceTooLarge)
 from .exactfield import FieldElement, _is_int, make_descriptor
 from .forms import KINDS, GramForm
 from .lattice import stabilize, standard_lattice
@@ -172,16 +172,6 @@ def _ser(x) -> list:
     if isinstance(x, FieldElement):
         return x.serialize()
     return list(x.coeffs)
-
-
-def _reduce_poly_or_none(cp):
-    out = []
-    for c in cp:
-        try:
-            out.append(_ser(c.reduce()))
-        except NegativeValuation:
-            out.append(None)
-    return out
 
 
 def _descent_result_dict(res) -> dict:
@@ -356,7 +346,9 @@ def cmd_charpoly(bundle_path: str, out_path=None, max_group_order=None) -> int:
         if c == i:
             cp = la.charpoly(rep.element(i), rep.field)
             ser = _ser(cp)
-            per_class[i] = ser, _reduce_poly_or_none(cp), json.dumps(ser)
+            # a finite-order element's charpoly has algebraic-integer
+            # coefficients, so each one reduces
+            per_class[i] = ser, _ser([c.reduce() for c in cp]), json.dumps(ser)
         ser, red, key = per_class[c]
         rows.append({
             "element_index": i,

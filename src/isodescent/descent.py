@@ -8,9 +8,10 @@ normal form of that inclusion, and descend reuses it for an adapted
 basis in which every group element is block lower triangular mod lambda; the
 two diagonal blocks act on the two residue quotients, and their direct sum
 is the reduced representation rho_bar.  Both quotients carry induced
-nondegenerate forms, reduced in one validated call (forms.reduce_pair),
-whose kinds follow the scaling-twist bookkeeping of the forms module; the
-direct sum of their Gram matrices is the reduced form f0.
+nondegenerate forms, reduced by forms.reduce_bar and then forms.reduce_tilde
+(the balanced pair is certified once), whose kinds follow the scaling-twist
+bookkeeping of the forms module; the direct sum of their Gram matrices is
+the reduced form f0.
 
 The group acts on a finite orbit of row vectors, and each element is held
 as the indices of its rows there (_Orbit).  The reduced action is computed
@@ -52,7 +53,8 @@ from .forms import (
     GramForm,
     ResidueForm,
     normalize_scale,
-    reduce_pair,
+    reduce_bar,
+    reduce_tilde,
 )
 from .lattice import (
     Lattice,
@@ -498,9 +500,11 @@ def descend(rep: GroupRep) -> DescentResult:
     # one extra uniformizer factor) from the dual quotient
     adapted_lat = Lattice(field, basis_lat, _inverse=lat_inv)
     adapted_dual = Lattice(field, basis_star, _inverse=star_inv)
-    # reduce_pair checks both kernel dimensions against the length of the
-    # dual over the lattice, which is sum(exps) = w
-    (bar, _), (tilde, _) = reduce_pair(adapted_lat, f2, dual=adapted_dual)
+    # each reduction checks its kernel dimension against the length of the
+    # dual over the lattice, which is sum(exps) = w; reduce_tilde reads the
+    # balanced pair reduce_bar certified on the form
+    bar, _ = reduce_bar(adapted_lat, f2, dual=adapted_dual)
+    tilde, _ = reduce_tilde(adapted_lat, f2, dual=adapted_dual)
     kz = kfield.zero
     for i in range(n):
         for j in range(n):

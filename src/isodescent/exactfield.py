@@ -46,7 +46,6 @@ import math
 import re
 from fractions import Fraction
 
-from . import linalg as la
 from .cyclotomic import CycloRing, _split_ell, euler_phi
 from .errors import (
     InternalInconsistency,
@@ -503,20 +502,6 @@ class FieldDescriptor:
         mod ell^t decide exactly (LambdaEngine.divisible)."""
         t, _ = _split_ell(d, self.ell)
         return t == 0 or self.kengine.divisible(w, t)
-
-    def integral_product(self, a, b) -> bool:
-        """Whether every entry of a @ b has valuation >= 0, read off the
-        integer product (linalg.int_product): no entry is brought to lowest
-        terms, built as an element or given a certified valuation.  Raises
-        DimensionMismatch on mismatched shapes and InvalidDescriptor like
-        integer_rows."""
-        return self.integral_scaled(*la.int_product(self, a, b))
-
-    def integral_scaled(self, rds, cds, prod) -> bool:
-        """Whether every prod[i][j] / (rds[i] cds[j]) has valuation >= 0."""
-        integral = self.integral
-        return all(integral(w, rd * cd)
-                   for prow, rd in zip(prod, rds) for w, cd in zip(prow, cds))
 
     def int_mat_mul(self, a, b):
         return self.kring.int_mat_mul(a, b)

@@ -14,7 +14,8 @@ Unramified involutions use a conjugation-fixed uniformizer, so both reduced
 forms stay hermitian, and bilinear kinds are preserved verbatim.
 
 A GramForm keeps its last dual and its last certified balanced pair, keyed
-by lattice identity: reductions certify once per (lattice, dual) per form.
+by lattice identity: reductions certify once per (lattice, dual) per form,
+so reduce_tilde after reduce_bar on the same objects checks nothing again.
 """
 
 from __future__ import annotations
@@ -204,15 +205,15 @@ class ResidueForm(_Form):
         return la.det(self.gram, self.rfield) != self.rfield.zero
 
 
-def _reduce_sides(lat: Lattice, form: GramForm, dual, sides):
-    """The body of reduce_bar (side 0), reduce_tilde (side 1) and
-    reduce_pair (both): one (ResidueForm, kernel) pair per side.
+def _reduce_side(lat: Lattice, form: GramForm, dual, side: int):
+    """The body of reduce_bar (side 0) and reduce_tilde (side 1): one
+    (ResidueForm, kernel) pair.
 
     Raises unless the lattice is balanced and the form takes integral values
     on it with minimum valuation exactly zero; the form keeps the last pair
     that passed, with the gram on lat and the length of dual/lat.  Side 0
     reduces the form on lat's basis, side 1 pi times the form on the dual's
-    basis; each call checks its kernel dimensions against that length.
+    basis; each call checks its kernel dimension against that length.
     """
     field = form.field
     if dual is None:
@@ -236,28 +237,24 @@ def _reduce_sides(lat: Lattice, form: GramForm, dual, sides):
         if low > 0:
             raise PreconditionViolated(
                 "form is not scale-normalized on the lattice (all values divisible by pi)")
-        # the first kernel is dual/lat, the second its complement
         slot = form._balanced_slot = (lat, dual, g_lat, quotient_length(lat, dual))
-    _, _, g_lat, length = slot
-    kfield = field.residue_field
-    out = []
-    for side in sides:
-        g = g_lat
-        if side:
-            g = la.scalar_mul(field.pi_power(1), form.gram_in_basis(dual.basis))
-            if any(x.valuation() < 0 for row in g for x in row):
-                raise InternalInconsistency(
-                    "pi times the form is not integral on the dual of a balanced lattice")
-        rg = reduce_gram(g)
-        kind = form.reduced_kind_pair()[side]
-        conj = field.residue_involution if kind == "hermitian" else None
-        rform = ResidueForm(kfield, rg, kind, conj=conj)
-        kernel = la.kernel_basis(rg, kfield)
-        if len(kernel) != (form.dim - length if side else length):
+    _, _, g, length = slot
+    if side:
+        g = la.scalar_mul(field.pi_power(1), form.gram_in_basis(dual.basis))
+        if any(x.valuation() < 0 for row in g for x in row):
             raise InternalInconsistency(
-                f"residue kernel {side} disagrees with the index of the lattice in its dual")
-        out.append((rform, kernel))
-    return out
+                "pi times the form is not integral on the dual of a balanced lattice")
+    rg = reduce_gram(g)
+    kind = form.reduced_kind_pair()[side]
+    kfield = field.residue_field
+    conj = field.residue_involution if kind == "hermitian" else None
+    rform = ResidueForm(kfield, rg, kind, conj=conj)
+    kernel = la.kernel_basis(rg, kfield)
+    # the first kernel is dual/lat, the second its complement
+    if len(kernel) != (form.dim - length if side else length):
+        raise InternalInconsistency(
+            f"residue kernel {side} disagrees with the index of the lattice in its dual")
+    return rform, kernel
 
 
 def reduce_bar(lat: Lattice, form: GramForm, dual=None):
@@ -270,7 +267,7 @@ def reduce_bar(lat: Lattice, form: GramForm, dual=None):
     precomputed dual fixes the basis used for the balance check.  The
     preconditions are certified once per (lat, dual) per form.
     """
-    return _reduce_sides(lat, form, dual, (0,))[0]
+    return _reduce_side(lat, form, dual, 0)
 
 
 def reduce_tilde(lat: Lattice, form: GramForm, dual=None):
@@ -281,13 +278,7 @@ def reduce_tilde(lat: Lattice, form: GramForm, dual=None):
     coordinates; the kernel dimension is complementary to reduce_bar's, and
     the form is nondegenerate modulo the kernel.
     """
-    return _reduce_sides(lat, form, dual, (1,))[0]
-
-
-def reduce_pair(lat: Lattice, form: GramForm, dual=None):
-    """Both residue forms, (reduce_bar(...), reduce_tilde(...)), with the
-    preconditions checked once."""
-    return tuple(_reduce_sides(lat, form, dual, (0, 1)))
+    return _reduce_side(lat, form, dual, 1)
 
 
 class AssembledForm(_Form):

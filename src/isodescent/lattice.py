@@ -165,7 +165,10 @@ class Lattice:
         if len(w) != self.dim:
             raise DimensionMismatch(f"{len(w)} rows against a {self.dim}-dim lattice")
         rds, inv = self._inverse_rows
-        return self.field.integral_scaled(rds, cds, self.field.int_mat_mul(inv, w))
+        integral = self.field.integral
+        return all(integral(x, rd * cd)
+                   for prow, rd in zip(self.field.int_mat_mul(inv, w), rds)
+                   for x, cd in zip(prow, cds))
 
     def transition_from(self, other: "Lattice"):
         """Matrix expressing the other basis in this one."""

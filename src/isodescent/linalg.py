@@ -15,6 +15,8 @@ module builds everything else from those four.  mat_mul puts the rows of
 one factor and the columns of the other over their own denominators and
 brings each output entry to lowest terms once, charpoly puts the whole
 matrix over one denominator, and det is charpoly's constant term.
+Containment tests (lattice.Lattice) multiply the same integer forms and
+build no element.
 """
 
 from __future__ import annotations
@@ -48,27 +50,6 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _check_product(a, b):
-    if a and len(a[0]) != len(b):
-        raise DimensionMismatch(
-            f"matrix product shape mismatch: {len(a)}x{len(a[0])} by "
-            f"{len(b)}x{len(b[0]) if b else 0}")
-
-
-def int_product(field, a, b):
-    """(row denominators rd, column denominators cd, W) with entry (i, j)
-    of a @ b equal to W[i][j] / (rd[i] cd[j]), not in lowest terms: the
-    rows of a and the columns of b come from the field's integer_rows and
-    their numerators are multiplied by its int_mat_mul.  Raises
-    DimensionMismatch on mismatched shapes, and the field's own error
-    unless every entry is one of its elements."""
-    _check_product(a, b)
-    rows = field.integer_rows(a)
-    cols = field.integer_rows(list(zip(*b)))
-    prod = field.int_mat_mul([w for _, w in rows], list(zip(*(w for _, w in cols))))
-    return [d for d, _ in rows], [d for d, _ in cols], prod
-
-
 def integer_matrix(field, m):
     """(d, w) with m = w / d: d the least common denominator of every entry
     of m and w the entries' integer coordinate tuples over it."""
@@ -79,16 +60,25 @@ def integer_matrix(field, m):
 
 
 def mat_mul(a, b):
-    """a @ b on integer coordinates (int_product), each output entry brought
-    to lowest terms once."""
-    _check_product(a, b)
+    """a @ b on integer coordinates: the rows of a and the columns of b come
+    from the field's integer_rows, their numerators are multiplied by its
+    int_mat_mul, and entry (i, j), W[i][j] over the product of the two
+    denominators, is brought to lowest terms once.  Raises DimensionMismatch
+    on mismatched shapes, and the field's own error unless every entry is
+    one of its elements."""
+    if a and len(a[0]) != len(b):
+        raise DimensionMismatch(
+            f"matrix product shape mismatch: {len(a)}x{len(a[0])} by "
+            f"{len(b)}x{len(b[0]) if b else 0}")
     if not a or not b:
         return [[] for _ in a]
     field = a[0][0].field
-    rds, cds, prod = int_product(field, a, b)
+    rows = field.integer_rows(a)
+    cols = field.integer_rows(list(zip(*b)))
+    prod = field.int_mat_mul([w for _, w in rows], list(zip(*(w for _, w in cols))))
     from_integer = field.from_integer
-    return [[from_integer(v, rd * cd) for v, cd in zip(prow, cds)]
-            for prow, rd in zip(prod, rds)]
+    return [[from_integer(v, rd * cd) for v, (cd, _) in zip(prow, cols)]
+            for prow, (rd, _) in zip(prod, rows)]
 
 
 def scalar_mul(c, a):

@@ -143,8 +143,10 @@ def evaluate(form, x, y):
 
 def contains_vector(lat, vec) -> bool:
     """Whether the column vec lies in the lattice: B^-1 vec is integral,
-    decided on the integer product (FieldDescriptor.integral_product)."""
-    return lat.field.integral_product(lat.inverse, [[x] for x in vec])
+    decided on the lattice's kept integer rows of B^-1 and the integer form
+    of vec."""
+    (d, w), = lat.field.integer_rows([vec])
+    return lat._integral_on([d], [[x] for x in w])
 
 
 def load_json(path):

@@ -13,7 +13,7 @@ from isodescent.cli import load_bundle, main
 from isodescent.errors import BundleFormatError
 from isodescent.exactfield import MAX_CONDUCTOR, MAX_ELL, MAX_RESIDUE_DEGREE
 
-from conftest import bundle_path
+from conftest import BUNDLE_DIR, bundle_path
 
 
 def run(capsys, *argv):
@@ -65,15 +65,15 @@ class TestExitCodes:
         # one diagonal entry of the first block's gram moved by one: B_3 x
         # B_2 permutes that block's basis, so some generator's image no
         # longer preserves f0, while the block stays nondegenerate
-        reduce_pair = descent.reduce_pair
+        reduce_bar = descent.reduce_bar
 
         def bent(*args, **kwargs):
-            (bar, kernel), tilde = reduce_pair(*args, **kwargs)
+            bar, kernel = reduce_bar(*args, **kwargs)
             last = bar.dim - 1  # the first block holds the trailing indices
             bar.gram[last][last] = bar.gram[last][last] + bar.rfield.one
-            return (bar, kernel), tilde
+            return bar, kernel
 
-        monkeypatch.setattr(descent, "reduce_pair", bent)
+        monkeypatch.setattr(descent, "reduce_bar", bent)
         out = tmp_path / "report.json"
         assert cli.cmd_descend(str(bundle_path("block_b3xb2_q5")), str(out)) == 2
         result = json.loads(out.read_text())["result"]
@@ -468,6 +468,23 @@ class TestReports:
                     "charpoly_classes", "kernel_explanations", "certificates"):
             assert key in result, key
         assert result["block_kinds"] == ["hermitian", "hermitian"]
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in BUNDLE_DIR.glob("*.json")))
+    def test_charpoly_rows_match_descend(self, capsys, tmp_path, name):
+        # the census reduces each charpoly over K, descend takes the charpoly
+        # of the reduced action over k; z4 is one-dimensional over F_49, where
+        # Berkowitz's recursion ends at its 1 x 1 case
+        census, descended = tmp_path / "charpoly.json", tmp_path / "descend.json"
+        assert run(capsys, "charpoly", str(bundle_path(name)), "--out", str(census))[0] == 0
+        run(capsys, "descend", str(bundle_path(name)), "--out", str(descended))
+        rows = json.loads(census.read_text())["result"]["rows"]
+        result = json.loads(descended.read_text())["result"]
+        assert len(rows) == len(result["charpoly_table"]) == result["group_order"]
+        for i, row in enumerate(rows):
+            assert row["element_index"] == i
+            assert row["charpoly"] == result["charpoly_table"][i]
+            assert row["charpoly_mod_lambda"] == result["charpoly_table_mod_lambda"][i]
+            assert None not in row["charpoly_mod_lambda"]
 
 
 class TestLoader:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from isodescent import descent, forms
 from isodescent import linalg as la
 from isodescent.cli import _descent_result_dict, load_bundle
 from isodescent.counterexamples import build_prop5_bundle, build_prop6_bundle
@@ -436,6 +437,42 @@ class TestDescend:
                 lhs = res.rho_bar[kk]
                 rhs = la.mat_mul(res.rho_bar[i], res.rho_bar[j])
                 assert la.mat_eq(lhs, rhs)
+
+    @pytest.mark.parametrize("repname,resname", [("q8_rep5", "q8_res5"),
+                                                 ("z4_rep7", "z4_res7"),
+                                                 ("remark4_rep7", "remark4_res7")])
+    def test_balanced_pair_is_certified_once(self, repname, resname, request, monkeypatch):
+        """descend reduces the adapted pair by reduce_bar and then
+        reduce_tilde; the second reads the pair the first certified."""
+        rep = request.getfixturevalue(repname)
+        calls = {"length": 0, "tilde": 0, "contains_in_tilde": 0}
+        contains, length = Lattice.contains_lattice, forms.quotient_length
+        reduce_tilde = descent.reduce_tilde
+        inside = []
+
+        def counted_contains(a, b):
+            calls["contains_in_tilde"] += bool(inside)
+            return contains(a, b)
+
+        def counted_length(sub, sup):
+            calls["length"] += 1
+            return length(sub, sup)
+
+        def counted_tilde(*args, **kwargs):
+            calls["tilde"] += 1
+            inside.append(True)
+            try:
+                return reduce_tilde(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Lattice, "contains_lattice", counted_contains)
+        monkeypatch.setattr(forms, "quotient_length", counted_length)
+        monkeypatch.setattr(descent, "reduce_tilde", counted_tilde)
+        res = descend(rep)
+        assert calls == {"length": 1, "tilde": 1, "contains_in_tilde": 0}
+        want = request.getfixturevalue(resname)
+        assert_matrix_equal(res.f0_gram, want.f0_gram)
 
     def test_reduced_action_preserves_f0(self, remark4_res7):
         res = remark4_res7

@@ -580,8 +580,6 @@ class TestDimensionMismatch:
             lambda: a.transition_from(b),
             lambda: quotient_length(a, b),
             lambda: quotient_length(b, a),
-            lambda: gauss5.integral_product(a.inverse, b.basis),
-            lambda: gauss5.integral_product(b.inverse, a.basis),
             lambda: maps_into(i3, a),
             lambda: is_stable(a, [i3]),
             lambda: stabilize(a, [i3]),
@@ -590,10 +588,6 @@ class TestDimensionMismatch:
         for call in calls:
             with pytest.raises(DimensionMismatch):
                 call()
-
-    def test_integral_product_refuses_mixed_descriptors(self, gauss5, gauss13):
-        with pytest.raises(InvalidDescriptor):
-            gauss5.integral_product(la.identity(gauss5, 2), la.identity(gauss13, 2))
 
 
 class TestKeptIntegerForms:
@@ -613,6 +607,7 @@ class TestKeptIntegerForms:
             lambda: b == a,
             lambda: maps_into(swap, a),
             lambda: stabilize(a, [swap]),
+            lambda: contains_vector(a, [gauss13.one] * 2),
         ]
         for _ in range(2):  # once building the integer forms, once reading them
             for call in calls:

@@ -33,8 +33,8 @@ from .finitefield import fp_det, fp_kernel, fp_mat_mul, fp_mat_pow, fp_powmod
 from .forms import GramForm, classify_gram
 
 DEFAULT_ENUM_CAP = 1000000
-# largest ell that `isodescent verify` accepts; prop6 has no enumeration
-# bound, and its quaternion-pair search grows linearly in ell
+# largest ell the verifiers accept; prop6 has no enumeration bound, and its
+# quaternion-pair search grows linearly in ell
 MAX_VERIFY_ELL = 10 ** 6
 
 
@@ -61,6 +61,20 @@ class NonexistenceCertificate:
             "counts": dict(sorted(self.counts.items())),
             "details": dict(sorted(self.details.items())),
         }
+
+
+def _require_verifiable(tag: str, ell: int, candidates: int, enum_cap: int):
+    """Refuse a verifier's input before any work: ell over MAX_VERIFY_ELL,
+    then an exhaustive search of more than enum_cap candidates, then an ell
+    that is not an odd prime.  The ceiling comes first, so no huge ell is
+    trial-divided."""
+    if ell > MAX_VERIFY_ELL:
+        raise InvalidDescriptor(f"verify: --ell must be at most {MAX_VERIFY_ELL}")
+    if candidates > enum_cap:
+        raise SearchSpaceTooLarge(
+            f"verify {tag}: {candidates} candidates at ell={ell} exceed "
+            f"--enum-cap {enum_cap}")
+    _require_odd_prime(ell)
 
 
 def _require_odd_prime(ell: int):
@@ -144,7 +158,8 @@ def _invariant_symmetric_grams(g, ell: int):
     return examined, invariant
 
 
-def no_invariant_symmetric_form(ell: int) -> NonexistenceCertificate:
+def no_invariant_symmetric_form(ell: int,
+                                enum_cap: int = DEFAULT_ENUM_CAP) -> NonexistenceCertificate:
     """Exhaustively confirm the standard unipotent kills symmetric forms.
 
     Enumerates all ell^3 symmetric 2x2 Gram matrices over F_ell and checks
@@ -154,9 +169,10 @@ def no_invariant_symmetric_form(ell: int) -> NonexistenceCertificate:
     advanced by four additions mod ell per candidate (see
     _invariant_symmetric_grams).  For the invariant ones the two vanishing
     identities f(u,u) = 0 and f(u,v) = 0 (u the fixed vector, v its partner)
-    are verified, and fp_det decides nondegeneracy.
+    are verified, and fp_det decides nondegeneracy.  More than enum_cap
+    candidates raise SearchSpaceTooLarge before the search.
     """
-    _require_odd_prime(ell)
+    _require_verifiable("lemma", ell, ell ** 3, enum_cap)
     examined, invariant_grams = _invariant_symmetric_grams([[1, 1], [0, 1]], ell)
     nondeg_invariant = 0
     identities = True
@@ -298,7 +314,7 @@ def _irreducibility_witness(ell: int) -> bool:
     return True
 
 
-def verify_prop5(ell: int) -> NonexistenceCertificate:
+def verify_prop5(ell: int, enum_cap: int = DEFAULT_ENUM_CAP) -> NonexistenceCertificate:
     """Existence of the order-ell symmetric bundle plus nonexistence of any
     faithful symmetric home for it over F_ell.
 
@@ -306,8 +322,10 @@ def verify_prop5(ell: int) -> NonexistenceCertificate:
     nondegenerate and invariant, the group has order exactly ell, and the
     plane is irreducible over K.  The nonexistence half combines the
     unipotent normal-form fact with the exhaustive symmetric-form search.
+    More than enum_cap candidates (ell^4 + ell^3) raise SearchSpaceTooLarge
+    before any work.
     """
-    _require_odd_prime(ell)
+    _require_verifiable("prop5", ell, ell ** 4 + ell ** 3, enum_cap)
     rep = build_prop5_bundle(ell)
     desc = rep.field
     existence = (
@@ -315,7 +333,7 @@ def verify_prop5(ell: int) -> NonexistenceCertificate:
         and classify_gram(desc, rep.form.gram) == "symmetric"
         and _irreducibility_witness(ell)
     )
-    lemma = no_invariant_symmetric_form(ell)
+    lemma = no_invariant_symmetric_form(ell, enum_cap)
     fact = _order_ell_unipotent_fact(ell)
     normal_form_ok = (
         fact["order_ell_count"] == fact["expected_count"]
@@ -462,7 +480,7 @@ def verify_prop6(ell: int, enum_cap: int = DEFAULT_ENUM_CAP) -> NonexistenceCert
     whole solution space whenever it fits under the cap, each form decided
     by its Pfaffian (see _count_degenerate_alternating).
     """
-    _require_odd_prime(ell)
+    _require_verifiable("prop6", ell, 0, enum_cap)
     if 8 % ell == 0:
         raise InternalInconsistency("quaternion order must be invertible mod ell")
     abar, bbar = _quaternion_pair_mod(ell)

@@ -556,8 +556,6 @@ def descend(rep: GroupRep) -> DescentResult:
     charpoly_table_K = [per_class[c][0] for c in cls]
     charpoly_table_k = [per_class[c][1] for c in cls]
 
-    f0_nondeg = la.det(f0.gram, kfield) != kfield.zero
-
     # every kernel element must be explained by a failure of the rigidity
     # hypothesis.  Each one stabilizes the lattice and has finite order (the
     # closure and reduced_action guarantee both), so with 2e < ell - 1 the
@@ -572,7 +570,7 @@ def descend(rep: GroupRep) -> DescentResult:
     certificates = {
         "faithful": faithful,
         "charpoly_preserved": charpoly_ok,
-        "f0_nondegenerate": f0_nondeg,
+        "f0_nondegenerate": f0.is_nondegenerate(),
         "kind_correct": kind_correct,
         "hypothesis_2e_lt_ell_minus_1": field.two_e_ok,
     }

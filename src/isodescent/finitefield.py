@@ -223,6 +223,8 @@ class ResidueField:
             # integer_rows gives d = 1, so products and charpoly skip this
             inv = pow(d, -1, p)
             w = [c * inv for c in w]
+        # not redundant after int_mat_mul: the 1 x 1 charpoly hands over
+        # -w[0][0] unreduced, with negative coefficients
         return ResidueElement(self, tuple(c % p for c in w))
 
     @property

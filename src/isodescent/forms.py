@@ -2,7 +2,11 @@
 
 Convention used throughout: f(x, y) = conj(x)^T A y, with the involution (if
 any) applied to the first argument; bilinear kinds use no involution at all.
-A matrix M is an isometry when conj(M)^T A M = A.
+A matrix M is an isometry when conj(M)^T A M = A.  _Form states this once
+for GramForm (over K), ResidueForm (over k) and AssembledForm (the reduced
+form f0, joined from checked ResidueForms): one constructor checks what every
+form needs, every form keeps `field` and `conj`, and is_nondegenerate is the
+one determinant test.
 
 Scaling bookkeeping: for a hermitian form over a ramified involution the
 uniformizer is anti-fixed, so multiplying the Gram matrix by pi flips the
@@ -32,6 +36,7 @@ from .errors import (
     NoInvolution,
     PreconditionViolated,
 )
+from .exactfield import FieldElement
 from .lattice import Lattice, quotient_length, scale_lattice
 
 KINDS = ("symmetric", "alternating", "hermitian")
@@ -44,68 +49,57 @@ def _check_shape(gram):
     return n
 
 
-def _conj_t(m, conj):
-    """conj(m)^T for the entrywise involution conj; the transpose when conj
-    is None (bilinear kinds)."""
-    return la.transpose(m) if conj is None else la.conj_transpose(m, conj)
-
-
 def _kind_holds(gram, conj, skew: bool) -> bool:
     """Whether conj(A)^T equals A, or -A when skew.  Forms live in odd or
     zero characteristic, where skew symmetry forces a zero diagonal."""
     expect = [[-x for x in row] for row in gram] if skew else gram
-    return la.mat_eq(_conj_t(gram, conj), expect)
+    return la.mat_eq(la.conj_transpose(gram, conj), expect)
 
 
 class _Form:
-    """Conventions shared by every form class: f(x, y) = conj(x)^T A y.
+    """Conventions shared by every form class: f(x, y) = conj(x)^T A y, with
+    scalars in `field`, A in `gram`, and `conj` the entrywise map applied to
+    the first slot (None for bilinear kinds)."""
 
-    Subclasses set `gram` (A), `dim` and `conj`, the entrywise map applied
-    to the first slot (None for bilinear kinds).
-    """
-
-    def _check_kind(self, kind: str, twist: int = 0):
-        """Raise KindMismatch unless conj(A)^T equals A, or -A for the
-        alternating kind and odd-twist hermitian forms."""
-        if not _kind_holds(self.gram, self.conj, kind == "alternating" or twist):
-            raise KindMismatch(
-                f"gram matrix does not satisfy the {kind} axiom (twist {twist})")
-
-    def gram_in_basis(self, b):
-        """Gram matrix of the form restricted to the columns of b."""
-        return la.mat_mul(_conj_t(b, self.conj), la.mat_mul(self.gram, b))
-
-    def is_isometry(self, m) -> bool:
-        return la.mat_eq(self.gram_in_basis(m), self.gram)
-
-
-class GramForm(_Form):
-    """A nondegenerate form over K with an explicit kind tag."""
-
-    def __init__(self, field, gram, kind: str, twist: int = 0):
+    def __init__(self, field, gram, kind: str, conj, twist: int = 0):
+        """Check a kind tag, a square gram, an involution for the hermitian
+        kind (conj is ignored for bilinear kinds) and the kind axiom: conj(A)^T
+        is A, or -A for the alternating kind and an odd twist."""
         if kind not in KINDS:
             raise KindMismatch(f"unknown form kind {kind!r}")
         self.field = field
         self.gram = la.mat_copy(gram)
         self.kind = kind
         self.dim = _check_shape(gram)
-        if kind == "hermitian":
-            if field.involution is None:
-                raise NoInvolution("hermitian forms need a field involution")
-            self.twist = twist % 2 if field.involution_type == "ramified" else 0
-        else:
-            self.twist = 0
-        self._check_kind(kind, self.twist)
-        if la.det(self.gram, field) == field.zero:
+        self.conj = conj if kind == "hermitian" else None
+        if kind == "hermitian" and conj is None:
+            raise NoInvolution("hermitian forms need an involution")
+        if not _kind_holds(self.gram, self.conj, kind == "alternating" or twist):
+            raise KindMismatch(
+                f"gram matrix does not satisfy the {kind} axiom (twist {twist})")
+
+    def gram_in_basis(self, b):
+        """Gram matrix of the form restricted to the columns of b."""
+        return la.mat_mul(la.conj_transpose(b, self.conj), la.mat_mul(self.gram, b))
+
+    def is_isometry(self, m) -> bool:
+        return la.mat_eq(self.gram_in_basis(m), self.gram)
+
+    def is_nondegenerate(self) -> bool:
+        return la.det(self.gram, self.field) != self.field.zero
+
+
+class GramForm(_Form):
+    """A nondegenerate form over K with an explicit kind tag."""
+
+    def __init__(self, field, gram, kind: str, twist: int = 0):
+        self.twist = twist % 2 if (
+            kind == "hermitian" and field.involution_type == "ramified") else 0
+        conj = None if field.involution is None else FieldElement.conjugate
+        super().__init__(field, gram, kind, conj, self.twist)
+        if not self.is_nondegenerate():
             raise DegenerateForm("gram matrix is singular")
         self._gram_inv = self._dual_slot = self._balanced_slot = None
-
-    @property
-    def conj(self):
-        """Entrywise involution for the first slot; None for bilinear kinds."""
-        if self.kind == "hermitian":
-            return lambda x: x.conjugate()
-        return None
 
     def dual(self, lat: Lattice) -> Lattice:
         """The vectors pairing integrally with lat in the first slot, without
@@ -117,8 +111,8 @@ class GramForm(_Form):
             return slot[1]
         if self._gram_inv is None:
             self._gram_inv = la.mat_inv(self.gram, self.field)
-        basis = _conj_t(la.mat_mul(lat.inverse, self._gram_inv), self.conj)
-        inv = _conj_t(la.mat_mul(self.gram, lat.basis), self.conj)
+        basis = la.conj_transpose(la.mat_mul(lat.inverse, self._gram_inv), self.conj)
+        inv = la.conj_transpose(la.mat_mul(self.gram, lat.basis), self.conj)
         self._dual_slot = (lat, Lattice(self.field, basis, _inverse=inv))
         return self._dual_slot[1]
 
@@ -153,7 +147,7 @@ def classify_gram(field, gram):
         return "alternating"
     if _kind_holds(gram, None, False):
         return "symmetric"
-    if field.involution is not None and _kind_holds(gram, lambda x: x.conjugate(), False):
+    if field.involution is not None and _kind_holds(gram, FieldElement.conjugate, False):
         return "hermitian"
     return None
 
@@ -187,22 +181,10 @@ def reduce_gram(gram):
 class ResidueForm(_Form):
     """A form over a residue field, with the same conventions as GramForm."""
 
-    def __init__(self, rfield, gram, kind: str, conj=None):
-        if kind not in KINDS:
-            raise KindMismatch(f"unknown form kind {kind!r}")
-        if rfield.p == 2:
+    def __init__(self, field, gram, kind: str, conj=None):
+        if field.p == 2:
             raise CharTwo("residue forms need odd characteristic")
-        self.rfield = rfield
-        self.gram = la.mat_copy(gram)
-        self.kind = kind
-        self.conj = conj if kind == "hermitian" else None
-        if kind == "hermitian" and conj is None:
-            raise NoInvolution("hermitian residue forms need a conjugation map")
-        self.dim = _check_shape(gram)
-        self._check_kind(kind)
-
-    def is_nondegenerate(self) -> bool:
-        return la.det(self.gram, self.rfield) != self.rfield.zero
+        super().__init__(field, gram, kind, conj)
 
 
 def _reduce_side(lat: Lattice, form: GramForm, dual, side: int):
@@ -247,8 +229,7 @@ def _reduce_side(lat: Lattice, form: GramForm, dual, side: int):
     rg = reduce_gram(g)
     kind = form.reduced_kind_pair()[side]
     kfield = field.residue_field
-    conj = field.residue_involution if kind == "hermitian" else None
-    rform = ResidueForm(kfield, rg, kind, conj=conj)
+    rform = ResidueForm(kfield, rg, kind, conj=field.residue_involution)
     kernel = la.kernel_basis(rg, kfield)
     # the first kernel is dual/lat, the second its complement
     if len(kernel) != (form.dim - length if side else length):
@@ -291,12 +272,12 @@ class AssembledForm(_Form):
     """
 
     def __init__(self, blocks):
-        parts = [b for b in blocks]
+        parts = tuple(blocks)
         if not parts:
             raise KindMismatch("assembly needs at least one block")
-        rfield = parts[0].rfield
+        field = parts[0].field
         for b in parts:
-            if b.rfield != rfield:
+            if b.field != field:
                 raise KindMismatch("blocks live over different residue fields")
             if not b.is_nondegenerate():
                 raise DegenerateForm("assembly blocks must be nondegenerate")
@@ -306,15 +287,12 @@ class AssembledForm(_Form):
             raise KindMismatch(
                 f"cannot assemble blocks of kinds {kinds}; only the "
                 "symmetric/alternating mix is meaningful")
-        self.rfield = rfield
-        self.blocks = tuple(parts)
+        self.field = field
+        self.blocks = parts
         self.dims = tuple(b.dim for b in parts)
         self.kinds = tuple(b.kind for b in parts)
         self.kind = (kinds[0] if kinds and uniform else
                      "product" if kinds else "symmetric")
         self.dim = sum(self.dims)
         self.conj = next((b.conj for b in parts if b.conj is not None), None)
-        self.gram = la.block_diag(rfield, [b.gram for b in parts])
-
-    def is_nondegenerate(self) -> bool:
-        return all(b.is_nondegenerate() for b in self.blocks)
+        self.gram = la.block_diag(field, [b.gram for b in parts])

@@ -111,8 +111,10 @@ def block_diag(field, blocks):
     return out
 
 
-def conj_transpose(a, conj):
-    return [[conj(x) for x in col] for col in zip(*a)]
+def conj_transpose(a, conj=None):
+    """conj(a)^T for the entrywise involution conj; the transpose when conj
+    is None (bilinear kinds)."""
+    return transpose(a) if conj is None else [[conj(x) for x in col] for col in zip(*a)]
 
 
 def _rref(m, field, ncols: int) -> list[int]:

@@ -131,9 +131,8 @@ def bundle_path(name: str) -> pathlib.Path:
 def evaluate(form, x, y):
     """f(x, y) = sum over i, j of conj(x_i) A_ij y_j, the forms convention
     written out entry by entry rather than through matrix products."""
-    scalars = form.field if isinstance(form, GramForm) else form.rfield
     conj = form.conj or (lambda v: v)
-    total = scalars.zero
+    total = form.field.zero
     for xi, row in zip(x, form.gram):
         cx = conj(xi)
         for a, yj in zip(row, y):

@@ -70,7 +70,7 @@ class TestExitCodes:
         def bent(*args, **kwargs):
             bar, kernel = reduce_bar(*args, **kwargs)
             last = bar.dim - 1  # the first block holds the trailing indices
-            bar.gram[last][last] = bar.gram[last][last] + bar.rfield.one
+            bar.gram[last][last] = bar.gram[last][last] + bar.field.one
             return bar, kernel
 
         monkeypatch.setattr(descent, "reduce_bar", bent)
@@ -162,6 +162,21 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert f"at most {cap}" in err
+
+    def test_dimension_over_the_ceiling_exits_one_fast(self, capsys, tmp_path):
+        # an identity gram and the generator -I, one dimension over MAX_DIM
+        n = cli.MAX_DIM + 1
+        bundle = minimal_bundle()
+        bundle["form"]["gram"] = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+        bundle["generators"] = [[["-1" if i == j else "0" for j in range(n)] for i in range(n)]]
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps(bundle))
+        started = time.perf_counter()
+        code, out, err = run(capsys, "descend", str(p))
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        assert out == ""
+        assert f"dimension {n} exceeds the ceiling {cli.MAX_DIM}" in err
 
     def test_residue_degree_over_its_cap_exits_one_fast(self, capsys, tmp_path):
         # 3 has order 18 mod 19, the least residue degree over 16 that a

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -20,7 +21,8 @@ from isodescent.counterexamples import (
     verify_prop5,
     verify_prop6,
 )
-from isodescent.errors import CharTwo, InternalInconsistency, InvalidDescriptor
+from isodescent.errors import (CharTwo, InternalInconsistency, InvalidDescriptor,
+                               SearchSpaceTooLarge)
 from isodescent.finitefield import fp_det, fp_kernel, fp_mat_mul, fp_mat_pow
 
 
@@ -293,9 +295,23 @@ class TestLargerEll:
         assert cert.details["vanishing_identities_verified"]
 
     def test_huge_composite_ell_rejected(self):
-        # 10^400 + 1 has the factor 353; no float square root is taken
+        # 10^400 + 1 has the factor 353; the ceiling refuses it before any
+        # trial division
         with pytest.raises(InvalidDescriptor):
             no_invariant_symmetric_form(10 ** 400 + 1)
+
+    # 1009^3 and 37^4 + 37^3 candidates exceed the default cap of 10^6, and
+    # 1000003 is the first prime over MAX_VERIFY_ELL
+    @pytest.mark.parametrize("verifier, ell, error", [
+        (no_invariant_symmetric_form, 1009, SearchSpaceTooLarge),
+        (verify_prop5, 37, SearchSpaceTooLarge),
+        (verify_prop6, 1000003, InvalidDescriptor),
+    ], ids=["lemma", "prop5", "prop6"])
+    def test_over_bound_input_is_refused_at_once(self, verifier, ell, error):
+        started = time.perf_counter()
+        with pytest.raises(error):
+            verifier(ell)
+        assert time.perf_counter() - started < 1.0
 
 
 def schoolbook_degenerate_count(sol, ell):

@@ -68,21 +68,30 @@ class TestClassify:
         assert classify_gram(gauss5, [[z, z], [z, z]]) == "alternating"
 
 
+# (kind, gram from one and zero, error) for each check every form makes
+REFUSALS = {
+    "unknown-kind": ("unitary", lambda o, z: [[o]], KindMismatch),
+    "non-square": ("symmetric", lambda o, z: [[o, z]], KindMismatch),
+    "hermitian-without-involution": ("hermitian", lambda o, z: [[o]], NoInvolution),
+    "symmetric-axiom": ("symmetric", lambda o, z: [[o, o + o], [o + o + o, o + o]],
+                        KindMismatch),
+    "alternating-axiom": ("alternating", lambda o, z: [[o]], KindMismatch),
+    # skew, but with a nonzero diagonal
+    "alternating-diagonal": ("alternating", lambda o, z: [[o, o], [-o, z]], KindMismatch),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+@pytest.mark.parametrize("make", ["GramForm", "ResidueForm"])
+def test_every_form_refuses(gauss5, make, case):
+    # gauss5 carries no involution, so neither side has one for the hermitian kind
+    field = gauss5 if make == "GramForm" else gauss5.residue_field
+    kind, gram, error = REFUSALS[case]
+    with pytest.raises(error):
+        getattr(forms, make)(field, gram(field.one, field.zero), kind)
+
+
 class TestGramForm:
-    def test_kind_is_validated(self, gauss5):
-        one, two = gauss5.one, gauss5.rational(2)
-        with pytest.raises(KindMismatch):
-            GramForm(gauss5, [[one, two], [one + two, two]], "symmetric")
-        # skew but nonzero diagonal
-        with pytest.raises(KindMismatch):
-            GramForm(gauss5, [[one, one], [-one, gauss5.zero]], "alternating")
-        with pytest.raises(KindMismatch):
-            GramForm(gauss5, [[one]], "unitary")
-
-    def test_hermitian_without_involution_rejected(self, gauss5):
-        with pytest.raises(NoInvolution):
-            GramForm(gauss5, [[gauss5.one]], "hermitian")
-
     def test_singular_gram_rejected(self, gauss5):
         one = gauss5.one
         with pytest.raises(DegenerateForm):
@@ -234,16 +243,6 @@ class TestResidueForm:
         with pytest.raises(CharTwo):
             ResidueForm(f2, [[f2.one]], "symmetric")
 
-    def test_kind_validation(self, gauss5):
-        k = gauss5.residue_field
-        one, zero = k.one, k.zero
-        with pytest.raises(KindMismatch):
-            ResidueForm(k, [[zero, one], [zero, zero]], "symmetric")
-        with pytest.raises(KindMismatch):
-            ResidueForm(k, [[one]], "alternating")
-        with pytest.raises(NoInvolution):
-            ResidueForm(k, [[one]], "hermitian")
-
     def test_nondegeneracy(self, gauss5):
         k = gauss5.residue_field
         one, zero = k.one, k.zero
@@ -368,8 +367,8 @@ class TestReductions:
             tilde, kt = reduce_tilde(t, f2, dual=bal.dual)
             assert len(kb) + len(kt) == n
             # rank of each nondegenerate part complements its kernel
-            assert len(la.kernel_basis(bar.gram, bar.rfield)) == len(kb)
-            assert len(la.kernel_basis(tilde.gram, tilde.rfield)) == len(kt)
+            assert len(la.kernel_basis(bar.gram, bar.field)) == len(kb)
+            assert len(la.kernel_basis(tilde.gram, tilde.field)) == len(kt)
 
 
     @pytest.mark.parametrize("descname,kind", [("gauss5", "symmetric"),

@@ -74,7 +74,7 @@ def kfield(request):
 
 
 @pytest.fixture(scope="module", params=sorted(RESIDUE_FIELDS))
-def rfield(request):
+def residue_field(request):
     return RESIDUE_FIELDS[request.param]()
 
 
@@ -95,16 +95,16 @@ class TestKernels:
                 [[x.serialize() for x in row] for row in want]
 
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_residue_field_matches_schoolbook(self, rfield, shape):
-        rng = random.Random(f"F{rfield.order}-{shape}")
+    def test_residue_field_matches_schoolbook(self, residue_field, shape):
+        rng = random.Random(f"F{residue_field.order}-{shape}")
         n, k, m = shape
         for _ in range(3):
-            a = random_matrix(lambda: residue_entry(rng, rfield), n, k)
-            b = random_matrix(lambda: residue_entry(rng, rfield), k, m)
+            a = random_matrix(lambda: residue_entry(rng, residue_field), n, k)
+            b = random_matrix(lambda: residue_entry(rng, residue_field), k, m)
             got = la.mat_mul(a, b)
             assert got == schoolbook(a, b)
-            assert all(len(x.coeffs) == rfield.degree
-                       and all(0 <= c < rfield.p for c in x.coeffs)
+            assert all(len(x.coeffs) == residue_field.degree
+                       and all(0 <= c < residue_field.p for c in x.coeffs)
                        for row in got for x in row)
 
     def test_number_field_product_makes_no_scalar_multiplication(self, monkeypatch):

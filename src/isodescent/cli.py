@@ -22,12 +22,12 @@ import time
 from json.encoder import encode_basestring_ascii
 
 from . import __version__ as TOOL_VERSION
-from . import linalg as la
 from .counterexamples import (DEFAULT_ENUM_CAP, MAX_VERIFY_ELL,
                               no_invariant_symmetric_form, verify_prop5,
                               verify_prop6)
 from .descent import (
     DEFAULT_GROUP_CAP,
+    MAX_DIM,
     GroupRep,
     balance,
     descend,
@@ -38,10 +38,6 @@ from .forms import KINDS, GramForm
 from .lattice import stabilize, standard_lattice
 
 VERIFY_TAGS = ("lemma", "prop5", "prop6")
-# largest bundle dimension: with an identity gram and the generator -I over Q
-# at ell = 5, descend took 0.34 s at n = 32, 3.8 s at 64 and 52 s at 128
-# (2-vCPU VM, Python 3.11.7)
-MAX_DIM = 64
 
 
 # ---------------------------------------------------------------------------
@@ -341,25 +337,15 @@ def cmd_charpoly(bundle_path: str, out_path=None, max_group_order=None) -> int:
     started = time.monotonic()
     digest = _file_digest(bundle_path)
     rep, _ = load_bundle(bundle_path, max_group_order)
-    rows = []
+    cls, census = rep.class_charpolys()
+    per_class = {r: (_ser(cp), _ser(red)) for r, (_, cp, red) in census.items()}
+    rows = [{"element_index": i, "charpoly": per_class[c][0],
+             "charpoly_mod_lambda": per_class[c][1]} for i, c in enumerate(cls)]
+    # keyed by the JSON text of the charpoly, whose order sorts the classes
     classes = {}
-    # one charpoly per conjugacy class, at its smallest index, which the
-    # loop reaches before any other element of the class
-    per_class = {}
-    for i, c in enumerate(rep.conjugacy_classes()):
-        if c == i:
-            cp = la.charpoly(rep.element(i), rep.field)
-            ser = _ser(cp)
-            # a finite-order element's charpoly has algebraic-integer
-            # coefficients, so each one reduces
-            per_class[i] = ser, _ser([c.reduce() for c in cp]), json.dumps(ser)
-        ser, red, key = per_class[c]
-        rows.append({
-            "element_index": i,
-            "charpoly": ser,
-            "charpoly_mod_lambda": red,
-        })
-        classes[key] = classes.get(key, 0) + 1
+    for r, (size, _, _) in census.items():
+        key = json.dumps(per_class[r][0])
+        classes[key] = classes.get(key, 0) + size
     result = {
         "field": rep.field.describe(),
         "group_order": rep.order,

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg as la
-from .cyclotomic import CycloRing
+from .cyclotomic import CycloRing, least_factor
 from .descent import GroupRep
 from .errors import (
     CharTwo,
@@ -28,7 +28,7 @@ from .errors import (
     InvalidDescriptor,
     SearchSpaceTooLarge,
 )
-from .exactfield import _is_prime, make_descriptor
+from .exactfield import make_descriptor
 from .finitefield import fp_det, fp_kernel, fp_mat_mul, fp_mat_pow, fp_powmod
 from .forms import GramForm, classify_gram
 
@@ -80,7 +80,7 @@ def _require_verifiable(tag: str, ell: int, candidates: int, enum_cap: int):
 def _require_odd_prime(ell: int):
     if ell == 2:
         raise CharTwo("residue characteristic 2 is excluded")
-    if not _is_prime(ell):
+    if ell < 2 or least_factor(ell) != ell:
         raise InvalidDescriptor(f"{ell} is not an odd prime")
 
 

@@ -24,6 +24,10 @@ element.  inv returns an integer multiple y of the
 product of the nontrivial conjugates of w over a subfield, so that w * y is
 an integer.
 
+The module also holds the package's integer number theory: least_factor,
+the one trial-division loop, prime_factors and euler_phi on it, and
+cyclotomic_poly.
+
 All functions are pure; CycloRing instances only hold tables, the Galois
 tables built on first use.
 """
@@ -35,19 +39,34 @@ import operator
 from functools import lru_cache
 
 
+def least_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division: it stops at the
+    first divisor, so a huge n with a small factor costs little."""
+    if n % 2 == 0:
+        return 2
+    k = 3
+    while k * k <= n:
+        if n % k == 0:
+            return k
+        k += 2
+    return n
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending."""
+    out = []
+    while n > 1:
+        p = least_factor(n)
+        out.append(p)
+        while n % p == 0:
+            n //= p
+    return out
+
+
 def euler_phi(n: int) -> int:
-    result, k, m = 1, 2, n
-    while k * k <= m:
-        if m % k == 0:
-            pk = 1
-            while m % k == 0:
-                m //= k
-                pk *= k
-            result *= pk - pk // k
-        k += 1
-    if m > 1:
-        result *= m - 1
-    return result
+    for p in prime_factors(n):
+        n = n // p * (p - 1)
+    return n
 
 
 def _split_ell(d: int, ell: int):
@@ -57,18 +76,6 @@ def _split_ell(d: int, ell: int):
         d //= ell
         t += 1
     return t, d
-
-
-def divisors(n: int) -> list[int]:
-    small, large = [], []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            small.append(k)
-            if k != n // k:
-                large.append(n // k)
-        k += 1
-    return small + large[::-1]
 
 
 def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -93,8 +100,8 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     if n == 1:
         return (-1, 1)
     p = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in divisors(n):
-        if d < n:
+    for d in range(1, n):
+        if n % d == 0:
             p = _int_poly_div_exact(p, list(cyclotomic_poly(d)))
     return tuple(p)
 

@@ -41,12 +41,13 @@ are rejected, since then the completion carries no involution at all.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import re
 from fractions import Fraction
 
-from .cyclotomic import CycloRing, _split_ell, euler_phi
+from .cyclotomic import CycloRing, _split_ell, euler_phi, least_factor
 from .errors import (
     InternalInconsistency,
     InvalidDescriptor,
@@ -61,6 +62,7 @@ from .finitefield import (
     fp_solve,
     fp_vectors,
     multiplicative_order_mod,
+    power,
 )
 from .localring import LambdaEngine
 
@@ -75,19 +77,6 @@ MAX_ELL = 1000
 # the slowest admitted descriptor timed, n = 31 at ell = 971 (f = 15), takes
 # about 0.6 s, most of it in the irreducible search.
 MAX_RESIDUE_DEGREE = 16
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def _is_int(x) -> bool:
@@ -239,16 +228,7 @@ class FieldElement:
     def __pow__(self, exp: int):
         if not isinstance(exp, int):
             return NotImplemented
-        base = self.inverse() if exp < 0 else self
-        exp = abs(exp)
-        out = self.field.one
-        cur = base
-        while exp:
-            if exp & 1:
-                out = out * cur
-            cur = cur * cur
-            exp >>= 1
-        return out
+        return power(self, exp)
 
     def inverse(self) -> "FieldElement":
         """(num / den)^-1 = den * y / N with y = kring.inv(num) and
@@ -585,7 +565,7 @@ def make_descriptor(n: int, ell: int, subgroup=(1,), prime_choice: int = 0,
     if not _is_int(ell) or ell > MAX_ELL:
         raise InvalidDescriptor(
             f"residue characteristic must be an integer at most {MAX_ELL}")
-    if ell < 3 or ell % 2 == 0 or not _is_prime(ell):
+    if ell < 3 or least_factor(ell) != ell:
         raise InvalidDescriptor("residue characteristic must be an odd prime")
     subgroup = tuple(subgroup or ())
     if not all(_is_int(h) for h in subgroup):
@@ -952,14 +932,19 @@ def _certify_uniformizer(desc: FieldDescriptor):
         # (w - conj w) / 2 is anti-fixed, and is w when w already is
         halves = ((w - w.conjugate()) / desc.rational(2) for w in candidates)
         candidates = (x for x in halves if x.valuation() == 1)
-    desc.pi = next(candidates, None)
-    if desc.pi is None:
+    pi = next(candidates, None)
+    if pi is None:
         raise InvalidDescriptor(
             "could not certify a uniformizer from the built-in candidate family")
-    broken = _symmetry_broken(desc, desc.pi)
+    broken = _symmetry_broken(desc, pi)
     if broken:
         raise InternalInconsistency(broken)
-    desc._pi_powers = {0: desc.one, 1: desc.pi}
+    _set_uniformizer(desc, pi)
+
+
+def _set_uniformizer(desc: FieldDescriptor, pi: FieldElement):
+    desc.pi = pi
+    desc._pi_powers = {0: desc.one, 1: pi}
 
 
 def with_uniformizer(desc: FieldDescriptor, pi_new: FieldElement) -> FieldDescriptor:
@@ -978,12 +963,9 @@ def with_uniformizer(desc: FieldDescriptor, pi_new: FieldElement) -> FieldDescri
     broken = _symmetry_broken(desc, pi_new)
     if broken:
         raise InvalidDescriptor(broken)
-    clone = FieldDescriptor()
-    clone.__dict__.update(desc.__dict__)
-    clone.pi = _make(clone, pi_new.num, pi_new.den)
-    clone._pi_powers = {0: clone.one, 1: clone.pi}
-    clone._one = None
-    clone._zero = None
-    clone._orbit_sums = {}
+    # the copy shares the tables; its one, zero and powers of pi are its own
+    clone = copy.copy(desc)
+    FieldDescriptor.__init__(clone)
+    _set_uniformizer(clone, _make(clone, pi_new.num, pi_new.den))
     return clone
 

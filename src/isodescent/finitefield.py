@@ -16,7 +16,7 @@ import math
 import operator
 from functools import lru_cache
 
-from .cyclotomic import CycloRing
+from .cyclotomic import CycloRing, prime_factors
 
 
 # ---------------------------------------------------------------------------
@@ -107,19 +107,6 @@ def fp_ext_gcd(a: tuple, b: tuple, p: int):
     return g, s, t
 
 
-def _prime_factors(n: int) -> list[int]:
-    out, k = [], 2
-    while k * k <= n:
-        if n % k == 0:
-            out.append(k)
-            while n % k == 0:
-                n //= k
-        k += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def fp_is_irreducible(h, p) -> bool:
     """Ben-Or's test for a monic polynomial h of degree d over F_p.
 
@@ -132,10 +119,10 @@ def fp_is_irreducible(h, p) -> bool:
     if d < 1:
         return False
     x = fp_mod((0, 1), h, p)
-    power = x
+    frob = x
     for _ in range(d // 2):
-        power = fp_powmod(power, p, h, p)
-        if len(fp_gcd(fp_sub(power, x, p), h, p)) != 1:
+        frob = fp_powmod(frob, p, h, p)
+        if len(fp_gcd(fp_sub(frob, x, p), h, p)) != 1:
             return False
     return True
 
@@ -153,6 +140,20 @@ def find_irreducible(p: int, d: int) -> tuple[int, ...]:
         if fp_is_irreducible(h, p):
             return h
     raise AssertionError("irreducible search exhausted")
+
+
+def power(x, e: int):
+    """x^e by square-and-multiply, for x an element of a field (K or a
+    residue field) with a field.one; a negative e inverts x first."""
+    if e < 0:
+        x, e = x.inverse(), -e
+    result = x.field.one
+    while e:
+        if e & 1:
+            result = result * x
+        x = x * x
+        e >>= 1
+    return result
 
 
 class ResidueField:
@@ -323,17 +324,7 @@ class ResidueElement:
             return NotImplemented
         return o * self.inverse()
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+    __pow__ = power
 
     def frobenius(self, k: int = 1):
         """x -> x^(p^k)."""
@@ -389,7 +380,7 @@ def cyclotomic_factors_mod(ell: int, m: int):
     # deterministic primitive m-th root of unity in Fq: eta^m = 1, so eta has
     # order m iff no eta^(m/q) is 1 (q prime); this never factors |Fq*|
     cofactor = (Fq.order - 1) // m
-    h, primes = Fq.modulus, _prime_factors(m)
+    h, primes = Fq.modulus, prime_factors(m)
     xi = None
     for c in Fq.elements():
         if c.is_zero():

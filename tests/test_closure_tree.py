@@ -13,6 +13,7 @@ and conjugacy classes by brute-force conjugation.
 """
 
 import math
+import time
 from collections import Counter, deque
 
 import pytest
@@ -22,7 +23,8 @@ from isodescent.cli import load_bundle
 from isodescent.counterexamples import build_prop6_bundle
 from isodescent import descent
 from isodescent.descent import DEFAULT_GROUP_CAP, GroupRep, descend
-from isodescent.errors import GroupTooLarge, InternalInconsistency, PreconditionViolated
+from isodescent.errors import (DimensionMismatch, GroupTooLarge, InternalInconsistency,
+                               PreconditionViolated)
 from isodescent.exactfield import make_descriptor
 from isodescent.forms import GramForm
 
@@ -271,6 +273,20 @@ def test_classes_match_brute_force_conjugation(case):
     assert sum(sizes.values()) == rep.order
 
 
+@pytest.mark.parametrize("name", ["q8_split_ell5", "z4_hermitian_inert_ell7", "remark4_ell7"])
+def test_class_charpolys_hold_for_every_element(name):
+    rep = CASES[name]()
+    cls, census = rep.class_charpolys()
+    assert cls == rep.conjugacy_classes()
+    assert list(census) == sorted(set(cls))
+    assert sum(size for size, _, _ in census.values()) == rep.order
+    assert Counter(cls) == {r: size for r, (size, _, _) in census.items()}
+    for x, r in enumerate(cls):
+        _, cp, red = census[r]
+        assert la.charpoly(rep.elements[x], rep.field) == cp
+        assert red == [c.reduce() for c in cp]
+
+
 def test_edge_check_finds_a_corrupted_element(monkeypatch):
     # replace the key of one element's image by the identity's; the element
     # is the end of a Cayley edge off the tree from another element, whose
@@ -328,3 +344,14 @@ def test_non_isometry_generator_is_refused_before_any_longer_product():
         for cap in caps:
             with pytest.raises(PreconditionViolated, match="a generator does not preserve"):
                 GroupRep(desc, gens, rep.form, cap=cap)
+
+
+def test_dimension_over_the_ceiling_is_refused_at_once():
+    desc = make_descriptor(1, 5)
+    n = descent.MAX_DIM + 1
+    form = GramForm(desc, la.identity(desc, n), "symmetric")
+    minus = la.scalar_mul(desc.rational(-1), la.identity(desc, n))
+    started = time.perf_counter()
+    with pytest.raises(DimensionMismatch, match=f"dimension {n} exceeds the ceiling"):
+        GroupRep(desc, [minus], form)
+    assert time.perf_counter() - started < 1.0

@@ -300,6 +300,15 @@ class TestLargerEll:
         with pytest.raises(InvalidDescriptor):
             no_invariant_symmetric_form(10 ** 400 + 1)
 
+    @pytest.mark.parametrize("builder", [build_prop5_bundle, build_prop6_bundle])
+    def test_huge_composite_bundle_ell_rejected(self, builder):
+        # no ceiling stands before the bundle builders' primality test, and
+        # the trial division stops at the factor 353
+        started = time.perf_counter()
+        with pytest.raises(InvalidDescriptor, match="not an odd prime"):
+            builder(10 ** 400 + 1)
+        assert time.perf_counter() - started < 1.0
+
     # 1009^3 and 37^4 + 37^3 candidates exceed the default cap of 10^6, and
     # 1000003 is the first prime over MAX_VERIFY_ELL
     @pytest.mark.parametrize("verifier, ell, error", [

@@ -280,6 +280,14 @@ class TestUniformizerChoice:
         with pytest.raises(InvalidDescriptor):
             x + other.rational(3)
 
+    def test_clone_caches_are_its_own(self, gauss5):
+        alt = with_uniformizer(gauss5, gauss5.pi * gauss5.rational(2))
+        for j in (0, 1, 2, -1):
+            assert alt.pi_power(j).field is alt
+        assert alt.pi_power(0) == alt.one and alt.pi_power(2) == alt.pi * alt.pi
+        assert alt.one.field is alt and alt.zero.field is alt
+        assert gauss5.pi_power(0).field is gauss5 and gauss5.pi_power(1) == gauss5.pi
+
     def test_non_uniformizer_rejected(self, gauss5):
         with pytest.raises(InvalidDescriptor):
             with_uniformizer(gauss5, gauss5.rational(2))

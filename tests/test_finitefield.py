@@ -11,10 +11,10 @@ import random
 import pytest
 
 from isodescent import linalg as la
+from isodescent.cyclotomic import euler_phi, least_factor, prime_factors
 from isodescent.errors import SingularMatrix
 from isodescent.finitefield import (
     ResidueField,
-    _prime_factors,
     cyclotomic_factors_mod,
     find_irreducible,
     fp_det,
@@ -152,7 +152,7 @@ def rabin_is_irreducible(h, p):
     x = (0, 1)
     if fp_powmod(x, p ** d, h, p) != fp_mod(x, h, p):
         return False
-    for r in _prime_factors(d):
+    for r in prime_factors(d):
         g = fp_sub(fp_powmod(x, p ** (d // r), h, p), x, p)
         if len(fp_gcd(g, h, p)) != 1:
             return False
@@ -212,7 +212,7 @@ def reference_cyclotomic_factors_mod(ell, m):
         if c.is_zero():
             continue
         eta = c ** cofactor
-        if all(eta ** (m // q) != Fq.one for q in _prime_factors(m)):
+        if all(eta ** (m // q) != Fq.one for q in prime_factors(m)):
             xi = eta
             break
     units = [j for j in range(1, m) if math.gcd(j, m) == 1]
@@ -258,3 +258,15 @@ def test_powmod_of_a_constant_matches_the_field_power(p):
         for e in (0, 1, 2, p, 10 ** 6 + 3):
             assert fp_powmod((c,) if c else (), e, F.modulus, p) == \
                 fp_trim((F.element(c) ** e).coeffs)
+
+
+def test_trial_division_matches_brute_force():
+    # least_factor is the one trial-division loop; prime_factors and
+    # euler_phi are built on it
+    is_prime = [False, False] + [all(d % k for k in range(2, d)) for d in range(2, 2001)]
+    for n in range(1, 2001):
+        divisors = [d for d in range(2, n + 1) if n % d == 0]
+        if n >= 2:
+            assert least_factor(n) == divisors[0], n
+        assert prime_factors(n) == [d for d in divisors if is_prime[d]], n
+        assert euler_phi(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1), n

@@ -15,6 +15,7 @@ file, malformed bundle, invalid field data).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -163,18 +164,25 @@ def load_bundle(path: str, max_group_order=None):
 # report serialization
 
 
-def _ser(x) -> list:
+def _ser(x, memo: dict) -> list:
     """A report value: an element of K as its power-basis coefficient
     strings, a residue as its F_ell coefficients, and a list or tuple of
-    them (a matrix, a characteristic polynomial low degree first) entrywise."""
+    them (a matrix, a characteristic polynomial low degree first) entrywise.
+    A list or tuple met again returns the list built the first time: memo,
+    one per report, maps its id to (x, that list), which keeps x alive so
+    that no id is reused while the memo lives."""
     if isinstance(x, (list, tuple)):
-        return [_ser(y) for y in x]
+        hit = memo.get(id(x))
+        if hit is None:
+            hit = memo[id(x)] = x, [_ser(y, memo) for y in x]
+        return hit[1]
     if isinstance(x, FieldElement):
         return x.serialize()
     return list(x.coeffs)
 
 
 def _descent_result_dict(res) -> dict:
+    memo = {}
     return {
         "field": res.descriptor.describe(),
         "group_order": res.group_order,
@@ -185,12 +193,12 @@ def _descent_result_dict(res) -> dict:
         "invariant_exponents": list(res.invariant_exps),
         "block_dims": list(res.block_dims),
         "block_kinds": list(res.block_kinds),
-        "lattice_basis": _ser(res.lattice_basis),
-        "dual_basis": _ser(res.dual_basis),
-        "reduced_form_gram": _ser(res.f0_gram),
-        "reduced_generators": _ser(res.rho_bar),
-        "charpoly_table": _ser(res.charpoly_table_K),
-        "charpoly_table_mod_lambda": _ser(res.charpoly_table_k),
+        "lattice_basis": _ser(res.lattice_basis, memo),
+        "dual_basis": _ser(res.dual_basis, memo),
+        "reduced_form_gram": _ser(res.f0_gram, memo),
+        "reduced_generators": _ser(res.rho_bar, memo),
+        "charpoly_table": _ser(res.charpoly_table_K, memo),
+        "charpoly_table_mod_lambda": _ser(res.charpoly_table_k, memo),
         "charpoly_classes": [
             {"charpoly_mod_lambda": [list(c) for c in key], "count": cnt}
             for key, cnt in res.charpoly_classes],
@@ -220,23 +228,34 @@ def _json_scalar(o) -> str:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _write_json(o, out: list, newline: str):
+def _write_json(o, out: list, newline: str, written: dict):
     """Append the text of o to out.  newline is the line break and indent
-    before a closing bracket at o's depth."""
+    before a closing bracket at o's depth.  A list or tuple met again at the
+    same depth is written from the text of its first time: written maps
+    (id, newline) to the slice of out that holds it, then to its text."""
     if isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
             return
+        key = id(o), newline
+        seen = written.get(key)
+        if seen is not None:
+            if type(seen) is tuple:
+                seen = written[key] = "".join(out[seen[0]:seen[1]])
+            out.append(seen)
+            return
+        start = len(out)
         inner = newline + "  "
         sep = "[" + inner
         for x in o:
             out.append(sep)
             if isinstance(x, (list, tuple, dict)):
-                _write_json(x, out, inner)
+                _write_json(x, out, inner, written)
             else:
                 out.append(_json_scalar(x))
             sep = "," + inner
         out.append(newline + "]")
+        written[key] = start, len(out)
     elif isinstance(o, dict):
         if not o:
             out.append("{}")
@@ -247,7 +266,7 @@ def _write_json(o, out: list, newline: str):
             key = k if isinstance(k, str) else _json_scalar(k)
             out.append(sep + encode_basestring_ascii(key) + ": ")
             if isinstance(x, (list, tuple, dict)):
-                _write_json(x, out, inner)
+                _write_json(x, out, inner, written)
             else:
                 out.append(_json_scalar(x))
             sep = "," + inner
@@ -260,9 +279,9 @@ def _json_text(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte.  With an
     indent, json.dumps runs its pure-Python encoder; this writer builds the
     same text from the C string escaper, in about half the time on the
-    reports."""
+    reports, and writes a list shared within obj once per depth."""
     out = []
-    _write_json(obj, out, "\n")
+    _write_json(obj, out, "\n", {})
     return "".join(out)
 
 
@@ -315,13 +334,14 @@ def cmd_balance(bundle_path: str, out_path=None, max_group_order=None) -> int:
     rep, _ = load_bundle(bundle_path, max_group_order)
     lat = stabilize(standard_lattice(rep.field, rep.form.dim), rep.generators)
     bal = balance(lat, rep.form, generators=rep.generators)
+    memo = {}
     result = {
         "field": rep.field.describe(),
         "scale_power": bal.scale_power,
         "chain_steps": bal.steps,
         "invariant_exponents": list(bal.invariants),
-        "lattice_basis": _ser(bal.lattice.basis),
-        "dual_basis": _ser(bal.dual.basis),
+        "lattice_basis": _ser(bal.lattice.basis, memo),
+        "dual_basis": _ser(bal.dual.basis, memo),
         "certificates": {
             "chain_terminated": True,
             "invariants_binary": all(v in (0, 1) for v in bal.invariants),
@@ -338,20 +358,23 @@ def cmd_charpoly(bundle_path: str, out_path=None, max_group_order=None) -> int:
     digest = _file_digest(bundle_path)
     rep, _ = load_bundle(bundle_path, max_group_order)
     cls, census = rep.class_charpolys()
-    per_class = {r: (_ser(cp), _ser(red)) for r, (_, cp, red) in census.items()}
+    memo = {}
+    per_class = {r: (_ser(cp, memo), _ser(red, memo))
+                 for r, (_, cp, red) in census.items()}
     rows = [{"element_index": i, "charpoly": per_class[c][0],
              "charpoly_mod_lambda": per_class[c][1]} for i, c in enumerate(cls)]
-    # keyed by the JSON text of the charpoly, whose order sorts the classes
+    # the JSON text of a charpoly, whose order sorts the classes, to its
+    # count and its serialized list
     classes = {}
     for r, (size, _, _) in census.items():
-        key = json.dumps(per_class[r][0])
-        classes[key] = classes.get(key, 0) + size
+        cp = per_class[r][0]
+        classes.setdefault(json.dumps(cp), [0, cp])[0] += size
     result = {
         "field": rep.field.describe(),
         "group_order": rep.order,
         "rows": rows,
-        "classes": [{"charpoly": json.loads(k), "count": v}
-                    for k, v in sorted(classes.items())],
+        "classes": [{"charpoly": cp, "count": count}
+                    for _, (count, cp) in sorted(classes.items())],
         "certificates": {"closure_complete": True},
     }
     return _finish("charpoly", digest, started, result,
@@ -391,7 +414,10 @@ def cmd_verify(tag: str, ell: int, out_path=None, enum_cap=None) -> int:
 # argument wiring
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    one: parse_args keeps no state in it between calls."""
     parser = argparse.ArgumentParser(
         prog="isodescent",
         description=("Reduce finite isometry groups to odd characteristic "

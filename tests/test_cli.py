@@ -15,11 +15,21 @@ from isodescent.exactfield import MAX_CONDUCTOR, MAX_ELL, MAX_RESIDUE_DEGREE
 
 from conftest import BUNDLE_DIR, bundle_path
 
+# the descend result block of bundles/q8_split_ell5.json
+Q8_DESCEND_SHA256 = "a54d8cbdbbfcf91c454c1551ed122bf98aec613bc037b8b71c6164b56a57251b"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def result_sha256(path):
+    """The sha256 of a report file's result block in canonical JSON."""
+    result = json.loads(path.read_text())["result"]
+    blob = json.dumps(result, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 def parse_report(out):
@@ -410,17 +420,18 @@ class TestReports:
         # B_3 x B_2 over Q at ell = 5, order 384, dimension 5: written by
         # perfbench.workloads.write_bundle from block_group(make_descriptor(1, 5),
         # 3, 2, 3, _rngs("descend_groups", 0, "block-Q5-B3xB2-k3")).  The
-        # digest pins the result block byte for byte.
-        dest = tmp_path / "b3xb2.json"
-        code, _, _ = run(capsys, "descend", str(bundle_path("block_b3xb2_q5")),
-                         "--out", str(dest))
-        assert code == 0
-        result = json.loads(dest.read_text())["result"]
-        assert (result["group_order"], result["block_dims"], result["chain_steps"]) == \
-            (384, [3, 2], 2)
-        blob = json.dumps(result, sort_keys=True, separators=(",", ":")).encode()
-        assert hashlib.sha256(blob).hexdigest() == \
-            "5c28df7c51e7a9706ba198b05c605eaca5b91bd57f997b98ffbdb54e6f872a42"
+        # digest pins the result block byte for byte, on two calls in a row
+        # through main's one parser.
+        for i in range(2):
+            dest = tmp_path / f"b3xb2-{i}.json"
+            code, _, _ = run(capsys, "descend", str(bundle_path("block_b3xb2_q5")),
+                             "--out", str(dest))
+            assert code == 0
+            result = json.loads(dest.read_text())["result"]
+            assert (result["group_order"], result["block_dims"],
+                    result["chain_steps"]) == (384, [3, 2], 2)
+            assert result_sha256(dest) == \
+                "5c28df7c51e7a9706ba198b05c605eaca5b91bd57f997b98ffbdb54e6f872a42"
 
     @pytest.mark.parametrize("name,command,digest", [
         ("block_b3xb2_q5", "balance",
@@ -445,19 +456,18 @@ class TestReports:
          "24d19e1a3c391434017e20a87d89547f68b6047aa92364a713c247f9476612a9"),
     ])
     def test_balance_and_charpoly_results(self, capsys, tmp_path, name, command, digest):
-        # the canonical result block of every committed bundle, byte for byte
-        dest = tmp_path / f"{name}-{command}.json"
-        code, _, _ = run(capsys, command, str(bundle_path(name)), "--out", str(dest))
-        assert code == 0
-        result = json.loads(dest.read_text())["result"]
-        blob = json.dumps(result, sort_keys=True, separators=(",", ":")).encode()
-        assert hashlib.sha256(blob).hexdigest() == digest
+        # the canonical result block of every committed bundle, byte for
+        # byte, on two calls in a row through main's one parser
+        for i in range(2):
+            dest = tmp_path / f"{name}-{command}-{i}.json"
+            code, _, _ = run(capsys, command, str(bundle_path(name)), "--out", str(dest))
+            assert code == 0
+            assert result_sha256(dest) == digest
 
     @pytest.mark.parametrize("name,code,digest", [
         ("prop5_ell5", 2,
          "59047e546ff9b4306dffb0a699762be8b4625d93952283a25492979e801f2628"),
-        ("q8_split_ell5", 0,
-         "a54d8cbdbbfcf91c454c1551ed122bf98aec613bc037b8b71c6164b56a57251b"),
+        ("q8_split_ell5", 0, Q8_DESCEND_SHA256),
         ("remark4_ell7", 0,
          "d85101cf0e6899e330dca9b06e5682bf565b08066aef1652d8529b1a1a2a5f65"),
         ("z4_hermitian_inert_ell7", 0,
@@ -465,12 +475,13 @@ class TestReports:
     ])
     def test_descend_results(self, capsys, tmp_path, name, code, digest):
         # the canonical descend result block of every committed bundle, byte
-        # for byte (block_b3xb2_q5 is pinned by test_large_block_bundle_result)
-        dest = tmp_path / f"{name}-descend.json"
-        assert run(capsys, "descend", str(bundle_path(name)), "--out", str(dest))[0] == code
-        result = json.loads(dest.read_text())["result"]
-        blob = json.dumps(result, sort_keys=True, separators=(",", ":")).encode()
-        assert hashlib.sha256(blob).hexdigest() == digest
+        # for byte, on two calls in a row through main's one parser
+        # (block_b3xb2_q5 is pinned by test_large_block_bundle_result)
+        for i in range(2):
+            dest = tmp_path / f"{name}-descend-{i}.json"
+            assert run(capsys, "descend", str(bundle_path(name)),
+                       "--out", str(dest))[0] == code
+            assert result_sha256(dest) == digest
 
     def test_descend_result_fields(self, capsys):
         _, out, _ = run(capsys, "descend", str(bundle_path("z4_hermitian_inert_ell7")))
@@ -538,3 +549,20 @@ class TestLoader:
         p.write_text(json.dumps(bundle))
         with pytest.raises(BundleFormatError):
             load_bundle(str(p))
+
+
+class TestCachedParser:
+    def test_parser_keeps_no_state_between_calls(self, capsys, tmp_path):
+        # main builds its parser once per process; a refused call must leave
+        # nothing behind for the next one
+        assert cli._build_parser() is cli._build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "lemma"])
+        assert exc.value.code == 2
+        assert main(["verify", "lemma", "--ell", "5",
+                     "--out", str(tmp_path / "lemma.json")]) == 0
+        q8 = str(bundle_path("q8_split_ell5"))
+        assert run(capsys, "descend", q8, "--max-group-order", "4")[0] == 1
+        dest = tmp_path / "q8.json"
+        assert run(capsys, "descend", q8, "--out", str(dest))[0] == 0
+        assert result_sha256(dest) == Q8_DESCEND_SHA256

@@ -353,11 +353,11 @@ def balance(lat: Lattice, form: GramForm, generators=()) -> BalanceResult:
     """Grow the lattice until pi * dual <= lattice <= dual.
 
     The input lattice must already be stable under the given matrices (use
-    stabilize() first); stability of every chain lattice is re-checked, not
-    assumed.  is_stable on the start certifies that every determinant is a
-    unit, so a chain lattice T needs only m T <= T, which with a unit
-    determinant is m T = T.  The returned form is the input rescaled so its
-    value ideal on the final lattice is exactly O.
+    stabilize() first, whose record is_stable reads); stability of every
+    chain lattice is re-checked, not assumed.  Every determinant is a unit,
+    so a chain lattice T needs only m T <= T, which then is m T = T.  The
+    returned form is the input rescaled so its value ideal on the final
+    lattice is exactly O, and keeps the returned pair as certified.
 
     The chain ends: every chain lattice lies between the start S and S^dual
     (integrality is checked at each step) and grows strictly (the stall
@@ -388,6 +388,8 @@ def balance(lat: Lattice, form: GramForm, generators=()) -> BalanceResult:
     inclusion = snf(dual.transition_from(lat), field)
     if any(a not in (0, 1) for a in inclusion.exps):
         raise InternalInconsistency("balanced lattice has a non-binary invariant")
+    # the loop has checked pi * dual <= lat <= dual on these very objects
+    form._keep_balanced(lat, dual, sum(inclusion.exps))
     return BalanceResult(lat, dual, form, scale_power, steps, inclusion)
 
 

@@ -20,6 +20,7 @@ forms stay hermitian, and bilinear kinds are preserved verbatim.
 A GramForm keeps its last dual and its last certified balanced pair, keyed
 by lattice identity: reductions certify once per (lattice, dual) per form,
 so reduce_tilde after reduce_bar on the same objects checks nothing again.
+balance keeps the pair it returns the same way, without its gram.
 """
 
 from __future__ import annotations
@@ -116,6 +117,11 @@ class GramForm(_Form):
         self._dual_slot = (lat, Lattice(self.field, basis, _inverse=inv))
         return self._dual_slot[1]
 
+    def _keep_balanced(self, lat: Lattice, dual: Lattice, length: int):
+        """Keep a pair the caller certified: dual is self.dual(lat), pi * dual
+        <= lat <= dual and dual/lat has that length."""
+        self._balanced_slot = (lat, dual, None, length)
+
     # -- scaling ----------------------------------------------------------
 
     def scale_by_pi_power(self, j: int) -> "GramForm":
@@ -193,9 +199,10 @@ def _reduce_side(lat: Lattice, form: GramForm, dual, side: int):
 
     Raises unless the lattice is balanced and the form takes integral values
     on it with minimum valuation exactly zero; the form keeps the last pair
-    that passed, with the gram on lat and the length of dual/lat.  Side 0
-    reduces the form on lat's basis, side 1 pi times the form on the dual's
-    basis; each call checks its kernel dimension against that length.
+    that passed, with the gram on lat (built and checked here for a pair
+    balance kept) and the length of dual/lat.  Side 0 reduces the form on
+    lat's basis, side 1 pi times the form on the dual's basis; each call
+    checks its kernel dimension against that length.
     """
     field = form.field
     if dual is None:
@@ -211,16 +218,18 @@ def _reduce_side(lat: Lattice, form: GramForm, dual, side: int):
         if not dual.contains_lattice(lat) or not lat.contains_lattice(pdual):
             raise PreconditionViolated(
                 "lattice is not balanced against the form; run the balance chain")
-        g_lat = form.gram_in_basis(lat.basis)
-        low = min(x.valuation() for row in g_lat for x in row)
+        slot = (lat, dual, None, quotient_length(lat, dual))
+    _, _, g, length = slot
+    if g is None:
+        g = form.gram_in_basis(lat.basis)
+        low = min(x.valuation() for row in g for x in row)
         if low < 0:
             raise PreconditionViolated(
                 "form is not integral on the lattice; normalize the scale first")
         if low > 0:
             raise PreconditionViolated(
                 "form is not scale-normalized on the lattice (all values divisible by pi)")
-        slot = form._balanced_slot = (lat, dual, g_lat, quotient_length(lat, dual))
-    _, _, g, length = slot
+        form._balanced_slot = (lat, dual, g, length)
     if side:
         g = la.scalar_mul(field.pi_power(1), form.gram_in_basis(dual.basis))
         if any(x.valuation() < 0 for row in g for x in row):

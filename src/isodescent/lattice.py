@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg as la
-from .errors import DimensionMismatch, InvalidDescriptor, NotContained, SingularMatrix
+from .errors import DimensionMismatch, InvalidDescriptor, NotContained, NotStable, SingularMatrix
 
 
 @dataclass
@@ -136,6 +136,7 @@ class Lattice:
     """
 
     __hash__ = None
+    _stable_under = frozenset()  # _matrix_key of each matrix stabilize proved it stable under
 
     def __init__(self, field, basis, *, _inverse=None):
         self.field = field
@@ -260,17 +261,29 @@ def maps_into(m, lat: Lattice) -> bool:
     return lat._integral_on(*_moved_columns(la.integer_matrix(lat.field, m), lat))
 
 
+def _matrix_key(dm):
+    """The value of a matrix, hashable, from (d, w) = linalg.integer_matrix(m)."""
+    return dm[0], tuple(map(tuple, dm[1]))
+
+
 def stabilize(lat: Lattice, mats) -> Lattice:
     """Smallest lattice containing lat stable under all the matrices.
 
     The matrices must generate a finite group (otherwise this never
-    terminates; callers bound group order before getting here).  The moved
-    basis m B is tested as in maps_into and added only when it leaves the
-    current lattice.
+    terminates; callers bound group order before getting here).  m L <= L
+    forces v(det m) >= 0, so a determinant of negative valuation is refused
+    with NotStable at once.  The moved basis m B is tested as in maps_into
+    and added only when it leaves the current lattice.  The lattice returned
+    records, by value, each matrix of unit determinant (the last pass found
+    m L <= L and changed nothing), and is_stable on it skips those.
     """
     field = lat.field
-    if any(la.det(m, field) == field.zero for m in mats):
+    vals = [la.det(m, field).valuation() for m in mats]
+    if math.inf in vals:
         raise SingularMatrix("cannot stabilize under a singular matrix")
+    if any(v < 0 for v in vals):
+        raise NotStable("no lattice is stable under a matrix whose determinant "
+                        "has negative valuation")
     ints = [la.integer_matrix(field, m) for m in mats]
     cur = lat
     changed = True
@@ -282,18 +295,24 @@ def stabilize(lat: Lattice, mats) -> Lattice:
                 moved = [[field.from_integer(x, e) for x, e in zip(row, cds)] for row in w]
                 cur = _span(field, cur.basis, moved)
                 changed = True
+    cur._stable_under = cur._stable_under.union(
+        _matrix_key(dm) for dm, v in zip(ints, vals) if v == 0)
     return cur
 
 
 def is_stable(lat: Lattice, mats) -> bool:
     """Whether m L = L for every matrix m.
 
-    With T = B^-1 m B, m L <= L iff T is integral, and then L <= m L iff
-    v(det T) = 0.  det T = det m, so one determinant per matrix also rules
-    out singular matrices.
+    A matrix whose value stabilize recorded on this lattice is stable and
+    is not checked again.  For any other, with T = B^-1 m B, m L <= L iff T
+    is integral, and then L <= m L iff v(det T) = 0.  det T = det m, so one
+    determinant per matrix also rules out singular matrices.
     """
     field = lat.field
+    stable = lat._stable_under
     for m in mats:
+        if stable and _matrix_key(la.integer_matrix(field, m)) in stable:
+            continue
         d = la.det(m, field)
         if d == field.zero:
             raise SingularMatrix("a singular matrix moves no lattice onto itself")

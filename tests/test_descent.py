@@ -19,7 +19,7 @@ from isodescent.errors import (
     PreconditionViolated,
 )
 from isodescent.exactfield import make_descriptor, with_uniformizer
-from isodescent.forms import GramForm
+from isodescent.forms import GramForm, reduce_bar, reduce_tilde
 from isodescent.lattice import (
     Lattice,
     is_stable,
@@ -192,6 +192,32 @@ class TestBalance:
             vals = [x.valuation() for row in g for x in row]
             assert min(vals) == 0
             assert is_stable(t, q8_rep5.generators)
+
+    @pytest.mark.parametrize("repname", ["q8_rep5", "z4_rep7", "remark4_rep7"])
+    def test_recorded_path_matches_fresh_objects(self, repname, request):
+        """stabilize records the generators, balance the pair it returns;
+        the same calls on objects that carry no record give the same T, T*,
+        steps, scale, residue grams and kernels."""
+        rep = request.getfixturevalue(repname)
+        desc, n, form = rep.field, rep.dim, rep.form
+        rng = random.Random(f"recorded-{repname}")
+        for _ in range(8):
+            start = stabilize(Lattice(desc, random_invertible(rng, desc, n)), rep.generators)
+            bal = balance(start, form, generators=rep.generators)
+            got = [reduce(bal.lattice, bal.form, dual=bal.dual)
+                   for reduce in (reduce_bar, reduce_tilde)]
+            fresh = balance(Lattice(desc, start.basis),
+                            GramForm(desc, form.gram, form.kind, form.twist),
+                            generators=rep.generators)
+            assert la.mat_eq(bal.lattice.basis, fresh.lattice.basis)
+            assert la.mat_eq(bal.dual.basis, fresh.dual.basis)
+            assert (bal.steps, bal.scale_power) == (fresh.steps, fresh.scale_power)
+            lat = Lattice(desc, fresh.lattice.basis)
+            scaled = GramForm(desc, fresh.form.gram, fresh.form.kind, fresh.form.twist)
+            for reduce, (rform, kernel) in zip((reduce_bar, reduce_tilde), got):
+                want, want_kernel = reduce(lat, scaled)
+                assert_matrix_equal(rform.gram, want.gram)
+                assert rform.kind == want.kind and kernel == want_kernel
 
 
 class TestRigidity:

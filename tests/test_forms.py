@@ -487,6 +487,9 @@ class TestCertifiedOnce:
     @pytest.mark.parametrize("descname,kind", [("gauss5", "symmetric"),
                                                ("quad7", "hermitian")])
     def test_second_reduction_checks_nothing(self, descname, kind, request, monkeypatch):
+        """balance keeps the pair it returns as certified, so both reductions
+        on (bal.lattice, bal.dual) check nothing again; the same lattice as
+        another object is certified in full, once."""
         desc = request.getfixturevalue(descname)
         rng = random.Random(f"counted-{descname}-{kind}")
         bal = self.balanced(rng, desc, kind)
@@ -509,13 +512,17 @@ class TestCertifiedOnce:
         monkeypatch.setattr(GramForm, "dual", counted_dual)
         monkeypatch.setattr(forms, "quotient_length", counted_length)
         reduce_bar(bal.lattice, bal.form, dual=bal.dual)
-        # the supplied dual is the one balance built: no dual-against-dual
-        # containment, only the balance checks and the length, each on T
-        assert calls["contains"] and calls["length"] == 1
-        assert all(a is bal.lattice or b is bal.lattice for a, b in calls["contains"])
-        calls.update(contains=[], dual=0, length=0)
         reduce_tilde(bal.lattice, bal.form, dual=bal.dual)
-        reduce_bar(bal.lattice, bal.form, dual=bal.dual)
+        assert calls == {"contains": [], "dual": 0, "length": 0}
+        # another object for T: its dual is built and checked against the
+        # supplied one, the balance checks run, and the length is taken once
+        again = Lattice(desc, bal.lattice.basis)
+        reduce_bar(again, bal.form, dual=bal.dual)
+        assert calls["contains"] and calls["dual"] == 1 and calls["length"] == 1
+        assert any(a is again or b is again for a, b in calls["contains"])
+        calls.update(contains=[], dual=0, length=0)
+        reduce_tilde(again, bal.form, dual=bal.dual)
+        reduce_bar(again, bal.form, dual=bal.dual)
         assert calls == {"contains": [], "dual": 0, "length": 0}
 
 

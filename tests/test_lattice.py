@@ -4,11 +4,13 @@ import random
 import pytest
 
 from isodescent import exactfield
+from isodescent import lattice as lattice_mod
 from isodescent import linalg as la
 from isodescent.errors import (
     DimensionMismatch,
     InvalidDescriptor,
     NotContained,
+    NotStable,
     SingularMatrix,
 )
 from isodescent.exactfield import FieldElement, make_descriptor
@@ -349,6 +351,94 @@ class TestStabilityPredicates:
             start = random_lattice(rng, gauss5, 2)
             assert la.mat_eq(stabilize(start, rep.generators).basis,
                              reference_stabilize(start, rep.generators).basis)
+
+
+@pytest.fixture
+def count_checks(monkeypatch):
+    """Counts of the la.det and maps_into calls the lattice module makes."""
+    calls = {"det": 0, "maps_into": 0}
+    det, maps = la.det, lattice_mod.maps_into
+
+    def counted_det(m, field):
+        calls["det"] += 1
+        return det(m, field)
+
+    def counted_maps_into(m, lat):
+        calls["maps_into"] += 1
+        return maps(m, lat)
+
+    monkeypatch.setattr(la, "det", counted_det)
+    monkeypatch.setattr(lattice_mod, "maps_into", counted_maps_into)
+    return calls
+
+
+def fresh_copy(m):
+    """A value-equal copy of m that shares no list and no element with it."""
+    return [[FieldElement(x.field, x.coeffs) for x in row] for row in m]
+
+
+class TestStabilityRecord:
+    """stabilize records on the lattice it returns the values of the
+    matrices it has shown the lattice stable under; is_stable skips exactly
+    those and decides every other matrix as before."""
+
+    @pytest.mark.parametrize("descname", ["gauss5", "quad7"])
+    def test_recorded_generators_are_not_checked_again(self, descname, request,
+                                                       count_checks):
+        desc = request.getfixturevalue(descname)
+        rng = random.Random(f"record-{descname}")
+        for _ in range(4):
+            n = rng.randint(2, 3)
+            gens = signed_swaps(desc, n)
+            lat = stabilize(random_lattice(rng, desc, n), gens)
+            for mats in (gens, [fresh_copy(m) for m in gens], gens[::-1]):
+                count_checks.update(det=0, maps_into=0)
+                assert is_stable(lat, mats)
+                assert count_checks == {"det": 0, "maps_into": 0}
+
+    @pytest.mark.parametrize("descname", ["gauss5", "quad7"])
+    def test_other_matrices_are_decided_in_full(self, descname, request, count_checks):
+        desc = request.getfixturevalue(descname)
+        rng = random.Random(f"record-others-{descname}")
+        z, o, pi = desc.zero, desc.one, desc.pi
+        for _ in range(4):
+            n = rng.randint(2, 3)
+            gens = signed_swaps(desc, n)
+            lat = stabilize(random_lattice(rng, desc, n), gens)
+            changed = fresh_copy(gens[0])
+            changed[0][0] = changed[0][0] + o
+            shrink = [[pi if i == j == 0 else (o if i == j else z) for j in range(n)]
+                      for i in range(n)]
+            others = [changed, shrink,
+                      la.scalar_mul(desc.pi_power(-1), la.identity(desc, n)),
+                      random_invertible(rng, desc, n)]
+            for m in others:
+                moved = Lattice(desc, la.mat_mul(m, lat.basis))
+                want = lat.contains_lattice(moved) and moved.contains_lattice(lat)
+                count_checks.update(det=0)
+                assert is_stable(lat, [m]) == want
+                assert is_stable(lat, gens + [m]) == want
+                assert count_checks["det"] == 2
+            singular = [[o] * n for _ in range(n)]
+            with pytest.raises(SingularMatrix):
+                is_stable(lat, gens + [singular])
+
+    def test_negative_valuation_determinant_refused_at_once(self, rat5, monkeypatch):
+        """diag(1/5, 1) maps no lattice into itself, and stabilize once grew
+        the lattice under it forever; a determinant of positive valuation
+        is stabilized as before, and not recorded."""
+        z, o = rat5.zero, rat5.one
+        lat = standard_lattice(rat5, 2)
+        five = [[rat5.rational(5), z], [z, o]]
+
+        def grown(*args):
+            raise AssertionError("stabilize grew the lattice")
+
+        monkeypatch.setattr(lattice_mod, "_span", grown)
+        with pytest.raises(NotStable):
+            stabilize(lat, [[[o / rat5.rational(5), z], [z, o]]])
+        assert stabilize(lat, [five]) is lat
+        assert not is_stable(lat, [five])
 
 
 class TestSingularInputs:

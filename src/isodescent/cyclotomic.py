@@ -193,15 +193,25 @@ class CycloRing:
         Z[theta]: each output entry sums the integer convolutions of its
         terms and is reduced once modulo f.  The entries of the product are
         tuples of ints; shapes are the caller's to check."""
+        return self._prepared_mul(self._prepare(a), self._prepare(zip(*b)))
+
+    def _prepare(self, m):
+        """The rows of m with each coordinate vector in the form
+        _prepared_mul takes: its int in degree 1, else its nonzero (index,
+        coordinate) pairs.  A caller that multiplies by one operand many
+        times prepares it once."""
+        if self.degree == 1:
+            return [[x[0] for x in row] for row in m]
+        return [[[(i, c) for i, c in enumerate(x) if c] for x in row] for row in m]
+
+    def _prepared_mul(self, a, cols):
+        """int_mat_mul on prepared operands: the rows of a times the columns
+        cols.  A row shorter than a column pairs only its own entries."""
         d, fold = self.degree, self._fold
         if d == 1:
-            cols = [[y[0] for y in col] for col in zip(*b)]
-            return [[(sum(map(operator.mul, r, c)),) for c in cols]
-                    for r in ([x[0] for x in row] for row in a)]
-        cols = [[[(i, c) for i, c in enumerate(y) if c] for y in col] for col in zip(*b)]
+            return [[(sum(map(operator.mul, r, c)),) for c in cols] for r in a]
         out = []
-        for row in a:
-            ru = [[(i, c) for i, c in enumerate(x) if c] for x in row]
+        for ru in a:
             out_row = []
             for cu in cols:
                 conv = [0] * (2 * d - 1)

@@ -20,7 +20,8 @@ an orbit of rows in k^N; checking the group law on every other edge of the
 Cayley graph makes it a homomorphism, so f0 is checked on the generators'
 images and both characteristic polynomials, being class functions, once per
 conjugacy class (the classes come from the Cayley table, with no field
-arithmetic; a matrix over K is built only for each class representative).
+arithmetic; over K by Newton's identities on the traces the closure kept,
+with no matrix built, and over k by Berkowitz's algorithm).
 
 The reduction preserves characteristic polynomials mod lambda, and when
 2e < ell - 1 it is also faithful: a finite-order lattice automorphism
@@ -174,7 +175,9 @@ class GroupRep:
     can be carried along the closure tree; right[x][g] is the index of
     element x * generators[g], the right Cayley table, from which
     conjugacy_classes reads the classes and class_charpolys takes one
-    charpoly per class.
+    charpoly per class.  traces[i] is element i's trace as (d, t), t / d
+    on the coordinates of theta: read off its points when it entered the
+    closure, and dim for the identity.
     A form of dimension over MAX_DIM raises DimensionMismatch before any
     other check.  Every generator is checked with form.is_isometry before
     any product is formed, so a bad input cannot blow up the enumeration
@@ -229,22 +232,23 @@ class GroupRep:
         def finite_order_trace(key):
             rows = [points[p] for p in key]
             d = math.lcm(*(rd for rd, _ in rows))
-            t = [sum(c) for c in zip(*([x * (d // rd) for x in w[i]]
-                                       for i, (rd, w) in enumerate(rows)))]
+            t = tuple(sum(c) for c in zip(*([x * (d // rd) for x in w[i]]
+                                            for i, (rd, w) in enumerate(rows))))
             # integrality is read on the power basis of zeta_n, whose
             # integer vectors are all of the integers of Q(zeta_n)
-            t = field.to_power_basis(t)
-            if any(c % d for c in t):
-                return False
-            t = [(j, c // d) for j, c in enumerate(t) if c]
-            return (sum(a * b * trace_zeta[(j - k) % ring.n] for j, a in t for k, b in t)
-                    <= ring.degree * dim**2)
+            power_basis = field.to_power_basis(t)
+            if any(c % d for c in power_basis):
+                return None
+            nz = [(j, c // d) for j, c in enumerate(power_basis) if c]
+            norm = sum(a * b * trace_zeta[(j - k) % ring.n] for j, a in nz for k, b in nz)
+            return (d, t) if norm <= ring.degree * dim**2 else None
 
         one, zero = field.integer_one, field.kring.zero
         ident = tuple(orbit.point((1, tuple(one if i == j else zero for j in range(dim))))
                       for i in range(dim))
         keys = [ident]
         links = [None]
+        traces = [(1, tuple(dim * c for c in one))]
         right = []
         seen = {ident: 0}
         for idx, key in enumerate(keys):
@@ -253,7 +257,8 @@ class GroupRep:
                 product = orbit.times(key, g)
                 j = seen.get(product)
                 if j is None:
-                    if not finite_order_trace(product):
+                    trace = finite_order_trace(product)
+                    if trace is None:
                         raise NotFiniteOrder(
                             "the group is infinite: a closure element has a trace "
                             "that no element of finite order has")
@@ -263,6 +268,7 @@ class GroupRep:
                     j = seen[product] = len(keys)
                     keys.append(product)
                     links.append((idx, g))
+                    traces.append(trace)
                 targets.append(j)
             right.append(targets)
         # the point table is all element() reads; the index and the action
@@ -271,6 +277,7 @@ class GroupRep:
         self.keys = keys
         self.links = links
         self.right = right
+        self.traces = traces
         self._built = {}  # the matrices elements has built
 
     def element(self, i: int) -> list:
@@ -322,11 +329,36 @@ class GroupRep:
         """(cls, census): cls from conjugacy_classes, and census a dict from
         each class's smallest index r, ascending, to (class size, charpoly of
         element r over K, its reduction mod lambda), which hold for the whole
-        class; a finite-order element's charpoly is integral, so it reduces."""
+        class; a finite-order element's charpoly is integral, so it reduces.
+
+        No matrix is built.  For g = element r, the index of g^i, i <= dim,
+        comes from walking g's word in the generators (read from links) i
+        times through the Cayley table, and p_i = tr(g^i) is the trace the
+        closure kept.  The coefficient c_k of x^(dim-k) in det(x I - g) then
+        follows from Newton's identities, k c_k = -(p_k + c_1 p_(k-1) + ...
+        + c_(k-1) p_1), exact in characteristic 0 (Macdonald, Symmetric
+        Functions and Hall Polynomials, I.2)."""
         cls = self.conjugacy_classes()
+        field, links, right, traces = self.field, self.links, self.right, self.traces
         census = {}
         for r, size in sorted(Counter(cls).items()):
-            cp = la.charpoly(self.element(r), self.field)
+            word = []
+            x = r
+            while links[x] is not None:
+                x, g = links[x]
+                word.append(g)
+            word.reverse()
+            p = []
+            for _ in range(self.dim):
+                for g in word:
+                    x = right[x][g]
+                d, t = traces[x]
+                p.append(field.from_integer(t, d))
+            cp = [field.one]
+            for k in range(1, self.dim + 1):
+                s = -sum((cp[i] * p[k - 1 - i] for i in range(1, k)), p[k - 1])
+                cp.append(field.from_integer(s.num, s.den * k))
+            cp.reverse()
             census[r] = size, cp, [c.reduce() for c in cp]
         return cls, census
 
@@ -522,9 +554,12 @@ def descend(rep: GroupRep) -> DescentResult:
     # one extra uniformizer factor) from the dual quotient
     adapted_lat = Lattice(field, basis_lat, _inverse=lat_inv)
     adapted_dual = Lattice(field, basis_star, _inverse=star_inv)
-    # each reduction checks its kernel dimension against the length of the
-    # dual over the lattice, which is sum(exps) = w; reduce_tilde reads the
-    # balanced pair reduce_bar certified on the form
+    # the adapted bases span the pair balance certified, so the form keeps
+    # them as that pair, with the length sum(exps) = w of the dual over the
+    # lattice; each reduction checks its kernel dimension against it
+    if adapted_lat != bal.lattice or adapted_dual != dual:
+        raise InternalInconsistency("adapted bases do not span the balanced pair")
+    f2._keep_balanced(adapted_lat, adapted_dual, w)
     bar, _ = reduce_bar(adapted_lat, f2, dual=adapted_dual)
     tilde, _ = reduce_tilde(adapted_lat, f2, dual=adapted_dual)
     kz = kfield.zero

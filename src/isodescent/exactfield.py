@@ -486,6 +486,10 @@ class FieldDescriptor:
     def int_mat_mul(self, a, b):
         return self.kring.int_mat_mul(a, b)
 
+    # int_mat_mul in two steps, for linalg.charpoly (CycloRing._prepare)
+    _prepare = property(lambda self: self.kring._prepare)
+    _prepared_mul = property(lambda self: self.kring._prepared_mul)
+
     def from_integer(self, w, d: int) -> FieldElement:
         """The element w / d for an integer coordinate tuple w and d > 0."""
         return _lowest(self, tuple(w), d)

@@ -197,13 +197,17 @@ class ResidueField:
         """a @ b for matrices of coefficient tuples (ints, any representative
         mod p): the product in Z[y]/(h) (CycloRing.int_mat_mul), with each
         output coefficient reduced mod p once."""
+        return self._prepared_mul(self._prepare(a), self._prepare(zip(*b)))
+
+    _prepare = property(lambda self: self.ring._prepare)
+
+    def _prepared_mul(self, a, cols):
+        """int_mat_mul on operands prepared by CycloRing._prepare."""
         p = self.p
         if self.degree == 1:
-            cols = [[y[0] for y in col] for col in zip(*b)]
-            return [[(sum(map(operator.mul, r, c)) % p,) for c in cols]
-                    for r in ([x[0] for x in row] for row in a)]
+            return [[(sum(map(operator.mul, r, c)) % p,) for c in cols] for r in a]
         return [[tuple(c % p for c in v) for v in row]
-                for row in self.ring.int_mat_mul(a, b)]
+                for row in self.ring._prepared_mul(a, cols)]
 
     # integer coordinates (see linalg): coefficient tuples over d = 1
 

@@ -15,6 +15,9 @@ module builds everything else from those four.  mat_mul puts the rows of
 one factor and the columns of the other over their own denominators and
 brings each output entry to lowest terms once, charpoly puts the whole
 matrix over one denominator, and det is charpoly's constant term.
+int_mat_mul is `_prepared_mul` on operands `_prepare`d for it (an int per
+entry in degree 1, else its nonzero coordinates); charpoly calls the two
+itself, so each entry it multiplies by many times is prepared once.
 Containment tests (lattice.Lattice) multiply the same integer forms and
 build no element.
 """
@@ -196,8 +199,11 @@ def charpoly(a, field):
     the field's integer coordinates: over K on a = w / d, with w in
     Z[theta] and d one common denominator (integer_matrix), and over a
     residue field on coefficients mod p.  With c_k the coefficients of
-    det(y*I - w), the answer's coefficient k is c_k / d^(n-k).  Every
-    product is one call of the field's int_mat_mul; nothing is inverted.
+    det(y*I - w), the answer's coefficient k is c_k / d^(n-k).  Every entry
+    of w is prepared for the field's products once; step t multiplies the
+    row vector by the columns of the leading t x (t + 1) block, sliced from
+    those, and convolves the minor's coefficients with the Toeplitz column,
+    truncated to t + 2 terms.  Nothing is inverted.
     """
     n = len(a)
     if any(len(row) != n for row in a):
@@ -205,25 +211,29 @@ def charpoly(a, field):
     if n == 0:
         return [field.one]
     d, w = integer_matrix(field, a)
-    mul = field.int_mat_mul
+    prepare, mul = field._prepare, field._prepared_mul
     one = field.integer_one
-    zero = (0,) * len(one)
     neg = lambda v: tuple(-c for c in v)
-    # coefficients of the leading t x t minor, leading coefficient first, as
-    # a column, from t = 1 on; each step multiplies it by a lower triangular
-    # Toeplitz matrix
-    poly = [[one], [neg(w[0][0])]]
+    sp = prepare(w)
+    # coefficients of the leading t x t minor, leading coefficient first,
+    # from t = 1 on; each step multiplies them by a lower triangular
+    # Toeplitz matrix, a convolution truncated to t + 2 terms
+    poly = [one, neg(w[0][0])]
     for t in range(1, n):
-        # w's leading (t+1) x (t+1) block is [[sub, col], [row, w[t][t]]]
-        col = [[r[t]] for r in w[:t]]
-        sub = [r[:t] for r in w[:t]]
-        # first Toeplitz column: 1, -w[t][t], -row col, -row sub col, ...,
-        # the products with col taken at once on the rows row sub^j
-        rows = [w[t][:t]]
+        # w's leading (t+1) x (t+1) block is [[sub, col], [row, w[t][t]]];
+        # block holds the columns of [sub, col], sliced from sp once per t
+        block = [[r[j] for r in sp[:t]] for j in range(t + 1)]
+        # first Toeplitz column: 1, -w[t][t], -row col, -row sub col, ...;
+        # row sub^j times block is row sub^(j+1) and row sub^j col at once
+        v = sp[t][:t]
+        first = [one, neg(w[t][t])]
         for _ in range(t - 1):
-            rows.append(mul(rows[-1:], sub)[0])
-        first = [one, neg(w[t][t])] + [neg(x) for x, in mul(rows, col)]
-        toeplitz = [[first[i - j] if i >= j else zero for j in range(t + 1)]
-                    for i in range(t + 2)]
-        poly = mul(toeplitz, poly)
-    return [field.from_integer(c[0], d ** k) for k, c in enumerate(poly)][::-1]
+            out = mul([v], block)[0]
+            first.append(neg(out[t]))
+            v = prepare([out[:t]])[0]
+        first.append(neg(mul([v], block[t:])[0][0]))
+        first, poly = prepare([first, poly])
+        # row i of the Toeplitz matrix, reversed, pairs with poly's first
+        # i + 1 terms
+        poly = [x for x, in mul([first[i::-1] for i in range(t + 2)], [poly])]
+    return [field.from_integer(c, d ** k) for k, c in enumerate(poly)][::-1]

@@ -273,7 +273,7 @@ def test_classes_match_brute_force_conjugation(case):
     assert sum(sizes.values()) == rep.order
 
 
-@pytest.mark.parametrize("name", ["q8_split_ell5", "z4_hermitian_inert_ell7", "remark4_ell7"])
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_class_charpolys_hold_for_every_element(name):
     rep = CASES[name]()
     cls, census = rep.class_charpolys()
@@ -285,6 +285,20 @@ def test_class_charpolys_hold_for_every_element(name):
         _, cp, red = census[r]
         assert la.charpoly(rep.elements[x], rep.field) == cp
         assert red == [c.reduce() for c in cp]
+
+
+@pytest.mark.parametrize("name", ["remark4_ell7", "prop6_ell7", "block_b3xb2_q5"])
+def test_class_charpolys_build_no_matrix(name, monkeypatch):
+    """The census reads the traces the closure kept: it neither builds an
+    element's matrix nor takes a Berkowitz charpoly."""
+    rep = CASES[name]()
+    calls = []
+    monkeypatch.setattr(GroupRep, "element", lambda *a: calls.append("element"))
+    monkeypatch.setattr(la, "charpoly", lambda *a: calls.append("charpoly"))
+    _, census = rep.class_charpolys()
+    assert calls == []
+    assert all(len(cp) == rep.dim + 1 and cp[-1] == rep.field.one
+               for _, cp, _ in census.values())
 
 
 def test_edge_check_finds_a_corrupted_element(monkeypatch):

@@ -22,6 +22,7 @@ from isodescent.exactfield import make_descriptor, with_uniformizer
 from isodescent.forms import GramForm, reduce_bar, reduce_tilde
 from isodescent.lattice import (
     Lattice,
+    SNFResult,
     is_stable,
     quotient_length,
     scale_lattice,
@@ -468,37 +469,74 @@ class TestDescend:
                                                  ("z4_rep7", "z4_res7"),
                                                  ("remark4_rep7", "remark4_res7")])
     def test_balanced_pair_is_certified_once(self, repname, resname, request, monkeypatch):
-        """descend reduces the adapted pair by reduce_bar and then
-        reduce_tilde; the second reads the pair the first certified."""
+        """balance certifies the pair and descend checks only that its
+        adapted bases span it: no quotient_length anywhere, no dual built
+        inside reduce_bar, and reduce_tilde reads the pair reduce_bar left
+        on the form."""
         rep = request.getfixturevalue(repname)
-        calls = {"length": 0, "tilde": 0, "contains_in_tilde": 0}
-        contains, length = Lattice.contains_lattice, forms.quotient_length
-        reduce_tilde = descent.reduce_tilde
-        inside = []
+        calls = {"length": 0, "bar": 0, "tilde": 0, "dual_in_bar": 0, "contains_in_tilde": 0}
+        contains, length, dual = Lattice.contains_lattice, forms.quotient_length, GramForm.dual
+        inside = {"bar": 0, "tilde": 0}
 
         def counted_contains(a, b):
-            calls["contains_in_tilde"] += bool(inside)
+            calls["contains_in_tilde"] += bool(inside["tilde"])
             return contains(a, b)
 
         def counted_length(sub, sup):
             calls["length"] += 1
             return length(sub, sup)
 
-        def counted_tilde(*args, **kwargs):
-            calls["tilde"] += 1
-            inside.append(True)
-            try:
-                return reduce_tilde(*args, **kwargs)
-            finally:
-                inside.pop()
+        def counted_dual(form, lat):
+            calls["dual_in_bar"] += bool(inside["bar"])
+            return dual(form, lat)
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                inside[name] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside[name] -= 1
+            return wrapped
 
         monkeypatch.setattr(Lattice, "contains_lattice", counted_contains)
         monkeypatch.setattr(forms, "quotient_length", counted_length)
-        monkeypatch.setattr(descent, "reduce_tilde", counted_tilde)
+        monkeypatch.setattr(GramForm, "dual", counted_dual)
+        monkeypatch.setattr(descent, "reduce_bar", counted("bar", descent.reduce_bar))
+        monkeypatch.setattr(descent, "reduce_tilde", counted("tilde", descent.reduce_tilde))
         res = descend(rep)
-        assert calls == {"length": 1, "tilde": 1, "contains_in_tilde": 0}
+        assert calls == {"length": 0, "bar": 1, "tilde": 1, "dual_in_bar": 0,
+                         "contains_in_tilde": 0}
         want = request.getfixturevalue(resname)
         assert_matrix_equal(res.f0_gram, want.f0_gram)
+
+    @pytest.mark.parametrize("repname", ["q8_rep5", "z4_rep7", "remark4_rep7"])
+    def test_corrupted_adapted_basis_is_refused(self, repname, request, monkeypatch):
+        """An adapted basis that spans a proper sublattice of the balanced
+        pair (one column of u_inv times pi, the row of u times pi^-1, so the
+        two stay inverse) is refused before any reduction."""
+        rep = request.getfixturevalue(repname)
+        field = rep.field
+        real_balance = descent.balance
+
+        def corrupted_balance(*args, **kwargs):
+            bal = real_balance(*args, **kwargs)
+            inc = bal.inclusion
+            u_inv = [[x * field.pi_power(1) if j == 0 else x for j, x in enumerate(row)]
+                     for row in inc.u_inv]
+            u = [[x * field.pi_power(-1) for x in row] if i == 0 else row[:]
+                 for i, row in enumerate(inc.u)]
+            bal.inclusion = SNFResult(u, u_inv, inc.exps)
+            return bal
+
+        reductions = []
+        monkeypatch.setattr(descent, "balance", corrupted_balance)
+        monkeypatch.setattr(descent, "reduce_bar",
+                            lambda *a, **k: reductions.append(a) or reduce_bar(*a, **k))
+        with pytest.raises(InternalInconsistency, match="adapted bases"):
+            descend(rep)
+        assert reductions == []
 
     def test_reduced_action_preserves_f0(self, remark4_res7):
         res = remark4_res7

@@ -265,7 +265,7 @@ def residue_field(p, f):
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.data())
 def test_residue_products_take_any_representative_mod_p(data):
-    # linalg.charpoly passes negated coefficient tuples to int_mat_mul:
+    # linalg.charpoly passes negated coefficient tuples to the products:
     # on coefficients outside [0, p) the product is that of the reduced
     # inputs, entry by entry the sum of the polynomial products mod the
     # modulus, and ResidueElement.__mul__ agrees with it on 1x1 matrices

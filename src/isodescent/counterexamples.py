@@ -11,7 +11,10 @@ with a unipotent gluing admits no nondegenerate invariant alternating form,
 which a small linear-algebra certificate checks exhaustively.
 
 Everything is verified by enumeration or by solving explicit linear systems
-over F_ell; no step assumes the statement it certifies.
+over F_ell; no step assumes the statement it certifies.  The two exhaustive
+searches over F_ell decide a row of ell candidates at a time: each candidate
+still has its own residual or its own Cayley-Hamilton power, and the row's
+outcomes are the bits of one AND of precomputed ell-bit masks.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 from .exactfield import make_descriptor
-from .finitefield import fp_det, fp_kernel, fp_mat_mul, fp_mat_pow, fp_powmod
+from .finitefield import fp_det, fp_kernel, fp_mat_mul, fp_mat_pow
 from .forms import GramForm, classify_gram
 
 DEFAULT_ENUM_CAP = 1000000
@@ -128,6 +131,15 @@ def _solve_commutant(gens, ell, n):
 # the unipotent lemma
 
 
+def _zero_masks(x: int, ell: int) -> list:
+    """masks[s], for s in F_ell, has bit r set iff (s + r x) mod ell = 0:
+    the r at which a residual component starting at s and advancing by x
+    vanishes, found by evaluating it at every (s, r)."""
+    steps = [r * x for r in range(ell)]
+    return [sum(1 << r for r, y in enumerate(steps) if not (s + y) % ell)
+            for s in range(ell)]
+
+
 def _invariant_symmetric_grams(g, ell: int):
     """Scan all ell^3 symmetric 2x2 Gram matrices for invariance under g.
 
@@ -136,25 +148,32 @@ def _invariant_symmetric_grams(g, ell: int):
     B -> g^T B g - B is F_ell-linear, so its values R_p, R_q, R_r on the
     three symmetric basis matrices, flattened row-major, are read once off
     _invariance_rows(g): columns 0, 1 + 2 and 3.  Each candidate's residual
-    is p R_p + q R_q + r R_r: it starts at p R_p + q R_q for each (p, q) and
-    advances by R_r (four additions mod ell) at each step of r; the
-    candidate is invariant iff it is zero.
+    is p R_p + q R_q + r R_r, and it is invariant iff all four components
+    vanish.  For each (p, q) the component i starts at s_i = p R_p[i] +
+    q R_q[i], so the row of ell candidates (p, q, 0 ... ell - 1) is decided
+    at once: bit r of zero_0[s_0] & ... & zero_3[s_3] (see _zero_masks) is
+    set iff candidate r is invariant, and the set bits, low to high, keep
+    the lexicographic order.
     """
     m = _invariance_rows(g)
     rp = [row[0] for row in m]
     rq = [row[1] + row[2] for row in m]
-    r0, r1, r2, r3 = (row[3] for row in m)
+    rr = [row[3] for row in m]
+    masks = {x: _zero_masks(x, ell) for x in set(rr)}
+    z0, z1, z2, z3 = (masks[x] for x in rr)
+    p0, p1, p2, p3 = rp
+    q0, q1, q2, q3 = rq
     examined = 0
     invariant = []
     for p in range(ell):
         for q in range(ell):
-            s0, s1, s2, s3 = ((p * x + q * y) % ell for x, y in zip(rp, rq))
-            for r in range(ell):
-                examined += 1
-                if not (s0 or s1 or s2 or s3):
-                    invariant.append((p, q, r))
-                s0, s1 = (s0 + r0) % ell, (s1 + r1) % ell
-                s2, s3 = (s2 + r2) % ell, (s3 + r3) % ell
+            examined += ell
+            hit = (z0[(p * p0 + q * q0) % ell] & z1[(p * p1 + q * q1) % ell]
+                   & z2[(p * p2 + q * q2) % ell] & z3[(p * p3 + q * q3) % ell])
+            while hit:
+                low = hit & -hit
+                invariant.append((p, q, low.bit_length() - 1))
+                hit ^= low
     return examined, invariant
 
 
@@ -164,13 +183,13 @@ def no_invariant_symmetric_form(ell: int,
 
     Enumerates all ell^3 symmetric 2x2 Gram matrices over F_ell and checks
     that none is both nondegenerate and invariant under [[1,1],[0,1]].  Each
-    candidate's invariance is decided by its own residual g^T B g - B, kept
-    as a sum of the residuals of the three symmetric basis matrices and
-    advanced by four additions mod ell per candidate (see
-    _invariant_symmetric_grams).  For the invariant ones the two vanishing
-    identities f(u,u) = 0 and f(u,v) = 0 (u the fixed vector, v its partner)
-    are verified, and fp_det decides nondegeneracy.  More than enum_cap
-    candidates raise SearchSpaceTooLarge before the search.
+    candidate's invariance is decided by its own residual g^T B g - B, a sum
+    of the residuals of the three symmetric basis matrices, a row of ell
+    candidates by one AND of masks (see _invariant_symmetric_grams).  For
+    the invariant ones the two vanishing identities f(u,u) = 0 and
+    f(u,v) = 0 (u the fixed vector, v its partner) are verified, and fp_det
+    decides nondegeneracy.  More than enum_cap candidates raise
+    SearchSpaceTooLarge before the search.
     """
     _require_verifiable("lemma", ell, ell ** 3, enum_cap)
     examined, invariant_grams = _invariant_symmetric_grams([[1, 1], [0, 1]], ell)
@@ -204,14 +223,16 @@ def _ell_power_table(ell: int) -> list:
     x^ell reduced modulo the characteristic polynomial x^2 - t x + d, t the
     trace and d the determinant of M.  table[t][d] = (alpha, beta) for
     every t and every d != 0 (table[t][0] is None): ell (ell - 1) entries,
-    each from one fp_powmod.
+    each x^ell taken as 1 multiplied by x ell times, a step being
+    x (alpha x + beta) = (alpha t + beta) x - alpha d modulo the charpoly.
     """
     table = []
     for t in range(ell):
         row = [None]
         for d in range(1, ell):
-            # the remainder is trimmed, so pad it to (beta, alpha)
-            beta, alpha = (fp_powmod((0, 1), ell, (d, (-t) % ell, 1), ell) + (0, 0))[:2]
+            alpha, beta = 0, 1
+            for _ in range(ell):
+                alpha, beta = (alpha * t + beta) % ell, (-alpha * d) % ell
             row.append((alpha, beta))
         table.append(row)
     return table
@@ -221,28 +242,44 @@ def _order_ell_unipotent_fact(ell: int) -> dict:
     """Check every order-ell element of GL_2(F_ell) is a nonidentity
     unipotent conjugate to [[1,1],[0,1]], by enumerating the whole group.
 
-    Each invertible M has its ell-th power computed as alpha M + beta I,
-    with (alpha, beta) looked up by trace and determinant in
-    _ell_power_table, and M has order ell iff M != I and that power is I.
+    Each invertible M = [[a, b], [c, d]] has its ell-th power alpha M +
+    beta I, with (alpha, beta) looked up by trace t and determinant D in
+    _ell_power_table, and M has order ell iff M != I and that power is I:
+    alpha a + beta = alpha d + beta = 1 and alpha b = alpha c = 0.  These
+    four equations are read off bit masks over the determinants D != 0,
+    one set per trace: one[t][x] holds the D with alpha x + beta = 1 and
+    kills[t][y] the D with alpha y = 0.  For each (a, d) and b the mask
+    one[t][a] & one[t][d] & kills[t][b] holds the determinants at which
+    three equations hold; when it is empty every c is skipped, otherwise
+    c is accepted iff bit ad - bc is set in it and in kills[t][c].
     Conjugacy is certified without an inverse: P = [(M - 1) v, v] for v
     outside the kernel of M - 1, with det P != 0 and M P = P U.
     """
     unipotent = [[1, 1], [0, 1]]
     ident = [[1, 0], [0, 1]]
-    powers = _ell_power_table(ell)
+    one, kills = [], []
+    for row in _ell_power_table(ell):
+        coeffs = list(enumerate(row[1:], 1))
+        one.append([sum(1 << det for det, (alpha, beta) in coeffs
+                        if (alpha * x + beta) % ell == 1) for x in range(ell)])
+        kills.append([sum(1 << det for det, (alpha, _) in coeffs
+                          if not alpha * y % ell) for y in range(ell)])
     count = 0
     all_square_zero = True
     all_conjugate = True
     for a in range(ell):
-        for b in range(ell):
-            for c in range(ell):
-                for d in range(ell):
-                    det = (a * d - b * c) % ell
-                    if det == 0:
-                        continue
-                    alpha, beta = powers[(a + d) % ell][det]
-                    if ((alpha * a + beta) % ell != 1 or (alpha * b) % ell
-                            or (alpha * c) % ell or (alpha * d + beta) % ell != 1):
+        for d in range(ell):
+            t = (a + d) % ell
+            one_t, kills_t = one[t], kills[t]
+            dets = one_t[a] & one_t[d]
+            if not dets:
+                continue
+            for b in range(ell):
+                dets_b = dets & kills_t[b]
+                if not dets_b:
+                    continue
+                for c in range(ell):
+                    if not (dets_b & kills_t[c]) >> ((a * d - b * c) % ell) & 1:
                         continue
                     m = [[a, b], [c, d]]
                     if m == ident:

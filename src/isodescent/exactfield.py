@@ -301,18 +301,20 @@ class FieldElement:
         return self.field.integral(self.num, self.den)
 
     def reduce(self):
-        """Image in the residue field; requires valuation >= 0."""
+        """Image in the residue field; requires valuation >= 0.
+
+        When ell does not divide den, num / den lies in Z[theta][1/den],
+        inside the valuation ring, so the residue is read without certifying
+        the valuation (zero, with den 1, takes this path too)."""
         if self._res is not None:
             return self._res
         field = self.field
-        v = self.valuation()
-        if v == math.inf:
-            self._res = field.residue_field.zero
-            return self._res
-        if v < 0:
-            raise NegativeValuation(
-                f"element has valuation {v}; only integral elements reduce")
         ints, t, d = self._numerator()
+        if t:
+            v = self.valuation()
+            if v < 0:
+                raise NegativeValuation(
+                    f"element has valuation {v}; only integral elements reduce")
         x = field._residue_from_big(field.kengine.residue(ints, t))
         if d % field.ell != 1:
             x = x * pow(d % field.ell, -1, field.ell)

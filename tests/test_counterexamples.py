@@ -23,7 +23,7 @@ from isodescent.counterexamples import (
 )
 from isodescent.errors import (CharTwo, InternalInconsistency, InvalidDescriptor,
                                SearchSpaceTooLarge)
-from isodescent.finitefield import fp_det, fp_kernel, fp_mat_mul, fp_mat_pow
+from isodescent.finitefield import fp_det, fp_kernel, fp_mat_mul, fp_mat_pow, fp_powmod
 
 
 class TestLemma:
@@ -235,6 +235,13 @@ def schoolbook_order_ell_fact(ell):
     }
 
 
+def schoolbook_invariant_grams(g, ell):
+    gt = [[g[0][0], g[1][0]], [g[0][1], g[1][1]]]
+    return [(p, q, r) for p in range(ell) for q in range(ell) for r in range(ell)
+            if fp_mat_mul(fp_mat_mul(gt, [[p, q], [q, r]], ell), g, ell)
+            == [[p, q], [q, r]]]
+
+
 def gl2(ell):
     for a in range(ell):
         for b in range(ell):
@@ -257,14 +264,29 @@ class TestPerCandidateChecks:
     def test_residual_scan_matches_schoolbook_for_every_g(self, ell):
         # every g in GL_2, so each of R_p, R_q, R_r is nonzero for some g
         for g in gl2(ell):
-            gt = [[g[0][0], g[1][0]], [g[0][1], g[1][1]]]
-            expected = [(p, q, r) for p in range(ell) for q in range(ell)
-                        for r in range(ell)
-                        if fp_mat_mul(fp_mat_mul(gt, [[p, q], [q, r]], ell), g, ell)
-                        == [[p, q], [q, r]]]
+            expected = schoolbook_invariant_grams(g, ell)
             assert _invariant_symmetric_grams(g, ell) == (ell ** 3, expected), g
 
-    @pytest.mark.parametrize("ell", [3, 5, 7])
+    @pytest.mark.parametrize("ell", [7, 11])
+    def test_residual_scan_matches_schoolbook_on_a_seeded_sample(self, ell):
+        # rows of ell candidates wider than at ell = 3 and 5, so a mask bit
+        # off by one or a wrong row start shows
+        rng = random.Random(f"residual-scan-{ell}")
+        for g in rng.sample(list(gl2(ell)), 40):
+            expected = schoolbook_invariant_grams(g, ell)
+            assert _invariant_symmetric_grams(g, ell) == (ell ** 3, expected), g
+
+    @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_power_table_matches_fp_powmod(self, ell):
+        table = _ell_power_table(ell)
+        for t in range(ell):
+            for d in range(1, ell):
+                # the remainder is trimmed, so pad it to (beta, alpha)
+                beta, alpha = (fp_powmod((0, 1), ell, (d, (-t) % ell, 1), ell)
+                               + (0, 0))[:2]
+                assert table[t][d] == (alpha, beta), (t, d)
+
+    @pytest.mark.parametrize("ell", [3, 5, 7, 11])
     def test_power_table_gives_the_ell_th_power(self, ell):
         table = _ell_power_table(ell)
         assert len(table) == ell

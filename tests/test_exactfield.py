@@ -16,6 +16,7 @@ from isodescent.finitefield import cyclotomic_factors_mod
 from isodescent.exactfield import (MAX_CONDUCTOR, MAX_ELL, MAX_RESIDUE_DEGREE, FieldElement,
                                    _primitive_period, _symmetry_broken, make_descriptor,
                                    with_uniformizer)
+from isodescent.localring import LambdaEngine
 
 from conftest import random_field_element
 
@@ -191,6 +192,48 @@ class TestReduce:
             y = random_field_element(rng, desc, integral=True)
             assert (x * y).reduce() == x.reduce() * y.reduce()
             assert (x + y).reduce() == x.reduce() + y.reduce()
+
+    def test_prime_to_ell_denominator_takes_no_valuation(self, gauss7, quad7,
+                                                          monkeypatch):
+        rng = random.Random("reduce-no-valuation")
+        elements = [random_field_element(rng, desc, integral=True) * desc.rational("1/3")
+                    for desc in (gauss7, quad7) for _ in range(30)]
+        assert all(x.den % x.field.ell for x in elements)
+        calls = []
+        certify = LambdaEngine.valuation
+
+        def counted(engine, vec):
+            calls.append(vec)
+            return certify(engine, vec)
+
+        monkeypatch.setattr(LambdaEngine, "valuation", counted)
+        for x in elements:
+            x.reduce()
+        assert calls == []
+        # ell | den still goes through the certified valuation
+        with pytest.raises(NegativeValuation):
+            gauss7.rational("1/7").reduce()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n,ell,sub", [
+        (1, 5, (1,)),          # Q at 5
+        (7, 7, (1, 2, 4)),     # Q(sqrt -7) at 7, ramified
+        (4, 7, (1,)),          # Q(i) at 7, inert
+        (5, 7, (1, 4)),        # Q(sqrt 5) at 7: the residue subfield of F_7^4
+    ])
+    def test_prime_to_ell_denominator_matches_the_certified_residue(self, n, ell, sub):
+        desc = make_descriptor(n, ell, subgroup=sub)
+        rng = random.Random(f"reduce-certified-{n}-{ell}")
+        for _ in range(60):
+            x = random_field_element(rng, desc, integral=True) * desc.rational("2/9")
+            assert x.den % ell
+            # the residue as taken when ell divides den: valuation certified
+            # first, then the residue of the numerator over d
+            assert x.valuation() >= 0
+            ints, t, d = x._numerator()
+            certified = desc._residue_from_big(desc.kengine.residue(ints, t))
+            certified = certified * pow(d % ell, -1, ell)
+            assert FieldElement(desc, x.coeffs).reduce() == certified, x
 
     def test_reduce_kernel_is_positive_valuation(self, gauss5):
         rng = random.Random("kernel")

@@ -238,6 +238,25 @@ def _ell_power_table(ell: int) -> list:
     return table
 
 
+def _unipotent_checks(a: int, b: int, c: int, d: int, ell: int):
+    """(N^2 = 0, M conjugate to U = [[1, 1], [0, 1]]) for M = [[a, b], [c, d]]
+    over F_ell and N = M - 1, on the entries.  Conjugacy is certified without
+    an inverse, and only when N^2 = 0: P = [N v, v] for v the first unit
+    vector with N v != 0 (e_2 when N = 0, where det P = 0), with det P != 0
+    and M P = P U, that is M N v = N v and M v = N v + v."""
+    n00, n11 = a - 1, d - 1
+    # N^2 = [[n00^2 + bc, b (n00 + n11)], [c (n00 + n11), bc + n11^2]]
+    tr, bc = n00 + n11, b * c
+    if (n00 * n00 + bc) % ell or b * tr % ell or c * tr % ell or (n11 * n11 + bc) % ell:
+        return False, False
+    # v = e_1 unless N e_1 = (n00, c) vanishes; (x, y) = N v
+    v0, v1 = (1, 0) if n00 % ell or c % ell else (0, 1)
+    x, y = (n00, c) if v0 else (b, n11)
+    return True, ((x * v1 - y * v0) % ell != 0
+                  and (a * x + b * y - x) % ell == (c * x + d * y - y) % ell == 0
+                  and (a * v0 + b * v1 - x - v0) % ell == (c * v0 + d * v1 - y - v1) % ell == 0)
+
+
 def _order_ell_unipotent_fact(ell: int) -> dict:
     """Check every order-ell element of GL_2(F_ell) is a nonidentity
     unipotent conjugate to [[1,1],[0,1]], by enumerating the whole group.
@@ -252,11 +271,8 @@ def _order_ell_unipotent_fact(ell: int) -> dict:
     one[t][a] & one[t][d] & kills[t][b] holds the determinants at which
     three equations hold; when it is empty every c is skipped, otherwise
     c is accepted iff bit ad - bc is set in it and in kills[t][c].
-    Conjugacy is certified without an inverse: P = [(M - 1) v, v] for v
-    outside the kernel of M - 1, with det P != 0 and M P = P U.
+    Each accepted M is then certified by _unipotent_checks.
     """
-    unipotent = [[1, 1], [0, 1]]
-    ident = [[1, 0], [0, 1]]
     one, kills = [], []
     for row in _ell_power_table(ell):
         coeffs = list(enumerate(row[1:], 1))
@@ -281,23 +297,12 @@ def _order_ell_unipotent_fact(ell: int) -> dict:
                 for c in range(ell):
                     if not (dets_b & kills_t[c]) >> ((a * d - b * c) % ell) & 1:
                         continue
-                    m = [[a, b], [c, d]]
-                    if m == ident:
+                    if a == d == 1 and b == c == 0:
                         continue
                     count += 1
-                    nil = [[(a - 1) % ell, b], [c, (d - 1) % ell]]
-                    if fp_mat_mul(nil, nil, ell) != [[0, 0], [0, 0]]:
-                        all_square_zero = False
-                        continue
-                    for v in ([1, 0], [0, 1]):
-                        img = [(nil[0][0] * v[0] + nil[0][1] * v[1]) % ell,
-                               (nil[1][0] * v[0] + nil[1][1] * v[1]) % ell]
-                        if img != [0, 0]:
-                            break
-                    pmat = [[img[0], v[0]], [img[1], v[1]]]
-                    if (fp_det(pmat, ell) == 0 or fp_mat_mul(m, pmat, ell)
-                            != fp_mat_mul(pmat, unipotent, ell)):
-                        all_conjugate = False
+                    square_zero, conjugate = _unipotent_checks(a, b, c, d, ell)
+                    all_square_zero &= square_zero
+                    all_conjugate &= conjugate or not square_zero
     return {
         "order_ell_count": count,
         "expected_count": ell * ell - 1,
@@ -344,11 +349,7 @@ def _irreducibility_witness(ell: int) -> bool:
     if ring.mul(w, w) != disc:
         raise InternalInconsistency("discriminant witness failed to square")
     moved = ring.galois(w, ell - 1)
-    if moved == w or ring.neg(moved) != w:
-        return False
-    if ring.is_zero(w):
-        return False
-    return True
+    return moved != w and ring.neg(moved) == w
 
 
 def verify_prop5(ell: int, enum_cap: int = DEFAULT_ENUM_CAP) -> NonexistenceCertificate:
@@ -365,10 +366,11 @@ def verify_prop5(ell: int, enum_cap: int = DEFAULT_ENUM_CAP) -> NonexistenceCert
     _require_verifiable("prop5", ell, ell ** 4 + ell ** 3, enum_cap)
     rep = build_prop5_bundle(ell)
     desc = rep.field
+    irreducible = _irreducibility_witness(ell)
     existence = (
         rep.order == ell
         and classify_gram(desc, rep.form.gram) == "symmetric"
-        and _irreducibility_witness(ell)
+        and irreducible
     )
     lemma = no_invariant_symmetric_form(ell, enum_cap)
     fact = _order_ell_unipotent_fact(ell)
@@ -393,7 +395,7 @@ def verify_prop5(ell: int, enum_cap: int = DEFAULT_ENUM_CAP) -> NonexistenceCert
         },
         details={
             "existence_half": existence,
-            "irreducible_over_K": True,
+            "irreducible_over_K": irreducible,
             "hypothesis_boundary": 2 * desc.e == ell - 1,
             "all_order_ell_unipotent": fact["all_square_zero"],
             "all_conjugate_to_standard": fact["all_conjugate_to_standard"],
@@ -518,8 +520,6 @@ def verify_prop6(ell: int, enum_cap: int = DEFAULT_ENUM_CAP) -> NonexistenceCert
     by its Pfaffian (see _count_degenerate_alternating).
     """
     _require_verifiable("prop6", ell, 0, enum_cap)
-    if 8 % ell == 0:
-        raise InternalInconsistency("quaternion order must be invertible mod ell")
     abar, bbar = _quaternion_pair_mod(ell)
 
     # sanity: the pair anticommutes and squares to -1

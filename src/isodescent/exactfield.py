@@ -303,18 +303,16 @@ class FieldElement:
     def reduce(self):
         """Image in the residue field; requires valuation >= 0.
 
-        When ell does not divide den, num / den lies in Z[theta][1/den],
-        inside the valuation ring, so the residue is read without certifying
-        the valuation (zero, with den 1, takes this path too)."""
+        Integrality is decided by the digit test (is_integral), and the
+        residue of num / (ell^t d) is read off the lambda-digits of num; no
+        valuation is certified, except to word the NegativeValuation."""
         if self._res is not None:
             return self._res
+        if not self.is_integral():
+            raise NegativeValuation(
+                f"element has valuation {self.valuation()}; only integral elements reduce")
         field = self.field
         ints, t, d = self._numerator()
-        if t:
-            v = self.valuation()
-            if v < 0:
-                raise NegativeValuation(
-                    f"element has valuation {v}; only integral elements reduce")
         x = field._residue_from_big(field.kengine.residue(ints, t))
         if d % field.ell != 1:
             x = x * pow(d % field.ell, -1, field.ell)

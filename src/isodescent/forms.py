@@ -17,10 +17,11 @@ swaps them, because the residue involution is trivial in the ramified case).
 Unramified involutions use a conjugation-fixed uniformizer, so both reduced
 forms stay hermitian, and bilinear kinds are preserved verbatim.
 
-A GramForm keeps its last dual and its last certified balanced pair, keyed
-by lattice identity: reductions certify once per (lattice, dual) per form,
-so reduce_tilde after reduce_bar on the same objects checks nothing again.
-balance keeps the pair it returns the same way, without its gram.
+A GramForm keeps its last certified balanced pair, keyed by lattice
+identity, with the reduced gram on the lattice, and no dual: reductions
+certify once per (lattice, dual) per form, so reduce_tilde after reduce_bar
+on the same objects, or without a dual, checks nothing again.  balance keeps
+the pair it returns the same way.  Integrality is the digit test throughout.
 """
 
 from __future__ import annotations
@@ -100,22 +101,17 @@ class GramForm(_Form):
         super().__init__(field, gram, kind, conj, self.twist)
         if not self.is_nondegenerate():
             raise DegenerateForm("gram matrix is singular")
-        self._gram_inv = self._dual_slot = self._balanced_slot = None
+        self._gram_inv = self._balanced_slot = None
 
     def dual(self, lat: Lattice) -> Lattice:
         """The vectors pairing integrally with lat in the first slot, without
         inverting A B: the basis is conj(B^-1 A^-1)^T and its inverse
-        conj(A B)^T.  The dual last built is kept and returned again for the
-        same Lattice object."""
-        slot = self._dual_slot
-        if slot is not None and slot[0] is lat:
-            return slot[1]
+        conj(A B)^T.  Each call builds a new Lattice; no dual is kept."""
         if self._gram_inv is None:
             self._gram_inv = la.mat_inv(self.gram, self.field)
         basis = la.conj_transpose(la.mat_mul(lat.inverse, self._gram_inv), self.conj)
         inv = la.conj_transpose(la.mat_mul(self.gram, lat.basis), self.conj)
-        self._dual_slot = (lat, Lattice(self.field, basis, _inverse=inv))
-        return self._dual_slot[1]
+        return Lattice(self.field, basis, _inverse=inv)
 
     def _keep_balanced(self, lat: Lattice, dual: Lattice, length: int):
         """Keep a pair the caller certified: dual is self.dual(lat), pi * dual
@@ -198,20 +194,22 @@ def _reduce_side(lat: Lattice, form: GramForm, dual, side: int):
     (ResidueForm, kernel) pair.
 
     Raises unless the lattice is balanced and the form takes integral values
-    on it with minimum valuation exactly zero; the form keeps the last pair
-    that passed, with the gram on lat (built and checked here for a pair
-    balance kept) and the length of dual/lat.  Side 0 reduces the form on
-    lat's basis, side 1 pi times the form on the dual's basis; each call
-    checks its kernel dimension against that length.
+    on it, not all divisible by pi (digit tests; no valuation is certified);
+    the form keeps the last pair that passed, with the reduced gram on lat
+    (built and checked here for a pair balance kept) and the length of
+    dual/lat, and a call without a dual on that lat takes the kept one.
+    Side 0 reduces the form on lat's basis, side 1 pi times the form on the
+    dual's basis; each call checks its kernel dimension against that length.
     """
     field = form.field
-    if dual is None:
-        dual = form.dual(lat)
     slot = form._balanced_slot
+    if dual is None and slot is not None and slot[0] is lat:
+        dual = slot[1]
     if slot is None or slot[0] is not lat or slot[1] is not dual:
         computed = form.dual(lat)
-        if dual is not computed and not (
-                dual.contains_lattice(computed) and computed.contains_lattice(dual)):
+        if dual is None:
+            dual = computed
+        elif not (dual.contains_lattice(computed) and computed.contains_lattice(dual)):
             raise PreconditionViolated(
                 "supplied dual basis does not span the dual lattice")
         pdual = scale_lattice(field.pi_power(1), dual)
@@ -219,23 +217,23 @@ def _reduce_side(lat: Lattice, form: GramForm, dual, side: int):
             raise PreconditionViolated(
                 "lattice is not balanced against the form; run the balance chain")
         slot = (lat, dual, None, quotient_length(lat, dual))
-    _, _, g, length = slot
-    if g is None:
+    _, _, rg, length = slot
+    if rg is None:
         g = form.gram_in_basis(lat.basis)
-        low = min(x.valuation() for row in g for x in row)
-        if low < 0:
+        if not all(x.is_integral() for row in g for x in row):
             raise PreconditionViolated(
                 "form is not integral on the lattice; normalize the scale first")
-        if low > 0:
+        rg = reduce_gram(g)
+        if all(x.is_zero() for row in rg for x in row):
             raise PreconditionViolated(
                 "form is not scale-normalized on the lattice (all values divisible by pi)")
-        form._balanced_slot = (lat, dual, g, length)
+        form._balanced_slot = (lat, dual, rg, length)
     if side:
         g = la.scalar_mul(field.pi_power(1), form.gram_in_basis(dual.basis))
-        if any(x.valuation() < 0 for row in g for x in row):
+        if not all(x.is_integral() for row in g for x in row):
             raise InternalInconsistency(
                 "pi times the form is not integral on the dual of a balanced lattice")
-    rg = reduce_gram(g)
+        rg = reduce_gram(g)
     kind = form.reduced_kind_pair()[side]
     kfield = field.residue_field
     rform = ResidueForm(kfield, rg, kind, conj=field.residue_involution)

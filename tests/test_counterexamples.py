@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from isodescent import counterexamples
 from isodescent import linalg as la
 from isodescent.counterexamples import (
     NonexistenceCertificate,
@@ -15,6 +16,7 @@ from isodescent.counterexamples import (
     _quaternion_pair_mod,
     _solve_commutant,
     _solve_form_constraints,
+    _unipotent_checks,
     build_prop5_bundle,
     build_prop6_bundle,
     no_invariant_symmetric_form,
@@ -73,6 +75,15 @@ class TestProp5:
         assert cert.details["all_conjugate_to_standard"]
         # the construction sits exactly on the excluded boundary
         assert cert.details["hypothesis_boundary"]
+
+    def test_irreducibility_witness_is_reported(self, monkeypatch):
+        # the witness holds at every ell; a failing one must show in the
+        # details and sink the existence half and the verdict
+        monkeypatch.setattr(counterexamples, "_irreducibility_witness", lambda ell: False)
+        cert = verify_prop5(5)
+        assert cert.details["irreducible_over_K"] is False
+        assert cert.details["existence_half"] is False
+        assert cert.verdict is False
 
     def test_bundle_shape(self):
         rep = build_prop5_bundle(5)
@@ -259,6 +270,29 @@ class TestPerCandidateChecks:
     @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
     def test_order_ell_fact_matches_schoolbook(self, ell):
         assert _order_ell_unipotent_fact(ell) == schoolbook_order_ell_fact(ell)
+
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_unipotent_checks_match_the_matrix_products(self, ell):
+        # every M in M_2(F_ell), not only the order-ell elements, so each
+        # outcome occurs and a check that always passes shows
+        unipotent = [[1, 1], [0, 1]]
+        seen = Counter()
+        for a, b, c, d in itertools.product(range(ell), repeat=4):
+            m = [[a, b], [c, d]]
+            nil = [[(a - 1) % ell, b], [c, (d - 1) % ell]]
+            square_zero = fp_mat_mul(nil, nil, ell) == [[0, 0], [0, 0]]
+            # v the first unit vector with N v != 0, e_2 when N = 0
+            v = [1, 0] if nil[0][0] or nil[1][0] else [0, 1]
+            nv = [row[0] for row in fp_mat_mul(nil, [[v[0]], [v[1]]], ell)]
+            pmat = [[nv[0], v[0]], [nv[1], v[1]]]
+            conjugate = (square_zero and fp_det(pmat, ell) != 0
+                         and fp_mat_mul(m, pmat, ell) == fp_mat_mul(pmat, unipotent, ell))
+            got = _unipotent_checks(a, b, c, d, ell)
+            assert got == (square_zero, conjugate), m
+            seen[got] += 1
+        assert seen[(True, False)] == 1  # the identity, where N v = 0 for both v
+        assert seen[(True, True)] == ell * ell - 1
+        assert seen[(False, False)] == ell ** 4 - ell * ell
 
     @pytest.mark.parametrize("ell", [3, 5])
     def test_residual_scan_matches_schoolbook_for_every_g(self, ell):

@@ -29,6 +29,7 @@ from isodescent.lattice import (
     stabilize,
     standard_lattice,
 )
+from isodescent.localring import LambdaEngine
 
 from conftest import (
     BUNDLE_DIR,
@@ -267,6 +268,58 @@ class TestRigidity:
             out = rigidity_check(a, standard_lattice(rat5, n))
             if out["is_identity_forced"]:
                 assert out["is_identity"]
+
+    @pytest.mark.parametrize("n,ell,sub", [(1, 5, (1,)), (7, 7, (1, 2, 4))])
+    def test_non_standard_lattice_matches_the_entrywise_definition(
+            self, n, ell, sub, monkeypatch):
+        """On seeded lattices L = B O^d over Q at 5 and the ramified
+        Q(sqrt -7) at 7: M stabilizes L iff B^-1 M B is integral, and the
+        square condition holds iff every entry of (B^-1 M B - 1)^2 has
+        valuation >= 1, both computed here entrywise; rigidity_check
+        certifies no valuation.  M is conjugated into L's endomorphisms
+        (B P B^-1), or only into the standard lattice's (U P U^-1)."""
+        desc = make_descriptor(n, ell, subgroup=sub)
+        assert desc.two_e_ok
+        rng = random.Random(f"rigidity-lattice-{n}-{ell}")
+        calls = []
+        certify = LambdaEngine.valuation
+
+        def counted(engine, vec):
+            calls.append(vec)
+            return certify(engine, vec)
+
+        outcomes = set()
+        for trial in range(24):
+            d = rng.choice([2, 3])
+            b = random_invertible(rng, desc, d)
+            lat = Lattice(desc, b)
+            p = (la.identity(desc, d) if trial % 8 == 0
+                 else random_signed_permutation(rng, desc, d))
+            u = b if trial % 2 else random_unimodular(rng, desc, d)
+            m = la.mat_mul(u, la.mat_mul(p, la.mat_inv(u, desc)))
+            on_lat = la.mat_mul(la.mat_inv(b, desc), la.mat_mul(m, b))
+            stable = all(x.valuation() >= 0 for row in on_lat for x in row)
+            am1 = la.mat_sub(on_lat, la.identity(desc, d))
+            square = all(x.valuation() >= 1 for row in la.mat_mul(am1, am1) for x in row)
+            monkeypatch.setattr(LambdaEngine, "valuation", counted)
+            if not stable:
+                with pytest.raises(NotStable):
+                    rigidity_check(m, lat)
+                monkeypatch.undo()
+                outcomes.add("unstable")
+                continue
+            out = rigidity_check(m, lat)
+            monkeypatch.undo()
+            assert out["square_condition"] == out["is_identity_forced"] == square
+            assert out["is_identity"] == la.mat_eq(p, la.identity(desc, d)) == square
+            order = 1
+            power = p
+            while not la.mat_eq(power, la.identity(desc, d)):
+                power, order = la.mat_mul(power, p), order + 1
+            assert out["order"] == order
+            outcomes.add(square)
+        assert calls == []
+        assert outcomes == {"unstable", True, False}
 
     @pytest.mark.parametrize("build", [build_prop5_bundle, build_prop6_bundle])
     def test_kernel_under_the_hypothesis_is_inconsistent(self, build, monkeypatch):

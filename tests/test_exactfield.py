@@ -210,10 +210,32 @@ class TestReduce:
         for x in elements:
             x.reduce()
         assert calls == []
-        # ell | den still goes through the certified valuation
+        # a valuation is certified only to word the refusal of a non-integral element
         with pytest.raises(NegativeValuation):
             gauss7.rational("1/7").reduce()
         assert len(calls) == 1
+
+    def test_ell_dividing_den_takes_no_valuation(self, gauss5, monkeypatch):
+        """(2 +- i)/5 in Q(i) at 5, with the sign whose numerator lies in
+        the chosen prime: integral with den 5 in lowest terms, so the digit
+        test decides it and the residue is read off the digits, with no
+        valuation certified.  Its product with the other factor is 1."""
+        i = gauss5.zeta_power(1)
+        num, other = sorted((2 + i, 2 - i), key=lambda y: -y.valuation())
+        assert (num.valuation(), other.valuation()) == (1, 0)
+        x = num / 5
+        assert x.den == 5
+        calls = []
+        certify = LambdaEngine.valuation
+
+        def counted(engine, vec):
+            calls.append(vec)
+            return certify(engine, vec)
+
+        monkeypatch.setattr(LambdaEngine, "valuation", counted)
+        got = x.reduce()
+        assert calls == []
+        assert got * other.reduce() == gauss5.residue_field.one
 
     @pytest.mark.parametrize("n,ell,sub", [
         (1, 5, (1,)),          # Q at 5
@@ -227,8 +249,8 @@ class TestReduce:
         for _ in range(60):
             x = random_field_element(rng, desc, integral=True) * desc.rational("2/9")
             assert x.den % ell
-            # the residue as taken when ell divides den: valuation certified
-            # first, then the residue of the numerator over d
+            # the reference: valuation certified first, then the residue of
+            # the numerator over d
             assert x.valuation() >= 0
             ints, t, d = x._numerator()
             certified = desc._residue_from_big(desc.kengine.residue(ints, t))

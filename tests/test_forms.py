@@ -25,6 +25,7 @@ from isodescent.forms import (
     reduce_tilde,
 )
 from isodescent.lattice import Lattice, scale_lattice, standard_lattice
+from isodescent.localring import LambdaEngine
 
 from conftest import assert_matrix_equal, evaluate, random_field_element, random_invertible
 
@@ -524,6 +525,45 @@ class TestCertifiedOnce:
         reduce_tilde(again, bal.form, dual=bal.dual)
         reduce_bar(again, bal.form, dual=bal.dual)
         assert calls == {"contains": [], "dual": 0, "length": 0}
+
+    @pytest.mark.parametrize("descname,kind", [("gauss5", "symmetric"),
+                                               ("gauss5", "alternating"),
+                                               ("quad7", "hermitian"),
+                                               ("gauss7", "hermitian")])
+    @pytest.mark.parametrize("pass_dual", [True, False])
+    def test_reductions_after_balance_certify_nothing(self, descname, kind, pass_dual,
+                                                      request, monkeypatch):
+        """On the pair balance returned, reduce_bar then reduce_tilde, with
+        the dual passed or left to the kept pair, certify no valuation, build
+        no dual and make no containment test, and give the reductions of a
+        fresh form."""
+        desc = request.getfixturevalue(descname)
+        rng = random.Random(f"no-valuation-{descname}-{kind}")
+        calls = {"valuation": 0, "dual": 0, "contains": 0}
+        certify, dual, contains = LambdaEngine.valuation, GramForm.dual, Lattice.contains_lattice
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        for _ in range(4):
+            bal = self.balanced(rng, desc, kind)
+            fresh = GramForm(desc, bal.form.gram, bal.form.kind, bal.form.twist)
+            want = [reduce(Lattice(desc, bal.lattice.basis), fresh)
+                    for reduce in (reduce_bar, reduce_tilde)]
+            kwargs = {"dual": bal.dual} if pass_dual else {}
+            monkeypatch.setattr(LambdaEngine, "valuation", counted("valuation", certify))
+            monkeypatch.setattr(GramForm, "dual", counted("dual", dual))
+            monkeypatch.setattr(Lattice, "contains_lattice", counted("contains", contains))
+            got = [reduce(bal.lattice, bal.form, **kwargs)
+                   for reduce in (reduce_bar, reduce_tilde)]
+            monkeypatch.undo()
+            assert calls == {"valuation": 0, "dual": 0, "contains": 0}
+            for (rform, kernel), (wform, wkernel) in zip(got, want):
+                assert_matrix_equal(rform.gram, wform.gram)
+                assert rform.kind == wform.kind and kernel == wkernel
 
 
 class TestAssemble:

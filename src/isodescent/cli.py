@@ -8,8 +8,8 @@ bundle and tool version always produce the same bytes apart from the
 timing_seconds field.
 
 Exit codes: 0 when every certificate in the report is true, 2 when the run
-completed but some certificate is false, 1 on any input problem (unreadable
-file, malformed bundle, invalid field data).
+completed but some certificate is false, 1 on any input problem (a usage
+error, unreadable file, malformed bundle, invalid field data).
 """
 
 from __future__ import annotations
@@ -99,10 +99,10 @@ def load_bundle(path: str, max_group_order=None):
         raise BundleFormatError(f"{path}: {exc}")
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BundleFormatError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}")
+    except ValueError as exc:
+        # a JSONDecodeError, which names the line and column, or an integer
+        # past int()'s digit limit
+        raise BundleFormatError(f"{path}: invalid JSON: {exc}")
     except RecursionError:
         raise BundleFormatError(f"{path}: invalid JSON: nested too deeply")
 
@@ -449,7 +449,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, an input error here
+        return 1 if exc.code else 0
     try:
         if args.command == "descend":
             return cmd_descend(args.bundle, args.out, args.max_group_order)

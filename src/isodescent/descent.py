@@ -8,10 +8,10 @@ normal form of that inclusion, and descend reuses it for an adapted
 basis in which every group element is block lower triangular mod lambda; the
 two diagonal blocks act on the two residue quotients, and their direct sum
 is the reduced representation rho_bar.  Both quotients carry induced
-nondegenerate forms, reduced by forms.reduce_bar and then forms.reduce_tilde
-(the balanced pair is certified once), whose kinds follow the scaling-twist
-bookkeeping of the forms module; the direct sum of their Gram matrices is
-the reduced form f0.
+nondegenerate forms, the blocks of the form's gram on T's adapted basis and
+of pi times its gram on T*'s, reduced mod lambda on the pair balance
+certified; their kinds follow the scaling-twist bookkeeping of the forms
+module, and their direct sum is the reduced form f0.
 
 The group acts on a finite orbit of row vectors, and each element is held
 as the indices of its rows there (_Orbit).  The reduced action is computed
@@ -54,8 +54,7 @@ from .forms import (
     GramForm,
     ResidueForm,
     normalize_scale,
-    reduce_bar,
-    reduce_tilde,
+    reduce_gram,
 )
 from .lattice import (
     Lattice,
@@ -411,7 +410,7 @@ def balance(lat: Lattice, form: GramForm, generators=()) -> BalanceResult:
             lat,
             lattice_intersect(scale_lattice(field.pi_power(-1), lat), pdual))
         steps += 1
-        if grown == lat:
+        if lat.contains_lattice(grown):
             raise InternalInconsistency("balancing chain stalled before the fixpoint")
         if not all(maps_into(m, grown) for m in generators):
             raise NotStable("chain lattice lost stability; input data is inconsistent")
@@ -549,31 +548,26 @@ def descend(rep: GroupRep) -> DescentResult:
         return la.block_diag(kfield, [lower, upper])
 
     # reduced form: first block from the lattice quotient, second (carrying
-    # one extra uniformizer factor) from the dual quotient
-    adapted_lat = Lattice(field, basis_lat, _inverse=lat_inv)
-    adapted_dual = Lattice(field, basis_star, _inverse=star_inv)
-    # the adapted bases span the pair balance certified, so the form keeps
-    # them as that pair, with the length sum(exps) = w of the dual over the
-    # lattice; each reduction checks its kernel dimension against it
-    if adapted_lat != bal.lattice or adapted_dual != dual:
+    # one extra uniformizer factor) from the dual quotient.  On the pair
+    # balance certified both grams are integral (reduce refuses any entry
+    # that is not); with nothing off the blocks, ResidueForm's kind check and
+    # AssembledForm's determinants on the blocks cover the whole grams
+    if (Lattice(field, basis_lat, _inverse=lat_inv) != bal.lattice
+            or Lattice(field, basis_star, _inverse=star_inv) != dual):
         raise InternalInconsistency("adapted bases do not span the balanced pair")
-    f2._keep_balanced(adapted_lat, adapted_dual, w)
-    bar, _ = reduce_bar(adapted_lat, f2, dual=adapted_dual)
-    tilde, _ = reduce_tilde(adapted_lat, f2, dual=adapted_dual)
+    bar = reduce_gram(f2.gram_in_basis(basis_lat))
+    tilde = reduce_gram(la.scalar_mul(field.pi_power(1), f2.gram_in_basis(basis_star)))
     kz = kfield.zero
     for i in range(n):
         for j in range(n):
-            if not ((i >= w and j >= w) or bar.gram[i][j] == kz):
+            if not ((i >= w and j >= w) or bar[i][j] == kz):
                 raise InternalInconsistency("first residue gram has mass off its block")
-            if not ((i < w and j < w) or tilde.gram[i][j] == kz):
+            if not ((i < w and j < w) or tilde[i][j] == kz):
                 raise InternalInconsistency("second residue gram has mass off its block")
-    # the kernel dimensions and the vanishing off the blocks make both blocks
-    # nondegenerate; each is a principal submatrix of a gram that passed its
-    # kind check, and reduced_kind_pair yields only kinds that assemble
-    bar_block = [[bar.gram[w + i][w + j] for j in range(s)] for i in range(s)]
-    tilde_block = [[tilde.gram[i][j] for j in range(w)] for i in range(w)]
-    f0 = AssembledForm([ResidueForm(kfield, bar_block, bar.kind, conj=bar.conj),
-                        ResidueForm(kfield, tilde_block, tilde.kind, conj=tilde.conj)])
+    bar_kind, tilde_kind = f2.reduced_kind_pair()
+    conj = field.residue_involution
+    f0 = AssembledForm([ResidueForm(kfield, [row[w:] for row in bar[w:]], bar_kind, conj),
+                        ResidueForm(kfield, [row[:w] for row in tilde[:w]], tilde_kind, conj)])
 
     # reduction mod pi is a ring homomorphism on integral matrices, and block
     # lower triangular matrices multiply on their diagonal blocks: once each

@@ -75,15 +75,18 @@ class TestExitCodes:
         # one diagonal entry of the first block's gram moved by one: B_3 x
         # B_2 permutes that block's basis, so some generator's image no
         # longer preserves f0, while the block stays nondegenerate
-        reduce_bar = descent.reduce_bar
+        reduce_gram = descent.reduce_gram
+        reduced = []
 
-        def bent(*args, **kwargs):
-            bar, kernel = reduce_bar(*args, **kwargs)
-            last = bar.dim - 1  # the first block holds the trailing indices
-            bar.gram[last][last] = bar.gram[last][last] + bar.field.one
-            return bar, kernel
+        def bent(gram):
+            rg = reduce_gram(gram)
+            if not reduced:  # descend reduces the form on the lattice first
+                last = len(rg) - 1  # the first block holds the trailing indices
+                rg[last][last] = rg[last][last] + rg[last][last].field.one
+            reduced.append(rg)
+            return rg
 
-        monkeypatch.setattr(descent, "reduce_bar", bent)
+        monkeypatch.setattr(descent, "reduce_gram", bent)
         out = tmp_path / "report.json"
         assert cli.cmd_descend(str(bundle_path("block_b3xb2_q5")), str(out)) == 2
         result = json.loads(out.read_text())["result"]
@@ -293,6 +296,18 @@ class TestExitCodes:
         assert "error:" in proc.stderr and "nested too deeply" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_integer_over_the_digit_limit(self, capsys, tmp_path):
+        # json.loads raises a plain ValueError past int()'s 4300-digit
+        # limit, not JSONDecodeError
+        p = tmp_path / "digits.json"
+        p.write_text('{"schema": 1, "field": {"n": 1, "ell": 5}, "x": ' + "7" * 5000 + "}")
+        with pytest.raises(BundleFormatError, match="invalid JSON"):
+            load_bundle(str(p))
+        code, out, err = run(capsys, "descend", str(p))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {p}: invalid JSON") and err.count("\n") == 1
+
     def test_wrong_schema(self, capsys, tmp_path):
         bundle = minimal_bundle()
         bundle["schema"] = 2
@@ -326,6 +341,22 @@ class TestExitCodes:
             assert code == 1
             assert out == ""
             assert message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["descend", str(bundle_path("q8_split_ell5")), "--max-group-order", "abc"],
+        ["frobnicate"],
+    ], ids=["non-integer-flag", "unknown-subcommand"])
+    def test_usage_errors_exit_one(self, capsys, argv):
+        # argparse would exit 2, which reads as a false certificate
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
+    def test_help_exits_zero(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert "usage:" in out
 
     def test_group_cap_flag(self, capsys):
         code, out, err = run(capsys, "descend", str(bundle_path("q8_split_ell5")),
@@ -556,9 +587,7 @@ class TestCachedParser:
         # main builds its parser once per process; a refused call must leave
         # nothing behind for the next one
         assert cli._build_parser() is cli._build_parser()
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "lemma"])
-        assert exc.value.code == 2
+        assert main(["verify", "lemma"]) == 1
         assert main(["verify", "lemma", "--ell", "5",
                      "--out", str(tmp_path / "lemma.json")]) == 0
         q8 = str(bundle_path("q8_split_ell5"))

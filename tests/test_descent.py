@@ -522,45 +522,46 @@ class TestDescend:
                                                  ("z4_rep7", "z4_res7"),
                                                  ("remark4_rep7", "remark4_res7")])
     def test_balanced_pair_is_certified_once(self, repname, resname, request, monkeypatch):
-        """balance certifies the pair and descend checks only that its
-        adapted bases span it: no quotient_length anywhere, no dual built
-        inside reduce_bar, and reduce_tilde reads the pair reduce_bar left
-        on the form."""
+        """balance certifies the pair and keeps it on the form; after it
+        returns, descend checks only that its adapted bases span that pair
+        and reduces the two adapted grams itself: no quotient_length at all,
+        and no dual, residue reduction, kernel or second write of the kept
+        pair."""
         rep = request.getfixturevalue(repname)
-        calls = {"length": 0, "bar": 0, "tilde": 0, "dual_in_bar": 0, "contains_in_tilde": 0}
-        contains, length, dual = Lattice.contains_lattice, forms.quotient_length, GramForm.dual
-        inside = {"bar": 0, "tilde": 0}
+        counted = ("length", "dual", "reduce_bar", "reduce_tilde", "kernel", "keep")
+        calls = dict.fromkeys(counted, 0)
+        after = {"balance": False}
+        real_balance = descent.balance
 
-        def counted_contains(a, b):
-            calls["contains_in_tilde"] += bool(inside["tilde"])
-            return contains(a, b)
+        def finished_balance(*args, **kwargs):
+            bal = real_balance(*args, **kwargs)
+            after["balance"] = True
+            return bal
 
-        def counted_length(sub, sup):
-            calls["length"] += 1
-            return length(sub, sup)
-
-        def counted_dual(form, lat):
-            calls["dual_in_bar"] += bool(inside["bar"])
-            return dual(form, lat)
-
-        def counted(name, fn):
+        def counter(name, fn, anywhere=False):
             def wrapped(*args, **kwargs):
-                calls[name] += 1
-                inside[name] += 1
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    inside[name] -= 1
+                calls[name] += anywhere or after["balance"]
+                return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(Lattice, "contains_lattice", counted_contains)
-        monkeypatch.setattr(forms, "quotient_length", counted_length)
-        monkeypatch.setattr(GramForm, "dual", counted_dual)
-        monkeypatch.setattr(descent, "reduce_bar", counted("bar", descent.reduce_bar))
-        monkeypatch.setattr(descent, "reduce_tilde", counted("tilde", descent.reduce_tilde))
+        # reduce_bar and reduce_tilde are sides 0 and 1 of _reduce_side,
+        # which catches them however they are imported
+        def counted_side(lat, form, dual, side):
+            calls[("reduce_bar", "reduce_tilde")[side]] += after["balance"]
+            return real_side(lat, form, dual, side)
+
+        real_side = forms._reduce_side
+        monkeypatch.setattr(descent, "balance", finished_balance)
+        monkeypatch.setattr(forms, "_reduce_side", counted_side)
+        monkeypatch.setattr(forms, "quotient_length",
+                            counter("length", forms.quotient_length, anywhere=True))
+        monkeypatch.setattr(GramForm, "dual", counter("dual", GramForm.dual))
+        monkeypatch.setattr(la, "kernel_basis", counter("kernel", la.kernel_basis))
+        monkeypatch.setattr(GramForm, "_keep_balanced",
+                            counter("keep", GramForm._keep_balanced))
         res = descend(rep)
-        assert calls == {"length": 0, "bar": 1, "tilde": 1, "dual_in_bar": 0,
-                         "contains_in_tilde": 0}
+        assert after["balance"]
+        assert calls == dict.fromkeys(counted, 0)
         want = request.getfixturevalue(resname)
         assert_matrix_equal(res.f0_gram, want.f0_gram)
 
@@ -585,8 +586,8 @@ class TestDescend:
 
         reductions = []
         monkeypatch.setattr(descent, "balance", corrupted_balance)
-        monkeypatch.setattr(descent, "reduce_bar",
-                            lambda *a, **k: reductions.append(a) or reduce_bar(*a, **k))
+        monkeypatch.setattr(descent, "reduce_gram",
+                            lambda gram: reductions.append(gram) or forms.reduce_gram(gram))
         with pytest.raises(InternalInconsistency, match="adapted bases"):
             descend(rep)
         assert reductions == []
@@ -772,3 +773,54 @@ class TestAdaptedBasisAgainstTheColumnSide:
         assert res.block_dims == (1, 2)
         assert all(res.certificates.values())
 
+
+class TestF0AgainstTheResidueReductions:
+    """descend reduces the two adapted grams itself.  reduce_bar and
+    reduce_tilde, which certify the pair again and build both full residue
+    forms with their kernels, are the oracle for the two blocks of f0, their
+    kinds and their conj."""
+
+    def check(self, rep):
+        res = descend(rep)
+        field, w = rep.field, sum(res.invariant_exps)
+        form = GramForm(field, rep.form.gram, rep.form.kind,
+                        rep.form.twist).scale_by_pi_power(res.scale_power)
+        lat, dual = Lattice(field, res.lattice_basis), Lattice(field, res.dual_basis)
+        bar, _ = reduce_bar(lat, form, dual=dual)
+        tilde, _ = reduce_tilde(lat, form, dual=dual)
+        want = [(bar, [row[w:] for row in bar.gram[w:]]),
+                (tilde, [row[:w] for row in tilde.gram[:w]])]
+        for block, (full, gram) in zip(res.f0.blocks, want, strict=True):
+            assert_matrix_equal(block.gram, gram)
+            assert (block.kind, block.conj) == (full.kind, full.conj)
+        return res
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in BUNDLE_DIR.glob("*.json")))
+    def test_committed_bundles(self, name):
+        rep, _ = load_bundle(str(BUNDLE_DIR / f"{name}.json"))
+        self.check(rep)
+
+    @pytest.mark.parametrize("k, seed", [(2, "f0-oracle-a"), (3, "f0-oracle-b")])
+    def test_block_groups_with_chain_steps(self, gauss5, k, seed):
+        res = self.check(block_rep(gauss5, k, random.Random(seed)))
+        assert res.chain_steps >= 1
+
+    @pytest.mark.parametrize("side, message", [(0, "first residue gram"),
+                                               (1, "second residue gram")])
+    def test_mass_off_a_block_is_refused(self, side, message, monkeypatch):
+        """One off-block diagonal entry of one reduced gram moved by one:
+        index 0 lies off the first block, the last index off the second."""
+        rep, _ = load_bundle(str(BUNDLE_DIR / "block_b3xb2_q5.json"))
+        reduced = []
+
+        def bent(gram):
+            rg = forms.reduce_gram(gram)
+            if len(reduced) == side:
+                i = len(rg) - 1 if side else 0
+                rg[i][i] = rg[i][i] + rg[i][i].field.one
+            reduced.append(rg)
+            return rg
+
+        monkeypatch.setattr(descent, "reduce_gram", bent)
+        with pytest.raises(InternalInconsistency, match=message):
+            descend(rep)

@@ -89,14 +89,19 @@ def load_bundle(path: str, max_group_order=None):
     isometry) are re-checked during construction.  max_group_order, when
     given, overrides the bundle's cap and must be a positive integer.
     """
-    _expect(max_group_order is None or
-            (_is_int(max_group_order) and max_group_order > 0),
-            "--max-group-order", f"must be a positive integer, got {max_group_order}")
     try:
         with open(path, "rb") as fh:
             text = fh.read()
     except OSError as exc:
         raise BundleFormatError(f"{path}: {exc}")
+    return _parse_bundle(path, text, max_group_order)
+
+
+def _parse_bundle(path: str, text: bytes, max_group_order):
+    """load_bundle on the bytes text already read from path."""
+    _expect(max_group_order is None or
+            (_is_int(max_group_order) and max_group_order > 0),
+            "--max-group-order", f"must be a positive integer, got {max_group_order}")
     try:
         raw = json.loads(text)
     except ValueError as exc:
@@ -285,9 +290,14 @@ def _json_text(obj) -> str:
     return "".join(out)
 
 
-def _file_digest(path: str) -> str:
+def _read_bundle(path: str, max_group_order):
+    """(GroupRep, sha256 hex digest) of the bundle at path, from one read
+    of its bytes, so a pipe or a file rewritten meanwhile is digested as
+    parsed."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        text = fh.read()
+    rep, _ = _parse_bundle(path, text, max_group_order)
+    return rep, hashlib.sha256(text).hexdigest()
 
 
 def _finish(command: str, digest: str, started: float, result: dict, summary: str,
@@ -318,8 +328,7 @@ def _finish(command: str, digest: str, started: float, result: dict, summary: st
 
 def cmd_descend(bundle_path: str, out_path=None, max_group_order=None) -> int:
     started = time.monotonic()
-    digest = _file_digest(bundle_path)
-    rep, _ = load_bundle(bundle_path, max_group_order)
+    rep, digest = _read_bundle(bundle_path, max_group_order)
     res = descend(rep)
     flags = " ".join(f"{k}={'yes' if v else 'NO'}" for k, v in sorted(res.certificates.items()))
     return _finish("descend", digest, started, _descent_result_dict(res),
@@ -330,8 +339,7 @@ def cmd_descend(bundle_path: str, out_path=None, max_group_order=None) -> int:
 
 def cmd_balance(bundle_path: str, out_path=None, max_group_order=None) -> int:
     started = time.monotonic()
-    digest = _file_digest(bundle_path)
-    rep, _ = load_bundle(bundle_path, max_group_order)
+    rep, digest = _read_bundle(bundle_path, max_group_order)
     lat = stabilize(standard_lattice(rep.field, rep.form.dim), rep.generators)
     bal = balance(lat, rep.form, generators=rep.generators)
     memo = {}
@@ -355,8 +363,7 @@ def cmd_balance(bundle_path: str, out_path=None, max_group_order=None) -> int:
 def cmd_charpoly(bundle_path: str, out_path=None, max_group_order=None) -> int:
     """Characteristic-polynomial census of the whole group, no balance run."""
     started = time.monotonic()
-    digest = _file_digest(bundle_path)
-    rep, _ = load_bundle(bundle_path, max_group_order)
+    rep, digest = _read_bundle(bundle_path, max_group_order)
     cls, census = rep.class_charpolys()
     memo = {}
     per_class = {r: (_ser(cp, memo), _ser(red, memo))

@@ -20,8 +20,9 @@ an orbit of rows in k^N; checking the group law on every other edge of the
 Cayley graph makes it a homomorphism, so f0 is checked on the generators'
 images and both characteristic polynomials, being class functions, once per
 conjugacy class (the classes come from the Cayley table, with no field
-arithmetic; over K by Newton's identities on the traces the closure kept,
-with no matrix built, and over k by Berkowitz's algorithm).
+arithmetic; over K by Newton's identities on the integer traces the
+closure kept, with no matrix built, and over k by Hessenberg reduction on
+plain ints when k is a prime field, else by Berkowitz's algorithm).
 
 The reduction preserves characteristic polynomials mod lambda, and when
 2e < ell - 1 it is also faithful: a finite-order lattice automorphism
@@ -49,6 +50,7 @@ from .errors import (
     NotStable,
     PreconditionViolated,
 )
+from .finitefield import fp_charpoly
 from .forms import (
     AssembledForm,
     GramForm,
@@ -71,8 +73,9 @@ from .lattice import (
 
 DEFAULT_GROUP_CAP = 100000
 # largest dimension: with an identity gram and the generator -I over Q at
-# ell = 5, descend took 0.34 s at n = 32, 3.8 s at 64 and 52 s at 128
-# (2-vCPU VM, Python 3.11.7)
+# ell = 5, the closure and descend took 0.19 s at n = 32, 1.1 s at 64 and
+# 9.9 s at 128, and on the extraspecial group 2^(1+10)_+ (n = 32, 1025
+# classes) 0.8 s (2-vCPU Xeon VM, Python 3.11.7)
 MAX_DIM = 64
 DEFAULT_ORDER_CAP = 4096
 
@@ -209,13 +212,15 @@ class GroupRep:
         ring = field.ring
         trace_zeta = [sum(ring.zeta_power(j + i)[i] for i in range(ring.degree))
                       for j in range(ring.n)]
-        mul = field.int_mat_mul
-        gens = [la.integer_matrix(field, g) for g in self.generators]
+        prepare, mul = field._prepare, field._prepared_mul
+        # each generator as its denominator and its prepared columns
+        gens = [(gd, prepare(zip(*gw)))
+                for gd, gw in (la.integer_matrix(field, g) for g in self.generators)]
 
         def images(vectors, g):
-            gd, gw = gens[g]
+            gd, cols = gens[g]
             out = []
-            for (d, _), row in zip(vectors, mul([w for _, w in vectors], gw)):
+            for (d, _), row in zip(vectors, mul(prepare([w for _, w in vectors]), cols)):
                 d *= gd
                 if d > 1:
                     common = math.gcd(d, *(c for x in row for c in x))
@@ -336,10 +341,15 @@ class GroupRep:
         closure kept.  The coefficient c_k of x^(dim-k) in det(x I - g) then
         follows from Newton's identities, k c_k = -(p_k + c_1 p_(k-1) + ...
         + c_(k-1) p_1), exact in characteristic 0 (Macdonald, Symmetric
-        Functions and Hall Polynomials, I.2)."""
+        Functions and Hall Polynomials, I.2), run on the traces' integer
+        vectors: each c_k is one element of K, brought to lowest terms once.
+        Classes with the same power traces p_1, ..., p_dim share the work,
+        each class still getting lists of its own."""
         cls = self.conjugacy_classes()
         field, links, right, traces = self.field, self.links, self.right, self.traces
+        mul = field.kring.mul
         census = {}
+        by_traces = {}  # the charpolys, which the power traces determine
         for r, size in sorted(Counter(cls).items()):
             word = []
             x = r
@@ -351,14 +361,22 @@ class GroupRep:
             for _ in range(self.dim):
                 for g in word:
                     x = right[x][g]
-                d, t = traces[x]
-                p.append(field.from_integer(t, d))
-            cp = [field.one]
-            for k in range(1, self.dim + 1):
-                s = -sum((cp[i] * p[k - 1 - i] for i in range(1, k)), p[k - 1])
-                cp.append(field.from_integer(s.num, s.den * k))
-            cp.reverse()
-            census[r] = size, cp, [c.reduce() for c in cp]
+                p.append(traces[x])
+            p = tuple(p)
+            polys = by_traces.get(p)
+            if polys is None:
+                cp = [field.one]
+                for k in range(1, self.dim + 1):
+                    # the terms p_k and c_i p_(k-i) as (denominator, integer
+                    # vector), summed over the lcm of their denominators
+                    terms = [p[k - 1]] + [(c.den * d, mul(c.num, t))
+                                          for c, (d, t) in zip(cp[1:], reversed(p[:k - 1]))]
+                    den = math.lcm(*(d for d, _ in terms))
+                    s = [sum(v) for v in zip(*([c * (den // d) for c in t] for d, t in terms))]
+                    cp.append(field.from_integer([-c for c in s], den * k))
+                cp.reverse()
+                polys = by_traces[p] = cp, [c.reduce() for c in cp]
+            census[r] = size, list(polys[0]), list(polys[1])
         return cls, census
 
 
@@ -589,9 +607,15 @@ def descend(rep: GroupRep) -> DescentResult:
     rows = [[entries[v] for v in pt] for pt in points]
     rho_bar = [[rows[p] for p in key] for key in keys]
 
-    # both charpolys once per conjugacy class, at its smallest index
+    # both charpolys once per conjugacy class, at its smallest index; over a
+    # prime residue field on the points' ints, and otherwise by Berkowitz
     cls, census = rep.class_charpolys()
-    cp_k = {r: la.charpoly(rho_bar[r], kfield) for r in census}
+    if kfield.degree == 1:
+        cp_k = {r: [kfield.from_integer((c,), 1) for c in
+                    fp_charpoly([[x[0] for x in points[q]] for q in keys[r]], kfield.p)]
+                for r in census}
+    else:
+        cp_k = {r: la.charpoly(rho_bar[r], kfield) for r in census}
     charpoly_ok = all(cp_k[r] == red for r, (_, _, red) in census.items())
     classes = Counter()
     for r, (size, _, _) in census.items():

@@ -24,7 +24,9 @@ H is trivial, theta = zeta_n and `kring` is `ring`.  `ring` is always the
 ambient Z[zeta_n]: the boundary (FieldElement(field, coeffs), element,
 rational, orbit_sum, zeta_power on the way in; coeffs and serialize on the
 way out) is on its power basis, and so are reports, so their bytes do not
-depend on theta.  Fractions appear only at that boundary.
+depend on theta.  Ints and "p/q" strings are read there by int(), and
+serialize writes "c/d" strings through one gcd per coordinate; Fractions
+appear only in coeffs, in the hash of a rational, and for Fraction inputs.
 
 Valuations and residues are read off the lambda-adic digits of the
 numerator in the completion (see localring), from a per-precision table of
@@ -90,12 +92,23 @@ def _is_int(x) -> bool:
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def _rational(c) -> Fraction:
-    """A coordinate as a Fraction; a string must be an integer or p/q, and
-    anything else raises ValueError."""
-    if isinstance(c, str) and not _RATIONAL.fullmatch(c):
+def _rational(c) -> tuple[int, int]:
+    """A coordinate as (numerator, denominator > 0) in lowest terms.  A
+    string must be an integer or p/q, read by int(), or raises ValueError; a
+    zero denominator raises Fraction's ZeroDivisionError."""
+    if isinstance(c, int):
+        return c, 1
+    if not isinstance(c, str):
+        q = Fraction(c)
+        return q.numerator, q.denominator
+    if not _RATIONAL.fullmatch(c):
         raise ValueError(f"{c!r} is not an integer or p/q")
-    return Fraction(c)
+    num, _, den = c.partition("/")
+    num, den = int(num), int(den or 1)
+    if not den:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 _new = object.__new__
@@ -154,8 +167,8 @@ class FieldElement:
         if len(qs) > field.degree_full:
             raise InvalidDescriptor(
                 f"expected at most {field.degree_full} coefficients, got {len(qs)}")
-        den = math.lcm(*(q.denominator for q in qs))
-        w = [q.numerator * (den // q.denominator) for q in qs]
+        den = math.lcm(*(d for _, d in qs))
+        w = [c * (den // d) for c, d in qs]
         x = field._from_power_basis(tuple(w + [0] * (field.degree_full - len(w))), den)
         if x is None:
             raise InvalidDescriptor(
@@ -333,7 +346,13 @@ class FieldElement:
         return _lowest(field, image, self.den * scale)
 
     def serialize(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
+        """The coordinates on the power basis of zeta_n as strings, str of
+        their Fractions: "c" or "c/d" in lowest terms."""
+        den, out = self.den, []
+        for c in self.field.to_power_basis(self.num):
+            g = math.gcd(c, den)
+            out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+        return out
 
 
 class FieldDescriptor:
@@ -424,10 +443,8 @@ class FieldDescriptor:
         return FieldElement(self, coeffs)
 
     def rational(self, q) -> FieldElement:
-        if not isinstance(q, int):
-            q = _rational(q)
-            return _make(self, (q.numerator,) + self.kring.zero[1:], q.denominator)
-        return _make(self, (q,) + self.kring.zero[1:], 1)
+        num, den = _rational(q)
+        return _make(self, (num,) + self.kring.zero[1:], den)
 
     def zeta_power(self, j: int) -> FieldElement:
         """zeta_n^j when it lies in K (validated)."""

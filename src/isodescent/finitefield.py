@@ -471,6 +471,54 @@ def fp_det(m, p):
     return det % p
 
 
+def fp_charpoly(m, p):
+    """det(x I - m) over F_p, low degree first and monic, length n + 1, in
+    O(n^3) on plain ints: m is brought to upper Hessenberg form H by
+    similarities mod p, and the charpoly follows from the recurrence on H's
+    leading minors, p_(j+1) = (x - h_jj) p_j - sum over i < j of h_ij
+    (h_(i+1,i) ... h_(j,j-1)) p_i (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.2.4)."""
+    h = [[v % p for v in row] for row in m]
+    n = len(h)
+    for c in range(n - 2):
+        s = c + 1
+        piv = next((i for i in range(s, n) if h[i][c]), None)
+        if piv is None:
+            continue
+        if piv != s:
+            h[s], h[piv] = h[piv], h[s]
+            for row in h:
+                row[s], row[piv] = row[piv], row[s]
+        # clear column c below row s with row s; the row steps commute, so
+        # their inverses make one step on column s
+        inv, top = pow(h[s][c], -1, p), h[s]
+        steps = []
+        for i in range(s + 1, n):
+            u = h[i][c] * inv % p
+            if u:
+                h[i] = [(x - u * y) % p for x, y in zip(h[i], top)]
+                steps.append((i, u))
+        if steps:
+            for row in h:
+                row[s] = (row[s] + sum(u * row[i] for i, u in steps)) % p
+    polys = [[1]]
+    for j in range(n):
+        nxt = [0] + polys[j]
+        for k, v in enumerate(polys[j]):
+            nxt[k] -= h[j][j] * v
+        t = 1
+        for i in range(j - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            f = t * h[i][j]
+            if f % p:
+                for k, v in enumerate(polys[i]):
+                    nxt[k] -= f * v
+        polys.append([v % p for v in nxt])
+    return polys[n]
+
+
 def _fp_rref(a, p: int, ncols: int) -> list[int]:
     """Gauss-Jordan reduction over F_p of the reduced int matrix a, in place,
     over its first ncols columns; returns the pivot columns in order."""

@@ -65,18 +65,25 @@ def snf(m, field) -> SNFResult:
     # operations touch only columns >= k, and terms whose multiplicand is
     # zero are skipped: elements are in lowest terms, so every skipped
     # operation would have given back the entry it skips.
+    # Every entry left after pivot k - 1 has valuation at least that pivot's
+    # (it is x + c y with v(x), v(y) >= exps[-1] and c integral), so the
+    # first entry found at that floor is the one the full scan would pick.
     exps = []
     for k in range(min(nr, nc)):
-        best = None
-        best_v = None
+        best = best_v = None
+        floor = exps[-1] if exps else -math.inf
         for i in range(k, nr):
             for j in range(k, nc):
                 x = cur[i][j]
-                if x == zero:
+                if not any(x.num):
                     continue
                 vv = x.valuation()
                 if best_v is None or vv < best_v:
                     best, best_v = (i, j), vv
+                    if vv == floor:
+                        break
+            if best_v == floor:
+                break
         if best is None:
             raise SingularMatrix("matrix is rank-deficient")
         bi, bj = best

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -342,6 +343,26 @@ class TestExitCodes:
             assert out == ""
             assert message in err
 
+    @pytest.mark.parametrize("value", ["1/0", "1e3", "0x1", " 1", "1_0", "2.5"])
+    def test_entry_strings_are_refused_with_their_texts(self, capsys, tmp_path, value):
+        # int() would read "0x1"'s digits only with a base, " 1" and "1_0" as
+        # 1 and 10; the regex refuses them first, and "1/0" is refused in
+        # Fraction's words
+        why = ("Fraction(1, 0)" if value == "1/0"
+               else f"{value!r} is not an integer or p/q")
+        bundle = json.loads(bundle_path("q8_split_ell5").read_text())
+        bundle["form"]["gram"][0][1][0] = value
+        cases = [(bundle, f"form.gram[0][1]: bad coefficient vector ({why})"),
+                 (minimal_bundle(gram_entry=value),
+                  f"form.gram[0][0]: bad rational {value!r} ({why})")]
+        for i, (raw, message) in enumerate(cases):
+            p = tmp_path / f"entry{i}.json"
+            p.write_text(json.dumps(raw))
+            code, out, err = run(capsys, "descend", str(p))
+            assert code == 1
+            assert out == ""
+            assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv", [
         ["descend", str(bundle_path("q8_split_ell5")), "--max-group-order", "abc"],
         ["frobnicate"],
@@ -372,6 +393,33 @@ class TestReports:
         report = parse_report(out)
         expected = hashlib.sha256(path.read_bytes()).hexdigest()
         assert report["input_sha256"] == expected
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_bundle_read_once_from_a_pipe(self, capsys, tmp_path):
+        # a FIFO yields its bytes once: the digest and the parse must share
+        # them.  The command runs in a subprocess, so a second open of the
+        # FIFO, which would wait for a writer forever, ends in the timeout
+        path = bundle_path("q8_split_ell5")
+        fifo = tmp_path / "bundle.fifo"
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "wb") as fh:
+                fh.write(path.read_bytes())
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(isodescent.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "isodescent", "descend", str(fifo),
+             "--out", str(tmp_path / "pipe.json")],
+            capture_output=True, text=True, timeout=20, env={**os.environ, "PYTHONPATH": src})
+        writer.join(timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert run(capsys, "descend", str(path), "--out", str(tmp_path / "file.json"))[0] == 0
+        piped, read = (json.loads((tmp_path / f"{n}.json").read_text()) for n in ("pipe", "file"))
+        assert piped["result"] == read["result"]
+        assert piped["input_sha256"] == read["input_sha256"] == hashlib.sha256(
+            path.read_bytes()).hexdigest()
 
     def test_verify_digest_is_canonical(self, capsys):
         code, out, _ = run(capsys, "verify", "lemma", "--ell", "3")

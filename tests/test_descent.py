@@ -383,6 +383,76 @@ class TestCharpoly:
             assert la.charpoly(m, k) == brute
 
 
+def extraspecial_generators(desc, m):
+    """The generators of 2^(1+2m)_+ in dimension 2^m: each Kronecker product
+    of m factors with X = [[0, 1], [1, 0]] or Z = diag(1, -1) in one factor
+    and the identity in the others."""
+    o, z = desc.one, desc.zero
+    eye, x, zz = [[o, z], [z, o]], [[z, o], [o, z]], [[o, z], [z, -o]]
+    gens = []
+    for i in range(m):
+        for p in (x, zz):
+            g = [[o]]
+            for j in range(m):
+                g = la.kron(g, p if j == i else eye)
+            gens.append(g)
+    return gens
+
+
+class TestExtraspecialLadder:
+    """The extraspecial 2-groups, order 2^(2m+1) with 2^(2m) + 1 classes.
+    The classes of 2^(1+2m)_+ have 4 charpolys: (x - 1)^n and (x + 1)^n on
+    the centre, and those of the noncentral involutions and elements of
+    order 4, whose traces are 0."""
+
+    def check(self, rep, m):
+        res = descend(rep)
+        assert rep.order == 2 ** (2 * m + 1)
+        assert len(set(rep.conjugacy_classes())) == 2 ** (2 * m) + 1
+        assert res.chain_steps == 0
+        assert all(res.certificates.values()), res.certificates
+        return res
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_plus_type_over_q(self, rat5, m):
+        n = 2 ** m
+        rep = GroupRep(rat5, extraspecial_generators(rat5, m),
+                       GramForm(rat5, la.identity(rat5, n), "symmetric"))
+        res = self.check(rep, m)
+        assert res.block_dims == (n, 0)
+        assert len(res.charpoly_classes) == 4
+        if m == 3:
+            # the prime-field path against Berkowitz on rho_bar
+            kfield = rat5.residue_field
+            for r in set(rep.conjugacy_classes()):
+                assert res.charpoly_table_k[r] == la.charpoly(res.rho_bar[r], kfield)
+
+    def test_minus_type_over_gaussian(self, gauss5):
+        # 2^(1+6)_- = Q_8 (tensor) 2^(1+4)_+, preserving J (tensor) I
+        i, o, z = gauss5.zeta_power(1), gauss5.one, gauss5.zero
+        q8 = [[[z, -o], [o, z]], [[i, z], [z, -i]]]
+        gens = ([la.kron(g, la.identity(gauss5, 4)) for g in q8]
+                + [la.kron(la.identity(gauss5, 2), g)
+                   for g in extraspecial_generators(gauss5, 2)])
+        form = GramForm(gauss5, la.kron([[z, o], [-o, z]], la.identity(gauss5, 4)),
+                        "alternating")
+        res = self.check(GroupRep(gauss5, gens, form), 3)
+        assert res.block_kinds == ("alternating", "alternating")
+
+
+class TestClassCensus:
+    @pytest.mark.parametrize("name", sorted(p.stem for p in BUNDLE_DIR.glob("*.json")))
+    def test_newton_on_traces_is_berkowitz_on_the_representative(self, name):
+        # the committed bundles include B_3 x B_2 over Q (order 384, 50 classes)
+        rep, _ = load_bundle(str(BUNDLE_DIR / f"{name}.json"))
+        cls, census = rep.class_charpolys()
+        assert sum(size for size, _, _ in census.values()) == rep.order
+        for r, (size, cp, red) in census.items():
+            assert cls[r] == r
+            assert cp == la.charpoly(rep.element(r), rep.field)
+            assert red == [c.reduce() for c in cp]
+
+
 def element_index_map(rep):
     return {mat_key(m): i for i, m in enumerate(rep.elements)}
 

@@ -19,6 +19,7 @@ from isodescent.finitefield import (  # noqa: E402
     ResidueElement,
     ResidueField,
     find_irreducible,
+    fp_charpoly,
     fp_mod,
     fp_mul,
     fp_trim,
@@ -291,3 +292,68 @@ def test_residue_products_take_any_representative_mod_p(data):
             assert prod[i][j] == expect + (0,) * (f - len(expect))
     x, y = a[0][0], b[0][0]
     assert (ResidueElement(F, x) * ResidueElement(F, y)).coeffs == F.int_mat_mul([[x]], [[y]])[0][0]
+
+
+SHAPES = ("dense", "sparse", "zero column", "scalar", "nilpotent", "1 x 1")
+
+
+@st.composite
+def fp_matrices(draw):
+    """(p, shape, m): a square matrix over F_p with n <= 8, of a shape that
+    reaches each branch of fp_charpoly: a dense or sparse one (pivot
+    searches that swap or find nothing), one whose column c is zero below
+    the subdiagonal, a scalar one (already triangular), a nilpotent one (a
+    strictly upper triangular matrix under a permutation similarity) and a
+    1 x 1 one."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    shape = draw(st.sampled_from(SHAPES))
+    n = 1 if shape == "1 x 1" else draw(st.integers(0, 8))
+    entry = st.integers(0, p - 1)
+    if shape == "scalar":
+        c = draw(entry)
+        return p, shape, [[c if i == j else 0 for j in range(n)] for i in range(n)]
+    if shape == "nilpotent":
+        u = [[draw(entry) if j > i else 0 for j in range(n)] for i in range(n)]
+        perm = draw(st.permutations(range(n)))
+        return p, shape, [[u[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if shape == "sparse":
+        mask = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        m = [[x if mask[i * n + j] else 0 for j, x in enumerate(row)] for i, row in enumerate(m)]
+    if shape == "zero column" and n > 2:
+        c = draw(st.integers(0, n - 3))
+        for i in range(c + 2, n):
+            m[i][c] = 0
+    return p, shape, m
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(fp_matrices())
+def test_fp_charpoly_is_berkowitz_over_the_prime_field(case):
+    p, shape, m = case
+    F = residue_field(p, 1)
+    expect = [c.coeffs[0] for c in la.charpoly([[F.element(x) for x in row] for row in m], F)]
+    assert fp_charpoly(m, p) == expect
+    if shape == "nilpotent":
+        assert expect == [0] * len(m) + [1]
+
+
+SERIALIZED_FIELDS = {"q8": (4, 5, (1,), None), "z4": (4, 7, (1,), 3),
+                     "remark4": (7, 7, (1, 2, 4), 3)}
+
+
+@pytest.mark.parametrize("name", sorted(SERIALIZED_FIELDS))
+def test_serialize_writes_the_fractions_of_coeffs(name):
+    # the fields of the q8, z4 and remark4 bundles; remark4's K = Q(sqrt -7)
+    # has power-basis coordinates other than its theta-coordinates
+    n, ell, sub, inv = SERIALIZED_FIELDS[name]
+    desc = make_descriptor(n, ell, subgroup=sub, involution=inv)
+    coords = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=desc.degree,
+                      max_size=desc.degree)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(coords, st.integers(1, 10 ** 4))
+    def prop(w, d):
+        x = desc.from_integer(w, d)
+        assert x.serialize() == [str(c) for c in x.coeffs]
+    prop()

@@ -157,7 +157,9 @@ class FieldElement:
     from such pairs.  FieldElement(field, coeffs) takes rational coordinates
     on the power basis of zeta_n and refuses a vector that is not in K, and
     coeffs gives them back as Fractions; both are for the boundary (parsing,
-    serialize, tests).
+    serialize, tests).  The valuation memo _val is set by the engine, or
+    without it where the rule is exact: negation and inversion, and the
+    ultrametric rule of the row operations (FieldDescriptor._axpy_row).
     """
 
     __slots__ = ("field", "num", "den", "_val", "_res")
@@ -236,7 +238,9 @@ class FieldElement:
         return o * self.inverse()
 
     def __neg__(self):
-        return _make(self.field, self.field.kring.neg(self.num), self.den)
+        y = _make(self.field, self.field.kring.neg(self.num), self.den)
+        y._val = self._val
+        return y
 
     def __pow__(self, exp: int):
         if not isinstance(exp, int):
@@ -257,7 +261,10 @@ class FieldElement:
         if norm < 0:
             norm, y = -norm, ring.neg(y)
         den = self.den
-        return _lowest(field, y if den == 1 else tuple(den * c for c in y), norm)
+        y = _lowest(field, y if den == 1 else tuple(den * c for c in y), norm)
+        if self._val is not None:
+            y._val = -self._val
+        return y
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -480,16 +487,18 @@ class FieldDescriptor:
         descriptor (or of a clone of it)."""
         out = []
         for row in m:
-            for x in row:
-                # identity first: == builds two key tuples; clones stay equal
-                if not (isinstance(x, FieldElement)
-                        and (x.field is self or x.field == self)):
-                    raise InvalidDescriptor(
-                        "matrix entries must be elements of one field descriptor")
+            self._own(row)
             d = math.lcm(*(x.den for x in row))
             out.append((d, [x.num if x.den == d else tuple(c * (d // x.den) for c in x.num)
                             for x in row]))
         return out
+
+    def _own(self, row):
+        """Raise InvalidDescriptor unless every entry is of this descriptor."""
+        for x in row:
+            # identity first: == builds two key tuples; clones stay equal
+            if not (isinstance(x, FieldElement) and (x.field is self or x.field == self)):
+                raise InvalidDescriptor("matrix entries must be elements of one field descriptor")
 
     def integral(self, w, d: int) -> bool:
         """Whether w / d has valuation >= 0, for an integer coordinate tuple
@@ -514,6 +523,34 @@ class FieldDescriptor:
     @property
     def integer_one(self):
         return self.kring.one
+
+    # row operations (linalg._rref, lattice.snf) on num / den pairs: each new
+    # entry in lowest terms once, its valuation memo set where it is exact:
+    # v(c y) = v(c) + v(y), and v(x + c y) = min(v(x), v(c y)) if they differ
+
+    def _scale_row(self, c, xs):
+        return self._axpy_row([self.zero] * len(xs), c, xs)
+
+    def _axpy_row(self, xs, c, ys):
+        """[x + c * y for x, y in zip(xs, ys)], keeping x where y is zero."""
+        self._own((c, *xs, *ys))
+        mul, cn, cd, vc = self.kring.mul, c.num, c.den, c._val
+        out = []
+        for x, y in zip(xs, ys):
+            if any(y.num):
+                p, dp = mul(cn, y.num), cd * y.den
+                vp = None if vc is None or y._val is None else vc + y._val
+                a, da, vx = x.num, x.den, x._val
+                if not any(a):
+                    x, vx = _lowest(self, p, dp), math.inf
+                elif da == dp:
+                    x = _lowest(self, self.kring.add(a, p), da)
+                else:
+                    x = _lowest(self, tuple(s * dp + t * da for s, t in zip(a, p)), da * dp)
+                if vp is not None and vx is not None and vx != vp:
+                    x._val = min(vx, vp)
+            out.append(x)
+        return out
 
     def pi_power(self, j: int) -> FieldElement:
         """pi^j with a cache (negative powers allowed)."""

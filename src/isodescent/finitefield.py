@@ -236,6 +236,14 @@ class ResidueField:
     def integer_one(self):
         return (1,) + (0,) * (self.degree - 1)
 
+    # row operations (linalg._rref), as FieldDescriptor has them
+
+    def _scale_row(self, c, xs):
+        return [c * x for x in xs]
+
+    def _axpy_row(self, xs, c, ys):
+        return [x + c * y for x, y in zip(xs, ys)]
+
     def elements(self):
         """All field elements in lexicographic coefficient order."""
         for coeffs in fp_vectors(self.p, self.degree):

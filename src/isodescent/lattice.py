@@ -13,7 +13,9 @@ valuation ring: pivoting on entries of minimal certified valuation keeps
 the row transform O-invertible (swaps, integral shears and unit scalings,
 so the diagonal comes out as exact powers of the uniformizer).  The column
 transform v (integral shears and swaps) is never built: for a transition
-matrix D^-1 B, the adapted basis B v is D u_inv diag(pi**exps).
+matrix D^-1 B, the adapted basis B v is D u_inv diag(pi**exps).  Its row
+operations are the field's (FieldDescriptor._axpy_row and _scale_row), one
+inverse per pivot, with valuations carried where they are exact (snf).
 
 Diagonal exponents are reported in nonincreasing order.
 """
@@ -53,18 +55,22 @@ def snf(m, field) -> SNFResult:
     Columns are still swapped in the working matrix, so the pivots, u, u_inv
     and exps are those of the full form (Cohen, A Course in Computational
     Algebraic Number Theory, 2.4).
+
+    Each pivot is inverted once; row i takes c = -x_ik / pivot times the
+    pivot row of the working matrix, left unscaled since no later step reads
+    it, and only u's row k and u_inv's column k are scaled.  u_inv is kept
+    by columns, so they take row operations, and transposed at the end.  c
+    gets v(x_ik) - a when v(x_ik) is known, and the field's row operations
+    carry v(c y) = v(c) + v(y) and v(x + c y) = min(v(x), v(c y)) when the
+    two differ, both exact, so later pivot searches certify fewer valuations.
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    cur = la.mat_copy(m)
+    cur = la.mat_copy(m)  # the rows and columns from the current pivot on
     u = la.identity(field, nr)
-    u_inv = la.identity(field, nr)
-    zero = field.zero
+    ut = la.identity(field, nr)  # u_inv by columns
+    axpy, scale = field._axpy_row, field._scale_row
 
-    # Rows k and below are zero in the columns left of pivot k, so row
-    # operations touch only columns >= k, and terms whose multiplicand is
-    # zero are skipped: elements are in lowest terms, so every skipped
-    # operation would have given back the entry it skips.
     # Every entry left after pivot k - 1 has valuation at least that pivot's
     # (it is x + c y with v(x), v(y) >= exps[-1] and c integral), so the
     # first entry found at that floor is the one the full scan would pick.
@@ -72,9 +78,8 @@ def snf(m, field) -> SNFResult:
     for k in range(min(nr, nc)):
         best = best_v = None
         floor = exps[-1] if exps else -math.inf
-        for i in range(k, nr):
-            for j in range(k, nc):
-                x = cur[i][j]
+        for i, row in enumerate(cur):
+            for j, x in enumerate(row):
                 if not any(x.num):
                     continue
                 vv = x.valuation()
@@ -87,48 +92,38 @@ def snf(m, field) -> SNFResult:
         if best is None:
             raise SingularMatrix("matrix is rank-deficient")
         bi, bj = best
-        if bi != k:
-            cur[k], cur[bi] = cur[bi], cur[k]
-            u[k], u[bi] = u[bi], u[k]
-            for row in u_inv:
-                row[k], row[bi] = row[bi], row[k]
-        if bj != k:
+        if bi:
+            cur[0], cur[bi] = cur[bi], cur[0]
+            u[k], u[k + bi] = u[k + bi], u[k]
+            ut[k], ut[k + bi] = ut[k + bi], ut[k]
+        if bj:
             for row in cur:
-                row[k], row[bj] = row[bj], row[k]
+                row[0], row[bj] = row[bj], row[0]
         a = best_v
-        pivot = cur[k][k]
-        pa = field.pi_power(a)
-        # row k *= pi^a / pivot, which makes the pivot exactly pi^a
-        scale = pa / pivot
-        scale_back = pivot / pa
-        top = cur[k]
-        top[k:] = [pa] + [scale * x for x in top[k + 1:]]
-        u[k] = [scale * x if x != zero else x for x in u[k]]
-        for row in u_inv:
-            if row[k] != zero:
-                row[k] = row[k] * scale_back
-        pk = field.pi_power(-a)
-        # row i -= f * row k clears cur[i][k]
-        for i in range(k + 1, nr):
-            if cur[i][k] != zero:
-                c = -(cur[i][k] * pk)
-                below = cur[i]
-                below[k:] = [zero] + [x + c * y for x, y in zip(below[k + 1:], top[k + 1:])]
-                u[i] = [x + c * y if y != zero else x for x, y in zip(u[i], u[k])]
-                for row in u_inv:
-                    if row[i] != zero:
-                        row[k] = row[k] - c * row[i]
+        pivot, *top = cur[0]
+        pinv = pivot.inverse()
+        rest = []
+        for i, (x, *row) in enumerate(cur[1:], k + 1):
+            if any(x.num):
+                c = -(x * pinv)
+                if x._val is not None:
+                    c._val = x._val - a
+                row = axpy(row, c, top)
+                u[i] = axpy(u[i], c, u[k])
+                ut[k] = axpy(ut[k], -c, ut[i])
+            rest.append(row)
+        cur = rest
+        # row k of u *= pi^a / pivot, which would make the pivot exactly pi^a
+        s, s_back = field.pi_power(a) * pinv, pivot * field.pi_power(-a)
+        s._val = s_back._val = 0
+        u[k], ut[k] = scale(s, u[k]), scale(s_back, ut[k])
         exps.append(a)
 
     # reverse so exponents come out nonincreasing
     tt = len(exps)
-    if tt > 1:
-        perm = list(range(nr))
-        perm[:tt] = reversed(perm[:tt])
-        u[:] = [u[i] for i in perm]
-        u_inv[:] = [[row[i] for i in perm] for row in u_inv]
-        exps.reverse()
-    return SNFResult(u, u_inv, exps)
+    u[:tt], ut[:tt] = u[:tt][::-1], ut[:tt][::-1]
+    exps.reverse()
+    return SNFResult(u, la.transpose(ut), exps)
 
 
 class Lattice:

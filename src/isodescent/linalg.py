@@ -2,7 +2,7 @@
 
 Matrices are plain lists of lists.  The `field` argument is any object with
 `.zero` and `.one` attributes producing elements that support +, -, *, /, ==
-(both number-field elements and residue-field elements qualify).  Nothing
+and inverse() (both number-field elements and residue-field elements qualify).  Nothing
 here is numerical: pivots are exact equality tests against field.zero.
 
 Products, characteristic polynomials and determinants run on one integer
@@ -11,7 +11,9 @@ form of a matrix: each row over its least common denominator, as a pair
 field (FieldDescriptor or ResidueField, where d = 1) returns from
 `integer_rows`.  The field also supplies `int_mat_mul`, the product of
 such tuples, `from_integer`, the element w / d, and `integer_one`; this
-module builds everything else from those four.  mat_mul puts the rows of
+module builds products and charpoly from those four.  Elimination (_rref,
+under solve, mat_inv and kernel_basis) runs on the field's two private row
+operations, `_scale_row` and `_axpy_row`.  mat_mul puts the rows of
 one factor and the columns of the other over their own denominators and
 brings each output entry to lowest terms once, charpoly puts the whole
 matrix over one denominator, and det is charpoly's constant term.
@@ -137,12 +139,10 @@ def _rref(m, field, ncols: int) -> list[int]:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = field.one / m[r][c]
-        m[r] = [inv * x for x in m[r]]
+        m[r] = field._scale_row(m[r][c].inverse(), m[r])
         for i in range(nr):
             if i != r and m[i][c] != z:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = field._axpy_row(m[i], -m[i][c], m[r])
         pivots.append(c)
         r += 1
     return pivots

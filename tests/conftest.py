@@ -1,4 +1,5 @@
 import collections
+import functools
 import json
 import pathlib
 
@@ -302,3 +303,56 @@ def reference_snf(m, field) -> ReferenceSNF:
         v_inv[:] = [v_inv[j] for j in perm_c]
         exps.reverse()
     return ReferenceSNF(u, u_inv, v, v_inv, exps)
+
+
+# the fields the Smith form and the elimination are checked over: Q at 5,
+# Q(i) at 5, Q(sqrt -7) at its ramified 7 with conjugation, the wild
+# Q(zeta_9) at 3 and the prop6 field; the first three are the workloads'
+SNF_FIELDS = [(1, 5, (1,), None), (4, 5, (1,), None), (7, 7, (1, 2, 4), 3),
+              (9, 3, (1,), None), (28, 7, (1, 13), None)]
+
+
+@functools.lru_cache(maxsize=None)
+def snf_field(i):
+    n, ell, sub, inv = SNF_FIELDS[i]
+    return make_descriptor(n, ell, subgroup=sub, involution=inv)
+
+
+def assert_carried_valuations(rows):
+    """Every entry whose valuation memo is set, by the engine or by the
+    ultrametric rule of the row operations, holds the engine's valuation of
+    a fresh equal element."""
+    for row in rows:
+        for x in row:
+            if x._val is not None:
+                assert x._val == x.field.from_integer(x.num, x.den).valuation(), x
+
+
+def reference_rref(m, field, ncols: int) -> list[int]:
+    """Gauss-Jordan reduction of m in place over its first ncols columns,
+    one scalar operation per entry: the reference for linalg._rref, which
+    runs the same elimination on the field's row operations.
+
+    Each pivot row is scaled to a leading one and cleared from every other
+    row; returns the pivot columns in order.
+    """
+    z = field.zero
+    nr = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if m[i][c] != z), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = field.one / m[r][c]
+        m[r] = [inv * x for x in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != z:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return pivots

@@ -28,8 +28,8 @@ from isodescent.lattice import (
     standard_lattice,
 )
 
-from conftest import (contains_vector, quaternion_rep, random_field_element, random_invertible,
-                      reference_snf)
+from conftest import (SNF_FIELDS, assert_carried_valuations, contains_vector, quaternion_rep,
+                      random_field_element, random_invertible, reference_snf, snf_field)
 
 
 def random_lattice(rng, desc, n):
@@ -469,17 +469,6 @@ class TestSingularInputs:
 # the row side of the Smith normal form against the full reference
 
 
-# Q at 5, gauss5, quad7, the wildly ramified Q(zeta_9) at 3 and the prop6 field
-SNF_FIELDS = [(1, 5, (1,), None), (4, 5, (1,), None), (7, 7, (1, 2, 4), 3),
-              (9, 3, (1,), None), (28, 7, (1, 13), None)]
-
-
-@functools.lru_cache(maxsize=None)
-def snf_field(i):
-    n, ell, sub, inv = SNF_FIELDS[i]
-    return make_descriptor(n, ell, subgroup=sub, involution=inv)
-
-
 def random_snf_input(rng, desc, nr, nc):
     """Entries of either sign of valuation, about a third of them zero."""
     return [[desc.zero if rng.random() < 0.3 else random_field_element(rng, desc)
@@ -501,6 +490,30 @@ def reference_sum_basis(l1, l2):
             for i in range(n)]
 
 
+def assert_rows_match_the_reference(m, desc):
+    """snf(m) against reference_snf(m): the same u, u_inv and exps, or
+    SingularMatrix from both, and every valuation carried into u and u_inv
+    exact.  The reference certifies valuations of m's entries first, so snf
+    starts from some memos set; so does the identity's one."""
+    desc.one.valuation()
+    try:
+        ref = reference_snf(m, desc)
+    except SingularMatrix:
+        with pytest.raises(SingularMatrix):
+            snf(m, desc)
+        return
+    rows = snf(m, desc)
+    assert la.mat_eq(rows.u, ref.u) and la.mat_eq(rows.u_inv, ref.u_inv)
+    assert rows.exps == ref.exps
+    assert_carried_valuations(rows.u + rows.u_inv)
+    # the full form's m v is u_inv (diag(pi^exps) | 0), which is what
+    # descend builds from the row side in place of B v
+    r, nc = rows.rank, len(m[0])
+    want = [[row[j] * desc.pi_power(rows.exps[j]) if j < r else desc.zero
+             for j in range(nc)] for row in rows.u_inv]
+    assert la.mat_eq(la.mat_mul(m, ref.v), want)
+
+
 class TestSmithAgainstReference:
     @pytest.mark.parametrize("fi", range(len(SNF_FIELDS)))
     def test_full_and_row_side_match_the_reference(self, fi):
@@ -508,23 +521,17 @@ class TestSmithAgainstReference:
         rng = random.Random(f"snf-ref-{fi}")
         for trial in range(10):
             n = rng.randint(1, 3)
-            nc = n if trial % 2 else 2 * n
-            m = random_snf_input(rng, desc, n, nc)
-            try:
-                ref = reference_snf(m, desc)
-            except SingularMatrix:
-                with pytest.raises(SingularMatrix):
-                    snf(m, desc)
-                continue
-            rows = snf(m, desc)
-            assert la.mat_eq(rows.u, ref.u) and la.mat_eq(rows.u_inv, ref.u_inv)
-            assert rows.exps == ref.exps
-            # the full form's m v is u_inv (diag(pi^exps) | 0), which is what
-            # descend builds from the row side in place of B v
-            r = rows.rank
-            want = [[row[j] * desc.pi_power(rows.exps[j]) if j < r else desc.zero
-                     for j in range(nc)] for row in rows.u_inv]
-            assert la.mat_eq(la.mat_mul(m, ref.v), want)
+            assert_rows_match_the_reference(
+                random_snf_input(rng, desc, n, n if trial % 2 else 2 * n), desc)
+
+    @pytest.mark.parametrize("fi", range(3))
+    def test_workload_shapes_match_the_reference(self, fi):
+        """4 x 4 and 4 x 8, the shapes of stabilize's and the chain's forms
+        over Q, Q(i) and Q(sqrt -7)."""
+        desc = snf_field(fi)
+        rng = random.Random(f"snf-wide-{fi}")
+        for nc in (4, 8, 4, 8):
+            assert_rows_match_the_reference(random_snf_input(rng, desc, 4, nc), desc)
 
     @pytest.mark.parametrize("fi", range(len(SNF_FIELDS)))
     def test_rank_deficient_inputs_raise(self, fi):

@@ -18,11 +18,12 @@ import pytest
 
 from isodescent import linalg as la
 from isodescent.cyclotomic import CycloRing
-from isodescent.errors import InvalidDescriptor
+from isodescent.errors import InvalidDescriptor, SingularMatrix
 from isodescent.exactfield import make_descriptor, with_uniformizer
 from isodescent.finitefield import ResidueField, find_irreducible
 
-from conftest import random_field_element
+from conftest import (SNF_FIELDS, assert_carried_valuations, random_field_element,
+                      reference_rref, snf_field)
 
 SHAPES = [(1, 1, 1), (2, 3, 4), (3, 1, 2), (4, 4, 4)]
 
@@ -318,3 +319,53 @@ def test_det_matches_leibniz(name):
             singular += got == field.zero
             assert la.det(la.mat_mul(a, b), field) == got * la.det(b, field)
     assert singular >= 8
+
+
+# ----------------------------------------------------------------------
+# elimination: solve, mat_inv and kernel_basis on the field's row operations
+# against the same routines on reference_rref, one scalar operation per entry
+
+
+def _eliminations(a, b, w, field):
+    out = []
+    for run in (lambda: la.solve(a, b, field), lambda: la.mat_inv(a, field)):
+        try:
+            out.append(run())
+        except SingularMatrix:
+            out.append(SingularMatrix)
+    return out + [la.kernel_basis(w, field)]
+
+
+ELIMINATION_FIELDS = [f"K{i}" for i in range(len(SNF_FIELDS))] + ["F5", "F49"]
+
+
+@pytest.mark.parametrize("name", ELIMINATION_FIELDS)
+def test_elimination_matches_the_reference(name, monkeypatch):
+    on_k = name.startswith("K")
+    field = snf_field(int(name[1:])) if on_k else RESIDUE_FIELDS[name]()
+    rng = random.Random(f"rref-{name}")
+    make = k_entry if on_k else residue_entry
+    entry = lambda: make(rng, field)
+    singular = 0
+    for trial in range(12):
+        n = rng.randint(1, 4)
+        a = random_matrix(entry, n, n)
+        if trial % 3 == 0:
+            # the last row a multiple of the first (zero when n = 1)
+            c = entry() if n > 1 else field.zero
+            a[-1] = [c * x for x in a[0]]
+        b = random_matrix(entry, n, 2)
+        w = random_matrix(entry, rng.randint(1, 4), rng.randint(1, 5))
+        if on_k and trial % 2:
+            # valuations known on the way in, so the row operations carry some
+            for x in [field.one, *(x for row in a + b + w for x in row)]:
+                x.valuation()
+        got = _eliminations(a, b, w, field)
+        monkeypatch.setattr(la, "_rref", reference_rref)
+        want = _eliminations(a, b, w, field)
+        monkeypatch.undo()
+        assert got == want
+        singular += got[0] is SingularMatrix
+        if on_k:
+            assert_carried_valuations([row for m in got if m is not SingularMatrix for row in m])
+    assert singular >= 4

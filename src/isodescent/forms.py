@@ -17,16 +17,18 @@ swaps them, because the residue involution is trivial in the ramified case).
 Unramified involutions use a conjugation-fixed uniformizer, so both reduced
 forms stay hermitian, and bilinear kinds are preserved verbatim.
 
-A GramForm keeps its last certified balanced pair, keyed by lattice
-identity, with the reduced gram on the lattice, and no dual: reductions
-certify once per (lattice, dual) per form, so reduce_tilde after reduce_bar
-on the same objects, or without a dual, checks nothing again.  balance keeps
-the pair it returns the same way.  Integrality is the digit test throughout.
+A GramForm keeps the integer forms of A and A^-1 for dual, and its last
+certified balanced pair, keyed by lattice identity, with the reduced gram on
+the lattice, and no dual: reductions certify once per (lattice, dual) per
+form, so reduce_tilde after reduce_bar on the same objects, or without a
+dual, checks nothing again.  balance keeps the pair it returns the same way.
+Integrality is the digit test throughout.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from . import linalg as la
 from .errors import (
@@ -39,7 +41,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .exactfield import FieldElement
-from .lattice import Lattice, quotient_length, scale_lattice
+from .lattice import Lattice, _check_peer, quotient_length, scale_lattice
 
 KINDS = ("symmetric", "alternating", "hermitian")
 
@@ -94,24 +96,35 @@ class _Form:
 class GramForm(_Form):
     """A nondegenerate form over K with an explicit kind tag."""
 
-    def __init__(self, field, gram, kind: str, twist: int = 0):
+    def __init__(self, field, gram, kind: str, twist: int = 0, *, _nondegenerate=False):
         self.twist = twist % 2 if (
             kind == "hermitian" and field.involution_type == "ramified") else 0
         conj = None if field.involution is None else FieldElement.conjugate
         super().__init__(field, gram, kind, conj, self.twist)
-        if not self.is_nondegenerate():
+        if not _nondegenerate and not self.is_nondegenerate():
             raise DegenerateForm("gram matrix is singular")
-        self._gram_inv = self._balanced_slot = None
+        self._balanced_slot = None
+
+    @cached_property
+    def _dual_forms(self):
+        """(rds, W, cds, V) with A = diag(rds)^-1 W and A^-1 = V diag(cds)^-1."""
+        rows = self.field.integer_rows(self.gram)
+        cols = self.field.integer_rows(list(zip(*la.mat_inv(self.gram, self.field))))
+        return ([d for d, _ in rows], [w for _, w in rows],
+                [d for d, _ in cols], list(zip(*(w for _, w in cols))))
 
     def dual(self, lat: Lattice) -> Lattice:
         """The vectors pairing integrally with lat in the first slot, without
         inverting A B: the basis is conj(B^-1 A^-1)^T and its inverse
-        conj(A B)^T.  Each call builds a new Lattice; no dual is kept."""
-        if self._gram_inv is None:
-            self._gram_inv = la.mat_inv(self.gram, self.field)
-        basis = la.conj_transpose(la.mat_mul(lat.inverse, self._gram_inv), self.conj)
-        inv = la.conj_transpose(la.mat_mul(self.gram, lat.basis), self.conj)
-        return Lattice(self.field, basis, _inverse=inv)
+        conj(A B)^T, both taken on the integer forms the form and the lattice
+        keep.  Each call builds a new Lattice; no dual is kept."""
+        field = self.field
+        _check_peer(field, self.dim, lat)
+        rds, w, cds, v = self._dual_forms
+        basis = la._int_product(field, *lat._inverse_rows, cds, v)
+        inv = la._int_product(field, rds, w, *lat._basis_columns)
+        return Lattice(field, la.conj_transpose(basis, self.conj),
+                       _inverse=la.conj_transpose(inv, self.conj))
 
     def _keep_balanced(self, lat: Lattice, dual: Lattice, length: int):
         """Keep a pair the caller certified: dual is self.dual(lat), pi * dual
@@ -121,8 +134,11 @@ class GramForm(_Form):
     # -- scaling ----------------------------------------------------------
 
     def scale_by_pi_power(self, j: int) -> "GramForm":
+        """pi^j times the form, its kind axiom checked with the twist moved by
+        j.  No determinant is taken: det(pi^j A) = pi^(jn) det A, nonzero
+        since A is."""
         scaled = la.scalar_mul(self.field.pi_power(j), self.gram)
-        return GramForm(self.field, scaled, self.kind, self.twist + j)
+        return GramForm(self.field, scaled, self.kind, self.twist + j, _nondegenerate=True)
 
     def reduced_kind_pair(self):
         """Kinds of (first, second) residue forms after reduction mod lambda.

@@ -5,17 +5,20 @@ nonsingular matrix over K, immutable after construction.  Containment is an
 integrality test: L contains L' iff the transition matrix B^-1 B' is
 integral, which is read off the product of the integer rows of B^-1 and the
 integer columns of B' (FieldDescriptor.integer_rows, kept by each lattice)
-without building or certifying its entries; an image m L is tested the
-same way (maps_into) and never built.  Sums, intersections (through
-duals), the inclusion of a balanced lattice in its dual and descend's
-adapted bases read the row side of a Smith normal form over the discrete
-valuation ring: pivoting on entries of minimal certified valuation keeps
-the row transform O-invertible (swaps, integral shears and unit scalings,
-so the diagonal comes out as exact powers of the uniformizer).  The column
-transform v (integral shears and swaps) is never built: for a transition
-matrix D^-1 B, the adapted basis B v is D u_inv diag(pi**exps).  Its row
-operations are the field's (FieldDescriptor._axpy_row and _scale_row), one
-inverse per pivot, with valuations carried where they are exact (snf).
+without building or certifying its entries; an image m L is tested the same
+way (maps_into) and never built; transition_from multiplies them.  Sums,
+intersections (through duals), the inclusion of a balanced lattice in its
+dual and descend's adapted bases read the row side of a Smith normal form
+over the discrete valuation ring: pivoting on entries of minimal certified
+valuation keeps the row transform O-invertible (swaps, integral shears and
+unit scalings, so the diagonal comes out as exact powers of the
+uniformizer).  The column transform v (integral shears and swaps) is never
+built: for a transition matrix D^-1 B, the adapted basis B v is D u_inv
+diag(pi**exps).  Its row operations are the field's
+(FieldDescriptor._axpy_row and _scale_row), one inverse per pivot, with
+valuations carried where they are exact (_row_reduce).  Sums take the
+elimination without its unit scalings: the powers of pi in them cancel
+against diag(pi**exps) (_span).
 
 Diagonal exponents are reported in nonincreasing order.
 """
@@ -44,37 +47,37 @@ class SNFResult:
         return len(self.exps)
 
 
-def snf(m, field) -> SNFResult:
-    """Row side of the Smith normal form over the valuation ring; m may be
-    rectangular.
+def _row_reduce(m, field):
+    """The elimination under snf and _span, with no unit scaling: (u0, ut0,
+    pivots, their inverses, exps), ut0 being u0's inverse by columns and
+    each list in snf's order; m may be rectangular.
 
-    Entries may have negative valuation (the algorithm works over K); u and
-    u_inv are products of unit row scalings and integral shears.  No column
-    operation is made: once the rows below pivot k are cleared, a column
-    operation would change only row k, which no later pivot search reads.
-    Columns are still swapped in the working matrix, so the pivots, u, u_inv
-    and exps are those of the full form (Cohen, A Course in Computational
-    Algebraic Number Theory, 2.4).
+    Entries may have negative valuation (the algorithm works over K); u0 and
+    ut0 are products of swaps and integral shears.  No column operation is
+    made: once the rows below pivot k are cleared, a column operation would
+    change only row k, which no later pivot search reads.  Columns are still
+    swapped in the working matrix, so the pivots and exps are those of the
+    full form (Cohen, A Course in Computational Algebraic Number Theory, 2.4).
 
     Each pivot is inverted once; row i takes c = -x_ik / pivot times the
     pivot row of the working matrix, left unscaled since no later step reads
-    it, and only u's row k and u_inv's column k are scaled.  u_inv is kept
-    by columns, so they take row operations, and transposed at the end.  c
-    gets v(x_ik) - a when v(x_ik) is known, and the field's row operations
-    carry v(c y) = v(c) + v(y) and v(x + c y) = min(v(x), v(c y)) when the
-    two differ, both exact, so later pivot searches certify fewer valuations.
+    it, and ut0's column operations are row operations of its rows.  c gets
+    v(x_ik) - a when v(x_ik) is known, and the field's row operations carry
+    v(c y) = v(c) + v(y) and v(x + c y) = min(v(x), v(c y)) when the two
+    differ, both exact, so later pivot searches certify fewer valuations.
+    A pivot carries its certified valuation a, its inverse -a.
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
     cur = la.mat_copy(m)  # the rows and columns from the current pivot on
     u = la.identity(field, nr)
     ut = la.identity(field, nr)  # u_inv by columns
-    axpy, scale = field._axpy_row, field._scale_row
+    axpy = field._axpy_row
 
     # Every entry left after pivot k - 1 has valuation at least that pivot's
     # (it is x + c y with v(x), v(y) >= exps[-1] and c integral), so the
     # first entry found at that floor is the one the full scan would pick.
-    exps = []
+    pivots, pinvs, exps = [], [], []
     for k in range(min(nr, nc)):
         best = best_v = None
         floor = exps[-1] if exps else -math.inf
@@ -113,16 +116,26 @@ def snf(m, field) -> SNFResult:
                 ut[k] = axpy(ut[k], -c, ut[i])
             rest.append(row)
         cur = rest
-        # row k of u *= pi^a / pivot, which would make the pivot exactly pi^a
-        s, s_back = field.pi_power(a) * pinv, pivot * field.pi_power(-a)
-        s._val = s_back._val = 0
-        u[k], ut[k] = scale(s, u[k]), scale(s_back, ut[k])
+        pivots.append(pivot)
+        pinvs.append(pinv)
         exps.append(a)
 
     # reverse so exponents come out nonincreasing
     tt = len(exps)
     u[:tt], ut[:tt] = u[:tt][::-1], ut[:tt][::-1]
-    exps.reverse()
+    return u, ut, pivots[::-1], pinvs[::-1], exps[::-1]
+
+
+def snf(m, field) -> SNFResult:
+    """Row side of the Smith normal form over the valuation ring; m may be
+    rectangular: _row_reduce, then row k of u times the unit pi^a / pivot_k
+    and column k of u_inv times its inverse, both of valuation 0, so u and
+    u_inv are products of unit row scalings and integral shears."""
+    u, ut, pivots, pinvs, exps = _row_reduce(m, field)
+    for k, (pivot, pinv, a) in enumerate(zip(pivots, pinvs, exps)):
+        s, s_back = field.pi_power(a) * pinv, pivot * field.pi_power(-a)
+        s._val = s_back._val = 0
+        u[k], ut[k] = field._scale_row(s, u[k]), field._scale_row(s_back, ut[k])
     return SNFResult(u, la.transpose(ut), exps)
 
 
@@ -174,8 +187,9 @@ class Lattice:
                    for x, cd in zip(prow, cds))
 
     def transition_from(self, other: "Lattice"):
-        """Matrix expressing the other basis in this one."""
-        return la.mat_mul(self.inverse, other.basis)
+        """B^-1 B', the other basis in this one, on the kept integer forms."""
+        _check_peer(self.field, self.dim, other)
+        return la._int_product(self.field, *self._inverse_rows, *other._basis_columns)
 
     def contains_lattice(self, other: "Lattice") -> bool:
         """Whether the transition matrix B^-1 B' is integral, decided on the
@@ -193,6 +207,14 @@ class Lattice:
         return f"Lattice(dim={self.dim})"
 
 
+def _check_peer(field, dim, lat: Lattice):
+    """Refuse what linalg.mat_mul would of lat against a dim x dim matrix."""
+    if lat.dim != dim:
+        raise DimensionMismatch(f"a {lat.dim}-dim lattice against dimension {dim}")
+    if lat.field is not field and lat.field != field:
+        raise InvalidDescriptor("lattices over different field descriptors")
+
+
 def standard_lattice(field, n: int) -> Lattice:
     return Lattice(field, la.identity(field, n), _inverse=la.identity(field, n))
 
@@ -206,17 +228,15 @@ def scale_lattice(x, lat: Lattice) -> Lattice:
 
 
 def _span(field, b1, b2) -> Lattice:
-    """The lattice spanned by the columns of two n x n bases."""
-    n = len(b1)
-    joint = [r1[:] + r2[:] for r1, r2 in zip(b1, b2)]
-    res = snf(joint, field)
-    if res.rank != n:
-        raise SingularMatrix("lattice sum lost rank")
-    # basis u_inv diag(pi^e), so its inverse is diag(pi^-e) u
-    basis = [[res.u_inv[i][j] * field.pi_power(res.exps[j]) for j in range(n)]
-             for i in range(n)]
-    inv = [[field.pi_power(-res.exps[i]) * x for x in res.u[i]] for i in range(n)]
-    return Lattice(field, basis, _inverse=inv)
+    """The lattice spanned by the columns of two n x n bases: snf's basis
+    u_inv diag(pi^e), inverse diag(pi^-e) u.  snf's unit scalings cancel the
+    powers of pi, so these are pivot_k times column k of u_inv and pivot_k^-1
+    times row k of u from _row_reduce, the same canonical elements, with
+    v(pivot_k) = e_k carried into them."""
+    u, ut, pivots, pinvs, _ = _row_reduce([r1 + r2 for r1, r2 in zip(b1, b2)], field)
+    scale = field._scale_row
+    basis = la.transpose([scale(p, col) for p, col in zip(pivots, ut)])
+    return Lattice(field, basis, _inverse=[scale(p, row) for p, row in zip(pinvs, u)])
 
 
 def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:

@@ -66,11 +66,9 @@ def integer_matrix(field, m):
 
 def mat_mul(a, b):
     """a @ b on integer coordinates: the rows of a and the columns of b come
-    from the field's integer_rows, their numerators are multiplied by its
-    int_mat_mul, and entry (i, j), W[i][j] over the product of the two
-    denominators, is brought to lowest terms once.  Raises DimensionMismatch
-    on mismatched shapes, and the field's own error unless every entry is
-    one of its elements."""
+    from the field's integer_rows and are multiplied by _int_product.
+    Raises DimensionMismatch on mismatched shapes, and the field's own error
+    unless every entry is one of its elements."""
     if a and len(a[0]) != len(b):
         raise DimensionMismatch(
             f"matrix product shape mismatch: {len(a)}x{len(a[0])} by "
@@ -80,10 +78,16 @@ def mat_mul(a, b):
     field = a[0][0].field
     rows = field.integer_rows(a)
     cols = field.integer_rows(list(zip(*b)))
-    prod = field.int_mat_mul([w for _, w in rows], list(zip(*(w for _, w in cols))))
+    return _int_product(field, [d for d, _ in rows], [w for _, w in rows],
+                        [d for d, _ in cols], list(zip(*(w for _, w in cols))))
+
+
+def _int_product(field, rds, a, cds, b):
+    """diag(rds)^-1 A B diag(cds)^-1 for integer matrices A and B, each entry
+    in lowest terms once; shapes and descriptors are the caller's to check."""
     from_integer = field.from_integer
-    return [[from_integer(v, rd * cd) for v, (cd, _) in zip(prow, cols)]
-            for prow, (rd, _) in zip(prod, rows)]
+    return [[from_integer(v, rd * cd) for v, cd in zip(prow, cds)]
+            for prow, rd in zip(field.int_mat_mul(a, b), rds)]
 
 
 def scalar_mul(c, a):

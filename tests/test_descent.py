@@ -35,8 +35,10 @@ from conftest import (
     BUNDLE_DIR,
     assert_matrix_equal,
     quaternion_rep,
+    ramified_pair_rep,
     random_invertible,
     reference_snf,
+    rotation4_rep,
 )
 
 
@@ -220,6 +222,36 @@ class TestBalance:
                 want, want_kernel = reduce(lat, scaled)
                 assert_matrix_equal(rform.gram, want.gram)
                 assert rform.kind == want.kind and kernel == want_kernel
+
+
+    def test_values_are_pinned(self, gauss5, gauss13, gauss7, quad7, rat5):
+        """stabilize, balance and both residue reductions from seeded random
+        starts: the digest pins T and T* with their inverses, the scaled
+        form, the scale power, the steps, the inclusion's row side and both
+        reduced grams with their kernels, byte for byte."""
+        ser = lambda m: [[x.serialize() for x in row] for row in m]
+        res = lambda m: [[list(x.coeffs) for x in row] for row in m]
+        rng = random.Random("balance-pinned")
+        reps = [quaternion_rep(gauss5), quaternion_rep(gauss13), rotation4_rep(gauss7),
+                ramified_pair_rep(quad7), block_rep(gauss5, 2, rng), block_rep(rat5, 3, rng)]
+        records = []
+        for rep in reps:
+            for _ in range(3):
+                start = Lattice(rep.field, random_invertible(rng, rep.field, rep.dim))
+                start = stabilize(start, rep.generators)
+                bal = balance(start, rep.form, generators=rep.generators)
+                t, tstar, form, inc = bal.lattice, bal.dual, bal.form, bal.inclusion
+                record = [ser(t.basis), ser(t.inverse), ser(tstar.basis), ser(tstar.inverse),
+                          ser(form.gram), form.twist, bal.scale_power, bal.steps,
+                          ser(inc.u), ser(inc.u_inv), inc.exps]
+                for reduce in (reduce_bar, reduce_tilde):
+                    rform, kernel = reduce(t, form, dual=tstar)
+                    record += [res(rform.gram), res(kernel)]
+                records.append(record)
+        assert sum(r[7] for r in records) >= 4  # the block groups take chain steps
+        blob = json.dumps(records, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == \
+            "4f72fbb50409ae26bf66fdaf5bec9bab33b7cdd07dc850d347af4ba16a5e0c62"
 
 
 class TestRigidity:

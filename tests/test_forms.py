@@ -566,6 +566,73 @@ class TestCertifiedOnce:
                 assert rform.kind == wform.kind and kernel == wkernel
 
 
+# symmetric, alternating, inert hermitian (z4's field) and ramified
+# hermitian (remark4's field) of even and odd twist
+KEPT_FORM_CASES = [("gauss5", "symmetric", 0), ("rat5", "alternating", 0),
+                   ("gauss7", "hermitian", 0), ("quad7", "hermitian", 0),
+                   ("quad7", "hermitian", 1)]
+
+
+def random_form(rng, desc, kind, twist):
+    n = 2 if kind == "alternating" else rng.randint(1, 3)
+    if kind == "alternating":
+        gram = la.scalar_mul(desc.pi_power(rng.randint(-1, 2)), symplectic2(desc))
+    elif kind == "symmetric":
+        gram = symmetric_invertible(rng, desc, n)
+    else:
+        # pi is anti-fixed in the ramified case: pi H is skew-hermitian
+        gram = la.scalar_mul(desc.pi_power(twist), hermitian_invertible(rng, desc, n))
+    return GramForm(desc, gram, kind, twist)
+
+
+class TestKeptFormProducts:
+    """dual multiplies the integer forms a GramForm keeps of A and A^-1 with
+    those a lattice keeps of B^-1 and B; scale_by_pi_power takes no
+    determinant."""
+
+    @pytest.mark.parametrize("descname,kind,twist", KEPT_FORM_CASES)
+    def test_dual_matches_mat_mul(self, descname, kind, twist, request):
+        desc = request.getfixturevalue(descname)
+        rng = random.Random(f"kept-dual-{descname}-{kind}-{twist}")
+        for _ in range(4):
+            f = random_form(rng, desc, kind, twist)
+            a_inv = la.mat_inv(f.gram, desc)
+            for _ in range(2):  # once building the kept forms, once reading them
+                lat = Lattice(desc, random_invertible(rng, desc, f.dim))
+                dual = f.dual(lat)
+                want = la.conj_transpose(la.mat_mul(lat.inverse, a_inv), f.conj)
+                want_inv = la.conj_transpose(la.mat_mul(f.gram, lat.basis), f.conj)
+                assert la.mat_eq(dual.basis, want) and la.mat_eq(dual.inverse, want_inv)
+
+    @pytest.mark.parametrize("descname,kind,twist", KEPT_FORM_CASES)
+    def test_scaled_form_is_the_checked_form(self, descname, kind, twist, request,
+                                             monkeypatch):
+        desc = request.getfixturevalue(descname)
+        rng = random.Random(f"kept-scale-{descname}-{kind}-{twist}")
+        f = random_form(rng, desc, kind, twist)
+        calls = {"kind": 0, "det": 0}
+        real_kind, real_det = forms._kind_holds, la.det
+
+        def kind_holds(*args):
+            calls["kind"] += 1
+            return real_kind(*args)
+
+        def det(*args):
+            calls["det"] += 1
+            return real_det(*args)
+
+        monkeypatch.setattr(forms, "_kind_holds", kind_holds)
+        monkeypatch.setattr(la, "det", det)
+        for j in range(-2, 3):
+            calls.update(kind=0, det=0)
+            got = f.scale_by_pi_power(j)
+            assert calls == {"kind": 1, "det": 0}
+            want = GramForm(desc, la.scalar_mul(desc.pi_power(j), f.gram), kind, twist + j)
+            assert calls == {"kind": 2, "det": 1}
+            assert la.mat_eq(got.gram, want.gram)
+            assert (got.kind, got.twist, got.conj) == (want.kind, want.twist, want.conj)
+
+
 class TestAssemble:
     def test_two_alternating_blocks(self, gauss5):
         k = gauss5.residue_field

@@ -483,11 +483,30 @@ def rank_deficient(rng, desc, nr, nc):
     return m
 
 
-def reference_sum_basis(l1, l2):
-    field, n = l1.field, l1.dim
-    res = reference_snf([r1 + r2 for r1, r2 in zip(l1.basis, l2.basis)], field)
-    return [[res.u_inv[i][j] * field.pi_power(res.exps[j]) for j in range(n)]
-            for i in range(n)]
+def reference_span(field, b1, b2):
+    """The sum's basis u_inv diag(pi^e) and its inverse diag(pi^-e) u, on
+    the full reference form of the joint matrix (b1 | b2)."""
+    n = len(b1)
+    res = reference_snf([r1 + r2 for r1, r2 in zip(b1, b2)], field)
+    basis = [[res.u_inv[i][j] * field.pi_power(res.exps[j]) for j in range(n)]
+             for i in range(n)]
+    inv = [[field.pi_power(-res.exps[i]) * x for x in res.u[i]] for i in range(n)]
+    return basis, inv
+
+
+def assert_span_matches_the_reference(a, b):
+    """lattice_sum and lattice_intersect, basis and inverse entry by entry,
+    against reference_span of the two bases and of the two dot duals, and
+    every valuation carried into them exact."""
+    field = a.field
+    basis, inv = reference_span(field, a.basis, b.basis)
+    dual_basis, dual_inv = reference_span(field, la.transpose(a.inverse),
+                                          la.transpose(b.inverse))
+    for lat, want, want_inv in ((lattice_sum(a, b), basis, inv),
+                                (lattice_intersect(a, b), la.transpose(dual_inv),
+                                 la.transpose(dual_basis))):
+        assert la.mat_eq(lat.basis, want) and la.mat_eq(lat.inverse, want_inv)
+        assert_carried_valuations(lat.basis + lat.inverse)
 
 
 def assert_rows_match_the_reference(m, desc):
@@ -551,12 +570,18 @@ class TestSmithAgainstReference:
         rng = random.Random(f"sum-ref-{fi}")
         for _ in range(4):
             n = rng.randint(1, 3)
-            a = random_lattice(rng, desc, n)
-            b = random_lattice(rng, desc, n)
-            assert la.mat_eq(lattice_sum(a, b).basis, reference_sum_basis(a, b))
-            ref = reference_dot_dual(Lattice(desc, reference_sum_basis(
-                reference_dot_dual(a), reference_dot_dual(b))))
-            assert la.mat_eq(lattice_intersect(a, b).basis, ref.basis)
+            assert_span_matches_the_reference(random_lattice(rng, desc, n),
+                                              random_lattice(rng, desc, n))
+
+    @pytest.mark.parametrize("fi", range(3))
+    def test_workload_sums_match_the_reference(self, fi):
+        """4 x 8 joints, the shape of stabilize's and the chain's sums, over
+        Q, Q(i) and Q(sqrt -7)."""
+        desc = snf_field(fi)
+        rng = random.Random(f"sum-wide-{fi}")
+        for _ in range(2):
+            assert_span_matches_the_reference(random_lattice(rng, desc, 4),
+                                              random_lattice(rng, desc, 4))
 
     def test_row_side_builds_no_column_transform(self, gauss5, monkeypatch):
         sizes = []
@@ -705,6 +730,10 @@ class TestKeptIntegerForms:
             lambda: maps_into(swap, a),
             lambda: stabilize(a, [swap]),
             lambda: contains_vector(a, [gauss13.one] * 2),
+            lambda: a.transition_from(b),
+            lambda: b.transition_from(a),
+            lambda: GramForm(gauss5, la.identity(gauss5, 2), "symmetric").dual(b),
+            lambda: GramForm(gauss13, la.identity(gauss13, 2), "symmetric").dual(a),
         ]
         for _ in range(2):  # once building the integer forms, once reading them
             for call in calls:
@@ -731,6 +760,18 @@ class TestKeptIntegerForms:
                 assert maps_into(m1, b) == maps_into(m1, c)
             assert la.mat_eq(stabilize(a, cloned).basis, stabilize(a, own).basis)
             assert la.mat_eq(stabilize(b, own).basis, stabilize(c, own).basis)
+
+    @pytest.mark.parametrize("descname", ["gauss5", "gauss7", "quad7"])
+    def test_transition_matches_mat_mul(self, descname, request):
+        """transition_from multiplies the kept integer forms of B^-1 and B'."""
+        desc = request.getfixturevalue(descname)
+        rng = random.Random(f"transition-{descname}")
+        for _ in range(6):
+            n = rng.randint(1, 3)
+            a, b = random_lattice(rng, desc, n), random_lattice(rng, desc, n)
+            for x, y in ((a, b), (b, a), (a, lattice_sum(a, b)), (lattice_sum(a, b), a)):
+                for _ in range(2):  # once building the integer forms, once reading them
+                    assert la.mat_eq(x.transition_from(y), la.mat_mul(x.inverse, y.basis))
 
     @pytest.mark.parametrize("descname", ["gauss5", "quad7"])
     def test_maps_into_matches_the_image_lattice(self, descname, request):

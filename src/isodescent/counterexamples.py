@@ -20,7 +20,6 @@ outcomes are the bits of one AND of precomputed ell-bit masks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 
 from . import linalg as la
 from .cyclotomic import CycloRing, least_factor
@@ -41,18 +40,17 @@ DEFAULT_ENUM_CAP = 1000000
 MAX_VERIFY_ELL = 10 ** 6
 
 
-@dataclass
 class NonexistenceCertificate:
     """A finite search or solved linear system standing in for a 'does not
     exist' claim.  The counts must add up to the declared search space for
     the verdict to mean anything, so they are all recorded."""
-    tag: str
-    ell: int
-    search_space: str
-    examined: int
-    verdict: bool
-    counts: dict = dc_field(default_factory=dict)
-    details: dict = dc_field(default_factory=dict)
+
+    def __init__(self, tag: str, ell: int, search_space: str, examined: int, verdict: bool,
+                 counts: dict | None = None, details: dict | None = None):
+        self.tag, self.ell, self.search_space = tag, ell, search_space
+        self.examined, self.verdict = examined, verdict
+        self.counts = {} if counts is None else counts
+        self.details = {} if details is None else details
 
     def to_dict(self) -> dict:
         return {

@@ -22,7 +22,9 @@ images and both characteristic polynomials, being class functions, once per
 conjugacy class (the classes come from the Cayley table, with no field
 arithmetic; over K by Newton's identities on the integer traces the
 closure kept, with no matrix built, and over k by Hessenberg reduction on
-plain ints when k is a prime field, else by Berkowitz's algorithm).
+the reduced rows' coefficient tuples, for every residue degree).  The
+generators' action on the adapted basis and f0's two grams are reduced
+straight off integer forms, entry by entry (FieldDescriptor._residue).
 
 The reduction preserves characteristic polynomials mod lambda, and when
 2e < ell - 1 it is also faithful: a finite-order lattice automorphism
@@ -37,8 +39,8 @@ inconsistency.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
-from dataclasses import dataclass
 
 from . import linalg as la
 from .errors import (
@@ -46,36 +48,31 @@ from .errors import (
     GroupTooLarge,
     HypothesisViolated,
     InternalInconsistency,
+    NegativeValuation,
     NotFiniteOrder,
     NotStable,
     PreconditionViolated,
 )
 from .finitefield import fp_charpoly
-from .forms import (
-    AssembledForm,
-    GramForm,
-    ResidueForm,
-    normalize_scale,
-    reduce_gram,
-)
+from .forms import AssembledForm, GramForm, ResidueForm, normalize_scale
 from .lattice import (
     Lattice,
     SNFResult,
+    _stabilize,
     is_stable,
     lattice_intersect,
     lattice_sum,
     maps_into,
     scale_lattice,
     snf,
-    stabilize,
     standard_lattice,
 )
 
 DEFAULT_GROUP_CAP = 100000
 # largest dimension: with an identity gram and the generator -I over Q at
-# ell = 5, the closure and descend took 0.19 s at n = 32, 1.1 s at 64 and
-# 9.9 s at 128, and on the extraspecial group 2^(1+10)_+ (n = 32, 1025
-# classes) 0.8 s (2-vCPU Xeon VM, Python 3.11.7)
+# ell = 5, the closure and descend took 0.11 s at n = 32, 0.84 s at 64 and
+# 9.8 s at 128, and on the extraspecial group 2^(1+12)_+ (n = 64, 4097
+# classes) 6.6 s (2-vCPU Xeon VM, Python 3.11.7)
 MAX_DIM = 64
 DEFAULT_ORDER_CAP = 4096
 
@@ -83,12 +80,12 @@ DEFAULT_ORDER_CAP = 4096
 class _Orbit:
     """A finite orbit of row vectors under a list of matrices, grown on demand.
 
-    points[p] is a canonical row vector and index its inverse;
-    images(vectors, g) returns the canonical products of vectors with matrix
-    g.  act[g][p] is the index of points[p] times matrix g, known for the
-    points made before the last time g was asked for, and extended to every
-    point made since by one batch of images the next time a key reaches
-    past it.  A matrix whose rows are points is held as its key, the tuple
+    points[p] is a canonical row vector, in the layout images returns, and
+    index its inverse; images(vectors, g) returns the canonical products of
+    vectors with matrix g.  act[g][p] is the index of points[p] times matrix
+    g, known for the points made before the last time g was asked for, and
+    extended to every point made since by one batch of images the next time
+    a key reaches past it.  A matrix whose rows are points is held as its key, the tuple
     of its rows' indices.  Row i of x g is (row i of x) g, so the key of x g
     is act[g] applied to the key of x: dim table lookups, and one
     vector-matrix product per point and matrix (Holt, Eick and O'Brien,
@@ -170,7 +167,9 @@ class GroupRep:
     is deterministic.  Element i is keys[i], the indices of its rows in an
     orbit (_Orbit) whose points are row vectors w / d, w on integer
     coordinates in Z[theta] (FieldDescriptor.kring) and gcd(d, w) = 1,
-    normalized once per point;
+    normalized once per point: over a field of degree 1, (d, w) with w a
+    flat tuple of ints, one per entry, multiplied by a generator's columns
+    on plain ints, and otherwise w a tuple of coordinate tuples;
     the keys are the seen map to an element's index.  links[i] is (parent
     index, generator index) with element i = element parent *
     generators[generator], and None for the identity, so per-element work
@@ -213,20 +212,24 @@ class GroupRep:
         trace_zeta = [sum(ring.zeta_power(j + i)[i] for i in range(ring.degree))
                       for j in range(ring.n)]
         prepare, mul = field._prepare, field._prepared_mul
-        # each generator as its denominator and its prepared columns
-        gens = [(gd, prepare(zip(*gw)))
-                for gd, gw in (la.integer_matrix(field, g) for g in self.generators)]
+        # each generator's (d, w), kept for descend, and its prepared columns
+        self._integer_generators = [la.integer_matrix(field, g) for g in self.generators]
+        gens = [(gd, prepare(zip(*gw))) for gd, gw in self._integer_generators]
+        flat = self._flat = field.kring.degree == 1
 
         def images(vectors, g):
             gd, cols = gens[g]
+            rows = ([[sum(map(operator.mul, w, c)) for c in cols] for _, w in vectors] if flat
+                    else mul(prepare([w for _, w in vectors]), cols))
             out = []
-            for (d, _), row in zip(vectors, mul(prepare([w for _, w in vectors]), cols)):
+            for (d, _), row in zip(vectors, rows):
                 d *= gd
                 if d > 1:
-                    common = math.gcd(d, *(c for x in row for c in x))
+                    common = math.gcd(d, *(row if flat else (c for x in row for c in x)))
                     if common > 1:
                         d //= common
-                        row = [tuple(c // common for c in x) for x in row]
+                        row = ([c // common for c in row] if flat else
+                               [tuple(c // common for c in x) for x in row])
                 out.append((d, tuple(row)))
             return out
 
@@ -236,8 +239,9 @@ class GroupRep:
         def finite_order_trace(key):
             rows = [points[p] for p in key]
             d = math.lcm(*(rd for rd, _ in rows))
-            t = tuple(sum(c) for c in zip(*([x * (d // rd) for x in w[i]]
-                                            for i, (rd, w) in enumerate(rows))))
+            diag = [(w[i], d // rd) for i, (rd, w) in enumerate(rows)]
+            t = ((sum(x * s for x, s in diag),) if flat else
+                 tuple(sum(c) for c in zip(*([x * s for x in v] for v, s in diag))))
             # integrality is read on the power basis of zeta_n, whose
             # integer vectors are all of the integers of Q(zeta_n)
             power_basis = field.to_power_basis(t)
@@ -247,12 +251,12 @@ class GroupRep:
             norm = sum(a * b * trace_zeta[(j - k) % ring.n] for j, a in nz for k, b in nz)
             return (d, t) if norm <= ring.degree * dim**2 else None
 
-        one, zero = field.integer_one, field.kring.zero
+        one, zero = (1, 0) if flat else (field.integer_one, field.kring.zero)
         ident = tuple(orbit.point((1, tuple(one if i == j else zero for j in range(dim))))
                       for i in range(dim))
         keys = [ident]
         links = [None]
-        traces = [(1, tuple(dim * c for c in one))]
+        traces = [(1, tuple(dim * c for c in field.integer_one))]
         right = []
         seen = {ident: 0}
         for idx, key in enumerate(keys):
@@ -286,8 +290,8 @@ class GroupRep:
 
     def element(self, i: int) -> list:
         """Element i as a new matrix of FieldElements, read off its points."""
-        points, field = self.points, self.field
-        return [[field.from_integer(x, d) for x in w]
+        points, field, flat = self.points, self.field, self._flat
+        return [[field.from_integer((x,) if flat else x, d) for x in w]
                 for d, w in (points[p] for p in self.keys[i])]
 
     @property
@@ -380,18 +384,16 @@ class GroupRep:
         return cls, census
 
 
-@dataclass
 class BalanceResult:
     """The balanced lattice T with its dual, the rescaled form, the scale
     exponent m applied to f (the stored form is pi^m times the input), the
     chain length j, and the row side of the Smith form of the inclusion of
     T in its dual, whose exponents (the invariants) are all 0 or 1."""
-    lattice: Lattice
-    dual: Lattice
-    form: GramForm
-    scale_power: int
-    steps: int
-    inclusion: SNFResult
+
+    def __init__(self, lattice: Lattice, dual: Lattice, form: GramForm, scale_power: int,
+                 steps: int, inclusion: SNFResult):
+        self.lattice, self.dual, self.form = lattice, dual, form
+        self.scale_power, self.steps, self.inclusion = scale_power, steps, inclusion
 
     @property
     def invariants(self) -> list:
@@ -502,32 +504,48 @@ def _reduced_keys(rep, gen_bar):
     return orbit.points, keys
 
 
-@dataclass
 class DescentResult:
     """Everything descend() produced, with enough data to recompute every
     certificate: the balanced lattice pair in adapted bases, the reduced
     representation on all group elements (aligned with rep.elements), the
     reduced form and its two diagonal blocks, and both charpoly tables."""
-    descriptor: object
-    rep: object
-    group_order: int
-    kernel_size: int
-    image_order: int
-    lattice_basis: list
-    dual_basis: list
-    scale_power: int
-    chain_steps: int
-    invariant_exps: list
-    block_dims: tuple
-    block_kinds: tuple
-    rho_bar: list
-    f0: object
-    f0_gram: list
-    charpoly_table_K: list
-    charpoly_table_k: list
-    certificates: dict
-    charpoly_classes: list
-    kernel_explanations: list
+
+    def __init__(self, descriptor, rep, group_order: int, kernel_size: int,
+                 image_order: int, lattice_basis: list, dual_basis: list,
+                 scale_power: int, chain_steps: int, invariant_exps: list,
+                 block_dims: tuple, block_kinds: tuple, rho_bar: list, f0,
+                 f0_gram: list, charpoly_table_K: list, charpoly_table_k: list,
+                 certificates: dict, charpoly_classes: list, kernel_explanations: list):
+        self.descriptor, self.rep, self.group_order = descriptor, rep, group_order
+        self.kernel_size, self.image_order = kernel_size, image_order
+        self.lattice_basis, self.dual_basis = lattice_basis, dual_basis
+        self.scale_power, self.chain_steps = scale_power, chain_steps
+        self.invariant_exps, self.block_dims, self.block_kinds = (
+            invariant_exps, block_dims, block_kinds)
+        self.rho_bar, self.f0, self.f0_gram = rho_bar, f0, f0_gram
+        self.charpoly_table_K, self.charpoly_table_k = charpoly_table_K, charpoly_table_k
+        self.certificates, self.charpoly_classes = certificates, charpoly_classes
+        self.kernel_explanations = kernel_explanations
+
+
+def _reduced_gram(form: GramForm, lat: Lattice, c) -> list:
+    """The residues of c conj(X)^T A X, X the basis of lat and A the form's
+    gram, on integer forms: A over one denominator, the columns of X that
+    lat keeps and the involution's Galois map on their coordinates, each
+    entry reduced as it stands (FieldDescriptor._residue)."""
+    field = lat.field
+    ring, s = field.kring, None if form.conj is None else field.involution
+    ad, aw = la.integer_matrix(field, form.gram)
+    cds, v = lat._basis_columns
+    left = list(zip(*v)) if s is None else [[ring.galois(x, s) for x in col] for col in zip(*v)]
+    g = field.int_mat_mul(left, field.int_mat_mul(aw, v))
+    den = c.den * ad * (1 if s is None else ring.galois_scale(s))
+    try:
+        return [[field._residue(ring.mul(c.num, x), den * ci * cj) for x, cj in zip(row, cds)]
+                for row, ci in zip(g, cds)]
+    except NegativeValuation:
+        raise NegativeValuation(
+            "gram matrix has a negative-valuation entry; scale first") from None
 
 
 def descend(rep: GroupRep) -> DescentResult:
@@ -535,7 +553,10 @@ def descend(rep: GroupRep) -> DescentResult:
     field = rep.field
     n = rep.dim
 
-    start = stabilize(standard_lattice(field, n), rep.generators)
+    # every generator has finite order (the closure proved it), so its
+    # determinant is a root of unity, of valuation 0: no determinant is taken
+    ints = rep._integer_generators
+    start = _stabilize(standard_lattice(field, n), ints, [True] * len(ints))
     bal = balance(start, rep.form, generators=rep.generators)
     dual, f2, res = bal.dual, bal.form, bal.inclusion
     exps = res.exps
@@ -551,10 +572,22 @@ def descend(rep: GroupRep) -> DescentResult:
     basis_lat = [[x * c for x, c in zip(row, scales)] for row in basis_star]
     lat_inv = [[field.pi_power(-a) * x for x in row] for a, row in zip(exps, star_inv)]
     kfield = field.residue_field
+    adapted_lat = Lattice(field, basis_lat, _inverse=lat_inv)
+    adapted_dual = Lattice(field, basis_star, _inverse=star_inv)
+    if adapted_lat != bal.lattice or adapted_dual != dual:
+        raise InternalInconsistency("adapted bases do not span the balanced pair")
 
-    def reduced_action(m):
-        p = la.mat_mul(star_inv, la.mat_mul(m, basis_star))
-        pbar = [[x.reduce() for x in row] for row in p]
+    # star_inv g basis_star on integer forms: the rows of star_inv and the
+    # columns of basis_star, which the adapted dual keeps, prepared once
+    prepare, mul, residue = field._prepare, field._prepared_mul, field._residue
+    (rds, inv_rows), (cds, basis_cols) = adapted_dual._inverse_rows, adapted_dual._basis_columns
+    inv_rows, basis_cols = prepare(inv_rows), prepare(zip(*basis_cols))
+
+    def reduced_action(dm):
+        gd, gw = dm
+        p = mul(prepare(mul(inv_rows, prepare(zip(*gw)))), basis_cols)
+        pbar = [[residue(x, rd * gd * cd) for x, cd in zip(prow, cds)]
+                for prow, rd in zip(p, rds)]
         zero = kfield.zero
         for i in range(w):
             for j in range(w, n):
@@ -567,14 +600,12 @@ def descend(rep: GroupRep) -> DescentResult:
 
     # reduced form: first block from the lattice quotient, second (carrying
     # one extra uniformizer factor) from the dual quotient.  On the pair
-    # balance certified both grams are integral (reduce refuses any entry
-    # that is not); with nothing off the blocks, ResidueForm's kind check and
-    # AssembledForm's determinants on the blocks cover the whole grams
-    if (Lattice(field, basis_lat, _inverse=lat_inv) != bal.lattice
-            or Lattice(field, basis_star, _inverse=star_inv) != dual):
-        raise InternalInconsistency("adapted bases do not span the balanced pair")
-    bar = reduce_gram(f2.gram_in_basis(basis_lat))
-    tilde = reduce_gram(la.scalar_mul(field.pi_power(1), f2.gram_in_basis(basis_star)))
+    # balance certified both grams are integral (the reduction refuses any
+    # entry that is not); with nothing off the blocks, ResidueForm's kind
+    # check and AssembledForm's determinants on the blocks cover the whole
+    # grams
+    bar = _reduced_gram(f2, adapted_lat, field.one)
+    tilde = _reduced_gram(f2, adapted_dual, field.pi_power(1))
     kz = kfield.zero
     for i in range(n):
         for j in range(n):
@@ -594,7 +625,7 @@ def descend(rep: GroupRep) -> DescentResult:
     # carried along the tree as keys of rows in k^N and checked on every
     # other Cayley edge, so it is a homomorphism: then the generators'
     # isometries are every element's, and charpolys are class functions
-    gen_bar = [reduced_action(g) for g in rep.generators]
+    gen_bar = [reduced_action(dm) for dm in ints]
     kind_correct = all(f0.is_isometry(p) for p in gen_bar)
     points, keys = _reduced_keys(rep, gen_bar)
 
@@ -607,15 +638,12 @@ def descend(rep: GroupRep) -> DescentResult:
     rows = [[entries[v] for v in pt] for pt in points]
     rho_bar = [[rows[p] for p in key] for key in keys]
 
-    # both charpolys once per conjugacy class, at its smallest index; over a
-    # prime residue field on the points' ints, and otherwise by Berkowitz
+    # both charpolys once per conjugacy class, at its smallest index; over k
+    # by Hessenberg reduction on the points' coefficient tuples
     cls, census = rep.class_charpolys()
-    if kfield.degree == 1:
-        cp_k = {r: [kfield.from_integer((c,), 1) for c in
-                    fp_charpoly([[x[0] for x in points[q]] for q in keys[r]], kfield.p)]
-                for r in census}
-    else:
-        cp_k = {r: la.charpoly(rho_bar[r], kfield) for r in census}
+    cp_k = {r: [kfield.from_integer(c, 1) for c in
+                fp_charpoly([points[q] for q in keys[r]], kfield)]
+            for r in census}
     charpoly_ok = all(cp_k[r] == red for r, (_, _, red) in census.items())
     classes = Counter()
     for r, (size, _, _) in census.items():

@@ -291,11 +291,6 @@ class FieldElement:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def _numerator(self):
-        """(w, t, d) with self = w / (ell^t d), w an integer vector, d prime to ell."""
-        t, den = _split_ell(self.den, self.field.ell)
-        return self.num, t, den
-
     def valuation(self):
         """Certified valuation at the chosen prime (math.inf for zero)."""
         if self._val is not None:
@@ -304,8 +299,8 @@ class FieldElement:
             self._val = math.inf
             return self._val
         field = self.field
-        ints, t, _ = self._numerator()
-        vlam = field.kengine.valuation(ints)
+        t, _ = _split_ell(self.den, field.ell)
+        vlam = field.kengine.valuation(self.num)
         if vlam % field.e_rel:
             raise InternalInconsistency(
                 "completion valuation of a field element is not a multiple "
@@ -321,22 +316,10 @@ class FieldElement:
         return self.field.integral(self.num, self.den)
 
     def reduce(self):
-        """Image in the residue field; requires valuation >= 0.
-
-        Integrality is decided by the digit test (is_integral), and the
-        residue of num / (ell^t d) is read off the lambda-digits of num; no
-        valuation is certified, except to word the NegativeValuation."""
-        if self._res is not None:
-            return self._res
-        if not self.is_integral():
-            raise NegativeValuation(
-                f"element has valuation {self.valuation()}; only integral elements reduce")
-        field = self.field
-        ints, t, d = self._numerator()
-        x = field._residue_from_big(field.kengine.residue(ints, t))
-        if d % field.ell != 1:
-            x = x * pow(d % field.ell, -1, field.ell)
-        self._res = x
+        """Image in the residue field (FieldDescriptor._residue); requires
+        valuation >= 0, and certifies a valuation only to word the refusal."""
+        if self._res is None:
+            self._res = self.field._residue(self.num, self.den)
         return self._res
 
     def conjugate(self) -> "FieldElement":
@@ -561,6 +544,23 @@ class FieldDescriptor:
         return val
 
     # -- residue data ----------------------------------------------------
+
+    def _residue(self, w, d: int):
+        """The residue of w / d, for an integer coordinate tuple w and d > 0
+        not necessarily in lowest terms, d = ell^t d' with d' prime to ell:
+        the digit test (as in integral; NegativeValuation if it fails), the
+        residue of w / ell^t off the lambda-digits of w, times d'^-1 mod ell.
+        FieldElement.reduce and descend's integer-form reductions call it."""
+        t, unit = _split_ell(d, self.ell)
+        if t and not self.kengine.divisible(w, t):
+            raise NegativeValuation(
+                f"element has valuation {_lowest(self, tuple(w), d).valuation()}; "
+                "only integral elements reduce")
+        r = self.kengine.residue(w, t)
+        if unit % self.ell != 1:
+            inv = pow(unit, -1, self.ell)
+            r = [c * inv for c in r]
+        return self._residue_from_big(r)
 
     def _residue_from_big(self, rcoords):
         """Convert completion-residue coordinates into the abstract residue field."""

@@ -275,7 +275,8 @@ class ResidueElement:
     def _like(self, other):
         if isinstance(other, int):
             return self.field.element(other)
-        if isinstance(other, ResidueElement) and other.field == self.field:
+        if isinstance(other, ResidueElement) and (
+                other.field is self.field or other.field == self.field):
             return other
         return None
 
@@ -336,7 +337,16 @@ class ResidueElement:
             return NotImplemented
         return o * self.inverse()
 
-    __pow__ = power
+    def __pow__(self, e: int, mod=None):
+        return power(self, e)  # pow(x, -1, p) is the inverse, as x % p is x
+
+    def __mod__(self, p):
+        """x: an element of F_q is its own residue mod p, as an int in
+        [0, p) is, so integer code over F_p (fp_charpoly) runs on these."""
+        return self
+
+    def __bool__(self):
+        return any(self.coeffs)
 
     def frobenius(self, k: int = 1):
         """x -> x^(p^k)."""
@@ -479,14 +489,23 @@ def fp_det(m, p):
     return det % p
 
 
-def fp_charpoly(m, p):
-    """det(x I - m) over F_p, low degree first and monic, length n + 1, in
-    O(n^3) on plain ints: m is brought to upper Hessenberg form H by
-    similarities mod p, and the charpoly follows from the recurrence on H's
-    leading minors, p_(j+1) = (x - h_jj) p_j - sum over i < j of h_ij
-    (h_(i+1,i) ... h_(j,j-1)) p_i (Cohen, A Course in Computational
-    Algebraic Number Theory, 2.2.4)."""
-    h = [[v % p for v in row] for row in m]
+def fp_charpoly(m, field):
+    """det(x I - m) over F_q = field (a ResidueField), for m a square matrix
+    of coefficient tuples in [0, p) (ResidueElement.coeffs), low degree
+    first and monic, as n + 1 such tuples, in O(n^3) operations of F_q: m
+    is brought to upper Hessenberg form H by similarities, and the
+    charpoly follows from the recurrence on H's leading minors, p_(j+1) =
+    (x - h_jj) p_j - sum over i < j of h_ij (h_(i+1,i) ... h_(j,j-1)) p_i
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.2.4).  It
+    is integer code over F_p, reducing mod p where it must: it runs on plain
+    ints when f = 1, and on ResidueElements, which take its int operators,
+    when f >= 2."""
+    p = field.p
+    if field.degree == 1:
+        h, zero, one = [[x[0] for x in row] for row in m], 0, 1
+    else:
+        h = [[ResidueElement(field, x) for x in row] for row in m]
+        zero, one = field.zero, field.one
     n = len(h)
     for c in range(n - 2):
         s = c + 1
@@ -508,13 +527,14 @@ def fp_charpoly(m, p):
                 steps.append((i, u))
         if steps:
             for row in h:
-                row[s] = (row[s] + sum(u * row[i] for i, u in steps)) % p
-    polys = [[1]]
+                row[s] = (row[s] + sum((u * row[i] for i, u in steps), zero)) % p
+    polys = [[one]]
     for j in range(n):
-        nxt = [0] + polys[j]
-        for k, v in enumerate(polys[j]):
-            nxt[k] -= h[j][j] * v
-        t = 1
+        nxt = [zero] + polys[j]
+        if h[j][j]:
+            for k, v in enumerate(polys[j]):
+                nxt[k] -= h[j][j] * v
+        t = one
         for i in range(j - 1, -1, -1):
             t = t * h[i + 1][i] % p
             if not t:
@@ -524,7 +544,7 @@ def fp_charpoly(m, p):
                 for k, v in enumerate(polys[i]):
                     nxt[k] -= f * v
         polys.append([v % p for v in nxt])
-    return polys[n]
+    return [(c,) for c in polys[n]] if field.degree == 1 else [c.coeffs for c in polys[n]]
 
 
 def _fp_rref(a, p: int, ncols: int) -> list[int]:

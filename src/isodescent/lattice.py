@@ -26,21 +26,19 @@ Diagonal exponents are reported in nonincreasing order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg as la
 from .errors import DimensionMismatch, InvalidDescriptor, NotContained, NotStable, SingularMatrix
 
 
-@dataclass
 class SNFResult:
     """Row side of a Smith normal form: u and u_inv are mutually inverse and
     integral, and for m of full row rank diag(pi**-exps) @ u @ m is integral
     with an integral right inverse (exponents nonincreasing)."""
-    u: list
-    u_inv: list
-    exps: list
+
+    def __init__(self, u: list, u_inv: list, exps: list):
+        self.u, self.u_inv, self.exps = u, u_inv, exps
 
     @property
     def rank(self):
@@ -297,7 +295,8 @@ def stabilize(lat: Lattice, mats) -> Lattice:
     with NotStable at once.  The moved basis m B is tested as in maps_into
     and added only when it leaves the current lattice.  The lattice returned
     records, by value, each matrix of unit determinant (the last pass found
-    m L <= L and changed nothing), and is_stable on it skips those.
+    m L <= L and changed nothing), and is_stable on it skips those.  descend
+    runs the loop (_stabilize) on a group's generators with no determinant.
     """
     field = lat.field
     vals = [la.det(m, field).valuation() for m in mats]
@@ -306,7 +305,17 @@ def stabilize(lat: Lattice, mats) -> Lattice:
     if any(v < 0 for v in vals):
         raise NotStable("no lattice is stable under a matrix whose determinant "
                         "has negative valuation")
-    ints = [la.integer_matrix(field, m) for m in mats]
+    return _stabilize(lat, [la.integer_matrix(field, m) for m in mats],
+                      [v == 0 for v in vals])
+
+
+def _stabilize(lat: Lattice, ints, units) -> Lattice:
+    """stabilize's loop on the matrices' (d, w) = linalg.integer_matrix(m),
+    units[i] saying whether matrix i has a determinant of valuation 0, as
+    the caller certified: stabilize by one determinant each, descend by the
+    closure, which proved every generator of finite order (so its
+    determinant is a root of unity)."""
+    field = lat.field
     cur = lat
     changed = True
     while changed:
@@ -318,7 +327,7 @@ def stabilize(lat: Lattice, mats) -> Lattice:
                 cur = _span(field, cur.basis, moved)
                 changed = True
     cur._stable_under = cur._stable_under.union(
-        _matrix_key(dm) for dm, v in zip(ints, vals) if v == 0)
+        _matrix_key(dm) for dm, unit in zip(ints, units) if unit)
     return cur
 
 

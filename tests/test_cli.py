@@ -76,18 +76,18 @@ class TestExitCodes:
         # one diagonal entry of the first block's gram moved by one: B_3 x
         # B_2 permutes that block's basis, so some generator's image no
         # longer preserves f0, while the block stays nondegenerate
-        reduce_gram = descent.reduce_gram
+        reduced_gram = descent._reduced_gram
         reduced = []
 
-        def bent(gram):
-            rg = reduce_gram(gram)
+        def bent(*args):
+            rg = reduced_gram(*args)
             if not reduced:  # descend reduces the form on the lattice first
                 last = len(rg) - 1  # the first block holds the trailing indices
                 rg[last][last] = rg[last][last] + rg[last][last].field.one
             reduced.append(rg)
             return rg
 
-        monkeypatch.setattr(descent, "reduce_gram", bent)
+        monkeypatch.setattr(descent, "_reduced_gram", bent)
         out = tmp_path / "report.json"
         assert cli.cmd_descend(str(bundle_path("block_b3xb2_q5")), str(out)) == 2
         result = json.loads(out.read_text())["result"]

@@ -12,7 +12,11 @@ reduced every element on its own, the former per-element loop of descend,
 and conjugacy classes by brute-force conjugation.
 """
 
+import hashlib
+import importlib.util
+import json
 import math
+import pathlib
 import time
 from collections import Counter, deque
 
@@ -29,6 +33,8 @@ from isodescent.exactfield import make_descriptor
 from isodescent.forms import GramForm
 
 from conftest import bundle_path
+
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def _mat_key(m):
@@ -369,3 +375,36 @@ def test_dimension_over_the_ceiling_is_refused_at_once():
     with pytest.raises(DimensionMismatch, match=f"dimension {n} exceeds the ceiling"):
         GroupRep(desc, [minus], form)
     assert time.perf_counter() - started < 1.0
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded by its path, for block_group and _rngs."""
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_closure_values_are_pinned():
+    """links, right, traces and every element(i), byte for byte, over the
+    committed bundles and the five block groups descend_groups builds at
+    seed 5 (degree 1 over Q at 5 and 7, degree 2 over Q(i) at 5)."""
+    wl = _workloads()
+    reps = [load_bundle(str(bundle_path(name)))[0]
+            for name in ("block_b3xb2_q5", "prop5_ell5", "q8_split_ell5", "remark4_ell7",
+                         "z4_hermitian_inert_ell7")]
+    for fld, a, b, k in (("Q5", 2, 2, 3), ("Q5", 3, 1, 4), ("Q7", 2, 2, 6),
+                         ("Q7", 1, 3, 5), ("Qi5", 2, 2, 4)):
+        n, ell, sub = wl.FIELDS[fld]
+        desc = make_descriptor(n, ell, subgroup=sub)
+        rngs = wl._rngs("descend_groups", 5, f"block-{fld}-B{a}xB{b}-k{k}")
+        gens, form = wl.block_group(desc, a, b, k, rngs)
+        reps.append(GroupRep(desc, gens, form))
+    digest = hashlib.sha256()
+    for rep in reps:
+        elements = [[[x.serialize() for x in row] for row in rep.element(i)]
+                    for i in range(rep.order)]
+        record = [rep.links, rep.right, rep.traces, elements]
+        digest.update(json.dumps(record, separators=(",", ":")).encode())
+    assert digest.hexdigest() == \
+        "709f49312327b75253c0e6fe45c807a64a1f9b7ce2053b6086786f2baf8eb607"

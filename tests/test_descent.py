@@ -18,7 +18,7 @@ from isodescent.errors import (
     NotStable,
     PreconditionViolated,
 )
-from isodescent.exactfield import make_descriptor, with_uniformizer
+from isodescent.exactfield import FieldDescriptor, make_descriptor, with_uniformizer
 from isodescent.forms import GramForm, reduce_bar, reduce_tilde
 from isodescent.lattice import (
     Lattice,
@@ -471,6 +471,29 @@ class TestExtraspecialLadder:
         res = self.check(GroupRep(gauss5, gens, form), 3)
         assert res.block_kinds == ("alternating", "alternating")
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_both_types_over_the_inert_gaussian(self, gauss7, sign, m):
+        """Over Q(i) at the inert 7 (k = F_49), preserving the hermitian
+        identity form, in dimensions 4, 8 and 16; the minus type takes Q_8's
+        generators in the first factor.  The k-side charpolys are Hessenberg
+        reductions over F_49, checked against Berkowitz on rho_bar up to
+        dimension 8."""
+        i, o, z = gauss7.zeta_power(1), gauss7.one, gauss7.zero
+        n = 2 ** m
+        gens = extraspecial_generators(gauss7, m)
+        if sign == "-":
+            q8 = [[[z, -o], [o, z]], [[i, z], [z, -i]]]
+            gens = [la.kron(g, la.identity(gauss7, n // 2)) for g in q8] + gens[2:]
+        rep = GroupRep(gauss7, gens, GramForm(gauss7, la.identity(gauss7, n), "hermitian"))
+        res = self.check(rep, m)
+        assert res.block_dims == (n, 0)
+        assert res.block_kinds == ("hermitian", "hermitian")
+        if m < 4:
+            kfield = gauss7.residue_field
+            for r in set(rep.conjugacy_classes()):
+                assert res.charpoly_table_k[r] == la.charpoly(res.rho_bar[r], kfield)
+
 
 class TestClassCensus:
     @pytest.mark.parametrize("name", sorted(p.stem for p in BUNDLE_DIR.glob("*.json")))
@@ -687,9 +710,10 @@ class TestDescend:
             return bal
 
         reductions = []
+        reduced_gram = descent._reduced_gram
         monkeypatch.setattr(descent, "balance", corrupted_balance)
-        monkeypatch.setattr(descent, "reduce_gram",
-                            lambda gram: reductions.append(gram) or forms.reduce_gram(gram))
+        monkeypatch.setattr(descent, "_reduced_gram",
+                            lambda *args: reductions.append(args) or reduced_gram(*args))
         with pytest.raises(InternalInconsistency, match="adapted bases"):
             descend(rep)
         assert reductions == []
@@ -698,6 +722,20 @@ class TestDescend:
         res = remark4_res7
         for p in res.rho_bar:
             assert res.f0.is_isometry(p)
+
+    @pytest.mark.parametrize("name", ["q8_split_ell5", "block_b3xb2_q5", "remark4_ell7"])
+    def test_no_determinant_over_K(self, name, monkeypatch):
+        """The closure proved every generator of finite order, so descend
+        stabilizes with no determinant (their valuations are 0), and is_stable
+        reads stabilize's record; the only determinants left are the residue
+        forms' over k.  Public stabilize still takes one per matrix."""
+        rep, _ = load_bundle(str(BUNDLE_DIR / f"{name}.json"))
+        fields, det = [], la.det
+        monkeypatch.setattr(la, "det", lambda a, field: fields.append(field) or det(a, field))
+        assert all(descend(rep).certificates.values())
+        assert fields and not any(isinstance(f, FieldDescriptor) for f in fields)
+        stabilize(standard_lattice(rep.field, rep.dim), rep.generators)
+        assert fields.count(rep.field) == len(rep.generators)
 
     def test_start_lattice_choice_does_not_matter(self, q8_rep5, q8_res5, gauss5):
         # descend starts from the standard lattice; in the coordinates of a
@@ -913,16 +951,17 @@ class TestF0AgainstTheResidueReductions:
         """One off-block diagonal entry of one reduced gram moved by one:
         index 0 lies off the first block, the last index off the second."""
         rep, _ = load_bundle(str(BUNDLE_DIR / "block_b3xb2_q5.json"))
+        reduced_gram = descent._reduced_gram
         reduced = []
 
-        def bent(gram):
-            rg = forms.reduce_gram(gram)
+        def bent(*args):
+            rg = reduced_gram(*args)
             if len(reduced) == side:
                 i = len(rg) - 1 if side else 0
                 rg[i][i] = rg[i][i] + rg[i][i].field.one
             reduced.append(rg)
             return rg
 
-        monkeypatch.setattr(descent, "reduce_gram", bent)
+        monkeypatch.setattr(descent, "_reduced_gram", bent)
         with pytest.raises(InternalInconsistency, match=message):
             descend(rep)

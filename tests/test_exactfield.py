@@ -11,14 +11,14 @@ from isodescent.errors import (
     NegativeValuation,
     NoInvolution,
 )
-from isodescent.cyclotomic import CycloRing
+from isodescent.cyclotomic import CycloRing, _split_ell
 from isodescent.finitefield import cyclotomic_factors_mod
 from isodescent.exactfield import (MAX_CONDUCTOR, MAX_ELL, MAX_RESIDUE_DEGREE, FieldElement,
                                    _primitive_period, _symmetry_broken, make_descriptor,
                                    with_uniformizer)
 from isodescent.localring import LambdaEngine
 
-from conftest import random_field_element
+from conftest import SNF_FIELDS, random_field_element, snf_field
 
 
 class TestDescriptorConstruction:
@@ -252,10 +252,38 @@ class TestReduce:
             # the reference: valuation certified first, then the residue of
             # the numerator over d
             assert x.valuation() >= 0
-            ints, t, d = x._numerator()
-            certified = desc._residue_from_big(desc.kengine.residue(ints, t))
+            t, d = _split_ell(x.den, ell)
+            certified = desc._residue_from_big(desc.kengine.residue(x.num, t))
             certified = certified * pow(d % ell, -1, ell)
             assert FieldElement(desc, x.coeffs).reduce() == certified, x
+
+    @pytest.mark.parametrize("i", range(len(SNF_FIELDS) + 1))
+    def test_residue_of_a_pair_matches_reduce(self, i):
+        """FieldDescriptor._residue on (w, d) pairs not in lowest terms, over
+        the SNF fields and Q(i) at the inert 7 (k = F_49), against reduce
+        on the element w / d: common factors prime to ell and powers of ell,
+        w = 0, and d divisible by ell^t with w divisible by ell^t at the
+        prime or not, which raises NegativeValuation both ways."""
+        desc = snf_field(i) if i < len(SNF_FIELDS) else make_descriptor(4, 7)
+        ell, k = desc.ell, desc.residue_field
+        for d in (1, 2, ell, 3 * ell ** 4):
+            assert desc._residue(desc.kring.zero, d) == k.zero
+        rng = random.Random(f"residue-pairs-{i}")
+        seen = set()
+        for _ in range(30):
+            x = random_field_element(rng, desc)
+            for c in (1, 2, ell, 2 * ell ** 3):
+                w, d = tuple(c * v for v in x.num), c * x.den
+                integral = x.is_zero or x.valuation() >= 0
+                seen.add((integral, d % ell == 0))
+                if integral:
+                    assert desc._residue(w, d) == FieldElement(desc, x.coeffs).reduce()
+                else:
+                    with pytest.raises(NegativeValuation):
+                        desc._residue(w, d)
+                    with pytest.raises(NegativeValuation):
+                        FieldElement(desc, x.coeffs).reduce()
+        assert seen == {(True, False), (True, True), (False, True)}
 
     def test_reduce_kernel_is_positive_valuation(self, gauss5):
         rng = random.Random("kernel")

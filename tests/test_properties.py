@@ -298,44 +298,60 @@ SHAPES = ("dense", "sparse", "zero column", "scalar", "nilpotent", "1 x 1")
 
 
 @st.composite
-def fp_matrices(draw):
-    """(p, shape, m): a square matrix over F_p with n <= 8, of a shape that
+def fq_matrices(draw, degrees):
+    """(F, shape, m): a square matrix of coefficient tuples over F_q, with
+    the degree f of F drawn from degrees and n <= 8, of a shape that
     reaches each branch of fp_charpoly: a dense or sparse one (pivot
     searches that swap or find nothing), one whose column c is zero below
-    the subdiagonal, a scalar one (already triangular), a nilpotent one (a
+    the subdiagonal or from it (no pivot, and a zero subdiagonal entry that
+    stops the minors' products), a scalar one (already triangular), a nilpotent one (a
     strictly upper triangular matrix under a permutation similarity) and a
     1 x 1 one."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    f = draw(st.sampled_from(degrees))
+    p = draw(st.sampled_from([2, 3, 5, 7, 13] if f == 1 else [3, 5, 7]))
     shape = draw(st.sampled_from(SHAPES))
     n = 1 if shape == "1 x 1" else draw(st.integers(0, 8))
-    entry = st.integers(0, p - 1)
+    zero, entry = (0,) * f, st.tuples(*[st.integers(0, p - 1)] * f)
+    F = residue_field(p, f)
     if shape == "scalar":
         c = draw(entry)
-        return p, shape, [[c if i == j else 0 for j in range(n)] for i in range(n)]
+        return F, shape, [[c if i == j else zero for j in range(n)] for i in range(n)]
     if shape == "nilpotent":
-        u = [[draw(entry) if j > i else 0 for j in range(n)] for i in range(n)]
+        u = [[draw(entry) if j > i else zero for j in range(n)] for i in range(n)]
         perm = draw(st.permutations(range(n)))
-        return p, shape, [[u[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        return F, shape, [[u[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
     m = [[draw(entry) for _ in range(n)] for _ in range(n)]
     if shape == "sparse":
         mask = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
-        m = [[x if mask[i * n + j] else 0 for j, x in enumerate(row)] for i, row in enumerate(m)]
+        m = [[x if mask[i * n + j] else zero for j, x in enumerate(row)]
+             for i, row in enumerate(m)]
     if shape == "zero column" and n > 2:
         c = draw(st.integers(0, n - 3))
-        for i in range(c + 2, n):
-            m[i][c] = 0
-    return p, shape, m
+        for i in range(draw(st.sampled_from((c + 1, c + 2))), n):
+            m[i][c] = zero
+    return F, shape, m
+
+
+def _check_fp_charpoly(case):
+    F, shape, m = case
+    expect = [c.coeffs for c in la.charpoly([[F.element(x) for x in row] for row in m], F)]
+    assert fp_charpoly(m, F) == expect
+    if shape == "nilpotent":
+        assert expect == [F.zero.coeffs] * len(m) + [F.one.coeffs]
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(fp_matrices())
+@given(fq_matrices((1,)))
 def test_fp_charpoly_is_berkowitz_over_the_prime_field(case):
-    p, shape, m = case
-    F = residue_field(p, 1)
-    expect = [c.coeffs[0] for c in la.charpoly([[F.element(x) for x in row] for row in m], F)]
-    assert fp_charpoly(m, p) == expect
-    if shape == "nilpotent":
-        assert expect == [0] * len(m) + [1]
+    _check_fp_charpoly(case)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(fq_matrices((2, 3)))
+def test_fp_charpoly_is_berkowitz_over_extension_fields(case):
+    # Hessenberg over F_q, f >= 2, on ResidueElements: the same code as
+    # over F_p, against Berkowitz on the field's integer lift
+    _check_fp_charpoly(case)
 
 
 SERIALIZED_FIELDS = {"q8": (4, 5, (1,), None), "z4": (4, 7, (1,), 3),

@@ -20,7 +20,11 @@ The class serves three rings:
 Sums, products and matrix products stay in the ring, and so do Galois maps
 once scaled by an integer where sigma_t does not map Z[theta] into itself;
 division is left to the caller, which keeps one common denominator per
-element.  inv returns an integer multiple y of the
+element.  Products in degree 1 and 2 are closed forms: one product of ints,
+and in degree 2, with theta^2 = p0 + p1 theta, four products folded in one
+expression (Cohen, A Course in Computational Algebraic Number Theory, 5.1),
+a matrix entry being four dot products; every other degree runs one integer
+convolution folded once modulo f.  inv returns an integer multiple y of the
 product of the nontrivial conjugates of w over a subfield, so that w * y is
 an integer.
 
@@ -171,10 +175,16 @@ class CycloRing:
         return tuple(-a for a in u)
 
     def mul(self, u, v):
-        """u * v in Z[theta]: one integer convolution, folded once."""
+        """u * v in Z[theta]: in degree 1 and 2 a closed form, with theta^2 =
+        p0 + p1 theta in degree 2; else one integer convolution, folded
+        once."""
         d = self.degree
         if d == 1:
             return (u[0] * v[0],)
+        if d == 2:
+            (a0, a1), (b0, b1), (p0, p1) = u, v, self.powers[2]
+            t = a1 * b1
+            return (a0 * b0 + p0 * t, a0 * b1 + a1 * b0 + p1 * t)
         vs = [(j, b) for j, b in enumerate(v) if b]
         conv = [0] * (2 * d - 1)
         for i, a in enumerate(u):
@@ -197,19 +207,37 @@ class CycloRing:
 
     def _prepare(self, m):
         """The rows of m with each coordinate vector in the form
-        _prepared_mul takes: its int in degree 1, else its nonzero (index,
-        coordinate) pairs.  A caller that multiplies by one operand many
-        times prepares it once."""
+        _prepared_mul takes: its int in degree 1, itself in degree 2, else
+        its nonzero (index, coordinate) pairs.  A caller that multiplies by
+        one operand many times prepares it once."""
         if self.degree == 1:
             return [[x[0] for x in row] for row in m]
+        if self.degree == 2:
+            return [list(row) for row in m]
         return [[[(i, c) for i, c in enumerate(x) if c] for x in row] for row in m]
 
     def _prepared_mul(self, a, cols):
         """int_mat_mul on prepared operands: the rows of a times the columns
-        cols.  A row shorter than a column pairs only its own entries."""
-        d, fold = self.degree, self._fold
+        cols.  A row shorter than a column pairs only its own entries.  In
+        degree 2 each row and each column is split into its two coordinate
+        lists once, and an entry is four dot products folded by theta^2 =
+        p0 + p1 theta."""
+        d, fold, mul = self.degree, self._fold, operator.mul
         if d == 1:
-            return [[(sum(map(operator.mul, r, c)),) for c in cols] for r in a]
+            return [[(sum(map(mul, r, c)),) for c in cols] for r in a]
+        if d == 2:
+            p0, p1 = self.powers[2]
+            cs = [([y[0] for y in c], [y[1] for y in c]) for c in cols]
+            out = []
+            for r in a:
+                r0, r1 = [x[0] for x in r], [x[1] for x in r]
+                row = []
+                for c0, c1 in cs:
+                    t = sum(map(mul, r1, c1))
+                    row.append((sum(map(mul, r0, c0)) + p0 * t,
+                                sum(map(mul, r0, c1)) + sum(map(mul, r1, c0)) + p1 * t))
+                out.append(row)
+            return out
         out = []
         for ru in a:
             out_row = []

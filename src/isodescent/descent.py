@@ -639,17 +639,19 @@ def descend(rep: GroupRep) -> DescentResult:
     rho_bar = [[rows[p] for p in key] for key in keys]
 
     # both charpolys once per conjugacy class, at its smallest index; over k
-    # by Hessenberg reduction on the points' coefficient tuples
+    # by Hessenberg reduction on the points' coefficient tuples, compared as
+    # tuples with the census's reductions, and one ResidueElement list built
+    # per distinct charpoly
     cls, census = rep.class_charpolys()
-    cp_k = {r: [kfield.from_integer(c, 1) for c in
-                fp_charpoly([points[q] for q in keys[r]], kfield)]
-            for r in census}
-    charpoly_ok = all(cp_k[r] == red for r, (_, _, red) in census.items())
+    cp_k = {r: tuple(fp_charpoly([points[q] for q in keys[r]], kfield)) for r in census}
+    charpoly_ok = all(cp_k[r] == tuple(c.coeffs for c in red)
+                      for r, (_, _, red) in census.items())
     classes = Counter()
     for r, (size, _, _) in census.items():
-        classes[tuple(tuple(c.coeffs) for c in cp_k[r])] += size
+        classes[cp_k[r]] += size
+    polys = {cp: [kfield.from_integer(c, 1) for c in cp] for cp in classes}
     charpoly_table_K = [census[c][1] for c in cls]
-    charpoly_table_k = [cp_k[c] for c in cls]
+    charpoly_table_k = [polys[cp_k[c]] for c in cls]
 
     # every kernel element must be explained by a failure of the rigidity
     # hypothesis.  Each one stabilizes the lattice and has finite order (the

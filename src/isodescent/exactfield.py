@@ -548,15 +548,20 @@ class FieldDescriptor:
     def _residue(self, w, d: int):
         """The residue of w / d, for an integer coordinate tuple w and d > 0
         not necessarily in lowest terms, d = ell^t d' with d' prime to ell:
-        the digit test (as in integral; NegativeValuation if it fails), the
-        residue of w / ell^t off the lambda-digits of w, times d'^-1 mod ell.
-        FieldElement.reduce and descend's integer-form reductions call it."""
+        the residue of w / ell^t off the lambda-digits of w, whose digits
+        also decide integrality (NegativeValuation if it fails), times d'^-1
+        mod ell.  FieldElement.reduce and descend's integer-form reductions
+        call it."""
         t, unit = _split_ell(d, self.ell)
-        if t and not self.kengine.divisible(w, t):
+        try:
+            r = self.kengine.residue(w, t)
+        except InternalInconsistency:
+            # the digits refused the division; anything else is a fault
+            if not t or self.kengine.divisible(w, t):
+                raise
             raise NegativeValuation(
                 f"element has valuation {_lowest(self, tuple(w), d).valuation()}; "
-                "only integral elements reduce")
-        r = self.kengine.residue(w, t)
+                "only integral elements reduce") from None
         if unit % self.ell != 1:
             inv = pow(unit, -1, self.ell)
             r = [c * inv for c in r]

@@ -35,13 +35,22 @@ when every digit vanishes, and `valuation` retries at doubled precision up
 to a ceiling at which a nonzero element must certify.  Zero elements never
 certify, so call sites must test exact zero first.  Divisibility by ell^t
 needs no certification: it holds iff every digit vanishes mod ell^t, which
-precision t decides exactly.
+precision t decides exactly.  The ell^P of each precision is computed once,
+with its table.
+
+A one-digit completion, e_full = f_full = 1 (Q, and Q(zeta_n) or a subfield
+of it when ell = 1 mod n), is Z_ell itself: its table holds one integer per
+basis element, the digit of an element is the one integer sum_j c_j omega_j
+mod ell^P, its valuation is v_ell of that integer, and the residue of
+vec / ell^t is (digit // ell^t) mod ell.  Every other completion runs the
+generic loops over the flat digits.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import operator
 
 from .cyclotomic import CycloRing, _split_ell, cyclotomic_poly, euler_phi
 from .errors import InternalInconsistency
@@ -78,11 +87,14 @@ class LambdaEngine:
         to_lambda = [[(-1) ** j * math.comb(k, j) for j in range(e)] for k in range(e)]
         self._u_digits = [[sum(c * row[j] for c, row in zip(ui, to_lambda)) for j in range(e)]
                           for ui in CycloRing(la).powers[:la]]
+        # a one-digit completion (Q_ell itself): each element is one digit,
+        # one integer mod ell^P
+        self.one_digit = e == self.f_full == 1
         # None: vectors are on the power basis of zeta_n; see on_basis
         self.basis = None
         # the l1 norm of each basis element on the power basis
         self._weights = [1] * euler_phi(n)
-        self._image_cache: dict[int, list[list[int]]] = {}
+        self._tables: dict[int, tuple] = {}
 
     def on_basis(self, basis) -> "LambdaEngine":
         """This engine reading integer vectors on another basis: basis[j] is
@@ -93,7 +105,7 @@ class LambdaEngine:
         other.basis = [tuple(b) for b in basis]
         other._weights = [sum(map(abs, b)) for b in other.basis]
         other._power_engine = self
-        other._image_cache = {}
+        other._tables = {}
         return other
 
     # ------------------------------------------------------------------
@@ -128,30 +140,43 @@ class LambdaEngine:
             raise InternalInconsistency("the Newton root is not a root of Phi_m")
         return pows[:m]
 
-    def images(self, prec: int) -> list[list[int]]:
-        """Lambda-digits of the basis elements modulo ell^prec (of zeta_n^j,
-        j < phi(n), on the power basis), each flat: digit k is at
-        [k f_full, (k + 1) f_full)."""
-        if prec in self._image_cache:
-            return self._image_cache[prec]
+    def _table(self, prec: int):
+        """(ell^prec, the lambda-digits of the basis elements mod ell^prec),
+        built once per precision: of zeta_n^j, j < phi(n), on the power
+        basis.  Each element's digits are flat, digit k at [k f_full,
+        (k + 1) f_full), and on a one-digit completion they are its one
+        digit, an int."""
+        table = self._tables.get(prec)
+        if table is not None:
+            return table
+        modulus = self.ell**prec
         if self.basis is not None:
             flat = self._power_engine._flat_image
-            imgs = self._image_cache[prec] = [flat(b, prec) for b in self.basis]
-            return imgs
-        modulus = self.ell**prec
-        t_pows, u_digits, la = self._omega_powers(prec), self._u_digits, self.ell**self.a
-        imgs = [[(d * tv) % modulus for d in u_digits[(self.beta * j) % la]
-                 for tv in t_pows[(self.alpha * j) % self.m]]
-                for j in range(euler_phi(self.n))]
-        self._image_cache[prec] = imgs
-        return imgs
+            imgs = [flat(b, prec) for b in self.basis]
+        else:
+            t_pows, u_digits, la = self._omega_powers(prec), self._u_digits, self.ell**self.a
+            imgs = [[(d * tv) % modulus for d in u_digits[(self.beta * j) % la]
+                     for tv in t_pows[(self.alpha * j) % self.m]]
+                    for j in range(euler_phi(self.n))]
+        if self.one_digit:
+            imgs = [z for z, in imgs]
+        table = self._tables[prec] = modulus, imgs
+        return table
+
+    def _digit(self, vec, prec: int) -> int:
+        """The one lambda-digit, mod ell^prec, of an integer vector on the
+        engine's basis, on a one-digit completion: sum_j c_j omega_j."""
+        modulus, imgs = self._table(prec)
+        return sum(map(operator.mul, vec, imgs)) % modulus
 
     def _flat_image(self, vec, prec: int) -> list[int]:
         """Lambda-digits d_0 ... d_{e-1}, mod ell^prec, of an integer vector
-        on the engine's basis, flat as in images."""
-        modulus = self.ell**prec
+        on the engine's basis, flat as in _table."""
+        if self.one_digit:
+            return [self._digit(vec, prec)]
+        modulus, imgs = self._table(prec)
         acc = None
-        for c, img in zip(vec, self.images(prec)):
+        for c, img in zip(vec, imgs):
             c %= modulus
             if c:
                 acc = ([c * z for z in img] if acc is None
@@ -167,17 +192,18 @@ class LambdaEngine:
         """Certified valuation, in powers of lambda, of a nonzero integer
         vector, or None when every lambda-digit vanishes mod ell^prec.  The
         first digit that is a unit decides: every digit before it is
-        divisible by ell, so its term e v_ell(d_k) + k is at least e."""
+        divisible by ell, so its term e v_ell(d_k) + k is at least e.  On a
+        one-digit completion it is v_ell of the digit."""
         ell, e, f = self.ell, self.e_full, self.f_full
+        if self.one_digit:
+            g = self._digit(vec, prec)
+            return _split_ell(g, ell)[0] if g else None
         flat = self._flat_image(vec, prec)
         best = None
         for k in range(e):
             g = math.gcd(*flat[k * f:(k + 1) * f])
             if g:
-                v = 0
-                while g % ell == 0:
-                    g //= ell
-                    v += 1
+                v = _split_ell(g, ell)[0]
                 if v == 0:
                     return k
                 if best is None or e * v + k < best:
@@ -223,14 +249,19 @@ class LambdaEngine:
         """Whether ell^t divides vec at the chosen prime, that is vec / ell^t
         is integral: every lambda-digit vanishes mod ell^t.  The digits mod
         ell^t are exact at precision t, so nothing escalates."""
+        if self.one_digit:
+            return not self._digit(vec, t)
         return not any(self._flat_image(vec, t))
 
     def residue(self, vec, t: int) -> tuple[int, ...]:
         """Residue of vec / ell^t: (d_0 / ell^t) mod ell.  Every digit must be
-        divisible by ell^t, that is the quotient must be integral."""
+        divisible by ell^t, that is the quotient must be integral: the one
+        set of digits, at precision max(PRECISION_START, t + 1), decides that
+        as `divisible` does and gives the residue."""
         den = self.ell**t
         digits = self._flat_image(vec, max(PRECISION_START, t + 1))
         if any(c % den for c in digits):
             raise InternalInconsistency(
                 "ell-division requested on a vector that is not divisible")
         return tuple((c // den) % self.ell for c in digits[:self.f_full])
+

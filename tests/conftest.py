@@ -356,3 +356,20 @@ def reference_rref(m, field, ncols: int) -> list[int]:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def reference_mul(modulus, u, v) -> tuple[int, ...]:
+    """u v in Z[x]/(f) for f = modulus, monic, low degree first: the full
+    integer convolution, reduced by long division by f, one scalar
+    operation per term.  The reference for CycloRing's products."""
+    d = len(modulus) - 1
+    conv = [0] * (2 * d - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            conv[i + j] += a * b
+    for k in range(2 * d - 2, d - 1, -1):
+        c = conv[k]
+        for i, m in enumerate(modulus):
+            conv[k - d + i] -= c * m
+    assert not any(conv[d:])
+    return tuple(conv[:d])

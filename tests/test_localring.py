@@ -10,6 +10,10 @@ where the engine under test sends zeta_m to a Newton root of x^m = 1.  Its
 power tables come from `_var_powers` and its Psi from `self._psi`, the
 former engine's, copied verbatim.  Of the engine under test it uses only the
 constructor's scalars (a, m, e_full, f_full, alpha, beta) and checked factor.
+
+On one-digit completions (e_full = f_full = 1) the engine is also checked
+against the plain ell-adic image of an element in Z_ell, with the root of
+unity lifted one digit at a time and valuations found by repeated division.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import random
 import pytest
 
 from isodescent.cyclotomic import _split_ell, cyclotomic_poly, euler_phi
-from isodescent.errors import InternalInconsistency
+from isodescent.errors import InternalInconsistency, NegativeValuation
 from isodescent.exactfield import make_descriptor
 from isodescent.finitefield import fp_divmod, fp_ext_gcd, fp_mod, fp_mul, fp_sub, fp_trim
 from isodescent.localring import PRECISION_START, LambdaEngine
@@ -407,3 +411,94 @@ def test_residue_needs_divisible_digits():
     desc = make_descriptor(5, 5)
     with pytest.raises(InternalInconsistency):
         desc.engine.residue((1, 0, 0, 0), 1)
+
+
+# one-digit completions (e_full = f_full = 1): Q at 5, Q(i) at 5 on the power
+# basis of zeta_4, and Q(sqrt 5) at 11 on the basis 1, theta of the subfield
+ONE_DIGIT = [(1, 5, (1,)), (4, 5, (1,)), (5, 11, (1, 4))]
+# the reference's precision: far above every valuation the tests draw
+REFERENCE_PRECISION = 120
+
+
+def _ell_adic_root(eng, prec: int) -> int:
+    """omega mod ell^prec: the root of x^n = 1 in Z_ell that lifts the root
+    of the engine's linear factor, found one ell-adic digit at a time by
+    trying each digit."""
+    ell, n = eng.ell, max(eng.n, 1)
+    root = -eng.factor[0] % ell
+    for k in range(1, prec):
+        mod = ell ** (k + 1)
+        root = next(r for r in (root + c * ell ** k for c in range(ell))
+                    if (pow(r, n, mod) - 1) % mod == 0)
+    return root
+
+
+def _reference_digit(eng, vec, prec: int = REFERENCE_PRECISION) -> int:
+    """The image of vec in Z_ell mod ell^prec under zeta_n -> omega: each
+    basis element, a polynomial in zeta_n, evaluated at omega."""
+    mod, omega = eng.ell ** prec, _ell_adic_root(eng, prec)
+    basis = eng.basis or [tuple(int(i == j) for i in range(len(vec))) for j in range(len(vec))]
+    return sum(c * sum(b * pow(omega, k, mod) for k, b in enumerate(bj))
+               for c, bj in zip(vec, basis)) % mod
+
+
+def _ell_valuation(z: int, ell: int) -> int:
+    """v_ell of a nonzero integer, by repeated division."""
+    v = 0
+    while z % ell == 0:
+        z //= ell
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("n, ell, sub", ONE_DIGIT)
+def test_one_digit_completion_reads_the_ell_adic_digit(n, ell, sub):
+    """valuation, divisible and residue of the field's engine against the
+    image in Z_ell, on vectors with zero coordinates and ell-power factors."""
+    desc = make_descriptor(n, ell, subgroup=sub)
+    eng = desc.kengine
+    assert eng.one_digit and (eng.basis is not None) == (sub != (1,))
+    rng = random.Random(f"one-digit-{n}-{ell}")
+    checked = set()
+    for _ in range(60):
+        vec = [rng.choice([0, rng.randint(-99, 99)]) for _ in range(desc.degree)]
+        scale = ell ** rng.choice([0, 0, 1, 2, 7])
+        vec = tuple(scale * c for c in vec)
+        if not any(vec):
+            continue
+        z = _reference_digit(eng, vec)
+        assert z
+        v = _ell_valuation(z, ell)
+        checked.add(min(v, 2))
+        assert eng.valuation(vec) == v
+        for t in range(v + 3):
+            # divisible takes t >= 1, as FieldDescriptor.integral calls it
+            assert t == 0 or eng.divisible(vec, t) == (t <= v), (vec, t)
+            if t <= v:
+                assert eng.residue(vec, t) == ((z // ell ** t) % ell,), (vec, t)
+            else:
+                with pytest.raises(InternalInconsistency):
+                    eng.residue(vec, t)
+    assert checked == {0, 1, 2}
+
+
+@pytest.mark.parametrize("n, ell, sub", ONE_DIGIT)
+def test_one_digit_completion_past_the_start_precision(n, ell, sub):
+    """x = ell^40 u for a unit u needs more than PRECISION_START digits: its
+    valuation 40 certifies through escalation, ell^40 divides it, and the
+    residue of x / ell^40 is that of u; x / ell^41 refuses to reduce,
+    naming its valuation."""
+    desc = make_descriptor(n, ell, subgroup=sub)
+    eng = desc.kengine
+    rng = random.Random(f"one-digit-deep-{n}-{ell}")
+    u = tuple(rng.randint(-99, 99) for _ in range(desc.degree))
+    while _reference_digit(eng, u, 1) == 0:
+        u = tuple(rng.randint(-99, 99) for _ in range(desc.degree))
+    x = tuple(ell ** 40 * c for c in u)
+    assert eng.analyze(x, PRECISION_START) is None
+    assert eng.valuation(x) == 40
+    assert eng.divisible(x, 40) and not eng.divisible(x, 41)
+    assert eng.residue(x, 40) == (_reference_digit(eng, u, 1),)
+    assert desc._residue(x, ell ** 40) == desc.from_integer(u, 1).reduce()
+    with pytest.raises(NegativeValuation, match="valuation -1;"):
+        desc._residue(x, ell ** 41)

@@ -1,6 +1,7 @@
 """Valuation axioms, the residue map, the characteristic polynomial, the
-lattice laws, residue-field products and polynomial products mod p as
-properties of random elements, matrices, lattices and polynomials.
+lattice laws, residue-field products, polynomial products mod p and the
+products of the degree-2 orders as properties of random elements, matrices,
+lattices and polynomials.
 
 Runs only where hypothesis is installed; the package itself does not
 depend on it.
@@ -31,6 +32,8 @@ from isodescent.lattice import (  # noqa: E402
     lattice_sum,
     quotient_length,
 )
+
+from conftest import reference_mul  # noqa: E402
 
 # (n, ell, subgroup, involution): split, inert, tamely ramified with and
 # without an involution, wildly ramified, the prop6 field, and Q(sqrt 5) at
@@ -292,6 +295,51 @@ def test_residue_products_take_any_representative_mod_p(data):
             assert prod[i][j] == expect + (0,) * (f - len(expect))
     x, y = a[0][0], b[0][0]
     assert (ResidueElement(F, x) * ResidueElement(F, y)).coeffs == F.int_mat_mul([[x]], [[y]])[0][0]
+
+
+# every degree-2 order the library multiplies in: Z[i] and Z[zeta_3], Z[theta]
+# for the periods of Q(sqrt -7) in Q(zeta_7) and of Q(sqrt 5) in Q(zeta_5),
+# and the integer lifts of F_49 and F_121 (Q(i) at 7, Q(zeta_3) at 11)
+DEGREE_TWO = {
+    "gauss": lambda: make_descriptor(4, 5).kring,
+    "eisenstein": lambda: make_descriptor(3, 7).kring,
+    "sqrt-7": lambda: make_descriptor(7, 7, subgroup=(1, 2, 4)).kring,
+    "sqrt5": lambda: make_descriptor(5, 5, subgroup=(1, 4)).kring,
+    "F49": lambda: make_descriptor(4, 7).residue_field.ring,
+    "F121": lambda: make_descriptor(3, 11).residue_field.ring,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def degree_two_ring(name):
+    ring = DEGREE_TWO[name]()
+    assert ring.degree == 2
+    return ring
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_TWO))
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_degree_two_products_are_the_convolution(name, data):
+    """mul, and _prepared_mul on _prepare'd operands, against the folded
+    convolution: zero coordinates, coordinates of 130 bits, and rows
+    shorter than the columns they multiply, as linalg.charpoly passes
+    them, where a row pairs only its own entries."""
+    ring = degree_two_ring(name)
+    coeff = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2 ** 130, 2 ** 130))
+    vec = st.tuples(coeff, coeff)
+    u, v = data.draw(vec), data.draw(vec)
+    assert ring.mul(u, v) == reference_mul(ring.modulus, u, v)
+    nrows, ncols, inner = (data.draw(st.integers(1, 3)) for _ in range(3))
+    extra = data.draw(st.integers(0, 2))
+    rows = [[data.draw(vec) for _ in range(inner)] for _ in range(nrows)]
+    cols = [[data.draw(vec) for _ in range(inner + extra)] for _ in range(ncols)]
+    expect = [[tuple(map(sum, zip(*(reference_mul(ring.modulus, x, y)
+                                     for x, y in zip(r, c)))))
+               for c in cols] for r in rows]
+    assert ring._prepared_mul(ring._prepare(rows), ring._prepare(cols)) == expect
+    if not extra:
+        assert ring.int_mat_mul(rows, list(zip(*cols))) == expect
 
 
 SHAPES = ("dense", "sparse", "zero column", "scalar", "nilpotent", "1 x 1")

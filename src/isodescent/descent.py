@@ -22,9 +22,9 @@ images and both characteristic polynomials, being class functions, once per
 conjugacy class (the classes come from the Cayley table, with no field
 arithmetic; over K by Newton's identities on the integer traces the
 closure kept, with no matrix built, and over k by Hessenberg reduction on
-the reduced rows' coefficient tuples, for every residue degree).  The
-generators' action on the adapted basis and f0's two grams are reduced
-straight off integer forms, entry by entry (FieldDescriptor._residue).
+the reduced rows' coefficient tuples, for every residue degree).  f0's two
+grams are forms._reduced_gram on the adapted bases, and the generators'
+action on them is reduced off integer forms (FieldDescriptor._residue).
 
 The reduction preserves characteristic polynomials mod lambda, and when
 2e < ell - 1 it is also faithful: a finite-order lattice automorphism
@@ -48,13 +48,12 @@ from .errors import (
     GroupTooLarge,
     HypothesisViolated,
     InternalInconsistency,
-    NegativeValuation,
     NotFiniteOrder,
     NotStable,
     PreconditionViolated,
 )
 from .finitefield import fp_charpoly
-from .forms import AssembledForm, GramForm, ResidueForm, normalize_scale
+from .forms import AssembledForm, GramForm, ResidueForm, _reduced_gram, normalize_scale
 from .lattice import (
     Lattice,
     SNFResult,
@@ -528,26 +527,6 @@ class DescentResult:
         self.kernel_explanations = kernel_explanations
 
 
-def _reduced_gram(form: GramForm, lat: Lattice, c) -> list:
-    """The residues of c conj(X)^T A X, X the basis of lat and A the form's
-    gram, on integer forms: A over one denominator, the columns of X that
-    lat keeps and the involution's Galois map on their coordinates, each
-    entry reduced as it stands (FieldDescriptor._residue)."""
-    field = lat.field
-    ring, s = field.kring, None if form.conj is None else field.involution
-    ad, aw = la.integer_matrix(field, form.gram)
-    cds, v = lat._basis_columns
-    left = list(zip(*v)) if s is None else [[ring.galois(x, s) for x in col] for col in zip(*v)]
-    g = field.int_mat_mul(left, field.int_mat_mul(aw, v))
-    den = c.den * ad * (1 if s is None else ring.galois_scale(s))
-    try:
-        return [[field._residue(ring.mul(c.num, x), den * ci * cj) for x, cj in zip(row, cds)]
-                for row, ci in zip(g, cds)]
-    except NegativeValuation:
-        raise NegativeValuation(
-            "gram matrix has a negative-valuation entry; scale first") from None
-
-
 def descend(rep: GroupRep) -> DescentResult:
     """Run the full reduction and recompute every certificate from scratch."""
     field = rep.field
@@ -598,12 +577,10 @@ def descend(rep: GroupRep) -> DescentResult:
         upper = [[pbar[i][j] for j in range(w)] for i in range(w)]
         return la.block_diag(kfield, [lower, upper])
 
-    # reduced form: first block from the lattice quotient, second (carrying
-    # one extra uniformizer factor) from the dual quotient.  On the pair
-    # balance certified both grams are integral (the reduction refuses any
-    # entry that is not); with nothing off the blocks, ResidueForm's kind
-    # check and AssembledForm's determinants on the blocks cover the whole
-    # grams
+    # reduced form: first block from the lattice quotient, second (one more
+    # uniformizer factor) from the dual's.  The reduction refuses any entry
+    # not integral on the pair balance certified; with nothing off the blocks,
+    # ResidueForm's kind check and AssembledForm's determinants cover the grams
     bar = _reduced_gram(f2, adapted_lat, field.one)
     tilde = _reduced_gram(f2, adapted_dual, field.pi_power(1))
     kz = kfield.zero

@@ -486,11 +486,10 @@ class FieldDescriptor:
     def integral(self, w, d: int) -> bool:
         """Whether w / d has valuation >= 0, for an integer coordinate tuple
         w and d > 0, not necessarily in lowest terms.  With d = ell^t d' and
-        d' prime to ell, it holds when t = 0, w lying in Z[theta]; otherwise
-        iff ell^t divides w at the chosen prime, which the lambda-digits of w
-        mod ell^t decide exactly (LambdaEngine.divisible)."""
-        t, _ = _split_ell(d, self.ell)
-        return t == 0 or self.kengine.divisible(w, t)
+        d' prime to ell, it holds iff ell^t divides w at the chosen prime,
+        which the lambda-digits of w mod ell^t decide exactly
+        (LambdaEngine.divisible; always at t = 0, w lying in Z[theta])."""
+        return self.kengine.divisible(w, _split_ell(d, self.ell)[0])
 
     def int_mat_mul(self, a, b):
         return self.kring.int_mat_mul(a, b)
@@ -557,7 +556,7 @@ class FieldDescriptor:
             r = self.kengine.residue(w, t)
         except InternalInconsistency:
             # the digits refused the division; anything else is a fault
-            if not t or self.kengine.divisible(w, t):
+            if self.kengine.divisible(w, t):
                 raise
             raise NegativeValuation(
                 f"element has valuation {_lowest(self, tuple(w), d).valuation()}; "

@@ -22,7 +22,10 @@ certified balanced pair, keyed by lattice identity, with the reduced gram on
 the lattice, and no dual: reductions certify once per (lattice, dual) per
 form, so reduce_tilde after reduce_bar on the same objects, or without a
 dual, checks nothing again.  balance keeps the pair it returns the same way.
-Integrality is the digit test throughout.
+Integrality is the digit test throughout.  _lattice_gram is the one form on
+a lattice, on integer forms: normalize_scale reads its valuations, and
+reduce_bar, reduce_tilde and descend its residues (_reduced_gram).  No CLI
+path calls reduce_bar, reduce_tilde or the slot; ROADMAP item 19 retires them.
 """
 
 from __future__ import annotations
@@ -170,30 +173,49 @@ def classify_gram(field, gram):
     return None
 
 
+def _lattice_gram(form: GramForm, lat: Lattice, c) -> list:
+    """c conj(X)^T A X, X the basis of lat and A the form's gram, on integer
+    forms: A over one denominator, the columns of X that lat keeps and the
+    involution's Galois map on their coordinates.  Entry (i, j) is w / d for
+    the pair (w, d) there, not necessarily in lowest terms."""
+    field = form.field
+    _check_peer(field, form.dim, lat)
+    ring, s = field.kring, None if form.conj is None else field.involution
+    ad, aw = la.integer_matrix(field, form.gram)
+    cds, v = lat._basis_columns
+    left = list(zip(*v)) if s is None else [[ring.galois(x, s) for x in col] for col in zip(*v)]
+    g = field.int_mat_mul(left, field.int_mat_mul(aw, v))
+    den = c.den * ad * (1 if s is None else ring.galois_scale(s))
+    return [[(ring.mul(c.num, x), den * ci * cj) for x, cj in zip(row, cds)]
+            for row, ci in zip(g, cds)]
+
+
+def _reduced_gram(form: GramForm, lat: Lattice, c) -> list:
+    """The residues of _lattice_gram, each pair reduced as it stands
+    (FieldDescriptor._residue); NegativeValuation unless all are integral."""
+    residue = form.field._residue
+    try:
+        return [[residue(w, d) for w, d in row] for row in _lattice_gram(form, lat, c)]
+    except NegativeValuation:
+        raise NegativeValuation(
+            "gram matrix has a negative-valuation entry; scale first") from None
+
+
 def normalize_scale(form: GramForm, lat: Lattice):
     """Rescale the form so its value ideal on the lattice is exactly O.
 
     Returns (m, scaled form) where the scaled form is pi^m times the input:
-    m is minus the minimum valuation among gram entries in the lattice basis,
-    so the scaled gram has minimum valuation zero.
+    m is minus the minimum valuation among gram entries in the lattice basis
+    (read off _lattice_gram), so the scaled gram has minimum valuation zero.
     """
-    g = form.gram_in_basis(lat.basis)
-    vals = [x.valuation() for row in g for x in row]
-    low = min(vals)
+    from_integer = form.field.from_integer
+    low = min(from_integer(w, d).valuation()
+              for row in _lattice_gram(form, lat, form.field.one) for w, d in row)
     if low == math.inf:
         raise DegenerateForm("form vanishes on the lattice")
     if low == 0:
         return 0, form
     return -low, form.scale_by_pi_power(-low)
-
-
-def reduce_gram(gram):
-    """Entrywise residue of a K-matrix with nonnegative valuations."""
-    try:
-        return [[x.reduce() for x in row] for row in gram]
-    except NegativeValuation:
-        raise NegativeValuation(
-            "gram matrix has a negative-valuation entry; scale first")
 
 
 class ResidueForm(_Form):
@@ -235,21 +257,21 @@ def _reduce_side(lat: Lattice, form: GramForm, dual, side: int):
         slot = (lat, dual, None, quotient_length(lat, dual))
     _, _, rg, length = slot
     if rg is None:
-        g = form.gram_in_basis(lat.basis)
-        if not all(x.is_integral() for row in g for x in row):
+        try:
+            rg = _reduced_gram(form, lat, field.one)
+        except NegativeValuation:
             raise PreconditionViolated(
-                "form is not integral on the lattice; normalize the scale first")
-        rg = reduce_gram(g)
+                "form is not integral on the lattice; normalize the scale first") from None
         if all(x.is_zero() for row in rg for x in row):
             raise PreconditionViolated(
                 "form is not scale-normalized on the lattice (all values divisible by pi)")
         form._balanced_slot = (lat, dual, rg, length)
     if side:
-        g = la.scalar_mul(field.pi_power(1), form.gram_in_basis(dual.basis))
-        if not all(x.is_integral() for row in g for x in row):
+        try:
+            rg = _reduced_gram(form, dual, field.pi_power(1))
+        except NegativeValuation:
             raise InternalInconsistency(
-                "pi times the form is not integral on the dual of a balanced lattice")
-        rg = reduce_gram(g)
+                "pi times the form is not integral on the dual of a balanced lattice") from None
     kind = form.reduced_kind_pair()[side]
     kfield = field.residue_field
     rform = ResidueForm(kfield, rg, kind, conj=field.residue_involution)

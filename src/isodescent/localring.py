@@ -248,7 +248,9 @@ class LambdaEngine:
     def divisible(self, vec, t: int) -> bool:
         """Whether ell^t divides vec at the chosen prime, that is vec / ell^t
         is integral: every lambda-digit vanishes mod ell^t.  The digits mod
-        ell^t are exact at precision t, so nothing escalates."""
+        ell^t are exact at precision t, so nothing escalates; t = 0 needs none."""
+        if t == 0:
+            return True
         if self.one_digit:
             return not self._digit(vec, t)
         return not any(self._flat_image(vec, t))

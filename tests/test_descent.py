@@ -866,10 +866,12 @@ class TestDescend:
         assert res.charpoly_classes == base.charpoly_classes
 
 
-def block_rep(desc, k, rng):
+def block_rep(desc, k, rng, kind="symmetric"):
     """B_1 x B_2 with the form diag(1, ell^k, ell^k) in the basis P = D U,
     U unimodular and D scaling the first coordinate by 1/ell: the standard
-    lattice stabilizes to ell^-1 O + O^2, and the chain needs steps."""
+    lattice stabilizes to ell^-1 O + O^2, and the chain needs steps.  The
+    hermitian form is conj(P)^T diag(1, ell^k, ell^k) P, with U sheared
+    once more by zeta_n, so that P has entries off Q."""
     o, z = desc.one, desc.zero
     gens = [[[-o, z, z], [z, o, z], [z, z, o]],
             [[o, z, z], [z, z, o], [z, o, z]],
@@ -878,10 +880,16 @@ def block_rep(desc, k, rng):
     gram[1][1] = gram[2][2] = desc.rational(desc.ell ** k)
     d = la.identity(desc, 3)
     d[0][0] = desc.rational(f"1/{desc.ell}")
-    p = la.mat_mul(d, random_unimodular(rng, desc, 3))
+    u = random_unimodular(rng, desc, 3)
+    pt = la.transpose
+    if kind == "hermitian":
+        shear = la.identity(desc, 3)
+        shear[1][0] = desc.zeta_power(1)
+        u, pt = la.mat_mul(u, shear), lambda m: la.conj_transpose(m, lambda x: x.conjugate())
+    p = la.mat_mul(d, u)
     p_inv = la.mat_inv(p, desc)
     gens = [la.mat_mul(p_inv, la.mat_mul(g, p)) for g in gens]
-    form = GramForm(desc, la.mat_mul(la.transpose(p), la.mat_mul(gram, p)), "symmetric")
+    form = GramForm(desc, la.mat_mul(pt(p), la.mat_mul(gram, p)), kind)
     return GroupRep(desc, gens, form)
 
 
@@ -915,21 +923,29 @@ class TestAdaptedBasisAgainstTheColumnSide:
 
 
 class TestF0AgainstTheResidueReductions:
-    """descend reduces the two adapted grams itself.  reduce_bar and
-    reduce_tilde, which certify the pair again and build both full residue
-    forms with their kernels, are the oracle for the two blocks of f0, their
-    kinds and their conj."""
+    """descend reduces the two adapted grams itself, through the integer-form
+    helper that reduce_bar and reduce_tilde share.  The expected grams are
+    the entrywise residues of the form, and of pi times it, on the adapted
+    bases, built over K by gram_in_basis; both full reductions must equal
+    them, and reduce_bar and reduce_tilde, which certify the pair again, give
+    the kinds and the conj of the two blocks of f0."""
 
     def check(self, rep):
         res = descend(rep)
         field, w = rep.field, sum(res.invariant_exps)
         form = GramForm(field, rep.form.gram, rep.form.kind,
                         rep.form.twist).scale_by_pi_power(res.scale_power)
+        residues = lambda g: [[x.reduce() for x in row] for row in g]
+        bar_gram = residues(form.gram_in_basis(res.lattice_basis))
+        tilde_gram = residues(la.scalar_mul(field.pi_power(1),
+                                            form.gram_in_basis(res.dual_basis)))
         lat, dual = Lattice(field, res.lattice_basis), Lattice(field, res.dual_basis)
         bar, _ = reduce_bar(lat, form, dual=dual)
         tilde, _ = reduce_tilde(lat, form, dual=dual)
-        want = [(bar, [row[w:] for row in bar.gram[w:]]),
-                (tilde, [row[:w] for row in tilde.gram[:w]])]
+        assert_matrix_equal(bar.gram, bar_gram)
+        assert_matrix_equal(tilde.gram, tilde_gram)
+        want = [(bar, [row[w:] for row in bar_gram[w:]]),
+                (tilde, [row[:w] for row in tilde_gram[:w]])]
         for block, (full, gram) in zip(res.f0.blocks, want, strict=True):
             assert_matrix_equal(block.gram, gram)
             assert (block.kind, block.conj) == (full.kind, full.conj)
@@ -944,6 +960,14 @@ class TestF0AgainstTheResidueReductions:
     def test_block_groups_with_chain_steps(self, gauss5, k, seed):
         res = self.check(block_rep(gauss5, k, random.Random(seed)))
         assert res.chain_steps >= 1
+
+    @pytest.mark.parametrize("k, seed", [(2, "f0-oracle-c"), (3, "f0-oracle-e")])
+    def test_hermitian_block_groups_with_chain_steps(self, gauss7, k, seed):
+        """The block groups with a hermitian form over Q(i) at the inert 7,
+        on bases off Q, where conj moves both residue grams."""
+        res = self.check(block_rep(gauss7, k, random.Random(seed), "hermitian"))
+        assert res.chain_steps >= 1
+        assert all(res.certificates.values())
 
     @pytest.mark.parametrize("side, message", [(0, "first residue gram"),
                                                (1, "second residue gram")])

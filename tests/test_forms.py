@@ -21,7 +21,6 @@ from isodescent.forms import (
     classify_gram,
     normalize_scale,
     reduce_bar,
-    reduce_gram,
     reduce_tilde,
 )
 from isodescent.lattice import Lattice, scale_lattice, standard_lattice
@@ -276,18 +275,26 @@ class TestResidueForm:
 
 
 class TestReduceGram:
+    """forms._reduced_gram, the residues of c conj(X)^T A X read off the
+    integer forms of A and of the lattice basis X."""
+
     def test_entrywise_reduction(self, rat5):
         half = rat5.rational("1/2")
-        out = reduce_gram([[rat5.one, half]])
+        f = GramForm(rat5, [[rat5.one, half], [half, rat5.one]], "symmetric")
+        out = forms._reduced_gram(f, standard_lattice(rat5, 2), rat5.one)
         k = rat5.residue_field
-        assert out[0][0] == k.one
-        assert out[0][1] == k.element(3)
+        assert out[0][0] == out[1][1] == k.one
+        assert out[0][1] == out[1][0] == k.element(3)
+        # c = 25 on the basis diag(1, 1/5): the entries 25, 5/2, 5/2 and 1
+        lat = Lattice(rat5, [[rat5.one, rat5.zero], [rat5.zero, rat5.rational("1/5")]])
+        out = forms._reduced_gram(f, lat, rat5.rational(25))
+        assert out == [[k.zero, k.zero], [k.zero, k.one]]
 
     def test_negative_valuation_refused(self, rat5):
         from isodescent.errors import NegativeValuation
-        bad = rat5.rational("1/5")
-        with pytest.raises(NegativeValuation):
-            reduce_gram([[bad]])
+        f = GramForm(rat5, [[rat5.rational("1/5")]], "symmetric")
+        with pytest.raises(NegativeValuation, match="scale first"):
+            forms._reduced_gram(f, standard_lattice(rat5, 1), rat5.one)
 
 
 class TestReductions:
@@ -392,7 +399,7 @@ class TestReductions:
             bal = balance(Lattice(desc, random_invertible(rng, desc, n)),
                           GramForm(desc, gram, kind))
             scaled = bal.form.scale_by_pi_power(1)
-            want = reduce_gram(scaled.gram_in_basis(bal.dual.basis))
+            want = [[x.reduce() for x in row] for row in scaled.gram_in_basis(bal.dual.basis)]
             for dual in (bal.dual, None):
                 tilde, kt = reduce_tilde(bal.lattice, bal.form, dual=dual)
                 assert_matrix_equal(tilde.gram, want)

@@ -472,8 +472,7 @@ def test_one_digit_completion_reads_the_ell_adic_digit(n, ell, sub):
         checked.add(min(v, 2))
         assert eng.valuation(vec) == v
         for t in range(v + 3):
-            # divisible takes t >= 1, as FieldDescriptor.integral calls it
-            assert t == 0 or eng.divisible(vec, t) == (t <= v), (vec, t)
+            assert eng.divisible(vec, t) == (t <= v), (vec, t)
             if t <= v:
                 assert eng.residue(vec, t) == ((z // ell ** t) % ell,), (vec, t)
             else:
@@ -502,3 +501,30 @@ def test_one_digit_completion_past_the_start_precision(n, ell, sub):
     assert desc._residue(x, ell ** 40) == desc.from_integer(u, 1).reduce()
     with pytest.raises(NegativeValuation, match="valuation -1;"):
         desc._residue(x, ell ** 41)
+
+
+# the one-digit engine of Q at 5, the power-basis engine of Q(i) at the inert
+# 7 and the on_basis engine of Q(sqrt -7) at 7
+@pytest.mark.parametrize("n, ell, sub", [(1, 5, (1,)), (4, 7, (1,)), (7, 7, (1, 2, 4))])
+def test_ell_to_the_zero_divides_every_vector(n, ell, sub):
+    """divisible(vec, 0) holds with no digit table built, and residue(vec, 0)
+    is the residue FieldElement.reduce gives, which is also the sum of the
+    coordinates mod ell times the residues of the basis elements."""
+    desc = make_descriptor(n, ell, subgroup=sub)
+    eng, k = desc.kengine, desc.residue_field
+    assert eng.one_digit == (n == 1) and (eng.basis is not None) == (sub != (1,))
+    unit = lambda j: tuple(int(i == j) for i in range(desc.degree))
+    basis = [desc.from_integer(unit(j), 1).reduce() for j in range(desc.degree)]
+    rng = random.Random(f"ell-to-the-zero-{n}-{ell}")
+    for _ in range(30):
+        vec = tuple(rng.choice([0, rng.randint(-99, 99)]) * ell ** rng.choice([0, 0, 1, 3])
+                    for _ in range(desc.degree))
+        assert eng.divisible(vec, 0)
+        assert desc.integral(vec, 1) and desc.integral(vec, 2)
+        got = desc._residue_from_big(eng.residue(vec, 0))
+        assert got == desc.from_integer(vec, 1).reduce()
+        want = k.zero
+        for c, b in zip(vec, basis):
+            want = want + k.element(c % ell) * b
+        assert got == want
+    assert 0 not in eng._tables

@@ -1,7 +1,7 @@
 """Valuation axioms, the residue map, the characteristic polynomial, the
-lattice laws, residue-field products, polynomial products mod p and the
-products of the degree-2 orders as properties of random elements, matrices,
-lattices and polynomials.
+lattice laws, the scale normalization of a form on a lattice, residue-field
+products, polynomial products mod p and the products of the degree-2 orders
+as properties of random elements, matrices, lattices and polynomials.
 
 Runs only where hypothesis is installed; the package itself does not
 depend on it.
@@ -25,7 +25,7 @@ from isodescent.finitefield import (  # noqa: E402
     fp_mul,
     fp_trim,
 )
-from isodescent.forms import GramForm  # noqa: E402
+from isodescent.forms import GramForm, normalize_scale  # noqa: E402
 from isodescent.lattice import (  # noqa: E402
     Lattice,
     lattice_intersect,
@@ -237,6 +237,72 @@ def test_quotient_length_is_additive(i, dim, data):
     l2 = lattice_sum(l1, b)
     l3 = lattice_sum(l2, c)
     assert quotient_length(l1, l3) == quotient_length(l1, l2) + quotient_length(l2, l3)
+
+
+# the forms normalize_scale meets: symmetric over Q and Q(i) at 5, hermitian
+# over Q(sqrt -7) at the ramified 7 and over Q(i) at the inert 7
+SCALE_CASES = {
+    "Q5-symmetric": (1, 5, (1,), None, "symmetric"),
+    "Qi5-symmetric": (4, 5, (1,), None, "symmetric"),
+    "sqrt-7-hermitian": (7, 7, (1, 2, 4), 3, "hermitian"),
+    "Qi7-hermitian": (4, 7, (1,), 3, "hermitian"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def scale_descriptor(name):
+    n, ell, sub, inv, _ = SCALE_CASES[name]
+    return make_descriptor(n, ell, subgroup=sub, involution=inv)
+
+
+def small_element(data, desc):
+    """a + b t, t = orbit_sum(1) and |a|, |b| <= 2: sums of products of
+    such elements often cancel, so a form can take a value of higher
+    valuation on a basis vector than its terms have, and conj decides which
+    vectors those are."""
+    a, b = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
+    return desc.rational(a) + desc.rational(b) * desc.orbit_sum(1)
+
+
+def scale_case_lattice(data, desc, dim):
+    """A lattice drawn as in lattice(), or one of small elements with one
+    column over ell or ell^2, which then decides the least valuation."""
+    if data.draw(st.booleans()):
+        return lattice(data, desc, dim)
+    top, power = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(1, 2))
+    over = desc.rational(desc.ell ** power).inverse()
+    basis = [[small_element(data, desc) * (over if c == top else desc.one) for c in range(dim)]
+             for _ in range(dim)]
+    assume(la.det(basis, desc) != desc.zero)
+    return Lattice(desc, basis)
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_CASES))
+@PROPERTY
+@given(st.integers(2, 3), st.data())
+def test_normalize_scale_is_minus_the_least_valuation(name, dim, data):
+    """normalize_scale's exponent is minus the least valuation over the
+    entries of gram_in_basis(lat.basis), the form on the lattice built over
+    K, and the scaled form is pi to that exponent times the input.  Each
+    draw checks one form, of small or of generic entries, on three
+    lattices, with ell in some basis denominators."""
+    desc = scale_descriptor(name)
+    kind = SCALE_CASES[name][4]
+    entry = data.draw(st.sampled_from([small_element, lambda d, k: element(d, k, False)]))
+    m = [[entry(data, desc) for _ in range(dim)] for _ in range(dim)]
+    if kind == "symmetric":
+        gram = [[m[min(r, c)][max(r, c)] for c in range(dim)] for r in range(dim)]
+    else:
+        gram = [[m[r][c] if r < c else m[c][r].conjugate() if r > c
+                 else m[r][r] + m[r][r].conjugate() for c in range(dim)] for r in range(dim)]
+    assume(la.det(gram, desc) != desc.zero)
+    form = GramForm(desc, gram, kind)
+    for _ in range(3):
+        lat = scale_case_lattice(data, desc, dim)
+        low = min(x.valuation() for row in form.gram_in_basis(lat.basis) for x in row)
+        power, scaled = normalize_scale(form, lat)
+        assert power == -low
+        assert la.mat_eq(scaled.gram, la.scalar_mul(desc.pi_power(power), gram))
 
 
 def per_term_mul(a, b, p):
